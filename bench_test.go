@@ -476,7 +476,9 @@ func BenchmarkExhaustiveSearch(b *testing.B) {
 			b.ReportAllocs()
 			var score float64
 			for i := 0; i < b.N; i++ {
-				_, _, s, err := phase.ExhaustiveParallel(net, eval, workers)
+				_, _, s, err := phase.Search(net, phase.SearchOptions{
+					Strategy: phase.StrategyExhaustive, Eval: eval, Workers: workers,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -487,49 +489,24 @@ func BenchmarkExhaustiveSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkConeTableExhaustive runs the same search through the
-// cone-table scorer (ISSUE 3): one table build amortized over the full
-// 2^k scored scan, Apply only on the winner. Compare best_power and
-// wall-clock against BenchmarkExhaustiveSearch — the winner matches and
-// the per-mask cost drops from a full synthesis to a signature-gated
-// constant fold. The build subbenchmark isolates the one-time cost.
-func BenchmarkConeTableExhaustive(b *testing.B) {
+// BenchmarkConeTableBuild isolates the one-time cone-table build that
+// BenchmarkSearchStrategies amortizes over its searches.
+func BenchmarkConeTableBuild(b *testing.B) {
 	net := parallelBenchNet()
 	probs := prob.Uniform(net, 0.5)
 	lib := domino.DefaultLibrary()
-	b.Run("build", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := power.NewConeTable(net, lib, probs, power.Options{}); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := power.NewConeTable(net, lib, probs, power.Options{}); err != nil {
+			b.Fatal(err)
 		}
-	})
-	table, err := power.NewConeTable(net, lib, probs, power.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("search/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var score float64
-			for i := 0; i < b.N; i++ {
-				_, _, s, err := phase.ExhaustiveScored(net, table, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				score = s
-			}
-			b.ReportMetric(score, "best_power")
-		})
 	}
 }
 
 // BenchmarkSearchStrategies runs the pluggable strategies (ISSUE 4)
 // over the cone table's incremental score state on the same 10-output
 // circuit: gray-code exhaustive (one O(Δ) Flip per candidate — compare
-// against BenchmarkConeTableExhaustive's full-rescore scan), exact
+// against BenchmarkExhaustiveSearch's Apply + Estimate per mask), exact
 // branch-and-bound (bit-identical winner, prunes the 2^k space), and
 // the seeded heuristics. best_power must agree across the exact rows.
 func BenchmarkSearchStrategies(b *testing.B) {
@@ -602,7 +579,7 @@ func BenchmarkShardedSim(b *testing.B) {
 
 // --- Kernel benchmarks: bit-parallel sim and map-free BDD engine -------
 
-// simKernelBlock maps the x1 benchsuite twin for the kernel comparison.
+// simKernelBlock maps the x1 twin for the kernel comparison.
 func simKernelBlock(b *testing.B) (*domino.Block, []float64) {
 	b.Helper()
 	c := gen.X1()
@@ -618,19 +595,16 @@ func simKernelBlock(b *testing.B) (*domino.Block, []float64) {
 	return blk, prob.Uniform(net, 0.5)
 }
 
-// BenchmarkSimWideVsScalar compares the bit-parallel kernels against
-// the scalar reference oracle on a benchsuite twin. All three produce
-// byte-identical Reports (TestWideMatchesScalarKernel,
-// TestBlockedMatchesScalarAndWideKernels); the wide/scalar ns/op ratio
-// is the ISSUE 2 throughput gate and the blocked/wide ratio previews
-// the ISSUE 7 saturation gate.
-func BenchmarkSimWideVsScalar(b *testing.B) {
+// BenchmarkSimBlockedVsScalar compares the blocked kernel against the
+// scalar reference oracle on the x1 twin. Both produce byte-identical
+// Reports (TestBlockedMatchesScalarAndWideKernels).
+func BenchmarkSimBlockedVsScalar(b *testing.B) {
 	b.ReportAllocs()
 	blk, probs := simKernelBlock(b)
 	for _, k := range []struct {
 		name   string
 		kernel sim.Kernel
-	}{{"scalar", sim.KernelScalar}, {"wide", sim.KernelWide}, {"blocked", sim.KernelBlocked}} {
+	}{{"scalar", sim.KernelScalar}, {"blocked", sim.KernelBlocked}} {
 		k := k
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -646,7 +620,7 @@ func BenchmarkSimWideVsScalar(b *testing.B) {
 }
 
 // BenchmarkBDDBuild measures the shared-forest construction behind
-// power.Estimate on a benchsuite-scale network under the paper's
+// power.Estimate on a Table-1-scale network under the paper's
 // reverse-topological order — the workload the open-addressed unique
 // table and direct-mapped memo caches are built for.
 func BenchmarkBDDBuild(b *testing.B) {

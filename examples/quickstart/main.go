@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/logic"
 )
 
@@ -27,8 +27,13 @@ func main() {
 
 	// High input probabilities make the phase choice matter: domino
 	// gates switch with probability equal to their signal probability.
-	opts := core.Options{InputProb: 0.9, Vectors: 50000}
-	ma, mp, err := core.Compare(n, opts)
+	cfg := flow.Config{InputProb: 0.9, SimVectors: 50000}
+	net := flow.Prepare(n)
+	ma, err := flow.SynthesizeMA(net, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mp, err := flow.SynthesizeMP(net, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,14 +43,14 @@ func main() {
 	fmt.Println("\nminimum-power phase assignment (MP):")
 	describe(mp)
 	fmt.Printf("\npower saving: %.1f%% for %.1f%% more cells\n",
-		100*(ma.MeasuredPower-mp.MeasuredPower)/ma.MeasuredPower,
-		100*float64(mp.Cells-ma.Cells)/float64(ma.Cells))
+		100*(ma.SimPower-mp.SimPower)/ma.SimPower,
+		100*float64(mp.Size-ma.Size)/float64(ma.Size))
 }
 
-func describe(r *core.Result) {
-	fmt.Printf("  phases      %s  (+ = direct output, - = inverter at boundary)\n", r.Assignment)
-	fmt.Printf("  cells       %d (area %.0f)\n", r.Cells, r.Area)
-	fmt.Printf("  est power   %.4f\n", r.EstimatedPower)
-	fmt.Printf("  sim power   %.4f\n", r.MeasuredPower)
-	fmt.Printf("  crit delay  %.2f\n", r.CriticalDelay)
+func describe(s *flow.Synthesis) {
+	fmt.Printf("  phases      %s  (+ = direct output, - = inverter at boundary)\n", s.Assignment)
+	fmt.Printf("  cells       %d (area %.0f)\n", s.Size, s.Block.Area())
+	fmt.Printf("  est power   %.4f\n", s.EstPower)
+	fmt.Printf("  sim power   %.4f\n", s.SimPower)
+	fmt.Printf("  crit delay  %.2f\n", s.Critical)
 }

@@ -133,8 +133,9 @@ type Config struct {
 	// Cache-key: semantic.
 	SimShards int `json:"SimShards"`
 	// SimKernel selects the measurement engine (see sim.Kernel); the
-	// zero value is the bit-parallel one. Like Workers, it never changes
-	// results — only wall-clock.
+	// zero value, sim.KernelAuto, and the reserved value 1 both run the
+	// blocked one. Like Workers, it never changes results — only
+	// wall-clock.
 	// Cache-key: wall-clock (erased by Canonical).
 	SimKernel sim.Kernel `json:"SimKernel"`
 	// SimBlockWords sets the blocked kernel's block size in 64-lane

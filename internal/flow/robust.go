@@ -36,7 +36,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flow: config field Workers: %d is negative", c.Workers)
 	case c.SimShards < 0:
 		return fmt.Errorf("flow: config field SimShards: %d is negative", c.SimShards)
-	case c.SimKernel < 0 || c.SimKernel > sim.KernelBlocked:
+	case c.SimKernel > sim.KernelBlocked:
 		return fmt.Errorf("flow: config field SimKernel: unknown kernel %d", int(c.SimKernel))
 	case c.SimBlockWords < 0 || c.SimBlockWords > logic.MaxBlockWords:
 		return fmt.Errorf("flow: config field SimBlockWords: %d out of range [0,%d]", c.SimBlockWords, logic.MaxBlockWords)

@@ -194,6 +194,56 @@ func TestExactSiftedRescue(t *testing.T) {
 	}
 }
 
+// TestX4FrontierExactSifted is the exact-engine frontier gate: the x4
+// twin (288 PIs) blows the 20000-node budget on its static variable
+// order, and the reorder-and-retry stage must rescue it, ending the row
+// exact-sifted rather than on a degraded engine. The config is the
+// budgeted corpus one (exact engine, 24-pair MinPower cap).
+func TestX4FrontierExactSifted(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("exact-BDD build of the 288-input x4 twin takes seconds (minutes under -race)")
+	}
+	c := gen.X4()
+	if pis := c.Net.NumInputs(); pis != 288 {
+		t.Fatalf("x4 twin has %d PIs, want 288", pis)
+	}
+	cfg := Config{
+		SimVectors:    256,
+		SimShards:     2,
+		MaxPairs:      24,
+		EstOpts:       power.Options{Method: power.Exact, Depth: 3, MaxFrontier: 8},
+		BDDNodeBudget: 20000,
+	}
+	_, engine, trips, err := runCircuitDegraded(context.Background(), c, cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engine != EngineExactSifted {
+		t.Errorf("x4 at budget 20000 ended on engine %q (%d trips), want %q", engine, trips, EngineExactSifted)
+	}
+}
+
+// TestRetiredSimKernelValue: the retired wide kernel's wire value 1
+// still validates, and it runs the blocked kernel, so its row is the
+// default config's row.
+func TestRetiredSimKernelValue(t *testing.T) {
+	cfg := Config{SimVectors: 512, SimKernel: 1}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("SimKernel 1 must validate, got %v", err)
+	}
+	want, err := RunCircuit(smallCircuit(), Config{SimVectors: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunCircuit(smallCircuit(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SimKernel 1 row differs from the default row:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
 // TestUntrippedBudgetIsInvisible: with budgets far above what the
 // circuit needs, the degraded runner must produce exactly the row the
 // plain flow produces — engine empty, zero trips. This is the guarantee

@@ -2,8 +2,8 @@
 // worker pool with deterministic, index-ordered results.
 //
 // Every parallel path in the reproduction (exhaustive phase search,
-// sharded Monte-Carlo simulation, the benchsuite sweep) is built on the
-// same contract:
+// sharded Monte-Carlo simulation, the concurrent corpus runner) is
+// built on the same contract:
 //
 //   - work is split into numbered shards [0, n);
 //   - shards execute on at most `workers` goroutines, claimed dynamically

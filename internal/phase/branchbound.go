@@ -60,8 +60,7 @@ type bbBest struct {
 //     incumbent prunes only on STRICT bound >, which can never eliminate
 //     a candidate tied with the eventual winner, so scheduling cannot
 //     change the outcome: the returned (assignment, score) is
-//     bit-identical to StrategyExhaustive / ExhaustiveScored at every
-//     worker count.
+//     bit-identical to StrategyExhaustive's at every worker count.
 func branchBoundSearch(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64, error) {
 	scorer := opts.Scorer
 	bs, ok := scorer.(BoundScorer)

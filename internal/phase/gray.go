@@ -35,29 +35,40 @@ func (b grayBest) better(o grayBest) bool {
 
 // grayExhaustive enumerates all 2^k assignments along the reflected
 // gray-code walk: consecutive candidates differ in exactly one phase
-// bit, so each costs one ScoreState.Flip instead of a full rescore.
+// bit, so each costs one ScoreState.Flip — O(Δ) on an incremental
+// scorer, one full Apply + eval through the rescoring adapter for a
+// plain scorer or an Eval-only objective (the MA search).
 //
 // Determinism contract: scores are pure functions of the assignment
 // (the incremental contract), each shard walks a contiguous counter
 // range of the same fixed gray sequence, and winners reduce under
-// "lowest score, then lowest mask" — the identical total order of the
-// ascending-mask reference scan. The returned (assignment, score) is
-// therefore bit-identical to ExhaustiveScored's for every worker count
+// "lowest score, then lowest mask" — the total order of an
+// ascending-mask scan. The returned (assignment, score) is therefore
+// the ascending scan's winner, bit-identical for every worker count
 // and shard geometry.
 func grayExhaustive(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64, error) {
-	if opts.Scorer == nil {
-		return nil, nil, 0, fmt.Errorf("phase: gray-code exhaustive search requires a scorer")
-	}
 	k := n.NumOutputs()
 	if err := checkMaskWidth(k); err != nil {
 		return nil, nil, 0, err
+	}
+	sc := opts.searchScorer(n)
+	// A native state flips in nanoseconds, so the walk polls every 4096
+	// flips. The rescoring adapter pays a full evaluation per flip: it
+	// polls (and surfaces evaluation errors) after every one, and its
+	// 2^k walk is refused outright past 20 outputs.
+	pollMask := 0xfff
+	if _, ok := sc.(StateScorer); !ok {
+		if k > 20 {
+			return nil, nil, 0, fmt.Errorf("phase: exhaustive search over %d outputs is infeasible", k)
+		}
+		pollMask = 0
 	}
 	total := 1 << uint(k)
 	w := par.Workers(opts.Workers)
 	ranges := par.SplitRange(total, w*4)
 	bests, err := par.Map(context.Background(), len(ranges), w,
 		func(ctx context.Context, s int) (grayBest, error) {
-			st := newState(opts.Scorer)
+			st := newState(sc)
 			buf := make(Assignment, k)
 			lo, hi := ranges[s][0], ranges[s][1]
 			buf.SetMask(grayMask(lo))
@@ -67,8 +78,11 @@ func grayExhaustive(n *logic.Network, opts SearchOptions) (Assignment, *Result, 
 			}
 			best := grayBest{mask: grayMask(lo), score: score, ok: true}
 			for c := lo + 1; c < hi; c++ {
-				if c&0xfff == 0 {
+				if c&pollMask == 0 {
 					if err := pollCancel(ctx, opts.Budget); err != nil {
+						return grayBest{}, err
+					}
+					if err := st.Err(); err != nil {
 						return grayBest{}, err
 					}
 				}

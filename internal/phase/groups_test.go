@@ -118,7 +118,7 @@ func TestMinPowerGroupsWholeSetIsGreedyExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, exh, err := Exhaustive(n, eval)
+	_, exh, err := AscendingScan(n, SearchOptions{Eval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,34 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"repro/internal/logic"
 )
-
-// sequentialExhaustive is the plain single-goroutine reference loop the
-// seed implementation used; the parallel search must reproduce its
-// (assignment, score) bit-for-bit at every worker count.
-func sequentialExhaustive(n *logic.Network, eval Evaluator) (Assignment, float64, error) {
-	k := n.NumOutputs()
-	var bestAsg Assignment
-	best := 0.0
-	have := false
-	for mask := 0; mask < 1<<uint(k); mask++ {
-		asg := maskAssignment(mask, k)
-		res, err := Apply(n, asg)
-		if err != nil {
-			return nil, 0, err
-		}
-		score, err := eval(res)
-		if err != nil {
-			return nil, 0, err
-		}
-		if !have || score < best {
-			best, bestAsg, have = score, asg, true
-		}
-	}
-	return bestAsg, best, nil
-}
 
 func assignmentsEqual(a, b Assignment) bool {
 	if len(a) != len(b) {
@@ -45,6 +18,9 @@ func assignmentsEqual(a, b Assignment) bool {
 	return true
 }
 
+// TestExhaustiveParallelMatchesSequential: the sharded gray walk over an
+// Eval-only objective (the rescoring adapter) must reproduce the
+// ascending scan's (assignment, score) at every worker count.
 func TestExhaustiveParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 15; trial++ {
@@ -57,12 +33,12 @@ func TestExhaustiveParallelMatchesSequential(t *testing.T) {
 			name string
 			fn   Evaluator
 		}{{"area", AreaEvaluator}, {"switching", switchingEvaluator(probs)}} {
-			wantAsg, wantScore, err := sequentialExhaustive(n, eval.fn)
+			wantAsg, wantScore, err := AscendingScan(n, SearchOptions{Eval: eval.fn})
 			if err != nil {
 				t.Fatalf("trial %d %s: sequential: %v", trial, eval.name, err)
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
-				asg, res, score, err := ExhaustiveParallel(n, eval.fn, workers)
+				asg, res, score, err := Search(n, SearchOptions{Strategy: StrategyExhaustive, Eval: eval.fn, Workers: workers})
 				if err != nil {
 					t.Fatalf("trial %d %s workers=%d: %v", trial, eval.name, workers, err)
 				}
@@ -89,7 +65,7 @@ func TestExhaustiveParallelTieBreaksToLowestMask(t *testing.T) {
 	n := randomNoXorNetwork(rng, 4, 20, 6)
 	flat := func(*Result) (float64, error) { return 42, nil }
 	for _, workers := range []int{1, 2, 5, 16} {
-		asg, _, score, err := ExhaustiveParallel(n, flat, workers)
+		asg, _, score, err := Search(n, SearchOptions{Strategy: StrategyExhaustive, Eval: flat, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -112,7 +88,7 @@ func TestExhaustiveParallelPropagatesEvalError(t *testing.T) {
 		return 1, nil
 	}
 	for _, workers := range []int{1, 4} {
-		if _, _, _, err := ExhaustiveParallel(n, boom, workers); err == nil {
+		if _, _, _, err := Search(n, SearchOptions{Strategy: StrategyExhaustive, Eval: boom, Workers: workers}); err == nil {
 			t.Errorf("workers=%d: evaluator error swallowed", workers)
 		}
 	}

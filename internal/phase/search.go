@@ -2,19 +2,18 @@ package phase
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/budget"
 	"repro/internal/logic"
-	"repro/internal/par"
 )
 
 // pollCancel is the searches' shared cancellation poll: the shard
 // context (par.Map's first-error propagation) plus the caller's budget
 // token (per-circuit timeouts, client disconnects), each one cheap
 // atomic check. Every strategy polls it at a bounded interval — per
-// mask in the scans, per subtree batch in branch-and-bound, per sweep
-// or proposal batch in the heuristics.
+// flip batch in the gray walk (per flip on the rescoring adapter), per
+// subtree batch in branch-and-bound, per sweep or proposal batch in the
+// heuristics.
 func pollCancel(ctx context.Context, tok *budget.T) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -53,7 +52,7 @@ func AreaEvaluator(r *Result) (float64, error) {
 // SetMask expands mask bit i into the phase of output i, reusing the
 // receiver — the per-mask Assignment allocation this avoids used to
 // dominate scored-search shard time. Masks hold at most 62 phase bits
-// (see the enumeration guard in the exhaustive searches).
+// (see checkMaskWidth).
 func (a Assignment) SetMask(mask int) {
 	for i := range a {
 		a[i] = mask&(1<<uint(i)) != 0
@@ -65,192 +64,6 @@ func maskAssignment(mask, k int) Assignment {
 	asg := make(Assignment, k)
 	asg.SetMask(mask)
 	return asg
-}
-
-// candidate is one scored assignment; Mask is its position in the
-// enumeration order and the tie-break key (lowest mask wins).
-type candidate struct {
-	Mask  int
-	Asg   Assignment
-	Res   *Result
-	Score float64
-}
-
-// better reports whether c beats incumbent under the search's total
-// order: strictly lower score, or equal score at a lower mask. A nil
-// incumbent always loses.
-func (c *candidate) better(incumbent *candidate) bool {
-	if incumbent == nil {
-		return true
-	}
-	if c.Score != incumbent.Score {
-		return c.Score < incumbent.Score
-	}
-	return c.Mask < incumbent.Mask
-}
-
-// scanMasks evaluates masks [lo, hi) in ascending order and returns the
-// best candidate of the range. ctx aborts the scan between masks. One
-// assignment buffer serves the whole range (Apply clones it into every
-// Result it returns).
-func scanMasks(ctx context.Context, n *logic.Network, eval Evaluator, k, lo, hi int, tok *budget.T) (*candidate, error) {
-	var best *candidate
-	buf := make(Assignment, k)
-	for mask := lo; mask < hi; mask++ {
-		if err := pollCancel(ctx, tok); err != nil {
-			return nil, err
-		}
-		buf.SetMask(mask)
-		res, err := Apply(n, buf)
-		if err != nil {
-			return nil, err
-		}
-		score, err := eval(res)
-		if err != nil {
-			return nil, err
-		}
-		c := &candidate{Mask: mask, Asg: res.Assignment, Res: res, Score: score}
-		if c.better(best) {
-			best = c
-		}
-	}
-	return best, nil
-}
-
-// Exhaustive tries every one of the 2^k phase assignments (k = number of
-// outputs, at most 20) and returns the best assignment under eval,
-// together with its Result and score. Ties are broken toward the lowest
-// mask (the assignment earliest in enumeration order).
-func Exhaustive(n *logic.Network, eval Evaluator) (Assignment, *Result, float64, error) {
-	return ExhaustiveParallel(n, eval, 1)
-}
-
-// ExhaustiveParallel is Exhaustive with the 2^k assignment space sharded
-// across a bounded worker pool. The evaluator must be safe for concurrent
-// use on distinct Results (the stock AreaEvaluator and power.Evaluator
-// are: each call builds its own block and probability state).
-//
-// Determinism contract: the returned (assignment, score) is bit-identical
-// to Exhaustive's for every worker count — shards cover contiguous mask
-// ranges, each range scans in ascending mask order, and the per-shard
-// winners are reduced in shard order under the same "lowest mask wins on
-// equal score" rule, so scheduling can never change the outcome.
-func ExhaustiveParallel(n *logic.Network, eval Evaluator, workers int) (Assignment, *Result, float64, error) {
-	return exhaustiveParallel(n, eval, workers, nil)
-}
-
-// exhaustiveParallel is ExhaustiveParallel under an optional
-// cancellation/budget token (polled per mask).
-func exhaustiveParallel(n *logic.Network, eval Evaluator, workers int, tok *budget.T) (Assignment, *Result, float64, error) {
-	k := n.NumOutputs()
-	if err := checkMaskWidth(k); err != nil {
-		return nil, nil, 0, err
-	}
-	if k > 20 {
-		return nil, nil, 0, fmt.Errorf("phase: exhaustive search over %d outputs is infeasible", k)
-	}
-	total := 1 << uint(k)
-	w := par.Workers(workers)
-	// Oversplit so uneven Apply/eval costs load-balance; the shard
-	// geometry affects wall-clock only, never the reduced result.
-	ranges := par.SplitRange(total, w*4)
-	bests, err := par.Map(context.Background(), len(ranges), w,
-		func(ctx context.Context, s int) (*candidate, error) {
-			return scanMasks(ctx, n, eval, k, ranges[s][0], ranges[s][1], tok)
-		})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	var best *candidate
-	//dominolint:budget-ok reduction over per-shard winners, bounded by the shard count; every shard scan polled per mask
-	for _, c := range bests {
-		if c != nil && c.better(best) {
-			best = c
-		}
-	}
-	if best == nil {
-		return nil, nil, 0, fmt.Errorf("phase: exhaustive search produced no candidate")
-	}
-	return best.Asg, best.Res, best.Score, nil
-}
-
-// scoredBest is one shard's winner in a scored exhaustive scan.
-type scoredBest struct {
-	mask  int
-	score float64
-	ok    bool
-}
-
-// ExhaustiveScored is ExhaustiveParallel scoring each mask through an
-// AssignmentScorer instead of synthesizing it: every shard forks the
-// scorer once, reuses one assignment buffer across its whole mask range,
-// and only the overall winning mask performs a real Apply to materialize
-// the returned Result.
-//
-// The determinism contract matches ExhaustiveParallel's: ascending-mask
-// shard scans, shard-order reduction, lowest mask wins score ties — and
-// because ScoreAssignment is a pure function of the assignment, the
-// returned (assignment, score) is bit-identical for every worker count.
-func ExhaustiveScored(n *logic.Network, scorer AssignmentScorer, workers int) (Assignment, *Result, float64, error) {
-	return exhaustiveScored(n, scorer, workers, nil)
-}
-
-// exhaustiveScored is ExhaustiveScored under an optional
-// cancellation/budget token (polled per mask).
-func exhaustiveScored(n *logic.Network, scorer AssignmentScorer, workers int, tok *budget.T) (Assignment, *Result, float64, error) {
-	if scorer == nil {
-		return nil, nil, 0, fmt.Errorf("phase: ExhaustiveScored requires a scorer")
-	}
-	k := n.NumOutputs()
-	if err := checkMaskWidth(k); err != nil {
-		return nil, nil, 0, err
-	}
-	if k > 20 {
-		return nil, nil, 0, fmt.Errorf("phase: exhaustive search over %d outputs is infeasible", k)
-	}
-	total := 1 << uint(k)
-	w := par.Workers(workers)
-	ranges := par.SplitRange(total, w*4)
-	bests, err := par.Map(context.Background(), len(ranges), w,
-		func(ctx context.Context, s int) (scoredBest, error) {
-			sc := scorer.Fork()
-			buf := make(Assignment, k)
-			var best scoredBest
-			for mask := ranges[s][0]; mask < ranges[s][1]; mask++ {
-				if err := pollCancel(ctx, tok); err != nil {
-					return scoredBest{}, err
-				}
-				buf.SetMask(mask)
-				score, err := sc.ScoreAssignment(buf)
-				if err != nil {
-					return scoredBest{}, err
-				}
-				// Ascending scan + strict < keeps the lowest tied mask.
-				if !best.ok || score < best.score {
-					best = scoredBest{mask: mask, score: score, ok: true}
-				}
-			}
-			return best, nil
-		})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	var best scoredBest
-	//dominolint:budget-ok reduction over per-shard winners, bounded by the shard count; every shard scan polled per mask
-	for _, b := range bests {
-		if b.ok && (!best.ok || b.score < best.score) {
-			best = b
-		}
-	}
-	if !best.ok {
-		return nil, nil, 0, fmt.Errorf("phase: exhaustive search produced no candidate")
-	}
-	asg := maskAssignment(best.mask, k)
-	res, err := Apply(n, asg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return asg, res, best.score, nil
 }
 
 // SearchOptions configures Search (and its MinArea alias).
@@ -289,8 +102,8 @@ type SearchOptions struct {
 	// must be safe for concurrent use on distinct Results when > 1.
 	Workers int
 	// Budget is the cancellation/budget token every strategy polls at a
-	// bounded interval (per candidate mask, subtree, or proposal
-	// batch). A cancelled token aborts the search with its error. Nil
+	// bounded interval (per flip batch, subtree, or proposal batch; per
+	// candidate when Eval scores through the rescoring adapter). A cancelled token aborts the search with its error. Nil
 	// means never cancelled. It does not alter results while live.
 	Budget *budget.T
 }

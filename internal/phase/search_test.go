@@ -2,6 +2,7 @@ package phase
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -42,9 +43,9 @@ func TestExhaustiveFindsFigure5Optimum(t *testing.T) {
 	// positive, g negative) is the 2-output optimum.
 	n := figure5Network()
 	eval := switchingEvaluator(prob.Uniform(n, 0.9))
-	asg, res, score, err := Exhaustive(n, eval)
+	asg, res, score, err := Search(n, SearchOptions{Strategy: StrategyExhaustive, Eval: eval})
 	if err != nil {
-		t.Fatalf("Exhaustive: %v", err)
+		t.Fatalf("exhaustive Search: %v", err)
 	}
 	if asg[0] != false || asg[1] != true {
 		t.Errorf("optimum assignment = %s, want +- (f positive, g negative)", asg)
@@ -57,14 +58,24 @@ func TestExhaustiveFindsFigure5Optimum(t *testing.T) {
 	}
 }
 
+// TestExhaustiveRefusesWideInterfaces: an Eval-only objective pays a
+// full Apply + eval per mask, so its exhaustive walk is refused past 20
+// outputs — under StrategyExhaustive and under StrategyAuto with a
+// raised ExhaustiveLimit alike.
 func TestExhaustiveRefusesWideInterfaces(t *testing.T) {
 	n := logic.New("wide")
 	a := n.AddInput("a")
 	for i := 0; i < 21; i++ {
 		n.MarkOutput(nameFor("o", i), n.AddBuf(a))
 	}
-	if _, _, _, err := Exhaustive(n, AreaEvaluator); err == nil {
-		t.Error("Exhaustive accepted 21 outputs")
+	for _, opts := range []SearchOptions{
+		{Strategy: StrategyExhaustive, Eval: AreaEvaluator},
+		{ExhaustiveLimit: 30, Eval: AreaEvaluator},
+	} {
+		_, _, _, err := Search(n, opts)
+		if err == nil || !strings.Contains(err.Error(), "infeasible") {
+			t.Errorf("%v search accepted 21 outputs: err = %v", opts.Strategy, err)
+		}
 	}
 }
 
@@ -72,9 +83,9 @@ func TestMinAreaMatchesExhaustiveOnSmallCircuits(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
 		n := randomNoXorNetwork(rng, 3+rng.Intn(4), 5+rng.Intn(25), 2+rng.Intn(3))
-		_, _, exhScore, err := Exhaustive(n, AreaEvaluator)
+		_, exhScore, err := AscendingScan(n, SearchOptions{})
 		if err != nil {
-			t.Fatalf("Exhaustive: %v", err)
+			t.Fatalf("AscendingScan: %v", err)
 		}
 		_, _, maScore, err := MinArea(n, SearchOptions{})
 		if err != nil {

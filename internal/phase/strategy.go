@@ -38,7 +38,8 @@ const (
 	StrategyAuto SearchStrategy = iota
 	// StrategyExhaustive enumerates all 2^k assignments in gray-code
 	// order so each candidate costs one Flip instead of a full rescore.
-	// Exact; usable up to 62 outputs in principle, 2^k time in practice.
+	// Exact; usable up to 62 outputs in principle (20 when every flip is
+	// a full rescore through the Eval adapter), 2^k time in practice.
 	StrategyExhaustive
 	// StrategyBranchBound is an exact best-assignment search pruning with
 	// the scorer's admissible prefix bound. It returns the bit-identical
@@ -252,15 +253,14 @@ func checkMaskWidth(k int) error {
 // with its synthesized Result and score. With a Scorer, only the winning
 // assignment is ever synthesized; Eval-only objectives pay a full
 // Apply + eval per candidate through the rescoring adapter (fine for
-// greedy, expensive for annealing's proposal counts). StrategyAuto
-// reproduces MinArea's historical dispatch; the other strategies run
-// unconditionally.
+// exhaustive walks of small interfaces and greedy, expensive for
+// annealing's proposal counts). StrategyAuto reproduces MinArea's
+// historical dispatch; the other strategies run unconditionally.
 //
 // Determinism: every strategy's (assignment, score) is bit-identical
 // for any Workers value. Exhaustive and branch-and-bound additionally
-// return the bit-identical winner of the ascending-mask reference scan
-// (ExhaustiveScored) under the shared "lowest score, then lowest mask"
-// total order.
+// return the bit-identical winner of an ascending-mask scan under the
+// shared "lowest score, then lowest mask" total order.
 func Search(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64, error) {
 	opts.defaults()
 	if opts.Initial != nil && len(opts.Initial) != n.NumOutputs() {
@@ -268,22 +268,11 @@ func Search(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64,
 	}
 	switch opts.Strategy {
 	case StrategyAuto:
-		if n.NumOutputs() <= opts.ExhaustiveLimit {
-			if opts.Scorer != nil {
-				if _, ok := opts.Scorer.(StateScorer); ok {
-					return grayExhaustive(n, opts)
-				}
-				return exhaustiveScored(n, opts.Scorer, opts.Workers, opts.Budget)
-			}
-			return exhaustiveParallel(n, opts.Eval, opts.Workers, opts.Budget)
+		if n.NumOutputs() > opts.ExhaustiveLimit {
+			return greedySearch(n, opts)
 		}
-		return greedySearch(n, opts)
+		return grayExhaustive(n, opts)
 	case StrategyExhaustive:
-		if opts.Scorer == nil {
-			// Without a scorer the gray walk has no incremental state to
-			// exploit; the sharded ascending scan is the same winner.
-			return exhaustiveParallel(n, opts.Eval, opts.Workers, opts.Budget)
-		}
 		return grayExhaustive(n, opts)
 	case StrategyBranchBound:
 		return branchBoundSearch(n, opts)

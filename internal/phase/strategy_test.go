@@ -42,15 +42,15 @@ var exhaustibleTwins = []gen.Params{
 // satellite: for every k ≤ 12 twin and workers ∈ {1, 2, 8}, both the
 // gray-code exhaustive strategy and branch-and-bound return the
 // bit-identical (assignment, score) of the ascending-mask reference
-// scan (ExhaustiveScored).
+// scan over the same scorer (AscendingScan).
 func TestBranchBoundAndGrayMatchExhaustiveScored(t *testing.T) {
 	for _, p := range exhaustibleTwins {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			net, table, _ := twinTable(t, p)
-			refAsg, _, refScore, err := phase.ExhaustiveScored(net, table, 1)
+			refAsg, refScore, err := phase.AscendingScan(net, phase.SearchOptions{Scorer: table})
 			if err != nil {
-				t.Fatalf("ExhaustiveScored: %v", err)
+				t.Fatalf("AscendingScan: %v", err)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				for _, strat := range []phase.SearchStrategy{phase.StrategyExhaustive, phase.StrategyBranchBound} {
@@ -92,10 +92,10 @@ func TestSearchMaskWidthGuard(t *testing.T) {
 		}
 		n.MarkOutput(fmt.Sprintf("o%02d", i), g)
 	}
-	if _, _, _, err := phase.ExhaustiveParallel(n, phase.AreaEvaluator, 1); err == nil {
-		t.Fatal("ExhaustiveParallel accepted 63 outputs")
+	if _, _, _, err := phase.Search(n, phase.SearchOptions{Strategy: phase.StrategyExhaustive}); err == nil {
+		t.Fatal("Eval-only exhaustive accepted 63 outputs")
 	} else if !strings.Contains(err.Error(), "62 phase bits") {
-		t.Fatalf("ExhaustiveParallel error %q does not name the mask-width limit", err)
+		t.Fatalf("Eval-only exhaustive error %q does not name the mask-width limit", err)
 	}
 	probs := make([]float64, n.NumInputs())
 	for i := range probs {
@@ -105,15 +105,15 @@ func TestSearchMaskWidthGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := phase.ExhaustiveScored(n, table, 1); err == nil {
-		t.Fatal("ExhaustiveScored accepted 63 outputs")
-	} else if !strings.Contains(err.Error(), "62 phase bits") {
-		t.Fatalf("ExhaustiveScored error %q does not name the mask-width limit", err)
-	}
-	if _, _, _, err := phase.Search(n, phase.SearchOptions{Strategy: phase.StrategyExhaustive, Scorer: table}); err == nil {
-		t.Fatal("gray-code exhaustive accepted 63 outputs")
-	} else if !strings.Contains(err.Error(), "62 phase bits") {
-		t.Fatalf("gray error %q does not name the mask-width limit", err)
+	for _, opts := range []phase.SearchOptions{
+		{Strategy: phase.StrategyExhaustive, Scorer: table},
+		{ExhaustiveLimit: 64, Scorer: table},
+	} {
+		if _, _, _, err := phase.Search(n, opts); err == nil {
+			t.Fatalf("%v exhaustive accepted 63 outputs", opts.Strategy)
+		} else if !strings.Contains(err.Error(), "62 phase bits") {
+			t.Fatalf("%v exhaustive error %q does not name the mask-width limit", opts.Strategy, err)
+		}
 	}
 	// The mask-free heuristic strategies handle the same width fine
 	// (branch-and-bound is also mask-free, but exact: its worst case is
@@ -185,7 +185,7 @@ func TestAnnealDeterministicAndWorkerInvariant(t *testing.T) {
 // where they are exact.
 func TestStrategiesWithoutScorer(t *testing.T) {
 	net := gen.Generate(gen.Params{Name: "ev5", Inputs: 9, Outputs: 5, Gates: 50, Seed: 401, OrProb: 0.55}).Optimize()
-	refAsg, _, refScore, err := phase.ExhaustiveParallel(net, phase.AreaEvaluator, 1)
+	refAsg, refScore, err := phase.AscendingScan(net, phase.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestStrategiesWithoutScorer(t *testing.T) {
 // reference scan.
 func TestMinPowerStrategyDelegation(t *testing.T) {
 	net, table, probs := twinTable(t, gen.Params{Name: "mpd", Inputs: 12, Outputs: 8, Gates: 90, Seed: 409, OrProb: 0.5})
-	refAsg, _, refScore, err := phase.ExhaustiveScored(net, table, 1)
+	refAsg, refScore, err := phase.AscendingScan(net, phase.SearchOptions{Scorer: table})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestAnnealBeatsMinPowerOnWide32(t *testing.T) {
 // wins every tie — greedy must return it bit-identically.
 func TestStrategyInitialStart(t *testing.T) {
 	net, table, probs := twinTable(t, gen.Params{Name: "init8", Inputs: 12, Outputs: 8, Gates: 90, Seed: 433, OrProb: 0.5})
-	optAsg, _, optScore, err := phase.ExhaustiveScored(net, table, 1)
+	optAsg, optScore, err := phase.AscendingScan(net, phase.SearchOptions{Scorer: table})
 	if err != nil {
 		t.Fatal(err)
 	}

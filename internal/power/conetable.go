@@ -62,7 +62,7 @@ import (
 // ConeTable is the precomputed signature-gated constant table scoring
 // phase assignments without synthesis. Build it once per (network,
 // library, input probabilities, engine options) and hand it to
-// phase.ExhaustiveScored / SearchOptions.Scorer / PowerOptions.Scorer.
+// SearchOptions.Scorer / PowerOptions.Scorer.
 // It implements phase.StateScorer and phase.BoundScorer: NewState mints
 // the O(Δ)-per-flip incremental scorer behind the search strategies,
 // NewBound the admissible prefix bound behind exact branch-and-bound.

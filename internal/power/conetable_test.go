@@ -207,9 +207,10 @@ func TestConeTableForkDeterminism(t *testing.T) {
 }
 
 // TestExhaustiveScoredWorkerInvariance is the search-level determinism
-// property: the scored exhaustive search returns the bit-identical
-// (assignment, score) for workers 1, 2, and 8, and its winner scores the
-// same as the naive exhaustive winner.
+// property: the exhaustive search over the cone table returns the
+// bit-identical (assignment, score) for workers 1, 2, and 8, and its
+// winner scores the same as the naive (Apply + Estimate per mask)
+// exhaustive winner.
 func TestExhaustiveScoredWorkerInvariance(t *testing.T) {
 	for _, p := range []gen.Params{
 		{Name: "wi6", Inputs: 10, Outputs: 6, Gates: 70, Seed: 91, OrProb: 0.6},
@@ -226,7 +227,9 @@ func TestExhaustiveScoredWorkerInvariance(t *testing.T) {
 		var wantAsg phase.Assignment
 		var wantScore float64
 		for _, workers := range []int{1, 2, 8} {
-			asg, res, score, err := phase.ExhaustiveScored(net, table, workers)
+			asg, res, score, err := phase.Search(net, phase.SearchOptions{
+				Strategy: phase.StrategyExhaustive, Scorer: table, Workers: workers,
+			})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
 			}
@@ -243,7 +246,9 @@ func TestExhaustiveScoredWorkerInvariance(t *testing.T) {
 			}
 		}
 		// Cross-check the winner against the naive exhaustive search.
-		nAsg, _, nScore, err := phase.ExhaustiveParallel(net, power.Evaluator(lib, probs, opts), 1)
+		nAsg, _, nScore, err := phase.Search(net, phase.SearchOptions{
+			Strategy: phase.StrategyExhaustive, Eval: power.Evaluator(lib, probs, opts), Workers: 1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -246,8 +246,8 @@ func mapOrderToVars(inputOrder []int, lits []bdd.InputLit, numVars int) []int {
 // The returned closure is safe for concurrent use on distinct Results —
 // each call maps its own block and builds its own probability state
 // (including any BDD manager), sharing only the immutable lib and
-// inputProbs — so it may be passed to phase.ExhaustiveParallel or any
-// search running with Workers > 1.
+// inputProbs — so it may be passed to any phase search running with
+// Workers > 1.
 func Evaluator(lib domino.Library, inputProbs []float64, opts Options) phase.Evaluator {
 	return func(r *phase.Result) (float64, error) {
 		b, err := domino.Map(r, lib)

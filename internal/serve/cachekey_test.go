@@ -93,7 +93,7 @@ func TestCacheKeyWallclockInvariant(t *testing.T) {
 	base := mustKey(t, flow.Config{}, false, keyFile)
 	for _, cfg := range []flow.Config{
 		{Workers: 1}, {Workers: 8},
-		{SimKernel: sim.KernelWide}, {SimKernel: sim.KernelScalar},
+		{SimKernel: 1}, {SimKernel: sim.KernelScalar}, // 1: the retired wide kernel's wire value
 		{Workers: 3, SimKernel: sim.KernelScalar},
 		{SimKernel: sim.KernelBlocked, SimBlockWords: 4},
 		{SimBlockWords: 8},

@@ -33,7 +33,7 @@ func blockWordsOf(cfg Config) int {
 // skipped because no fanin block changed. They are deterministic for a
 // fixed (Seed, Shards, BlockWords) — the gating decision is a pure
 // function of the generated vector stream — and always zero for the
-// scalar and wide kernels.
+// scalar kernel.
 type KernelStats struct {
 	GateEvals int64
 	GateSkips int64
@@ -128,18 +128,19 @@ func runShardBlocked(ctx context.Context, b *domino.Block, cfg Config, p *blockP
 // activity gating (logic.BlockedEval). Inputs are drawn window-major
 // with the per-input bernoulliPlans on the devirtualized generator
 // clone, which consumes the exact rng stream of packInputs — so the
-// block's words are the same words the wide kernel computes one at a
-// time, and every count below folds into the shard totals in the same
+// block's words are the packed form of the scalar oracle's vectors, and
+// every count below folds into the shard totals in the same
 // order fold uses (per window: cells ascending, then input inverters,
 // then negated outputs). That makes the blocked kernel's Reports
-// byte-identical to both other kernels for any (Seed, Shards), with or
+// byte-identical to the scalar kernel's for any (Seed, Shards), with or
 // without gating.
 //
 // A tail block shorter than bw words only draws and counts its live
 // windows; the dead word slots keep the previous block's values, which
 // is deterministic and invisible to the Report. With perCycleCI the
 // per-window event words scatter weights into a per-lane power vector
-// exactly as runShardWide does, one Welford sample per lane.
+// (cells, then inverters, then outputs — the scalar oracle's
+// within-cycle order), one Welford sample per lane.
 func runShardBlockedGeneric(ctx context.Context, b *domino.Block, cfg Config, p *blockParams, perCycleCI bool, seed int64, vectors int) (*shardResult, error) {
 	net := b.Net
 	bw := blockWordsOf(cfg)
@@ -277,8 +278,8 @@ func runShardBlockedGeneric(ctx context.Context, b *domino.Block, cfg Config, p 
 				}
 			}
 		} else {
-			// Per-cycle CI mode (shards under two windows): replicate the
-			// wide kernel's per-window scatter, one word at a time.
+			// Per-cycle CI mode (shards under two windows): scatter each
+			// window's event words into per-lane power, one word at a time.
 			for j := 0; j < nw; j++ {
 				mask := masks[j]
 				for k := range lanePower {

@@ -16,8 +16,9 @@ import (
 // the blocked/gated engine: over the PR 2 matrix of random circuits,
 // seeds, shard counts, and worker counts — including Vectors < Shards,
 // where the clamp leaves shards far smaller than one block — the
-// blocked kernel's Report must be byte-identical to both the scalar
-// oracle and the wide kernel, at every supported block size.
+// blocked kernel's Report must be byte-identical to the scalar oracle at
+// every supported block size, and so must a Config carrying the retired
+// wide kernel's wire value, which runs the blocked kernel.
 func TestBlockedMatchesScalarAndWideKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xB10C5))
 	for trial := 0; trial < 6; trial++ {
@@ -62,7 +63,7 @@ func TestBlockedMatchesScalarAndWideKernels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d scalar %+v: %v", trial, c, err)
 			}
-			cfg.Kernel = KernelWide
+			cfg.Kernel = kernelRetiredWide
 			wide, err := Run(blk, cfg)
 			if err != nil {
 				t.Fatalf("trial %d wide %+v: %v", trial, c, err)
@@ -142,7 +143,7 @@ func TestBlockedFastMatchesGeneric(t *testing.T) {
 // TestBlockedGatingStatsContract pins the KernelStats out-parameter:
 // counters are deterministic for fixed (Seed, Shards, BlockWords),
 // invariant under Workers, account for every gate × block, and stay
-// zero under the scalar and wide kernels.
+// zero under the scalar kernel.
 func TestBlockedGatingStatsContract(t *testing.T) {
 	blk, probs := shardTestBlock(t)
 	gates := 0
@@ -176,15 +177,13 @@ func TestBlockedGatingStatsContract(t *testing.T) {
 			t.Errorf("workers=%d: stats %+v differ from workers=2 baseline %+v", workers, s, base)
 		}
 	}
-	for _, k := range []Kernel{KernelScalar, KernelWide} {
-		var s KernelStats
-		cfg.Workers, cfg.Kernel, cfg.Stats = 2, k, &s
-		if _, err := Run(blk, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if s != (KernelStats{}) {
-			t.Errorf("kernel=%d: non-blocked kernel reported gating stats %+v", k, s)
-		}
+	var s KernelStats
+	cfg.Workers, cfg.Kernel, cfg.Stats = 2, KernelScalar, &s
+	if _, err := Run(blk, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s != (KernelStats{}) {
+		t.Errorf("scalar kernel reported gating stats %+v", s)
 	}
 }
 
@@ -246,15 +245,13 @@ func TestBlockedKernelAllocRegression(t *testing.T) {
 	}
 }
 
-// BenchmarkSimKernels compares all three engines on the shard test
-// block; the blocked/wide ratio here is an in-package preview of the
-// BENCH_7 saturation gate.
+// BenchmarkSimKernels compares the two engines on the shard test block.
 func BenchmarkSimKernels(b *testing.B) {
 	blk, probs := shardTestBlock(b)
 	for _, k := range []struct {
 		name   string
 		kernel Kernel
-	}{{"scalar", KernelScalar}, {"wide", KernelWide}, {"blocked", KernelBlocked}} {
+	}{{"scalar", KernelScalar}, {"blocked", KernelBlocked}} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

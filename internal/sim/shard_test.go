@@ -112,11 +112,16 @@ func TestRunShardedEstimatesAgree(t *testing.T) {
 	}
 }
 
+// kernelRetiredWide is the wire value of the retired one-word-at-a-time
+// kernel. Configurations still carrying it run the blocked kernel.
+const kernelRetiredWide Kernel = 1
+
 // TestWideMatchesScalarKernel is the cross-check harness for the
-// bit-parallel engine: over random circuits, seeds, and shard counts, the
-// 64-lane kernel's Report must be byte-identical to the scalar reference
-// oracle — including every float (power sums, confidence interval,
-// per-cell frequencies).
+// retired wide kernel's wire value: over random circuits, seeds, and
+// shard counts, a Config carrying Kernel 1 must produce a Report
+// byte-identical to the scalar reference oracle — including every float
+// (power sums, confidence interval, per-cell frequencies) — and to
+// KernelAuto's.
 func TestWideMatchesScalarKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x51DE))
 	for trial := 0; trial < 8; trial++ {
@@ -159,7 +164,7 @@ func TestWideMatchesScalarKernel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d scalar %+v: %v", trial, c, err)
 			}
-			cfg.Kernel = KernelWide
+			cfg.Kernel = kernelRetiredWide
 			wide, err := Run(blk, cfg)
 			if err != nil {
 				t.Fatalf("trial %d wide %+v: %v", trial, c, err)
@@ -174,7 +179,7 @@ func TestWideMatchesScalarKernel(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(auto, wide) {
-				t.Fatalf("trial %d %+v: KernelAuto differs from KernelWide", trial, c)
+				t.Fatalf("trial %d %+v: KernelAuto differs from Kernel 1", trial, c)
 			}
 		}
 	}
@@ -188,7 +193,7 @@ func TestRunDegenerateShardSizing(t *testing.T) {
 	for _, c := range []struct{ vectors, shards int }{
 		{1, 64}, {2, 64}, {3, 64}, {5, 1000}, {63, 64},
 	} {
-		for _, k := range []Kernel{KernelScalar, KernelWide} {
+		for _, k := range []Kernel{KernelScalar, KernelBlocked} {
 			rep, err := Run(blk, Config{
 				Vectors: c.vectors, Seed: 2, InputProbs: probs,
 				Shards: c.shards, Workers: 8, Kernel: k,
@@ -234,7 +239,7 @@ func TestTotalCINotDegenerate(t *testing.T) {
 		{4096, 8}, // batch means, 8 full windows per shard
 		{2000, 3}, // batch means with partial tail windows per shard
 	} {
-		for _, k := range []Kernel{KernelScalar, KernelWide} {
+		for _, k := range []Kernel{KernelScalar, KernelBlocked} {
 			rep, err := Run(blk, Config{
 				Vectors: c.vectors, Seed: 11, InputProbs: probs,
 				Shards: c.shards, Workers: 2, Kernel: k,

@@ -12,17 +12,16 @@
 // inverters toggle on input value changes (input side) or together with
 // their driving domino output (output side).
 //
-// Three kernels implement the same measurement. The default blocked
+// Two kernels implement the same measurement. The default blocked
 // kernel packs up to 512 cycles into a block of 8 uint64 words per net
-// (logic.EvalWideBlocked), skips gates whose inputs did not change
-// between blocks (activity gating, logic.BlockedEval), and fuses the
-// per-window statistics folds so their float chains interleave; the
-// 64-lane bit-parallel kernel evaluates one word at a time
-// (logic.EvalWide), counting transitions with popcounts; the scalar
-// kernel evaluates one []bool vector per cycle and is kept as the
-// reference oracle. All three draw their Bernoulli inputs in the same
-// rng order and fold the same counts in the same order, so for every
-// (Seed, Shards) they produce byte-identical Reports.
+// (logic.EvalWideBlocked), counts transitions with popcounts, skips
+// gates whose inputs did not change between blocks (activity gating,
+// logic.BlockedEval), and fuses the per-window statistics folds so
+// their float chains interleave; the scalar kernel evaluates one []bool
+// vector per cycle and is kept as the reference oracle. Both draw their
+// Bernoulli inputs in the same rng order and fold the same counts in
+// the same order, so for every (Seed, Shards) they produce
+// byte-identical Reports.
 package sim
 
 import (
@@ -46,8 +45,9 @@ const (
 	// KernelAuto picks the fast engine (currently the blocked
 	// multi-word one, KernelBlocked).
 	KernelAuto Kernel = iota
-	// KernelWide forces the 64-lane bit-parallel engine.
-	KernelWide
+	// Value 1 is reserved: configurations carrying it run the blocked
+	// kernel, with identical Reports.
+	_
 	// KernelScalar forces the one-vector-per-cycle reference engine.
 	KernelScalar
 	// KernelBlocked forces the blocked multi-word engine: BlockWords
@@ -60,8 +60,8 @@ const (
 
 // simWindow is the statistics window: transition counts fold into the
 // shard totals and the batch-means variance accumulator every simWindow
-// cycles. It equals the uint64 lane count so the bit-parallel kernel
-// closes exactly one window per machine word.
+// cycles. It equals the uint64 lane count so the blocked kernel closes
+// exactly one window per machine word.
 const simWindow = 64
 
 // perCycleCIThreshold selects the confidence-interval sampling mode:
@@ -85,7 +85,7 @@ const bernoulliBits = 30
 // are skipped (they cannot change an all-zero word), so the rng
 // consumption is a pure function of p: one draw for p = 0.5, at most
 // bernoulliBits draws in general. Compared with 64 Float64 draws per
-// word this is what keeps the bit-parallel kernel from being rng-bound.
+// word this is what keeps the packed kernels from being rng-bound.
 func bernoulliWord(rng *rand.Rand, p float64) uint64 {
 	if p >= 1 {
 		return ^uint64(0)
@@ -173,7 +173,7 @@ type Config struct {
 	// Stats, when non-nil, receives the blocked kernel's cumulative
 	// activity-gating counters, summed over shards in index order. They
 	// are deterministic for a fixed (Seed, Shards, BlockWords) and stay
-	// zero under the scalar and wide kernels. Stats is an out-parameter
+	// zero under the scalar kernel. Stats is an out-parameter
 	// only; it never influences the Report.
 	Stats *KernelStats
 	// Budget is the cancellation/resource token the run honors: the
@@ -282,8 +282,9 @@ func newShardResult(b *domino.Block) *shardResult {
 }
 
 // window holds one simWindow-cycle window's transition counts. The
-// scalar kernel increments them cycle by cycle; the bit-parallel kernel
-// writes popcounts. fold is the single place counts become floats.
+// scalar kernel increments them cycle by cycle. fold is the single
+// place its counts become floats; the blocked kernel inlines the same
+// fold order.
 type window struct {
 	cell []int32
 	inv  []int32
@@ -335,7 +336,7 @@ func (w *window) fold(sr *shardResult, p *blockParams, lanes int, addBatch bool)
 // runShardScalar simulates `vectors` cycles one bool vector at a time
 // with a dedicated rng seeded `seed`, checking ctx between windows so a
 // sibling shard's failure aborts early. It is the reference oracle for
-// the bit-parallel kernel: it unpacks the same per-window input words
+// the blocked kernel: it unpacks the same per-window input words
 // (packInputs) lane by lane and closes the same window folds. With
 // perCycleCI it feeds the variance accumulator one genuine per-cycle
 // power sample per cycle instead of batch means.
@@ -419,103 +420,6 @@ func runShardScalar(ctx context.Context, b *domino.Block, cfg Config, p *blockPa
 	return sr, nil
 }
 
-// runShardWide simulates `vectors` cycles 64 at a time: cycle base+k of
-// the shard lives in bit k of one uint64 per net. Inputs are drawn with
-// the shared window generator (packInputs, same rng order as the scalar
-// oracle), each gate is evaluated once per word (logic.EvalWide), and
-// transitions are counted with popcounts. Input-inverter toggles compare
-// lane k against lane k−1 via shift, carrying the last lane of the
-// previous word; bit 0 of the shard's first word is masked out because
-// the shard starts without input history. With perCycleCI the event
-// words additionally scatter weights into a per-lane power vector
-// (cells, then inverters, then outputs — the scalar oracle's
-// within-cycle order), one Welford sample per lane.
-func runShardWide(ctx context.Context, b *domino.Block, cfg Config, p *blockParams, perCycleCI bool, seed int64, vectors int) (*shardResult, error) {
-	net := b.Net
-	rng := rand.New(rand.NewSource(seed))
-
-	origWords := make([]uint64, len(cfg.InputProbs))
-	blockWords := make([]uint64, net.NumInputs())
-	prevBit := make([]uint64, net.NumInputs())
-	scratch := make([]uint64, net.NumNodes())
-	sr := newShardResult(b)
-	win := newWindow(b)
-	first := true
-	var lanePower [simWindow]float64
-	scatter := func(word uint64, weight float64) {
-		for t := word; t != 0; t &= t - 1 {
-			lanePower[bits.TrailingZeros64(t)] += weight
-		}
-	}
-
-	for done := 0; done < vectors; done += simWindow {
-		if done%1024 == 0 {
-			if err := pollCancel(ctx, cfg.Budget); err != nil {
-				return nil, err
-			}
-		}
-		lanes := vectors - done
-		if lanes > simWindow {
-			lanes = simWindow
-		}
-		mask := ^uint64(0) >> (64 - uint(lanes))
-
-		packInputs(rng, cfg.InputProbs, origWords)
-		for pos, bi := range b.Phase.Inputs {
-			v := origWords[bi.InputPos]
-			if bi.Inverted {
-				v = ^v
-			}
-			blockWords[pos] = v
-		}
-		values := net.EvalWide(blockWords, scratch)
-
-		if perCycleCI {
-			for k := range lanePower {
-				lanePower[k] = 0
-			}
-		}
-		for ci := range b.Cells {
-			if w := values[b.Cells[ci].Node] & mask; w != 0 {
-				win.cell[ci] = int32(bits.OnesCount64(w))
-				if perCycleCI {
-					scatter(w, p.weights[ci])
-				}
-			}
-		}
-		for _, pos := range p.invPos {
-			v := blockWords[pos]
-			diff := (v ^ (v<<1 | prevBit[pos])) & mask
-			if first {
-				diff &^= 1
-			}
-			if diff != 0 {
-				win.inv[pos] = int32(bits.OnesCount64(diff))
-				if perCycleCI {
-					scatter(diff, p.invLoad[pos])
-				}
-			}
-			prevBit[pos] = (v >> uint(lanes-1)) & 1
-		}
-		for _, oi := range p.negOut {
-			if w := values[p.drivers[oi]] & mask; w != 0 {
-				win.out[oi] = int32(bits.OnesCount64(w))
-				if perCycleCI {
-					scatter(w, p.outCap)
-				}
-			}
-		}
-		if perCycleCI {
-			for k := 0; k < lanes; k++ {
-				sr.perCycle.Add(lanePower[k])
-			}
-		}
-		first = false
-		win.fold(sr, p, lanes, !perCycleCI && lanes == simWindow)
-	}
-	return sr, nil
-}
-
 // runShard dispatches to the configured kernel; zero-vector shards (which
 // the sizing logic never produces, but belt and braces) return an empty
 // result rather than feeding the merge degenerate statistics. p — and pc,
@@ -528,9 +432,7 @@ func runShard(ctx context.Context, b *domino.Block, cfg Config, p *blockParams, 
 	switch cfg.Kernel {
 	case KernelScalar:
 		return runShardScalar(ctx, b, cfg, p, perCycleCI, seed, vectors)
-	case KernelWide:
-		return runShardWide(ctx, b, cfg, p, perCycleCI, seed, vectors)
-	default: // KernelAuto, KernelBlocked
+	default: // KernelAuto, KernelBlocked, and the reserved value 1
 		return runShardBlocked(ctx, b, cfg, p, pc, perCycleCI, seed, vectors)
 	}
 }
@@ -562,7 +464,7 @@ func Run(b *domino.Block, cfg Config) (*Report, error) {
 	ranges := par.SplitRange(vectors, shards)
 	p := newBlockParams(b)
 	var pc *blockedPrecomp
-	if cfg.Kernel != KernelScalar && cfg.Kernel != KernelWide {
+	if cfg.Kernel != KernelScalar {
 		pc = newBlockedPrecomp(b, cfg.InputProbs)
 	}
 	// CI sampling mode is a run-level decision (all shards agree, so the
