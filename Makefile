@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchtest corpussmoke servesmoke faultsmoke loadtest lint lintgate staticcheck staticcheck-install docgate fmt
+.PHONY: all build test race bench benchtest corpussmoke servesmoke faultsmoke lint lintgate staticcheck staticcheck-install docgate fmt
 
 all: lint build test
 
@@ -62,15 +62,6 @@ servesmoke:
 # with budgets on; uploaded as a CI artifact).
 faultsmoke:
 	$(GO) run -race ./cmd/dominod -faultsmoke -faultsmoke-out BENCH_8.json
-
-# Service load test: sustained jobs/min over real HTTP against an
-# in-process dominod, persisted as BENCH_6.json (uploaded as a CI
-# artifact). Exits non-zero if the cached path (identical submissions
-# answered from the content-addressed cache) falls below 1000 jobs/min;
-# also records a cold-path figure (distinct configs, every job runs the
-# flow).
-loadtest:
-	$(GO) run ./cmd/dominod -loadtest -loadtest-out BENCH_6.json
 
 # Static-analysis ladder, cheapest first: gofmt (formatting), docgate
 # (package docs), go vet (stdlib checks), dominolint (repo contracts:

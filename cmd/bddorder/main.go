@@ -20,7 +20,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bddorder: ")
 	blifPath := flag.String("blif", "", "BLIF file (default: the paper's Figure 10 circuit)")
-	sift := flag.Bool("sift", false, "also compare sifting variants from the heuristic order")
+	sift := flag.Bool("sift", false, "also sift the heuristic order in place")
 	seed := flag.Int64("seed", 1, "seed for the random baseline")
 	flag.Parse()
 
@@ -69,42 +69,16 @@ func main() {
 	fmt.Printf("%-28s %10d\n", "dfs", count(order.DFS(net)))
 	fmt.Printf("%-28s %10d\n", "random", count(order.Random(net, *seed)))
 	if *sift {
-		// Two sifting implementations of the same algorithm: the
-		// rebuild-based oracle re-interns the whole table per candidate
-		// position and minimizes the shared node count of the gate roots;
-		// the in-place engine swaps adjacent levels inside one manager and
+		// In-place sifting swaps adjacent levels inside one manager and
 		// minimizes its whole live table (every network node stays
-		// protected, inputs included), so the two may park on slightly
-		// different orders. The wall-time column is the point of the
-		// in-place one.
-		nb, err := bdd.BuildNetwork(net, revOrd)
-		if err != nil {
-			log.Fatal(err)
-		}
-		roots := gateRoots(nb)
-		fmt.Printf("\n%-28s %10s %14s\n", "sifting from heuristic", "BDD nodes", "wall time")
-		fmt.Printf("%-28s %10d %14s\n", "no sifting", nb.Manager.NodeCount(roots...), "-")
-
-		t0 := time.Now()
-		siftOrd, siftCount := bdd.Sift(nb.Manager, roots)
-		siftElapsed := time.Since(t0)
-		fmt.Printf("%-28s %10d %14s\n", "rebuild sift (oracle)", siftCount, siftElapsed.Round(time.Microsecond))
-
-		// The sifted order is a usable artifact, not just a size probe:
-		// rebuilding under it must land on the oracle's count exactly.
-		rb, err := bdd.BuildNetwork(net, siftOrd)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if c := rb.Manager.NodeCount(gateRoots(rb)...); c != siftCount {
-			log.Fatalf("rebuild under sifted order gives %d nodes, oracle reported %d", c, siftCount)
-		}
-
+		// protected, inputs included).
 		ip, err := bdd.BuildNetwork(net, revOrd)
 		if err != nil {
 			log.Fatal(err)
 		}
 		ipRoots := gateRoots(ip)
+		fmt.Printf("\n%-28s %10s %14s\n", "sifting from heuristic", "BDD nodes", "wall time")
+		fmt.Printf("%-28s %10d %14s\n", "no sifting", ip.Manager.NodeCount(ipRoots...), "-")
 		t1 := time.Now()
 		if err := ip.Manager.Reorder(); err != nil {
 			log.Fatal(err)

@@ -6,7 +6,7 @@
 // without re-running the flow. See docs/api.md for the endpoint
 // reference.
 //
-// Besides the daemon mode it bundles three self-driving harnesses:
+// Besides the daemon mode it bundles two self-driving harnesses:
 //
 //	dominod -smoke DIR       end-to-end service smoke over real HTTP
 //	                         (the CI servesmoke gate): submits DIR's
@@ -16,9 +16,6 @@
 //	                         submission is served from cache, and
 //	                         exercises 429 backpressure and a graceful
 //	                         drain.
-//	dominod -loadtest        sustained-throughput harness: measures
-//	                         cached-path and cold-path jobs/min against
-//	                         a live server and fails below -loadtest-min.
 //	dominod -faultsmoke      chaos smoke (the CI faultsmoke gate, run
 //	                         under -race): hostile traffic — panicking
 //	                         configures, circuits pinned until the
@@ -60,14 +57,6 @@ func main() {
 	smokeOut := flag.String("smoke-out", "", "smoke: write the HTTP-streamed JSONL rows to this file")
 	smokeVectors := flag.Int("smoke-vectors", 512, "smoke: Monte-Carlo vectors per measurement")
 
-	loadtest := flag.Bool("loadtest", false, "run the load-test harness against an in-process server, then exit")
-	ltOut := flag.String("loadtest-out", "", "loadtest: write the JSON report to this file")
-	ltJobs := flag.Int("loadtest-jobs", 3000, "loadtest: cached-path submissions")
-	ltClients := flag.Int("loadtest-clients", 8, "loadtest: concurrent HTTP clients")
-	ltCold := flag.Int("loadtest-cold", 24, "loadtest: cold-path submissions (distinct configs)")
-	ltMin := flag.Float64("loadtest-min", 1000, "loadtest: minimum sustained cached-path jobs/min (0 disables the gate)")
-	ltPayload := flag.String("loadtest-payload", "", "loadtest: BLIF file to submit as the job payload (default: a generated 24-PI/12-PO synthetic twin; size and PI/PO counts are recorded in the report)")
-
 	faultsmoke := flag.Bool("faultsmoke", false, "run the chaos smoke harness against an in-process fault-injecting server, then exit")
 	fsOut := flag.String("faultsmoke-out", "", "faultsmoke: write the JSON report (BENCH_8.json) to this file")
 	flag.Parse()
@@ -93,17 +82,6 @@ func main() {
 			log.Fatalf("faultsmoke: FAIL: %v", err)
 		}
 		log.Print("faultsmoke: PASS")
-	case *loadtest:
-		if err := runLoadtest(loadtestOptions{
-			jobs:    *ltJobs,
-			clients: *ltClients,
-			cold:    *ltCold,
-			minRate: *ltMin,
-			payload: *ltPayload,
-			outPath: *ltOut,
-		}); err != nil {
-			log.Fatalf("loadtest: FAIL: %v", err)
-		}
 	default:
 		runDaemon(*addr, opts, *drainTimeout)
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,11 +261,15 @@ func TestRunCorpusPerCircuitOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Configure runs on the corpus workers, concurrently.
+	var mu sync.Mutex
 	seen := make(map[string]bool)
 	_, err = flow.RunCorpus(context.Background(), entries, flow.CorpusConfig{
 		Base: testCorpusConfig(),
 		Configure: func(c *corpus.Circuit, base flow.Config) flow.Config {
+			mu.Lock()
 			seen[c.Entry.Name] = true
+			mu.Unlock()
 			if c.Entry.Format == corpus.FormatPLA {
 				base.SimVectors = 64
 			}

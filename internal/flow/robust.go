@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/gen"
-	"repro/internal/logic"
 	"repro/internal/phase"
 	"repro/internal/power"
 	"repro/internal/seq"
@@ -38,8 +37,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flow: config field SimShards: %d is negative", c.SimShards)
 	case c.SimKernel > sim.KernelBlocked:
 		return fmt.Errorf("flow: config field SimKernel: unknown kernel %d", int(c.SimKernel))
-	case c.SimBlockWords < 0 || c.SimBlockWords > logic.MaxBlockWords:
-		return fmt.Errorf("flow: config field SimBlockWords: %d out of range [0,%d]", c.SimBlockWords, logic.MaxBlockWords)
+	case c.SimBlockWords < 0 || c.SimBlockWords > sim.MaxBlockWords:
+		return fmt.Errorf("flow: config field SimBlockWords: %d out of range [0,%d]", c.SimBlockWords, sim.MaxBlockWords)
 	case c.PhaseScoring < 0 || c.PhaseScoring > ScoreNaive:
 		return fmt.Errorf("flow: config field PhaseScoring: unknown scoring mode %d", int(c.PhaseScoring))
 	case c.SearchStrategy < 0 || c.SearchStrategy > phase.StrategyGreedy:

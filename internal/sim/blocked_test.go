@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/domino"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/par"
 	"repro/internal/phase"
 )
 
@@ -104,46 +104,13 @@ func TestBlockedMatchesScalarAndWideKernels(t *testing.T) {
 	}
 }
 
-// TestBlockedFastMatchesGeneric pins the hand-unrolled 8-word path to
-// the generic logic.BlockedEval-based path at shard level: for vector
-// counts hitting full blocks, short tails, and partial last windows —
-// and for dense and low-activity inputs, where gating decisions differ
-// block by block — the two shard implementations must produce identical
-// counts, Welford state, and gating counters.
-func TestBlockedFastMatchesGeneric(t *testing.T) {
-	blk, probs := shardTestBlock(t)
-	low := make([]float64, len(probs))
-	for i := range low {
-		low[i] = 1.0 / 4096
-	}
-	ctx := context.Background()
-	p := newBlockParams(blk)
-	for _, pr := range [][]float64{probs, low} {
-		pc := newBlockedPrecomp(blk, pr)
-		for _, vectors := range []int{128, 200, 511, 512, 513, 576, 4096, 5000} {
-			cfg := Config{Vectors: vectors, Seed: 0, InputProbs: pr, BlockWords: 8}
-			for _, seed := range []int64{1, 77} {
-				fast, err := runShardBlocked8(ctx, blk, cfg, p, pc, seed, vectors)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gen, err := runShardBlockedGeneric(ctx, blk, cfg, p, false, seed, vectors)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(fast, gen) {
-					t.Errorf("vectors=%d seed=%d: fast shard result differs from generic\nfast:    %+v\ngeneric: %+v",
-						vectors, seed, fast, gen)
-				}
-			}
-		}
-	}
-}
-
-// TestBlockedGatingStatsContract pins the KernelStats out-parameter:
+// TestBlockedGatingStatsContract pins the KernelStats out-parameter
+// across the blocked kernel's passes — the full-block fast path, the
+// general pass at narrower block sizes and on tails, and per-cycle CI:
 // counters are deterministic for fixed (Seed, Shards, BlockWords),
-// invariant under Workers, account for every gate × block, and stay
-// zero under the scalar kernel.
+// invariant under Workers, account for every gate × block (Σ over
+// shards of ⌈⌈v_s/64⌉/bw⌉ × gates), and stay zero under the scalar
+// kernel.
 func TestBlockedGatingStatsContract(t *testing.T) {
 	blk, probs := shardTestBlock(t)
 	gates := 0
@@ -152,38 +119,45 @@ func TestBlockedGatingStatsContract(t *testing.T) {
 			gates++
 		}
 	}
-	const vectors, shards, bw = 3000, 4, 8
-	// Every shard runs ceil(ceil(vectors_s/64)/bw) blocks; SplitRange
-	// gives 750-vector shards → 12 windows → 2 blocks each.
-	wantDecisions := int64(shards * 2 * gates)
-
-	var base KernelStats
-	cfg := Config{Vectors: vectors, Seed: 3, InputProbs: probs,
-		Shards: shards, Workers: 2, Kernel: KernelBlocked, BlockWords: bw, Stats: &base}
-	if _, err := Run(blk, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := base.GateEvals + base.GateSkips; got != wantDecisions {
-		t.Errorf("evals %d + skips %d = %d decisions, want %d",
-			base.GateEvals, base.GateSkips, got, wantDecisions)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		var s KernelStats
-		cfg.Workers, cfg.Stats = workers, &s
+	for _, c := range []struct{ vectors, shards, bw int }{
+		// 750-vector shards: 12 windows, the last one partial.
+		{3000, 4, 1}, {3000, 4, 5}, {3000, 4, 8},
+		// 50-vector shards: per-cycle CI, one partial window each.
+		{200, 4, 8},
+	} {
+		var want int64
+		for _, r := range par.SplitRange(c.vectors, c.shards) {
+			windows := (r[1] - r[0] + simWindow - 1) / simWindow
+			want += int64((windows + c.bw - 1) / c.bw * gates)
+		}
+		var base KernelStats
+		cfg := Config{Vectors: c.vectors, Seed: 3, InputProbs: probs,
+			Shards: c.shards, Workers: 2, Kernel: KernelBlocked, BlockWords: c.bw, Stats: &base}
 		if _, err := Run(blk, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if s != base {
-			t.Errorf("workers=%d: stats %+v differ from workers=2 baseline %+v", workers, s, base)
+		if got := base.GateEvals + base.GateSkips; got != want {
+			t.Errorf("%+v: evals %d + skips %d = %d decisions, want %d",
+				c, base.GateEvals, base.GateSkips, got, want)
 		}
-	}
-	var s KernelStats
-	cfg.Workers, cfg.Kernel, cfg.Stats = 2, KernelScalar, &s
-	if _, err := Run(blk, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if s != (KernelStats{}) {
-		t.Errorf("scalar kernel reported gating stats %+v", s)
+		for _, workers := range []int{1, 3, 8} {
+			var s KernelStats
+			cfg.Workers, cfg.Stats = workers, &s
+			if _, err := Run(blk, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if s != base {
+				t.Errorf("%+v workers=%d: stats %+v differ from workers=2 baseline %+v", c, workers, s, base)
+			}
+		}
+		var s KernelStats
+		cfg.Workers, cfg.Kernel, cfg.Stats = 2, KernelScalar, &s
+		if _, err := Run(blk, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if s != (KernelStats{}) {
+			t.Errorf("%+v: scalar kernel reported gating stats %+v", c, s)
+		}
 	}
 }
 

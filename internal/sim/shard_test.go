@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -115,75 +114,6 @@ func TestRunShardedEstimatesAgree(t *testing.T) {
 // kernelRetiredWide is the wire value of the retired one-word-at-a-time
 // kernel. Configurations still carrying it run the blocked kernel.
 const kernelRetiredWide Kernel = 1
-
-// TestWideMatchesScalarKernel is the cross-check harness for the
-// retired wide kernel's wire value: over random circuits, seeds, and
-// shard counts, a Config carrying Kernel 1 must produce a Report
-// byte-identical to the scalar reference oracle — including every float
-// (power sums, confidence interval, per-cell frequencies) — and to
-// KernelAuto's.
-func TestWideMatchesScalarKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x51DE))
-	for trial := 0; trial < 8; trial++ {
-		n := gen.Generate(gen.Params{
-			Name:    "xchk",
-			Inputs:  4 + rng.Intn(12),
-			Outputs: 2 + rng.Intn(6),
-			Gates:   20 + rng.Intn(120),
-			Seed:    rng.Int63(),
-			OrProb:  0.3 + 0.5*rng.Float64(),
-		})
-		asg := make(phase.Assignment, n.NumOutputs())
-		for i := range asg {
-			asg[i] = rng.Intn(2) == 1
-		}
-		res, err := phase.Apply(n, asg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blk, err := domino.Map(res, domino.DefaultLibrary())
-		if err != nil {
-			t.Fatal(err)
-		}
-		probs := make([]float64, n.NumInputs())
-		for i := range probs {
-			probs[i] = rng.Float64()
-		}
-		// Vector counts off the 64-lane grid exercise the tail-word
-		// masking; shard counts exercise per-shard history restarts.
-		for _, c := range []struct{ vectors, shards int }{
-			{1, 1}, {63, 1}, {64, 1}, {65, 1}, {1000, 1},
-			{1000, 3}, {2048, 8}, {777, 16}, {100, 64},
-		} {
-			cfg := Config{
-				Vectors: c.vectors, Seed: int64(trial*100 + c.shards),
-				InputProbs: probs, Shards: c.shards, Workers: 2,
-			}
-			cfg.Kernel = KernelScalar
-			scalar, err := Run(blk, cfg)
-			if err != nil {
-				t.Fatalf("trial %d scalar %+v: %v", trial, c, err)
-			}
-			cfg.Kernel = kernelRetiredWide
-			wide, err := Run(blk, cfg)
-			if err != nil {
-				t.Fatalf("trial %d wide %+v: %v", trial, c, err)
-			}
-			if !reflect.DeepEqual(scalar, wide) {
-				t.Fatalf("trial %d %+v: kernels disagree\nscalar: %+v\nwide:   %+v",
-					trial, c, scalar, wide)
-			}
-			cfg.Kernel = KernelAuto
-			auto, err := Run(blk, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(auto, wide) {
-				t.Fatalf("trial %d %+v: KernelAuto differs from Kernel 1", trial, c)
-			}
-		}
-	}
-}
 
 // TestRunDegenerateShardSizing is the regression test for Vectors <
 // Shards: the budget must clamp to one vector per shard — no zero-vector

@@ -13,12 +13,14 @@
 // their driving domino output (output side).
 //
 // Two kernels implement the same measurement. The default blocked
-// kernel packs up to 512 cycles into a block of 8 uint64 words per net
-// (logic.EvalWideBlocked), counts transitions with popcounts, skips
-// gates whose inputs did not change between blocks (activity gating,
-// logic.BlockedEval), and fuses the per-window statistics folds so
-// their float chains interleave; the scalar kernel evaluates one []bool
-// vector per cycle and is kept as the reference oracle. Both draw their
+// kernel packs up to 512 cycles into a block of 8 uint64 words per net,
+// counts transitions with popcounts, and skips gates whose inputs did
+// not change between blocks (activity gating). It is one
+// implementation with a fused, unrolled fast path for full 8-word
+// blocks, whose per-window statistics folds interleave their float
+// chains, and a general pass for every other block. The scalar kernel
+// evaluates one []bool vector per cycle and is kept as the reference
+// oracle. Both draw their
 // Bernoulli inputs in the same rng order and fold the same counts in
 // the same order, so for every (Seed, Shards) they produce
 // byte-identical Reports.
@@ -51,10 +53,11 @@ const (
 	// KernelScalar forces the one-vector-per-cycle reference engine.
 	KernelScalar
 	// KernelBlocked forces the blocked multi-word engine: BlockWords
-	// 64-lane words per net per step (logic.EvalWideBlocked) with
-	// activity gating — gates whose fanin words did not change since the
-	// previous block are skipped (logic.BlockedEval) — and fused
-	// counting that interleaves the per-window statistics folds.
+	// 64-lane words per net per step with activity gating — gates whose
+	// fanin words did not change since the previous block are skipped.
+	// Full 8-word blocks take a fused, unrolled fast path that
+	// interleaves the per-window statistics folds; every other block
+	// takes the same kernel's general pass.
 	KernelBlocked
 )
 
@@ -167,7 +170,7 @@ type Config struct {
 	Kernel Kernel
 	// BlockWords sets the blocked kernel's words-per-block (64 lanes
 	// each): 0 means the default (8, i.e. 512 lanes), other values are
-	// clamped to 1..logic.MaxBlockWords. Like Kernel and Workers it is
+	// clamped to 1..MaxBlockWords. Like Kernel and Workers it is
 	// a pure wall-clock knob — Reports do not depend on it.
 	BlockWords int
 	// Stats, when non-nil, receives the blocked kernel's cumulative
