@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchtest corpussmoke servesmoke faultsmoke lint lintgate staticcheck staticcheck-install docgate fmt
+.PHONY: all build test race bench benchtest corpussmoke lint lintgate staticcheck staticcheck-install docgate fmt
 
 all: lint build test
 
@@ -36,32 +36,6 @@ corpussmoke:
 	$(GO) run ./cmd/genbench -dir corpus-smoke -only apex7,frg1,x1
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -vectors 512 -workers 4 -check-twins -jsonl corpus-smoke/rows.jsonl
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -table 2 -vectors 512 -workers 2 -check-twins
-
-# Service smoke: emit the small public twins as BLIF and run the dominod
-# end-to-end harness over real HTTP against them. Gates on the streamed
-# JSONL rows byte-matching a direct flow.RunCorpus run (wall-clock
-# excepted), a repeat submission being served entirely from the
-# content-addressed cache (the flow is not re-entered), one 429 +
-# Retry-After under a full queue, and one graceful drain finishing its
-# in-flight job. Writes the HTTP-streamed rows to serve-smoke/rows.jsonl
-# (uploaded as a CI artifact).
-servesmoke:
-	rm -rf serve-smoke
-	$(GO) run ./cmd/genbench -dir serve-smoke -only apex7,frg1,x1
-	$(GO) run ./cmd/dominod -smoke serve-smoke -smoke-out serve-smoke/rows.jsonl
-
-# Chaos smoke: dominod with fault injection on, driven under the race
-# detector through hostile traffic — configure-time panics, circuits
-# pinned in the sim loop until the per-circuit timeout cancels them,
-# exact-BDD jobs under an impossible node budget, and client DELETE
-# cancellations — then the Table-1 twin corpus under a real BDD node
-# budget. Gates on panics isolating into error rows, pinned circuits
-# timing out cooperatively, blown budgets degrading (never erroring),
-# both drains finishing clean, and the goroutine count returning to
-# baseline. Writes BENCH_8.json (largest circuit completed + rows/sec
-# with budgets on; uploaded as a CI artifact).
-faultsmoke:
-	$(GO) run -race ./cmd/dominod -faultsmoke -faultsmoke-out BENCH_8.json
 
 # Static-analysis ladder, cheapest first: gofmt (formatting), docgate
 # (package docs), go vet (stdlib checks), dominolint (repo contracts:

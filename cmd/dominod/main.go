@@ -5,25 +5,6 @@
 // identical submissions are answered from a content-addressed cache
 // without re-running the flow. See docs/api.md for the endpoint
 // reference.
-//
-// Besides the daemon mode it bundles two self-driving harnesses:
-//
-//	dominod -smoke DIR       end-to-end service smoke over real HTTP
-//	                         (the CI servesmoke gate): submits DIR's
-//	                         circuits as an archive, byte-compares the
-//	                         streamed rows against a direct
-//	                         flow.RunCorpus run, proves a repeat
-//	                         submission is served from cache, and
-//	                         exercises 429 backpressure and a graceful
-//	                         drain.
-//	dominod -faultsmoke      chaos smoke (the CI faultsmoke gate, run
-//	                         under -race): hostile traffic — panicking
-//	                         configures, circuits pinned until the
-//	                         per-circuit timeout, blown BDD budgets,
-//	                         client cancellations — must leave the
-//	                         daemon live, draining clean, and at its
-//	                         baseline goroutine count; writes the
-//	                         BENCH_8.json degradation/throughput report.
 package main
 
 import (
@@ -52,16 +33,9 @@ func main() {
 	maxUpload := flag.Int64("max-upload", 64<<20, "submission body size cap in bytes")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "HTTP shutdown grace after the job queue drains")
-
-	smokeDir := flag.String("smoke", "", "run the service smoke harness over the circuits in this directory, then exit")
-	smokeOut := flag.String("smoke-out", "", "smoke: write the HTTP-streamed JSONL rows to this file")
-	smokeVectors := flag.Int("smoke-vectors", 512, "smoke: Monte-Carlo vectors per measurement")
-
-	faultsmoke := flag.Bool("faultsmoke", false, "run the chaos smoke harness against an in-process fault-injecting server, then exit")
-	fsOut := flag.String("faultsmoke-out", "", "faultsmoke: write the JSON report (BENCH_8.json) to this file")
 	flag.Parse()
 
-	opts := serve.Options{
+	runDaemon(*addr, serve.Options{
 		QueueDepth:     *queue,
 		JobWorkers:     *jobWorkers,
 		FlowWorkers:    *flowWorkers,
@@ -69,22 +43,7 @@ func main() {
 		CacheEntries:   *cacheEntries,
 		MaxUploadBytes: *maxUpload,
 		RetryAfter:     *retryAfter,
-	}
-
-	switch {
-	case *smokeDir != "":
-		if err := runSmoke(*smokeDir, *smokeOut, *smokeVectors, opts); err != nil {
-			log.Fatalf("smoke: FAIL: %v", err)
-		}
-		log.Print("smoke: PASS")
-	case *faultsmoke:
-		if err := runFaultsmoke(*fsOut, opts); err != nil {
-			log.Fatalf("faultsmoke: FAIL: %v", err)
-		}
-		log.Print("faultsmoke: PASS")
-	default:
-		runDaemon(*addr, opts, *drainTimeout)
-	}
+	}, *drainTimeout)
 }
 
 // runDaemon serves until SIGTERM/SIGINT, then drains gracefully: stop

@@ -108,12 +108,11 @@ type Manager struct {
 	// doesn't know about), protected holds the registered root slices,
 	// and nextReorderAt is the live-node count the next automatic
 	// reorder triggers at.
-	rs              *reorderState
-	protected       [][]Ref
-	autoReorder     bool
-	reorderFraction float64
-	nextReorderAt   int
-	reorders        int
+	rs            *reorderState
+	protected     [][]Ref
+	autoReorder   bool
+	nextReorderAt int
+	reorders      int
 }
 
 // New creates a manager over numVars variables in natural order

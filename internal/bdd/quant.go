@@ -18,14 +18,6 @@ func (m *Manager) ExistsMany(f Ref, vars []int) Ref {
 	return f
 }
 
-// ForallMany quantifies a set of variables universally.
-func (m *Manager) ForallMany(f Ref, vars []int) Ref {
-	for _, v := range vars {
-		f = m.Forall(f, v)
-	}
-	return f
-}
-
 // Compose substitutes function g for variable v in f:
 // f[v := g] = ITE(g, f|v=1, f|v=0).
 func (m *Manager) Compose(f Ref, v int, g Ref) Ref {

@@ -58,9 +58,9 @@ const (
 	// reorder can trigger at (unless a budget fraction point is lower) —
 	// tiny per-cone builds never pay a sift.
 	autoReorderFloor = 4096
-	// defaultReorderFraction of MaxBDDNodes at which an automatic
-	// reorder fires even before live nodes double.
-	defaultReorderFraction = 0.5
+	// autoReorderFraction of MaxBDDNodes at which an automatic reorder
+	// fires even before live nodes double.
+	autoReorderFraction = 0.5
 )
 
 // Protect registers roots as protected across reorders: nodes reachable
@@ -88,21 +88,12 @@ func (m *Manager) Reorders() int { return m.reorders }
 // SetAutoReorder enables or disables automatic reordering at safe points
 // during BuildNetwork* builds. When enabled, a reorder fires once live
 // nodes double since the last reorder (with a floor of 4096) or cross
-// the configured fraction (default 0.5) of the budget's MaxBDDNodes.
+// half of the budget's MaxBDDNodes.
 // Both triggers are pure functions of table state, so enabling
 // auto-reorder keeps builds deterministic. Reset keeps the setting.
 func (m *Manager) SetAutoReorder(on bool) {
 	m.autoReorder = on
 	if on {
-		m.scheduleNextReorder()
-	}
-}
-
-// SetAutoReorderFraction overrides the fraction of MaxBDDNodes at which
-// auto-reorder fires (0 restores the default 0.5).
-func (m *Manager) SetAutoReorderFraction(f float64) {
-	m.reorderFraction = f
-	if m.autoReorder {
 		m.scheduleNextReorder()
 	}
 }
@@ -118,11 +109,7 @@ func (m *Manager) scheduleNextReorder() {
 	}
 	if m.budget != nil {
 		if mx := m.budget.MaxBDDNodes(); mx > 0 {
-			frac := m.reorderFraction
-			if frac <= 0 {
-				frac = defaultReorderFraction
-			}
-			if fp := int(frac * float64(mx)); fp > m.uniqueCount && fp < next {
+			if fp := int(autoReorderFraction * float64(mx)); fp > m.uniqueCount && fp < next {
 				next = fp
 			}
 		}

@@ -145,6 +145,34 @@ func TestRunCorpusErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestRunCorpusPanicIsolation: a panic inside one circuit's flow is
+// recovered into that circuit's error row; its neighbours complete.
+func TestRunCorpusPanicIsolation(t *testing.T) {
+	dir := writeCorpus(t, map[string]string{
+		"a.blif":       corpusCombBLIF,
+		"b_panic.blif": corpusCombBLIF,
+		"c.pla":        corpusPLA,
+	})
+	rows := runTestCorpus(t, dir, flow.CorpusConfig{
+		Base:    testCorpusConfig(),
+		Workers: 2,
+		Configure: func(c *corpus.Circuit, base flow.Config) flow.Config {
+			if c.Entry.Name == "b_panic" {
+				panic("configured panic in " + c.Entry.Name)
+			}
+			return base
+		},
+	})
+	if !strings.Contains(rows[1].Err, "panic") || rows[1].TimedOut {
+		t.Errorf("panic not isolated into an error row: %+v", rows[1])
+	}
+	for _, i := range []int{0, 2} {
+		if rows[i].Err != "" || rows[i].Row == nil {
+			t.Errorf("neighbour %s sunk by the panic: %+v", rows[i].Name, rows[i])
+		}
+	}
+}
+
 func TestRunCorpusStreamsInIndexOrder(t *testing.T) {
 	dir := writeCorpus(t, map[string]string{
 		"a.blif": corpusCombBLIF,

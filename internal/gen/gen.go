@@ -8,8 +8,7 @@
 // primary input and output counts Table 1 reports and comparable gate
 // counts. The phase-assignment algorithms only interact with network
 // structure (cones, overlaps, probabilities), so twins with matched
-// interfaces and scale preserve the experimental shape; see DESIGN.md for
-// the substitution rationale.
+// interfaces and scale preserve the experimental shape.
 package gen
 
 import (
@@ -167,7 +166,8 @@ type NamedCircuit struct {
 	// equal the generated interface by construction).
 	PaperPIs, PaperPOs int
 	// PaperMASize/PaperMPSize/PaperAreaPen/PaperPwrSav record Table 1's
-	// results for EXPERIMENTS.md comparison.
+	// results; the table reports print the two percentages beside the
+	// measured ones.
 	PaperMASize, PaperMPSize int
 	PaperAreaPen             float64
 	PaperPwrSav              float64

@@ -79,24 +79,6 @@ func ConeOverlap(di, dj []bool) float64 {
 	return float64(inter) / float64(si+sj)
 }
 
-// FanoutCone returns the set of node ids in the transitive fanout of root,
-// including root itself.
-func (n *Network) FanoutCone(root NodeID) []bool {
-	lists := n.FanoutLists()
-	in := make([]bool, len(n.nodes))
-	stack := []NodeID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if in[id] {
-			continue
-		}
-		in[id] = true
-		stack = append(stack, lists[id]...)
-	}
-	return in
-}
-
 // FanoutConeSizes returns, for every node, the cardinality of its
 // transitive fanout cone (including the node itself). This is the quantity
 // the paper's BDD variable-ordering heuristic sorts gates by (Section

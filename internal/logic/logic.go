@@ -278,16 +278,6 @@ func (n *Network) SetOutputDriver(idx int, driver NodeID) {
 	n.outputs[idx].Driver = driver
 }
 
-// TopoOrder returns all node ids in topological order. Because nodes are
-// created fanins-first, this is simply 0..NumNodes-1.
-func (n *Network) TopoOrder() []NodeID {
-	order := make([]NodeID, len(n.nodes))
-	for i := range order {
-		order[i] = NodeID(i)
-	}
-	return order
-}
-
 // FanoutCounts returns, for every node, the number of fanin references to
 // it plus the number of outputs it drives.
 func (n *Network) FanoutCounts() []int {

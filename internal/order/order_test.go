@@ -13,7 +13,7 @@ import (
 // (The figure's exact gate functions are ambiguous in the published
 // scan; this reconstruction matches the reported node counts for the
 // reverse-topological and topological orders exactly — see
-// EXPERIMENTS.md.)
+// TestFigure10NodeCounts.)
 func figure10() *logic.Network {
 	n := logic.New("fig10")
 	x1 := n.AddInput("x1")

@@ -86,9 +86,8 @@ type ConeTable struct {
 	gl []int32
 	gp []int64
 
-	exact    bool
-	numCells int
-	self     *coneScorer
+	exact bool
+	self  *coneScorer
 
 	// idx is the per-bit group index behind NewState/NewBound, built
 	// lazily once and shared immutably by every state.
@@ -140,12 +139,7 @@ func NewConeTable(n *logic.Network, lib domino.Library, inputProbs []float64, op
 		return nil, err
 	}
 
-	t := &ConeTable{
-		k:        k,
-		words:    words,
-		exact:    exact,
-		numCells: len(blk.Cells),
-	}
+	t := &ConeTable{k: k, words: words, exact: exact}
 
 	// Per-node demand signatures over the union block: sig[node] has bit
 	// i of the pos (neg) half set iff output i's positive (negated) cone
@@ -299,11 +293,6 @@ func (t *ConeTable) Exact() bool { return t.exact }
 
 // Outputs returns the number of primary outputs (phase bits) scored.
 func (t *ConeTable) Outputs() int { return t.k }
-
-// MappedCells returns the number of domino cells in the mapped union
-// block — the synthesis footprint the table was priced from (≈ 2× one
-// block's).
-func (t *ConeTable) MappedCells() int { return t.numCells }
 
 // Groups returns the number of distinct demand signatures — the per-mask
 // arithmetic is O(Groups + k). Private cones yield ≤ 2k groups; sharing

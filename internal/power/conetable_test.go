@@ -296,25 +296,6 @@ func TestMinPowerWithScorerMatchesNaive(t *testing.T) {
 	if len(sTrace) != len(nTrace) {
 		t.Errorf("trace length %d != naive %d", len(sTrace), len(nTrace))
 	}
-
-	// The grouped extension must accept the scorer too.
-	gAsg, _, gPow, _, err := phase.MinPowerGroups(net, phase.PowerOptions{
-		InputProbs: probs,
-		Scorer:     table,
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ngAsg, _, ngPow, _, err := phase.MinPowerGroups(net, phase.PowerOptions{
-		InputProbs: probs,
-		Evaluate:   power.Evaluator(lib, probs, opts),
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gAsg, ngAsg) || !relClose(gPow, ngPow, 1e-9) {
-		t.Errorf("scored MinPowerGroups (%s, %v) != naive (%s, %v)", gAsg, gPow, ngAsg, ngPow)
-	}
 }
 
 // TestConeTableSingleOutput covers the k=1 edge (mask space {+,-}).

@@ -290,7 +290,7 @@ func (e *Estimator) Estimate(b *domino.Block) (*Report, error) {
 }
 
 // Evaluate maps and scores one phase candidate; it is a phase.Evaluator
-// method value for sequential searches (MinPower, MinPowerGroups).
+// method value for sequential searches such as MinPower.
 func (e *Estimator) Evaluate(r *phase.Result) (float64, error) {
 	b, err := domino.Map(r, e.lib)
 	if err != nil {

@@ -3,8 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/power"
+	"repro/internal/report"
 )
 
 // waitStatus polls GET /v1/jobs/{id} until pred accepts the status (or
@@ -35,6 +39,15 @@ func waitStatus(t *testing.T, base, id string, pred func(jobStatus) bool) jobSta
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// Hostile configurations, submitted as ordinary flow.Config JSON:
+// pinnedCfgJSON holds a circuit in the scalar sim loop (SimKernel 2)
+// until a timeout or DELETE cancels it, and budgetBlowCfgJSON forces
+// exact BDD probabilities (Method 1) under a node budget no circuit fits.
+const (
+	pinnedCfgJSON     = `{"SimVectors":1073741824,"SimShards":2,"SimKernel":2}`
+	budgetBlowCfgJSON = `{"SimVectors":128,"SimShards":2,"EstOpts":{"Method":1},"BDDNodeBudget":8}`
+)
 
 func deleteJob(t *testing.T, base, id string) jobStatus {
 	t.Helper()
@@ -103,8 +116,8 @@ func TestConfigValidationRejections(t *testing.T) {
 // loop cancels it through the cooperative budget token — the job reaches
 // done with timed-out (uncached) rows instead of wedging the worker.
 func TestCancelRunningJob(t *testing.T) {
-	s, ts := testServer(t, Options{FaultInjection: true, FlowWorkers: 1})
-	st := decodeStatus(t, postRaw(t, ts.URL, "fault-slow.blif", []byte(tinyBLIF), testCfgJSON, ""))
+	s, ts := testServer(t, Options{FlowWorkers: 1})
+	st := decodeStatus(t, postRaw(t, ts.URL, "slow.blif", []byte(tinyBLIF), pinnedCfgJSON, ""))
 	waitStatus(t, ts.URL, st.ID, func(s jobStatus) bool { return s.State == StateRunning })
 	del := deleteJob(t, ts.URL, st.ID)
 	if !del.Cancelled {
@@ -150,16 +163,16 @@ func TestCancelQueuedJob(t *testing.T) {
 		!strings.Contains(recsB[0].Error, "cancelled by client") {
 		t.Fatalf("cancelled queued job should yield cancellation rows, got %+v", recsB)
 	}
-	if s.FlowRuns() != 1 {
-		t.Errorf("cancelled queued job entered the flow (%d runs, want 1)", s.FlowRuns())
+	if s.m.flowRuns.Load() != 1 {
+		t.Errorf("cancelled queued job entered the flow (%d runs, want 1)", s.m.flowRuns.Load())
 	}
 }
 
 // TestRowsStreamDisconnectCancels: a rows stream opened with ?cancel=1
 // owns the job — the client going away cancels it.
 func TestRowsStreamDisconnectCancels(t *testing.T) {
-	s, ts := testServer(t, Options{FaultInjection: true, FlowWorkers: 1})
-	st := decodeStatus(t, postRaw(t, ts.URL, "fault-slow.blif", []byte(tinyBLIF), testCfgJSON, ""))
+	s, ts := testServer(t, Options{FlowWorkers: 1})
+	st := decodeStatus(t, postRaw(t, ts.URL, "slow.blif", []byte(tinyBLIF), pinnedCfgJSON, ""))
 	waitStatus(t, ts.URL, st.ID, func(s jobStatus) bool { return s.State == StateRunning })
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -184,13 +197,13 @@ func TestRowsStreamDisconnectCancels(t *testing.T) {
 	}
 }
 
-// TestBudgetDegradedRowCachedWithEngine: a fault-injected circuit that
-// blows its BDD node budget completes on a fallback engine with a
+// TestBudgetDegradedRowCachedWithEngine: a circuit that blows its BDD
+// node budget completes on a fallback engine with a
 // non-error row; the row records the engine and budget trips, is
 // cacheable (deterministic), and the cache round-trips both fields.
 func TestBudgetDegradedRowCachedWithEngine(t *testing.T) {
-	s, ts := testServer(t, Options{FaultInjection: true, FlowWorkers: 1})
-	st := decodeStatus(t, postRaw(t, ts.URL, "fault-bddblow.blif", []byte(tinyBLIF), testCfgJSON, ""))
+	s, ts := testServer(t, Options{FlowWorkers: 1})
+	st := decodeStatus(t, postRaw(t, ts.URL, "bddblow.blif", []byte(tinyBLIF), budgetBlowCfgJSON, ""))
 	recs := fetchRows(t, ts.URL, st.ID)
 	if len(recs) != 1 || recs[0].Error != "" {
 		t.Fatalf("degraded circuit should complete without error, got %+v", recs)
@@ -198,9 +211,9 @@ func TestBudgetDegradedRowCachedWithEngine(t *testing.T) {
 	if recs[0].Engine == "" || recs[0].BudgetTrips == 0 {
 		t.Fatalf("degraded row must record engine and trips, got %+v", recs[0])
 	}
-	st2 := decodeStatus(t, postRaw(t, ts.URL, "fault-bddblow.blif", []byte(tinyBLIF), testCfgJSON, ""))
+	st2 := decodeStatus(t, postRaw(t, ts.URL, "bddblow.blif", []byte(tinyBLIF), budgetBlowCfgJSON, ""))
 	recs2 := fetchRows(t, ts.URL, st2.ID)
-	if runs := s.FlowRuns(); runs != 1 {
+	if runs := s.m.flowRuns.Load(); runs != 1 {
 		t.Errorf("degraded row was not served from cache (%d flow runs, want 1)", runs)
 	}
 	if recs2[0].Engine != recs[0].Engine || recs2[0].BudgetTrips != recs[0].BudgetTrips {
@@ -270,7 +283,7 @@ func TestExactSiftedRowCachedAndCounted(t *testing.T) {
 	// (it counts emitted rows, cache hits included, like rowsTotal).
 	st2 := decodeStatus(t, postRaw(t, ts.URL, "sifted.blif", []byte(model), string(cfgJSON), ""))
 	recs2 := fetchRows(t, ts.URL, st2.ID)
-	if runs := s.FlowRuns(); runs != 1 {
+	if runs := s.m.flowRuns.Load(); runs != 1 {
 		t.Errorf("rescued row was not served from cache (%d flow runs, want 1)", runs)
 	}
 	if recs2[0].Engine != flow.EngineExactSifted || recs2[0].BudgetTrips != recs[0].BudgetTrips {
@@ -284,5 +297,81 @@ func TestExactSiftedRowCachedAndCounted(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "dominod_rows_reordered_total 2") {
 		t.Error("/metrics does not report dominod_rows_reordered_total 2 after resubmit")
+	}
+}
+
+// TestHostileTrafficDrainsClean: on a short-timeout server, a healthy
+// circuit, a corrupt BLIF, a pinned circuit left to time out, a pinned
+// circuit cancelled by DELETE and a budget-blown circuit each yield
+// their expected row and counters, and after Drain the goroutine count
+// returns to its pre-traffic baseline.
+func TestHostileTrafficDrainsClean(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := NewServer(Options{JobWorkers: 2, FlowWorkers: 1, CircuitTimeout: 300 * time.Millisecond})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	submit := func(name, body, cfg string) string {
+		return decodeStatus(t, postRaw(t, ts.URL, name, []byte(body), cfg, "")).ID
+	}
+	healthy := submit("healthy.blif", tinyBLIF, testCfgJSON)
+	corrupt := submit("corrupt.blif", ".model broken\n.inputs a\n.outputs f\n.names g f\n.banana\n.end\n", testCfgJSON)
+	timedOut := submit("pinned.blif", tinyBLIF, pinnedCfgJSON)
+	cancelled := submit("cancelled.blif", tinyBLIF, pinnedCfgJSON)
+	deleteJob(t, ts.URL, cancelled)
+	blown := submit("blown.blif", tinyBLIF, budgetBlowCfgJSON)
+
+	row := func(id string) report.CorpusRecord {
+		recs := fetchRows(t, ts.URL, id)
+		if len(recs) != 1 {
+			t.Fatalf("job %s: %d rows, want 1", id, len(recs))
+		}
+		return recs[0]
+	}
+	if r := row(healthy); r.Error != "" {
+		t.Errorf("healthy circuit failed amid hostile traffic: %+v", r)
+	}
+	if r := row(corrupt); r.Error == "" || r.TimedOut {
+		t.Errorf("corrupt BLIF should be an error row, got %+v", r)
+	}
+	if r := row(timedOut); !r.TimedOut || !strings.Contains(r.Error, "timeout") {
+		t.Errorf("pinned circuit was not timed out: %+v", r)
+	}
+	if r := row(cancelled); !r.TimedOut || r.Error == "" {
+		t.Errorf("cancelled pinned circuit should be a cancellation row, got %+v", r)
+	}
+	b := row(blown)
+	if b.Error != "" || b.Engine == "" || b.BudgetTrips == 0 {
+		t.Errorf("budget-blown circuit should degrade without error, got %+v", b)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"dominod_jobs_cancelled_total 1\n",
+		"dominod_rows_timed_out_total 2\n",
+		"dominod_rows_failed_total 3\n", // corrupt + timed out + cancelled
+		fmt.Sprintf("dominod_budget_trips_total %d\n", b.BudgetTrips),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+
+	// The leak check counts every goroutine, so the HTTP plumbing goes
+	// first: only the serve layer's own hygiene is under test.
+	s.Drain()
+	ts.Close()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: baseline %d, now %d after drain", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(25 * time.Millisecond)
 	}
 }

@@ -81,12 +81,6 @@ type Options struct {
 	// MaxJobs bounds retained job metadata; the oldest *done* jobs are
 	// evicted beyond it (default 16384).
 	MaxJobs int
-	// FaultInjection, when set, interprets magic circuit-name prefixes
-	// (fault-panic, fault-slow, fault-bddblow) as per-circuit fault
-	// configurations — the chaos-smoke harness (dominod -faultsmoke) and
-	// the robustness tests use it to drive hostile work through the real
-	// flow. Never enable it on a real service.
-	FaultInjection bool
 }
 
 func (o *Options) defaults() {
@@ -190,13 +184,6 @@ func (s *Server) Drain() {
 	s.submitMu.Unlock()
 	s.workers.Wait()
 }
-
-// Draining reports whether a drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// FlowRuns reports how many times the flow has been entered — the
-// counter the cache e2e tests and the smoke harness assert on.
-func (s *Server) FlowRuns() int64 { return s.m.flowRuns.Load() }
 
 // lookupJob returns a registered job.
 func (s *Server) lookupJob(id string) (*job, bool) {
@@ -464,9 +451,6 @@ func (s *Server) runJob(j *job) {
 			s.countRow(&row)
 			j.fill(g, &row)
 		},
-	}
-	if s.opts.FaultInjection {
-		cc.Configure = faultConfigure
 	}
 	s.m.flowRuns.Add(1)
 	// RunCorpus runs under the job's context: cancellation trips the

@@ -177,39 +177,64 @@ func TestSubmitSingleFileMatchesDirectFlow(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("got %d rows, want 1", len(recs))
 	}
+	checkMatchesDirect(t, map[string]string{"comb.blif": tinyBLIF}, recs)
+}
 
+// checkMatchesDirect runs files through flow.RunCorpus directly and
+// requires every served record to byte-match its direct row, path made
+// submission-relative and wall_seconds (the one non-deterministic field)
+// copied across.
+func checkMatchesDirect(t *testing.T, files map[string]string, got []report.CorpusRecord) {
+	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, "comb.blif")
-	if err := os.WriteFile(path, []byte(tinyBLIF), 0o644); err != nil {
-		t.Fatal(err)
+	for name, content := range files {
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	direct, err := flow.RunCorpus(context.Background(),
-		[]corpus.Entry{{Path: path, Name: "comb", Format: corpus.FormatBLIF}},
-		flow.CorpusConfig{Base: testConfig()})
+	entries, err := corpus.Discover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := report.NewCorpusRecord(direct[0])
-	want.Path = "comb.blif"
-	got := recs[0]
-	want.WallSec = got.WallSec
-	wb, _ := json.Marshal(want)
-	gb, _ := json.Marshal(got)
-	if !bytes.Equal(wb, gb) {
-		t.Errorf("served row != direct row:\n  http:   %s\n  direct: %s", gb, wb)
+	direct, err := flow.RunCorpus(context.Background(), entries, flow.CorpusConfig{Base: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct) != len(got) {
+		t.Fatalf("served %d rows, direct run has %d", len(got), len(direct))
+	}
+	for i, row := range direct {
+		want := report.NewCorpusRecord(row)
+		rel, err := filepath.Rel(dir, row.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Path = filepath.ToSlash(rel)
+		want.WallSec = got[i].WallSec
+		wb, _ := json.Marshal(want)
+		gb, _ := json.Marshal(got[i])
+		if !bytes.Equal(wb, gb) {
+			t.Errorf("served row != direct row:\n  http:   %s\n  direct: %s", gb, wb)
+		}
 	}
 }
 
 // TestArchiveSubmission: a tar mixing BLIF (combinational + latched),
-// PLA, and a skippable member runs as one job with path-sorted rows.
+// PLA, and a skippable member runs as one job with path-sorted rows that
+// byte-match a direct flow.RunCorpus run.
 func TestArchiveSubmission(t *testing.T) {
 	_, ts := testServer(t, Options{})
-	archive := tarOf(t, map[string]string{
+	files := map[string]string{
 		"z/comb.blif":  tinyBLIF,
 		"counter.blif": tinySeqBLIF,
 		"two.pla":      tinyPLA,
 		"README.txt":   "not a circuit\n",
-	})
+	}
+	archive := tarOf(t, files)
 	st := decodeStatus(t, postRaw(t, ts.URL, "batch.tar", archive, testCfgJSON, ""))
 	if st.Circuits != 3 {
 		t.Fatalf("job has %d circuits, want 3 (README skipped)", st.Circuits)
@@ -231,6 +256,7 @@ func TestArchiveSubmission(t *testing.T) {
 	if !recs[0].Sequential || recs[0].FFs != 1 {
 		t.Errorf("counter.blif should be a sequential row with 1 FF, got %+v", recs[0])
 	}
+	checkMatchesDirect(t, files, recs)
 }
 
 // TestCacheHitSecondSubmission is the end-to-end cache test: the second
@@ -240,7 +266,7 @@ func TestCacheHitSecondSubmission(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	first := decodeStatus(t, postRaw(t, ts.URL, "comb.blif", []byte(tinyBLIF), testCfgJSON, ""))
 	firstRows := fetchRows(t, ts.URL, first.ID)
-	if runs := s.FlowRuns(); runs != 1 {
+	if runs := s.m.flowRuns.Load(); runs != 1 {
 		t.Fatalf("flow entered %d times after first submission, want 1", runs)
 	}
 
@@ -252,7 +278,7 @@ func TestCacheHitSecondSubmission(t *testing.T) {
 	if second.State != StateDone || second.CacheHits != 1 {
 		t.Fatalf("cached resubmit: %+v, want done with 1 hit", second)
 	}
-	if runs := s.FlowRuns(); runs != 1 {
+	if runs := s.m.flowRuns.Load(); runs != 1 {
 		t.Errorf("cached resubmit re-entered the flow (%d runs)", runs)
 	}
 	secondRows := fetchRows(t, ts.URL, second.ID)
@@ -274,18 +300,18 @@ func TestCacheHitSecondSubmission(t *testing.T) {
 func TestCacheHitAcrossWallclockKnobs(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	fetchRows(t, ts.URL, decodeStatus(t, postRaw(t, ts.URL, "comb.blif", []byte(tinyBLIF), testCfgJSON, "")).ID)
-	if runs := s.FlowRuns(); runs != 1 {
+	if runs := s.m.flowRuns.Load(); runs != 1 {
 		t.Fatalf("setup: %d flow runs", runs)
 	}
 	wallclock := `{"SimVectors":128,"SimShards":2,"Workers":8,"SimKernel":2}`
 	st := decodeStatus(t, postRaw(t, ts.URL, "comb.blif", []byte(tinyBLIF), wallclock, ""))
-	if st.State != StateDone || s.FlowRuns() != 1 {
-		t.Errorf("wall-clock knob variation missed the cache: %+v, %d runs", st, s.FlowRuns())
+	if st.State != StateDone || s.m.flowRuns.Load() != 1 {
+		t.Errorf("wall-clock knob variation missed the cache: %+v, %d runs", st, s.m.flowRuns.Load())
 	}
 	semantic := `{"SimVectors":256,"SimShards":2}`
 	st = decodeStatus(t, postRaw(t, ts.URL, "comb.blif", []byte(tinyBLIF), semantic, ""))
 	fetchRows(t, ts.URL, st.ID)
-	if runs := s.FlowRuns(); runs != 2 {
+	if runs := s.m.flowRuns.Load(); runs != 2 {
 		t.Errorf("semantic config change should re-run the flow, got %d runs", runs)
 	}
 }
@@ -305,7 +331,7 @@ func TestPartialCacheHit(t *testing.T) {
 	if len(recs) != 2 || recs[0].Path != "comb.blif" || recs[1].Path != "two.pla" {
 		t.Fatalf("bad rows %+v", recs)
 	}
-	if runs := s.FlowRuns(); runs != 2 {
+	if runs := s.m.flowRuns.Load(); runs != 2 {
 		t.Errorf("%d flow runs, want 2 (one per submission with misses)", runs)
 	}
 }
@@ -374,7 +400,7 @@ func TestGracefulDrain(t *testing.T) {
 	}()
 	// Drain flips the flag before blocking on workers.
 	deadline := time.After(5 * time.Second)
-	for !s.Draining() {
+	for !s.draining.Load() {
 		select {
 		case <-deadline:
 			t.Fatal("drain flag never flipped")
@@ -467,7 +493,7 @@ func TestTimeoutRowsNotCached(t *testing.T) {
 	}
 	st2 := decodeStatus(t, postRaw(t, ts.URL, "comb.blif", []byte(tinyBLIF), testCfgJSON, ""))
 	fetchRows(t, ts.URL, st2.ID)
-	if runs := s.FlowRuns(); runs != 2 {
+	if runs := s.m.flowRuns.Load(); runs != 2 {
 		t.Errorf("timed-out row was served from cache (%d flow runs, want 2)", runs)
 	}
 }

@@ -105,9 +105,6 @@ func (g *Graph) Name(v int) string { return g.names[v] }
 // Weight returns the supervertex weight of v.
 func (g *Graph) Weight(v int) int { return g.weight[v] }
 
-// Members returns the original vertex indexes merged into v.
-func (g *Graph) Members(v int) []int { return g.members[v] }
-
 // HasEdge reports whether the edge u -> v exists.
 func (g *Graph) HasEdge(u, v int) bool { return g.alive[u] && g.alive[v] && g.out[u][v] }
 

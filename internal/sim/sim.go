@@ -546,8 +546,7 @@ func Run(b *domino.Block, cfg Config) (*Report, error) {
 // a unit-delay model for a sequence of random vector pairs and returns
 // (totalTransitions, glitchTransitions): transitions beyond the first per
 // node per cycle are glitches. Domino blocks, by Property 2.2, never
-// glitch; this function exists to demonstrate the contrast (and is used
-// by the Figure 2 discussion in EXPERIMENTS.md).
+// glitch; this function exists to demonstrate the contrast.
 func StaticGlitches(net *logic.Network, inputProbs []float64, vectors int, seed int64) (total, glitches int64, err error) {
 	if len(inputProbs) != net.NumInputs() {
 		return 0, 0, fmt.Errorf("sim: %d input probs for %d inputs", len(inputProbs), net.NumInputs())

@@ -60,11 +60,8 @@ func (r *Running) Confidence(z float64) Interval {
 	return Interval{Mean: r.mean, Low: r.mean - z*se, High: r.mean + z*se}
 }
 
-// Z95 and Z99 are the usual two-sided normal quantiles.
-const (
-	Z95 = 1.959963984540054
-	Z99 = 2.5758293035489004
-)
+// Z95 is the two-sided 95 % normal quantile.
+const Z95 = 1.959963984540054
 
 // Merge combines two accumulators (Chan et al. parallel variance).
 func Merge(a, b Running) Running {

@@ -1,8 +1,8 @@
-// Root-level integration tests: the table-reproduction checks of
-// EXPERIMENTS.md. These assert the *shape* of the paper's results — who
-// wins, roughly by how much, and where the outliers sit — not absolute
-// numbers, since the substrate is a simulator on synthetic benchmark
-// twins (see DESIGN.md).
+// Root-level integration tests: the table-reproduction checks. These
+// assert the *shape* of the paper's results — who wins, roughly by how
+// much, and where the outliers sit — not absolute numbers, since the
+// substrate is a simulator on synthetic benchmark twins (see the
+// internal/gen package doc).
 package repro_test
 
 import (
