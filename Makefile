@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchtest corpussmoke lint lintgate staticcheck staticcheck-install docgate fmt
+.PHONY: all build test race fuzz bench benchtest corpussmoke lint lintgate staticcheck staticcheck-install docgate fmt
 
 all: lint build test
 
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Native fuzzing of the parsers that read untrusted uploads, 30 s per
+# target (go test fuzzes one package at a time). A failing input is
+# saved under the package's testdata/fuzz and replays in `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/blif
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/pla
 
 # Short smoke pass over every benchmark: one iteration each, no tests.
 bench:

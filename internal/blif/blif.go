@@ -65,11 +65,21 @@ func Parse(r io.Reader) (*Model, error) {
 	lineNo := 0
 	process := func(line string) error {
 		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			return nil // a continuation that joined to whitespace only
+		}
 		if inExdc && fields[0] != ".end" {
 			// The external-don't-care section describes flexibility, not
 			// the model: its .names covers (and any other construct) must
 			// not merge into the main network. Skip wholesale until .end.
 			return nil
+		}
+		for _, f := range fields {
+			// Written back, such a token could end a line and read as
+			// a continuation.
+			if strings.HasSuffix(f, "\\") {
+				return fmt.Errorf("blif: line %d: token %q ends in a backslash", lineNo, f)
+			}
 		}
 		switch fields[0] {
 		case ".model":
@@ -184,10 +194,8 @@ func Parse(r io.Reader) (*Model, error) {
 	// following line to terminate it; flush the continued content instead
 	// of silently dropping the whole directive.
 	if pending != "" && !seenEnd {
-		if line := strings.TrimSpace(pending); line != "" {
-			if err := process(line); err != nil {
-				return nil, err
-			}
+		if err := process(pending); err != nil {
+			return nil, err
 		}
 	}
 	if name == "" {
@@ -265,6 +273,9 @@ func build(name string, inputs, outputs []string, latches []Latch, covers []*cov
 	}
 
 	for _, out := range outputs {
+		if n.OutputByName(out) >= 0 {
+			return nil, fmt.Errorf("blif: duplicate output %s", out)
+		}
 		id, err := elaborate(out)
 		if err != nil {
 			return nil, err
@@ -343,8 +354,8 @@ func elaborateCover(n *logic.Network, c *cover, fanins []logic.NodeID) (logic.No
 }
 
 // Write serializes a model to BLIF. Internal nodes get synthetic names
-// (n<id>) unless they carry one. Gates are written as minimal covers:
-// AND/OR/NOT/BUF/XOR become equivalent .names blocks.
+// (n<id>, made unique) unless they carry one. Gates are written as
+// minimal covers: AND/OR/NOT/BUF/XOR become equivalent .names blocks.
 func Write(w io.Writer, m *Model) error {
 	n := m.Network
 	bw := bufio.NewWriter(w)
@@ -363,17 +374,11 @@ func Write(w io.Writer, m *Model) error {
 	}
 	fmt.Fprintln(bw)
 
-	latchIn := make(map[string]bool, len(m.Latches))
-	for _, l := range m.Latches {
-		latchIn[l.Input] = true
-	}
+	// Every output is declared, latch inputs included: Parse appends
+	// only the latch inputs .outputs did not declare, so declaring them
+	// all keeps the output order on re-parse.
 	fmt.Fprint(bw, ".outputs")
 	for _, o := range n.Outputs() {
-		// Latch inputs are pseudo-outputs added by Parse; they are
-		// declared via .latch, not .outputs.
-		if latchIn[o.Name] {
-			continue
-		}
 		fmt.Fprintf(bw, " %s", o.Name)
 	}
 	fmt.Fprintln(bw)
@@ -382,13 +387,26 @@ func Write(w io.Writer, m *Model) error {
 		fmt.Fprintf(bw, ".latch %s %s %d\n", l.Input, l.Output, l.Init)
 	}
 
-	nodeName := func(id logic.NodeID) string {
-		node := n.Node(id)
-		if node.Name != "" {
-			return node.Name
-		}
-		return fmt.Sprintf("n%d", id)
+	// Unnamed nodes get n<id>, suffixed with '_' until it collides with
+	// no node or output name.
+	names := make([]string, n.NumNodes())
+	used := make(map[string]bool, len(names))
+	for i := range names {
+		names[i] = n.Node(logic.NodeID(i)).Name
+		used[names[i]] = true
 	}
+	for _, o := range n.Outputs() {
+		used[o.Name] = true
+	}
+	for i := range names {
+		if names[i] == "" {
+			names[i] = fmt.Sprintf("n%d", i)
+			for used[names[i]] {
+				names[i] += "_"
+			}
+		}
+	}
+	nodeName := func(id logic.NodeID) string { return names[id] }
 
 	for i := 0; i < n.NumNodes(); i++ {
 		id := logic.NodeID(i)

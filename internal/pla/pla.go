@@ -20,6 +20,11 @@ import (
 	"repro/internal/sop"
 )
 
+// maxPlaneWidth bounds .i and .o. The labels and cubes Parse allocates
+// grow with both, so an unbounded count would let a few bytes of input
+// exhaust memory; the largest benchmark twin (x4) has 288 inputs.
+const maxPlaneWidth = 1 << 16
+
 // PLA is a parsed multi-output cover.
 type PLA struct {
 	Name         string
@@ -51,24 +56,25 @@ func Parse(r io.Reader) (*PLA, error) {
 		}
 		fields := strings.Fields(line)
 		switch fields[0] {
-		case ".i":
+		case ".i", ".o":
+			if len(p.Rows) > 0 {
+				return nil, fmt.Errorf("pla: line %d: %s after the first cube", lineNo, fields[0])
+			}
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("pla: line %d: malformed .i", lineNo)
+				return nil, fmt.Errorf("pla: line %d: malformed %s", lineNo, fields[0])
 			}
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("pla: line %d: malformed .i %q", lineNo, fields[1])
+				return nil, fmt.Errorf("pla: line %d: malformed %s %q", lineNo, fields[0], fields[1])
 			}
-			p.NumInputs = n
-		case ".o":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("pla: line %d: malformed .o", lineNo)
+			if n > maxPlaneWidth {
+				return nil, fmt.Errorf("pla: line %d: %s %d exceeds the limit of %d", lineNo, fields[0], n, maxPlaneWidth)
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("pla: line %d: malformed .o %q", lineNo, fields[1])
+			if fields[0] == ".i" {
+				p.NumInputs = n
+			} else {
+				p.NumOutputs = n
 			}
-			p.NumOutputs = n
 		case ".p":
 			// Row-count hint; ignored (rows are counted as read).
 		case ".ilb":
@@ -126,7 +132,20 @@ done:
 	if p.NumInputs == 0 || p.NumOutputs == 0 {
 		return nil, fmt.Errorf("pla: missing .i/.o")
 	}
+	if len(p.InputLabels) > p.NumInputs || len(p.OutputLabels) > p.NumOutputs {
+		return nil, fmt.Errorf("pla: %d .ilb and %d .ob labels for .i %d and .o %d",
+			len(p.InputLabels), len(p.OutputLabels), p.NumInputs, p.NumOutputs)
+	}
 	p.defaultLabels()
+	for _, labels := range [][]string{p.InputLabels, p.OutputLabels} {
+		seen := make(map[string]bool, len(labels))
+		for _, l := range labels {
+			if seen[l] {
+				return nil, fmt.Errorf("pla: duplicate label %q", l)
+			}
+			seen[l] = true
+		}
+	}
 	return p, nil
 }
 

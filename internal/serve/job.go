@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"path"
 	"path/filepath"
 	"sort"
@@ -265,12 +266,34 @@ func parseConfig(raw []byte) (flow.Config, error) {
 
 // expandSubmission turns an uploaded body into its circuit list. The
 // file name decides the container: .tar, .tar.gz/.tgz, and .zip are
-// expanded (members that are not .blif/.pla are skipped, like
+// expanded (members that are not .blif/.pla are skipped unread, like
 // corpus.Discover); anything else must itself be a .blif/.pla circuit.
+// The members read from an archive may total at most maxBytes, the
+// bound a raw upload obeys, so a small compressed body cannot expand
+// into unbounded memory; past it the submission is a 413.
 // Circuits are sorted by archive-relative path — the job's deterministic
 // row order, mirroring the corpus engine's path-sorted discovery.
-func expandSubmission(name string, data []byte) ([]jobCircuit, error) {
+func expandSubmission(name string, data []byte, maxBytes int64) ([]jobCircuit, error) {
 	var circuits []jobCircuit
+	left := maxBytes
+	readMember := func(r io.Reader, member string) ([]byte, error) {
+		data, err := io.ReadAll(io.LimitReader(r, left+1))
+		if err != nil {
+			return nil, badRequest("bad archive member %s: %v", member, err)
+		}
+		if left -= int64(len(data)); left < 0 {
+			return nil, &submitError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("submission too large: archive members expand past %d bytes", maxBytes)}
+		}
+		return data, nil
+	}
+	add := func(member string, read func() ([]byte, error)) error {
+		c, ok, err := memberCircuit(member, read)
+		if ok {
+			circuits = append(circuits, c)
+		}
+		return err
+	}
 	lower := strings.ToLower(name)
 	switch {
 	case strings.HasSuffix(lower, ".tar"), strings.HasSuffix(lower, ".tar.gz"), strings.HasSuffix(lower, ".tgz"):
@@ -295,16 +318,8 @@ func expandSubmission(name string, data []byte) ([]jobCircuit, error) {
 			if hdr.Typeflag != tar.TypeReg {
 				continue
 			}
-			member, err := io.ReadAll(tr)
-			if err != nil {
-				return nil, badRequest("bad tar archive: %v", err)
-			}
-			c, ok, err := memberCircuit(hdr.Name, member)
-			if err != nil {
+			if err := add(hdr.Name, func() ([]byte, error) { return readMember(tr, hdr.Name) }); err != nil {
 				return nil, err
-			}
-			if ok {
-				circuits = append(circuits, c)
 			}
 		}
 	case strings.HasSuffix(lower, ".zip"):
@@ -316,25 +331,20 @@ func expandSubmission(name string, data []byte) ([]jobCircuit, error) {
 			if zf.FileInfo().IsDir() {
 				continue
 			}
-			rc, err := zf.Open()
-			if err != nil {
-				return nil, badRequest("bad zip member %s: %v", zf.Name, err)
-			}
-			member, err := io.ReadAll(rc)
-			rc.Close()
-			if err != nil {
-				return nil, badRequest("bad zip member %s: %v", zf.Name, err)
-			}
-			c, ok, err := memberCircuit(zf.Name, member)
+			err := add(zf.Name, func() ([]byte, error) {
+				rc, err := zf.Open()
+				if err != nil {
+					return nil, badRequest("bad zip member %s: %v", zf.Name, err)
+				}
+				defer rc.Close()
+				return readMember(rc, zf.Name)
+			})
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				circuits = append(circuits, c)
-			}
 		}
 	default:
-		c, ok, err := memberCircuit(name, data)
+		c, ok, err := memberCircuit(name, func() ([]byte, error) { return data, nil })
 		if err != nil {
 			return nil, err
 		}
@@ -356,10 +366,11 @@ func expandSubmission(name string, data []byte) ([]jobCircuit, error) {
 }
 
 // memberCircuit classifies one file: (circuit, true) for .blif/.pla,
-// (zero, false) for other extensions, error for unusable paths. Paths
-// are normalized and must stay local — the spool directory is the
+// (zero, false) for other extensions, error for unusable paths or a
+// failed read. read runs only for a usable .blif/.pla path. Paths are
+// normalized and must stay local — the spool directory is the
 // containment boundary.
-func memberCircuit(name string, data []byte) (jobCircuit, bool, error) {
+func memberCircuit(name string, read func() ([]byte, error)) (jobCircuit, bool, error) {
 	rel := path.Clean(strings.ReplaceAll(name, "\\", "/"))
 	f, ok := corpus.FormatOf(rel)
 	if !ok {
@@ -367,6 +378,10 @@ func memberCircuit(name string, data []byte) (jobCircuit, bool, error) {
 	}
 	if rel == "" || rel == "." || path.IsAbs(rel) || !filepath.IsLocal(filepath.FromSlash(rel)) {
 		return jobCircuit{}, false, badRequest("unusable circuit path %q", name)
+	}
+	data, err := read()
+	if err != nil {
+		return jobCircuit{}, false, err
 	}
 	base := path.Base(rel)
 	return jobCircuit{

@@ -74,7 +74,8 @@ type Options struct {
 	// CacheEntries bounds the content-addressed result cache (0 =
 	// default 4096; negative disables caching).
 	CacheEntries int
-	// MaxUploadBytes bounds one submission body (default 64 MiB).
+	// MaxUploadBytes bounds one submission body (default 64 MiB) and
+	// the total bytes an archive's circuit members expand to.
 	MaxUploadBytes int64
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
@@ -255,7 +256,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	circuits, err := expandSubmission(name, data)
+	circuits, err := expandSubmission(name, data, s.opts.MaxUploadBytes)
 	if err != nil {
 		writeError(w, errStatus(err), "%v", err)
 		return

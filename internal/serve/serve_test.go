@@ -4,6 +4,7 @@ import (
 	"archive/tar"
 	"archive/zip"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -550,6 +551,69 @@ func TestSubmitRejections(t *testing.T) {
 	if resp := postRaw(t, ts.URL, "x.blif", []byte(tinyBLIF), "", "&timed=maybe"); resp.StatusCode != 400 {
 		resp.Body.Close()
 		t.Errorf("bad timed value: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestArchiveExpansionCapped: archive members are read against
+// MaxUploadBytes, the bound a raw body obeys. A .tar.gz and a .zip far
+// under that bound whose .blif member expands past it each get a 413
+// and register no job. A member with another extension is skipped
+// unread and does not count against the bound.
+func TestArchiveExpansionCapped(t *testing.T) {
+	const maxUpload = 1 << 16
+	s, ts := testServer(t, Options{MaxUploadBytes: maxUpload})
+	big := strings.Repeat("# padding\n", 1<<17)
+	tgz := func(files map[string]string) []byte {
+		var buf bytes.Buffer
+		gz := gzip.NewWriter(&buf)
+		gz.Write(tarOf(t, files))
+		gz.Close()
+		return buf.Bytes()
+	}
+	var zipBuf bytes.Buffer
+	zw := zip.NewWriter(&zipBuf)
+	f, err := zw.Create("big.blif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte(big + tinyBLIF))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"bomb.tar.gz": tgz(map[string]string{"big.blif": big + tinyBLIF}),
+		"bomb.zip":    zipBuf.Bytes(),
+	} {
+		if len(body) >= maxUpload {
+			t.Fatalf("%s: compressed body is %d bytes, want it under the cap", name, len(body))
+		}
+		resp := postRaw(t, ts.URL, name, body, testCfgJSON, "")
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", name, resp.StatusCode)
+		}
+	}
+	s.jobsMu.Lock()
+	jobs := len(s.jobs)
+	s.jobsMu.Unlock()
+	if jobs != 0 {
+		t.Errorf("%d jobs registered, want 0", jobs)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "dominod_jobs_submitted_total 0") {
+		t.Error("/metrics does not report dominod_jobs_submitted_total 0")
+	}
+
+	st := decodeStatus(t, postRaw(t, ts.URL, "mixed.tar.gz",
+		tgz(map[string]string{"notes.txt": big, "comb.blif": tinyBLIF}), testCfgJSON, ""))
+	if recs := fetchRows(t, ts.URL, st.ID); len(recs) != 1 || recs[0].Path != "comb.blif" {
+		t.Errorf("skipped oversize member: rows %+v", recs)
 	}
 }
 

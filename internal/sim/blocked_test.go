@@ -105,12 +105,10 @@ func TestBlockedMatchesScalarAndWideKernels(t *testing.T) {
 }
 
 // TestBlockedGatingStatsContract pins the KernelStats out-parameter
-// across the blocked kernel's passes — the full-block fast path, the
-// general pass at narrower block sizes and on tails, and per-cycle CI:
-// counters are deterministic for fixed (Seed, Shards, BlockWords),
-// invariant under Workers, account for every gate × block (Σ over
-// shards of ⌈⌈v_s/64⌉/bw⌉ × gates), and stay zero under the scalar
-// kernel.
+// across block sizes, partial tail windows and per-cycle CI: counters
+// are deterministic for fixed (Seed, Shards, BlockWords), invariant
+// under Workers, account for every gate × block (Σ over shards of
+// ⌈⌈v_s/64⌉/bw⌉ × gates), and stay zero under the scalar kernel.
 func TestBlockedGatingStatsContract(t *testing.T) {
 	blk, probs := shardTestBlock(t)
 	gates := 0

@@ -15,15 +15,12 @@
 // Two kernels implement the same measurement. The default blocked
 // kernel packs up to 512 cycles into a block of 8 uint64 words per net,
 // counts transitions with popcounts, and skips gates whose inputs did
-// not change between blocks (activity gating). It is one
-// implementation with a fused, unrolled fast path for full 8-word
-// blocks, whose per-window statistics folds interleave their float
-// chains, and a general pass for every other block. The scalar kernel
-// evaluates one []bool vector per cycle and is kept as the reference
-// oracle. Both draw their
-// Bernoulli inputs in the same rng order and fold the same counts in
-// the same order, so for every (Seed, Shards) they produce
-// byte-identical Reports.
+// not change between blocks (activity gating); one pass serves every
+// block size, tail and CI mode. The scalar kernel evaluates one []bool
+// vector per cycle and is kept as the reference oracle. Both draw their
+// Bernoulli inputs through packInputs on a math/rand generator in the
+// same window order and fold the same counts in the same order, so for
+// every (Seed, Shards) they produce byte-identical Reports.
 package sim
 
 import (
@@ -55,9 +52,6 @@ const (
 	// KernelBlocked forces the blocked multi-word engine: BlockWords
 	// 64-lane words per net per step with activity gating — gates whose
 	// fanin words did not change since the previous block are skipped.
-	// Full 8-word blocks take a fused, unrolled fast path that
-	// interleaves the per-window statistics folds; every other block
-	// takes the same kernel's general pass.
 	KernelBlocked
 )
 
@@ -468,7 +462,7 @@ func Run(b *domino.Block, cfg Config) (*Report, error) {
 	p := newBlockParams(b)
 	var pc *blockedPrecomp
 	if cfg.Kernel != KernelScalar {
-		pc = newBlockedPrecomp(b, cfg.InputProbs)
+		pc = newBlockedPrecomp(b)
 	}
 	// CI sampling mode is a run-level decision (all shards agree, so the
 	// merged Welford samples are homogeneous): batch means over full

@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/flow"
@@ -14,8 +15,63 @@ import (
 	"repro/internal/phase"
 )
 
+// pinnedRow is one twin's MA/MP pair as the flow computes it at
+// SimVectors 4096: the sizes, the measured (Monte-Carlo) powers and the
+// estimated powers. A change that moves any of them changes a reported
+// row, so it must re-pin the row on purpose.
+type pinnedRow struct {
+	name           string
+	maSize, mpSize int
+	maSim, mpSim   float64
+	maEst, mpEst   float64
+}
+
+var table1Pins = []pinnedRow{
+	{"Industry 1", 1406, 1497, 1763.940673828125, 1421.66650390625, 1764.1726039082716, 1421.8087344007752},
+	{"Industry 2", 1109, 1157, 1158.017578125, 1154.753662109375, 1159.0286263027015, 1155.5655650066612},
+	{"Industry 3", 1248, 1459, 1688.413330078125, 1347.813720703125, 1690.1526219499722, 1346.7596132304686},
+	{"apex7", 285, 334, 309.62548828125, 295.77587890625, 311.83852959678575, 294.53480180084966},
+	{"frg1", 69, 73, 84.666259765625, 53.884033203125, 84.8584927742046, 53.64150722579537},
+	{"x1", 203, 212, 174.406005859375, 160.89892578125, 174.4909824761157, 161.10115407160532},
+	{"x3", 885, 944, 941.829345703125, 847.478515625, 942.3848622245256, 848.4327754294725},
+}
+
+var table2Pins = []pinnedRow{
+	{"apex7", 1124, 1275, 309.62548828125, 295.77587890625, 311.83852959678575, 294.5348018008497},
+	{"frg1", 283, 326, 84.666259765625, 57.616664322265606, 84.8584927742046, 57.317326103577685},
+	{"x1", 757, 770, 174.406005859375, 160.89892578125, 174.4909824761157, 161.1011540716053},
+	{"x3", 3563, 3685, 955.4232793493361, 859.7385412285156, 956.0084010832289, 860.6170732342102},
+}
+
+// checkPinnedRows matches rows against pins: names and sizes exactly,
+// powers to 1e-9 relative (dominoflow -check-twins' tolerance). A
+// mismatch reports the row's %AreaPen and %PwrSav beside the paper's.
+func checkPinnedRows(t *testing.T, rows []*flow.Row, pins []pinnedRow) {
+	t.Helper()
+	if len(rows) != len(pins) {
+		t.Fatalf("rows = %d, want %d pinned", len(rows), len(pins))
+	}
+	near := func(a, b float64) bool {
+		return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+	}
+	for i, r := range rows {
+		p := pins[i]
+		if r.Name == p.name && r.MA.Size == p.maSize && r.MP.Size == p.mpSize &&
+			near(r.MA.SimPower, p.maSim) && near(r.MP.SimPower, p.mpSim) &&
+			near(r.MA.EstPower, p.maEst) && near(r.MP.EstPower, p.mpEst) {
+			continue
+		}
+		t.Errorf("%s: MA/MP size %d/%d, sim %.12g/%.12g, est %.12g/%.12g; pinned %s: %d/%d, %.12g/%.12g, %.12g/%.12g"+
+			" (%%AreaPen %.1f, paper %.1f; %%PwrSav %.1f, paper %.1f)",
+			r.Name, r.MA.Size, r.MP.Size, r.MA.SimPower, r.MP.SimPower, r.MA.EstPower, r.MP.EstPower,
+			p.name, p.maSize, p.mpSize, p.maSim, p.mpSim, p.maEst, p.mpEst,
+			r.AreaPenaltyPct, r.PaperAreaPenaltyPct, r.PowerSavingPct, r.PaperPowerSavingPct)
+	}
+}
+
 // TestTable1Reproduction runs the full untimed flow over all seven
-// benchmark twins and checks the paper's qualitative claims.
+// benchmark twins, checks the paper's qualitative claims and pins each
+// row.
 func TestTable1Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 1 flow in -short mode")
@@ -27,6 +83,7 @@ func TestTable1Reproduction(t *testing.T) {
 	if len(rows) != 7 {
 		t.Fatalf("rows = %d, want 7", len(rows))
 	}
+	checkPinnedRows(t, rows, table1Pins)
 	byName := map[string]*flow.Row{}
 	for _, r := range rows {
 		byName[r.Name] = r
@@ -66,7 +123,8 @@ func TestTable1Reproduction(t *testing.T) {
 	}
 }
 
-// TestTable2Reproduction runs the timed flow over the four public twins.
+// TestTable2Reproduction runs the timed flow over the four public twins
+// and pins each row.
 func TestTable2Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 2 flow in -short mode")
@@ -78,6 +136,7 @@ func TestTable2Reproduction(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
+	checkPinnedRows(t, rows, table2Pins)
 	_, pwrSav := flow.Averages(rows)
 	// Paper: savings survive timing closure (35.3% average). Shape: the
 	// average stays positive.
