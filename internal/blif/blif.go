@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/logic"
@@ -438,7 +437,7 @@ func Write(w io.Writer, m *Model) error {
 		case logic.KindXor:
 			writeHeader(bw, n, node, nodeName, id)
 			// Enumerate odd-parity rows; XOR fanin counts are small in
-			// practice (Balance first if not).
+			// practice (DecomposeXor first if not).
 			k := len(node.Fanins)
 			if k > 16 {
 				return fmt.Errorf("blif: XOR with %d fanins too wide to serialize", k)
@@ -492,18 +491,4 @@ func WriteString(m *Model) (string, error) {
 		return "", err
 	}
 	return b.String(), nil
-}
-
-// SignalNames returns the sorted list of all named signals in a model's
-// network, for diagnostics.
-func SignalNames(m *Model) []string {
-	var names []string
-	n := m.Network
-	for i := 0; i < n.NumNodes(); i++ {
-		if name := n.Node(logic.NodeID(i)).Name; name != "" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -315,24 +315,6 @@ func TestRoundTripLatches(t *testing.T) {
 	}
 }
 
-func TestSignalNames(t *testing.T) {
-	m, err := ParseString(smallBLIF)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	names := SignalNames(m)
-	want := map[string]bool{"a": true, "b": true, "c": true, "f": true, "g": true, "t1": true}
-	for _, nm := range names {
-		if !want[nm] {
-			t.Errorf("unexpected signal name %q", nm)
-		}
-		delete(want, nm)
-	}
-	for nm := range want {
-		t.Errorf("missing signal name %q", nm)
-	}
-}
-
 func TestWriteWideXorFails(t *testing.T) {
 	n := logic.New("widexor")
 	var ins []logic.NodeID

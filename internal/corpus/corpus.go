@@ -14,6 +14,7 @@
 package corpus
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
@@ -78,6 +79,10 @@ type Entry struct {
 	// result rows report.
 	Name   string
 	Format Format
+	// Data, when non-nil, is the file's content: Load parses it instead
+	// of reading Path, which then only names the circuit in diagnostics
+	// and rows (dominod passes a submission's bytes this way).
+	Data []byte
 }
 
 // Discover expands paths — files, directories (walked recursively), or
@@ -174,8 +179,11 @@ type Circuit struct {
 	Seq *seq.Circuit
 }
 
-// Load parses one entry from disk.
+// Load parses one entry from its Data, or from disk when Data is nil.
 func Load(e Entry) (*Circuit, error) {
+	if e.Data != nil {
+		return Read(e, bytes.NewReader(e.Data))
+	}
 	f, err := os.Open(e.Path)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)

@@ -13,6 +13,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -115,11 +116,19 @@ type Config struct {
 	// Cache-key: semantic.
 	Slack float64 `json:"Slack"`
 	// Resynthesize enables collapse-and-refactor before phase
-	// assignment: outputs with support up to MaxCollapseSupport are
-	// rebuilt from factored irredundant covers (internal/sop).
+	// assignment (sop.FactorNetwork): outputs with support up to
+	// MaxCollapseSupport are rebuilt as the factored form of their ISOP
+	// cover, wider ones are copied structurally. The pass builds the
+	// network's BDDs once per degradation stage under that stage's
+	// token, so it obeys the per-circuit timeout, cancellation and
+	// BDDNodeBudget; a collapse build past the node budget trips every
+	// stage and ends the row as a deterministic error row.
 	// Cache-key: semantic.
 	Resynthesize bool `json:"Resynthesize"`
-	// MaxCollapseSupport bounds the resynthesis collapse (default 14).
+	// MaxCollapseSupport is the largest output support Resynthesize
+	// collapses (default 14). An ISOP cover can have up to 2^(support-1)
+	// cubes (parity), so large values cost time — which the row's
+	// budget token bounds.
 	// Cache-key: semantic.
 	MaxCollapseSupport int `json:"MaxCollapseSupport"`
 	// Workers bounds the worker pool of the exhaustive phase search and
@@ -196,6 +205,12 @@ func (c Config) estOptions(tok *budget.T) power.Options {
 	o.Budget = tok
 	o.Reorder = c.BDDReorder == ReorderAlways
 	return o
+}
+
+// token returns a fresh budget token carrying the configuration's BDD
+// node and sim vector budgets.
+func (c Config) token() *budget.T {
+	return budget.New(c.BDDNodeBudget, c.SimVectorBudget)
 }
 
 func (c *Config) defaults() {
@@ -305,11 +320,12 @@ func Prepare(net *logic.Network) *logic.Network {
 }
 
 // prepare applies the configured technology-independent pipeline,
-// optionally including collapse-and-refactor resynthesis.
-func prepare(net *logic.Network, cfg Config) (*logic.Network, error) {
+// optionally including collapse-and-refactor resynthesis, whose BDD
+// build runs under the stage's token tok like every other build.
+func prepare(net *logic.Network, cfg Config, tok *budget.T) (*logic.Network, error) {
 	n := Prepare(net)
 	if cfg.Resynthesize {
-		f, err := sop.FactorNetwork(n, cfg.MaxCollapseSupport)
+		f, err := sop.FactorNetwork(n, cfg.MaxCollapseSupport, tok)
 		if err != nil {
 			return nil, fmt.Errorf("flow: resynthesis: %w", err)
 		}
@@ -359,10 +375,12 @@ func synthesizeMAAssignment(net *logic.Network, cfg Config, tok *budget.T) (phas
 	return asg, res, nil
 }
 
-// SynthesizeMA runs the minimum-area baseline on a prepared network.
+// SynthesizeMA runs the minimum-area baseline on a prepared network
+// under the configured budgets: the sim vector budget clamps the
+// measurement, and a build past BDDNodeBudget is returned as the error.
 func SynthesizeMA(net *logic.Network, cfg Config) (*Synthesis, error) {
 	cfg.defaults()
-	return synthesizeMA(net, cfg, nil)
+	return synthesizeMA(net, cfg, cfg.token())
 }
 
 func synthesizeMA(net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, error) {
@@ -423,10 +441,11 @@ func synthesizeMPAssignment(net *logic.Network, probs []float64, cfg Config, tok
 }
 
 // SynthesizeMP runs the paper's minimum-power heuristic (or the
-// configured search strategy) on a prepared network.
+// configured search strategy) on a prepared network under the
+// configured budgets, like SynthesizeMA.
 func SynthesizeMP(net *logic.Network, cfg Config) (*Synthesis, error) {
 	cfg.defaults()
-	return synthesizeMP(net, cfg, nil)
+	return synthesizeMP(net, cfg, cfg.token())
 }
 
 func synthesizeMP(net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, error) {
@@ -482,15 +501,16 @@ func finishSynthesis(asg phase.Assignment, res *phase.Result, net *logic.Network
 	}, nil
 }
 
-// RunCircuit executes the untimed (Table 1) flow on one benchmark.
+// RunCircuit executes the untimed (Table 1) flow on one benchmark under
+// the configured budgets and degradation chain, as RunCorpus does.
 func RunCircuit(c gen.NamedCircuit, cfg Config) (*Row, error) {
-	cfg.defaults()
-	return runCircuit(c, cfg, nil)
+	row, _, _, err := runCircuitDegraded(context.Background(), c, cfg, false)
+	return row, err
 }
 
 // runCircuit is RunCircuit under an optional cancellation/budget token.
 func runCircuit(c gen.NamedCircuit, cfg Config, tok *budget.T) (*Row, error) {
-	net, err := prepare(c.Net, cfg)
+	net, err := prepare(c.Net, cfg, tok)
 	if err != nil {
 		return nil, err
 	}
@@ -507,16 +527,17 @@ func runCircuit(c gen.NamedCircuit, cfg Config, tok *budget.T) (*Row, error) {
 
 // RunCircuitTimed executes the Table 2 flow: both syntheses are resized
 // to a shared clock target derived from the fastest achievable
-// minimum-area implementation times the configured slack.
+// minimum-area implementation times the configured slack. Like
+// RunCircuit it runs under the configured budgets and degradation chain.
 func RunCircuitTimed(c gen.NamedCircuit, cfg Config) (*Row, error) {
-	cfg.defaults()
-	return runCircuitTimed(c, cfg, nil)
+	row, _, _, err := runCircuitDegraded(context.Background(), c, cfg, true)
+	return row, err
 }
 
 // runCircuitTimed is RunCircuitTimed under an optional
 // cancellation/budget token.
 func runCircuitTimed(c gen.NamedCircuit, cfg Config, tok *budget.T) (*Row, error) {
-	net, err := prepare(c.Net, cfg)
+	net, err := prepare(c.Net, cfg, tok)
 	if err != nil {
 		return nil, err
 	}

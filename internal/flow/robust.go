@@ -135,7 +135,7 @@ func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budge
 		if st.apply != nil {
 			st.apply(&scfg)
 		}
-		tok := budget.New(scfg.BDDNodeBudget, scfg.SimVectorBudget)
+		tok := scfg.token()
 		stop := tok.AttachContext(ctx)
 		result, err = run(scfg, tok)
 		stop()

@@ -2,10 +2,12 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/gen"
 	"repro/internal/power"
 )
@@ -268,6 +270,29 @@ func TestUntrippedBudgetIsInvisible(t *testing.T) {
 	}
 	if !reflect.DeepEqual(row, plain) {
 		t.Errorf("untripped budgeted row differs from the plain flow:\n%+v\nvs\n%+v", row, plain)
+	}
+}
+
+// TestDirectEntryPointsHonourBudgets: RunCircuit and SynthesizeMA apply
+// the configured budgets like RunCorpus — a 256-vector sim budget clamps
+// a 4096-vector measurement to the row of a plain 256-vector run, and an
+// exact build past the node budget comes back as a budget error.
+func TestDirectEntryPointsHonourBudgets(t *testing.T) {
+	c := smallCircuit()
+	got, err := RunCircuit(c, Config{SimVectors: 4096, SimVectorBudget: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunCircuit(c, Config{SimVectors: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SimVectorBudget 256 row differs from the SimVectors 256 row:\n%+v\nvs\n%+v", got, want)
+	}
+	cfg := Config{SimVectors: 256, BDDNodeBudget: 8, EstOpts: power.Options{Method: power.Exact}}
+	if _, err := SynthesizeMA(Prepare(c.Net), cfg); !errors.Is(err, budget.ErrBDDNodes) {
+		t.Errorf("SynthesizeMA under an 8-node budget: err = %v, want ErrBDDNodes", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/budget"
@@ -28,10 +29,11 @@ type SequentialRow struct {
 // RunSequential executes the sequential flow on a circuit: partition with
 // the enhanced MFVS, iterate cut-flip-flop probabilities to a fixed
 // point, then run both phase assignments on the partitioned block using
-// the steady-state probabilities as block input probabilities.
+// the steady-state probabilities as block input probabilities. It runs
+// under the configured budgets and degradation chain, as RunCorpus does.
 func RunSequential(c *seq.Circuit, cfg Config) (*SequentialRow, error) {
-	cfg.defaults()
-	return runSequential(c, cfg, nil)
+	row, _, _, err := runSequentialDegraded(context.Background(), c, cfg)
+	return row, err
 }
 
 // runSequential is RunSequential under an optional cancellation/budget

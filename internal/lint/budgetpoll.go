@@ -6,7 +6,7 @@ import (
 )
 
 // BudgetPoll enforces the PR 8 cooperative-cancellation contract on the
-// engine packages (bdd, sim, phase): when a function receives a
+// engine packages (bdd, sim, phase, sop): when a function receives a
 // *budget.T parameter, every loop in it must reference the token
 // somewhere inside the loop — a direct poll (tok.Err()), a helper call
 // (pollCancel(ctx, tok)), or passing it down to the callee doing the
@@ -17,14 +17,14 @@ import (
 var BudgetPoll = &Analyzer{
 	Name:      "budgetpoll",
 	Directive: "budget-ok",
-	Doc: "a loop in bdd/sim/phase whose enclosing function receives a " +
+	Doc: "a loop in bdd/sim/phase/sop whose enclosing function receives a " +
 		"*budget.T must reference the token inside the loop body (poll, " +
 		"helper, or pass-down), or carry //dominolint:budget-ok <bound>",
 	Run: runBudgetPoll,
 }
 
 func runBudgetPoll(pass *Pass) error {
-	if !pkgScope(pass, "bdd", "sim", "phase") {
+	if !pkgScope(pass, "bdd", "sim", "phase", "sop") {
 		return nil
 	}
 	for _, f := range pass.Files {

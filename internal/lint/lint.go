@@ -19,7 +19,7 @@
 //     `Cache-key: wall-clock` doc marker and a json tag naming the
 //     field, and the wall-clock set must exactly equal the fields
 //     zero-erased in Canonical().
-//   - budgetpoll: a loop in bdd/sim/phase whose enclosing function
+//   - budgetpoll: a loop in bdd/sim/phase/sop whose enclosing function
 //     receives a *budget.T must reference the token inside the loop
 //     body (the PR 8 "hot loops poll at bounded intervals" contract).
 //   - walltime: forbids time.Now/time.Since and the global math/rand

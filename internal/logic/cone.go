@@ -27,19 +27,6 @@ func (n *Network) markCone(root NodeID, in []bool) {
 	}
 }
 
-// ConeSize returns the number of nodes in the transitive fanin cone of
-// root (including root).
-func (n *Network) ConeSize(root NodeID) int {
-	in := n.FaninCone(root)
-	c := 0
-	for _, b := range in {
-		if b {
-			c++
-		}
-	}
-	return c
-}
-
 // OutputCones returns, for each primary output, its transitive fanin cone
 // as a membership slice.
 func (n *Network) OutputCones() [][]bool {

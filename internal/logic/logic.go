@@ -270,31 +270,8 @@ func (n *Network) MarkOutput(name string, driver NodeID) int {
 	return idx
 }
 
-// SetOutputDriver repoints an existing output at a new driver node.
-func (n *Network) SetOutputDriver(idx int, driver NodeID) {
-	if driver < 0 || int(driver) >= len(n.nodes) {
-		panic(fmt.Sprintf("logic: output %d driver %d out of range", idx, driver))
-	}
-	n.outputs[idx].Driver = driver
-}
-
-// FanoutCounts returns, for every node, the number of fanin references to
-// it plus the number of outputs it drives.
-func (n *Network) FanoutCounts() []int {
-	counts := make([]int, len(n.nodes))
-	for i := range n.nodes {
-		for _, f := range n.nodes[i].Fanins {
-			counts[f]++
-		}
-	}
-	for _, o := range n.outputs {
-		counts[o.Driver]++
-	}
-	return counts
-}
-
 // FanoutLists returns, for every node, the list of node ids that use it as
-// a fanin. Output references are not included; use FanoutCounts for that.
+// a fanin. Output references are not included.
 func (n *Network) FanoutLists() [][]NodeID {
 	lists := make([][]NodeID, len(n.nodes))
 	for i := range n.nodes {

@@ -88,19 +88,6 @@ func TestLevelsAndDepth(t *testing.T) {
 	}
 }
 
-func TestFanoutCounts(t *testing.T) {
-	n := buildExample(t)
-	counts := n.FanoutCounts()
-	ab := NodeID(4) // or(a,b)
-	if counts[ab] != 2 {
-		t.Errorf("fanout of or(a,b) = %d, want 2 (not + g)", counts[ab])
-	}
-	cd := NodeID(5)
-	if counts[cd] != 2 {
-		t.Errorf("fanout of and(c,d) = %d, want 2 (f + g)", counts[cd])
-	}
-}
-
 func TestFaninCone(t *testing.T) {
 	n := buildExample(t)
 	fIdx := n.Outputs()[0].Driver
@@ -114,9 +101,6 @@ func TestFaninCone(t *testing.T) {
 	// f's cone: a,b,c,d, or(a,b), and(c,d), not, f = 8 nodes.
 	if count != 8 {
 		t.Errorf("f cone size = %d, want 8", count)
-	}
-	if got := n.ConeSize(fIdx); got != 8 {
-		t.Errorf("ConeSize = %d, want 8", got)
 	}
 }
 
@@ -321,33 +305,6 @@ func TestDecomposeXorProperty(t *testing.T) {
 	}
 }
 
-func TestBalanceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		n := New("wide")
-		var ids []NodeID
-		for i := 0; i < 9; i++ {
-			ids = append(ids, n.AddInput(inputName(i)))
-		}
-		n.MarkOutput("w", n.AddAnd(ids...))
-		n.MarkOutput("v", n.AddOr(ids[:7]...))
-		maxFanin := 2 + rng.Intn(3)
-		b := n.Balance(maxFanin)
-		if err := b.Validate(); err != nil {
-			t.Fatalf("Validate: %v", err)
-		}
-		for i := 0; i < b.NumNodes(); i++ {
-			if len(b.Fanins(NodeID(i))) > maxFanin {
-				t.Fatalf("Balance(%d) left node with %d fanins", maxFanin, len(b.Fanins(NodeID(i))))
-			}
-		}
-		eq, err := Equivalent(n, b)
-		if err != nil || !eq {
-			t.Fatalf("Balance changed function (%v, %v)", eq, err)
-		}
-	}
-}
-
 func TestTruthTables(t *testing.T) {
 	n := New("tt")
 	a := n.AddInput("a")
@@ -412,11 +369,9 @@ func TestConstructorPanics(t *testing.T) {
 	expectPanic("fanin out of range", func() { n.AddNot(NodeID(99)) })
 	expectPanic("AddGate buf arity", func() { n.AddGate(KindBuf, a, a) })
 	expectPanic("AddGate input kind", func() { n.AddGate(KindInput) })
-	expectPanic("Balance maxFanin", func() { n.Balance(1) })
 	n.MarkOutput("f", a)
 	expectPanic("duplicate output", func() { n.MarkOutput("f", a) })
 	expectPanic("bad output driver", func() { n.MarkOutput("g", NodeID(99)) })
-	expectPanic("bad SetOutputDriver", func() { n.SetOutputDriver(0, NodeID(99)) })
 	expectPanic("eval arity", func() { n.Eval(nil, nil) })
 	expectPanic("cone length mismatch", func() { ConeOverlap(make([]bool, 1), make([]bool, 2)) })
 }

@@ -293,68 +293,3 @@ func (n *Network) DecomposeXor() *Network {
 	}
 	return out
 }
-
-// Balance decomposes every n-ary gate into a balanced tree of gates with
-// at most maxFanin fanins (maxFanin >= 2). Buffers and inverters pass
-// through unchanged.
-func (n *Network) Balance(maxFanin int) *Network {
-	if maxFanin < 2 {
-		panic("logic: Balance maxFanin must be >= 2")
-	}
-	out := New(n.Name)
-	remap := make([]NodeID, len(n.nodes))
-	for _, id := range n.inputs {
-		remap[id] = out.AddInput(n.nodes[id].Name)
-	}
-	var split func(kind Kind, fs []NodeID) NodeID
-	split = func(kind Kind, fs []NodeID) NodeID {
-		if len(fs) <= maxFanin {
-			return out.AddGate(kind, fs...)
-		}
-		// Group into ceil(len/maxFanin) chunks, recurse.
-		var groups []NodeID
-		for start := 0; start < len(fs); start += maxFanin {
-			end := start + maxFanin
-			if end > len(fs) {
-				end = len(fs)
-			}
-			chunk := fs[start:end]
-			if len(chunk) == 1 {
-				groups = append(groups, chunk[0])
-			} else {
-				groups = append(groups, out.AddGate(kind, chunk...))
-			}
-		}
-		return split(kind, groups)
-	}
-	for i := range n.nodes {
-		node := &n.nodes[i]
-		switch node.Kind {
-		case KindInput:
-			continue
-		case KindConst0:
-			remap[i] = out.AddConst(false)
-		case KindConst1:
-			remap[i] = out.AddConst(true)
-		case KindAnd, KindOr, KindXor:
-			fs := make([]NodeID, len(node.Fanins))
-			for j, f := range node.Fanins {
-				fs[j] = remap[f]
-			}
-			remap[i] = split(node.Kind, fs)
-		default:
-			fs := make([]NodeID, len(node.Fanins))
-			for j, f := range node.Fanins {
-				fs[j] = remap[f]
-			}
-			remap[i] = out.AddGate(node.Kind, fs...)
-		}
-		if node.Name != "" {
-			out.SetName(remap[i], node.Name)
-		}
-	}
-	for _, o := range n.outputs {
-		out.MarkOutput(o.Name, remap[o.Driver])
-	}
-	return out
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/domino"
@@ -332,13 +333,15 @@ func TestRescoreStateStickyError(t *testing.T) {
 	a, b := n.AddInput("a"), n.AddInput("b")
 	n.MarkOutput("o1", n.AddAnd(a, b))
 	n.MarkOutput("o2", n.AddOr(a, b))
-	calls := 0
+	// Workers is left at GOMAXPROCS, so Eval must be safe for
+	// concurrent use: the call counter is atomic.
+	var calls atomic.Int64
 	eval := func(r *phase.Result) (float64, error) {
-		calls++
+		n := calls.Add(1)
 		if r.Assignment[0] && !r.Assignment[1] {
 			return 0, fmt.Errorf("injected failure")
 		}
-		return float64(calls), nil
+		return float64(n), nil
 	}
 	// Greedy with an evaluator that fails on one assignment must surface
 	// the failure even though later evaluations succeed.

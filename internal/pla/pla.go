@@ -233,40 +233,6 @@ func (p *PLA) ToNetwork() (*logic.Network, error) {
 	return n, nil
 }
 
-// FromCovers assembles a PLA from per-output covers over a shared input
-// space.
-func FromCovers(name string, inputLabels []string, outputLabels []string, covers []*sop.Cover) (*PLA, error) {
-	if len(covers) == 0 {
-		return nil, fmt.Errorf("pla: no covers")
-	}
-	numIn := covers[0].NumVars
-	for _, c := range covers {
-		if c.NumVars != numIn {
-			return nil, fmt.Errorf("pla: covers disagree on input count")
-		}
-	}
-	p := &PLA{
-		Name:         name,
-		NumInputs:    numIn,
-		NumOutputs:   len(covers),
-		InputLabels:  append([]string(nil), inputLabels...),
-		OutputLabels: append([]string(nil), outputLabels...),
-	}
-	p.defaultLabels()
-	for o, c := range covers {
-		for _, cube := range c.Cubes {
-			p.Rows = append(p.Rows, cube.Clone())
-			plane := make([]byte, len(covers))
-			for i := range plane {
-				plane[i] = '-'
-			}
-			plane[o] = '1'
-			p.OutputPlane = append(p.OutputPlane, plane)
-		}
-	}
-	return p, nil
-}
-
 // Write serializes the PLA.
 func Write(w io.Writer, p *PLA) error {
 	bw := bufio.NewWriter(w)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/logic"
-	"repro/internal/sop"
 )
 
 const sample = `
@@ -109,36 +108,6 @@ func TestRoundTrip(t *testing.T) {
 	eq, err := logic.Equivalent(n1, n2)
 	if err != nil || !eq {
 		t.Fatalf("round trip changed function (%v %v):\n%s", eq, err, text)
-	}
-}
-
-func TestFromCovers(t *testing.T) {
-	a := sop.NewCover(2)
-	a.Add(sop.NewCube(2).WithLiteral(0, sop.Pos).WithLiteral(1, sop.Pos))
-	b := sop.NewCover(2)
-	b.Add(sop.NewCube(2).WithLiteral(0, sop.Neg))
-	p, err := FromCovers("fc", []string{"x", "y"}, []string{"and", "notx"}, []*sop.Cover{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := p.ToNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := n.EvalOutputs([]bool{true, true})
-	if outs[0] != true || outs[1] != false {
-		t.Errorf("FromCovers semantics wrong: %v", outs)
-	}
-	outs = n.EvalOutputs([]bool{false, true})
-	if outs[0] != false || outs[1] != true {
-		t.Errorf("FromCovers semantics wrong: %v", outs)
-	}
-	text, err := WriteString(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, ".ob and notx") {
-		t.Errorf("labels lost:\n%s", text)
 	}
 }
 

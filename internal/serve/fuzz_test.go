@@ -1,0 +1,208 @@
+package serve
+
+import (
+	"archive/tar"
+	"archive/zip"
+	"bytes"
+	"compress/gzip"
+	"errors"
+	"net/http"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// FuzzParseConfig drives the config decoder, the first thing dominod
+// does with a submission's untrusted JSON. parseConfig must never
+// panic; an accepted config must pass Validate; Canonical must be
+// idempotent; the canonical JSON must decode strictly back to the same
+// canonical form; and the cache key of a config must equal that of its
+// canonical form.
+func FuzzParseConfig(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"SimVectors":256}`,
+		`{"SimVectors":256,"SimSeed":7}`,
+		`{"SimVectors":4096,"SimShards":2,"MaxPairs":24,"EstOpts":{"Method":1,"Depth":3,"MaxFrontier":8},"BDDNodeBudget":20000}`,
+		`{"Resynthesize":true,"MaxCollapseSupport":12}`,
+		`{"SimShards":-1}`,
+		`{"SimVectors":-5}`,
+		`{"Workers":-2}`,
+		`{"InputProb":1.5}`,
+		`{"InputProb":-0.25}`,
+		`{"SimKernel":9}`,
+		`{"SimBlockWords":99}`,
+		`{"SearchStrategy":12}`,
+		`{"PhaseScoring":7}`,
+		`{"EstOpts":{"Method":42}}`,
+		`{"BDDNodeBudget":-1}`,
+		`{"SimVectorBudget":-8}`,
+		`{"AnnealSteps":-3}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		cfg, err := parseConfig(raw)
+		if err != nil {
+			if errStatus(err) != http.StatusBadRequest {
+				t.Fatalf("rejection %v is not a 400", err)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted config fails Validate: %v", err)
+		}
+		canon := cfg.Canonical()
+		if again := canon.Canonical(); !reflect.DeepEqual(again, canon) {
+			t.Fatalf("Canonical is not idempotent:\n%+v\n%+v", canon, again)
+		}
+		cj, err := canonicalConfigJSON(cfg)
+		if err != nil {
+			t.Fatalf("canonical form does not encode: %v", err)
+		}
+		back, err := parseConfig(cj)
+		if err != nil {
+			t.Fatalf("canonical JSON %s is rejected: %v", cj, err)
+		}
+		if !reflect.DeepEqual(back.Canonical(), canon) {
+			t.Fatalf("canonical JSON %s decodes to another canonical form:\n%+v\n%+v", cj, back.Canonical(), canon)
+		}
+		k1, err1 := CacheKey(cfg, false, raw)
+		k2, err2 := CacheKey(canon, false, raw)
+		if err1 != nil || err2 != nil || k1 != k2 {
+			t.Fatalf("CacheKey differs between a config and its canonical form (%v, %v)", err1, err2)
+		}
+	})
+}
+
+// archiveMember is one fuzzed archive entry.
+type archiveMember struct {
+	name string
+	data []byte
+}
+
+// archiveBodies packs one member list, in order, as a .tar, a .tar.gz
+// and a .zip body, uncompressed (compression only costs fuzzing
+// throughput; the readers are the subject). It fails when a writer
+// rejects a member name.
+func archiveBodies(members []archiveMember) (map[string][]byte, error) {
+	var tarBuf bytes.Buffer
+	tw := tar.NewWriter(&tarBuf)
+	for _, m := range members {
+		if err := tw.WriteHeader(&tar.Header{Name: m.name, Mode: 0o644, Size: int64(len(m.data)), Typeflag: tar.TypeReg}); err != nil {
+			return nil, err
+		}
+		if _, err := tw.Write(m.data); err != nil {
+			return nil, err
+		}
+	}
+	if err := tw.Close(); err != nil {
+		return nil, err
+	}
+	var gzBuf bytes.Buffer
+	gz, _ := gzip.NewWriterLevel(&gzBuf, gzip.NoCompression)
+	gz.Write(tarBuf.Bytes())
+	if err := gz.Close(); err != nil {
+		return nil, err
+	}
+	var zipBuf bytes.Buffer
+	zw := zip.NewWriter(&zipBuf)
+	for _, m := range members {
+		w, err := zw.CreateHeader(&zip.FileHeader{Name: m.name, Method: zip.Store})
+		if err != nil {
+			return nil, err
+		}
+		w.Write(m.data)
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return map[string][]byte{
+		"sub.tar":    tarBuf.Bytes(),
+		"sub.tar.gz": gzBuf.Bytes(),
+		"sub.zip":    zipBuf.Bytes(),
+	}, nil
+}
+
+// expansion is the container-independent outcome of expandSubmission.
+type expansion struct {
+	status   int
+	circuits []jobCircuit
+}
+
+// FuzzExpandSubmission packs fuzzed member names (newline-separated, at
+// most eight) and contents (split evenly across the members) into the
+// three container formats dominod accepts. Expansion must never panic,
+// must fail only with 400 or 413, must accept only local, unique and
+// sorted paths whose circuit bytes total at most the cap, and must
+// expand the three containers of one member set identically.
+func FuzzExpandSubmission(f *testing.F) {
+	f.Add("comb.blif\ntwo.pla\nREADME", []byte(tinyBLIF+tinyPLA), uint16(4096))
+	f.Add("d/a.blif\nd/b.blif\nnotes.txt", []byte(tinyBLIF+tinyBLIF+"xxxx"), uint16(64))
+	f.Add("dup.blif\n./dup.blif", []byte(tinyBLIF+tinyBLIF), uint16(4096))
+	f.Add("../escape.blif", []byte(tinyBLIF), uint16(4096))
+	f.Add("/abs.pla\nok.pla", []byte(tinyPLA+tinyPLA), uint16(4096))
+	f.Add("big.blif", []byte(tinyBLIF), uint16(16))
+	f.Add("skip.txt\nsmall.blif", []byte(strings.Repeat("x", 200)+"ab"), uint16(8))
+	f.Fuzz(func(t *testing.T, names string, content []byte, capBytes uint16) {
+		split := strings.Split(names, "\n")
+		if len(split) > 8 {
+			split = split[:8]
+		}
+		members := make([]archiveMember, len(split))
+		for i, name := range split {
+			members[i] = archiveMember{name, content[i*len(content)/len(split) : (i+1)*len(content)/len(split)]}
+		}
+		bodies, err := archiveBodies(members)
+		if err != nil {
+			t.Skip("a container writer rejects the member names:", err)
+		}
+		maxBytes := int64(capBytes)
+		var first *expansion
+		for _, name := range []string{"sub.tar", "sub.tar.gz", "sub.zip"} {
+			got := &expansion{}
+			circuits, err := expandSubmission(name, bodies[name], maxBytes)
+			if err != nil {
+				var se *submitError
+				if !errors.As(err, &se) || (se.status != http.StatusBadRequest && se.status != http.StatusRequestEntityTooLarge) {
+					t.Fatalf("%s: error %v is neither a 400 nor a 413", name, err)
+				}
+				got.status = se.status
+			} else {
+				got.circuits = circuits
+				checkExpansion(t, name, circuits, maxBytes)
+			}
+			if first == nil {
+				first = got
+			} else if !reflect.DeepEqual(got, first) {
+				t.Fatalf("%s expands differently from sub.tar:\n%+v\n%+v", name, got, first)
+			}
+		}
+	})
+}
+
+// checkExpansion asserts an accepted expansion's path and size
+// invariants.
+func checkExpansion(t *testing.T, name string, circuits []jobCircuit, maxBytes int64) {
+	t.Helper()
+	total := int64(0)
+	paths := make([]string, len(circuits))
+	for i, c := range circuits {
+		if !filepath.IsLocal(filepath.FromSlash(c.relPath)) {
+			t.Fatalf("%s: accepted non-local path %q", name, c.relPath)
+		}
+		if i > 0 && c.relPath == paths[i-1] {
+			t.Fatalf("%s: duplicate path %q", name, c.relPath)
+		}
+		paths[i] = c.relPath
+		total += int64(len(c.data))
+	}
+	if !sort.StringsAreSorted(paths) {
+		t.Fatalf("%s: paths not sorted: %q", name, paths)
+	}
+	if total > maxBytes {
+		t.Fatalf("%s: circuit bytes total %d, over the %d cap", name, total, maxBytes)
+	}
+}

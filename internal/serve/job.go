@@ -368,8 +368,8 @@ func expandSubmission(name string, data []byte, maxBytes int64) ([]jobCircuit, e
 // memberCircuit classifies one file: (circuit, true) for .blif/.pla,
 // (zero, false) for other extensions, error for unusable paths or a
 // failed read. read runs only for a usable .blif/.pla path. Paths are
-// normalized and must stay local — the spool directory is the
-// containment boundary.
+// normalized and must stay local: a path names its circuit in rows and
+// error messages, never a file the daemon opens.
 func memberCircuit(name string, read func() ([]byte, error)) (jobCircuit, bool, error) {
 	rel := path.Clean(strings.ReplaceAll(name, "\\", "/"))
 	f, ok := corpus.FormatOf(rel)
@@ -382,6 +382,9 @@ func memberCircuit(name string, read func() ([]byte, error)) (jobCircuit, bool, 
 	data, err := read()
 	if err != nil {
 		return jobCircuit{}, false, err
+	}
+	if data == nil {
+		data = []byte{} // corpus.Load reads a nil Data from disk
 	}
 	base := path.Base(rel)
 	return jobCircuit{

@@ -39,8 +39,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -374,12 +372,11 @@ func (s *Server) finishJob(j *job) {
 	}
 }
 
-// runJob executes a job's cache misses through flow.RunCorpus: spool the
-// miss bytes to a temp directory, run them as a sub-corpus, and remap
-// each finished row back to its global index (submitted path restored,
-// spool path never leaks). Every failure mode ends with a finished job —
-// spool errors become error rows, and per-circuit flow failures are
-// already isolated by the corpus engine.
+// runJob executes a job's cache misses through flow.RunCorpus: the miss
+// bytes go to the flow in memory as a sub-corpus under their submitted
+// paths, and each finished row is remapped back to its global index.
+// Every failure mode ends with a finished job — per-circuit flow
+// failures are already isolated by the corpus engine.
 func (s *Server) runJob(j *job) {
 	s.m.jobsRunning.Add(1)
 	defer s.m.jobsRunning.Add(-1)
@@ -394,44 +391,14 @@ func (s *Server) runJob(j *job) {
 	}
 	j.setState(StateRunning)
 
-	type miss struct{ global int }
 	var entries []corpus.Entry
-	var misses []miss
-	spool, err := os.MkdirTemp("", "dominod-"+j.id+"-")
-	if err == nil {
-		defer os.RemoveAll(spool)
-		for i := range j.circuits {
-			c := &j.circuits[i]
-			if c.cached != nil {
-				continue
-			}
-			p := filepath.Join(spool, filepath.FromSlash(c.relPath))
-			if err = os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-				break
-			}
-			if err = os.WriteFile(p, c.data, 0o644); err != nil {
-				break
-			}
-			entries = append(entries, corpus.Entry{Path: p, Name: c.name, Format: c.format})
-			misses = append(misses, miss{global: i})
+	var global []int
+	for i, c := range j.circuits {
+		if c.cached != nil {
+			continue
 		}
-	}
-	if err != nil {
-		// Spool failure: answer every unfilled slot with an error row
-		// rather than wedging the job.
-		for i := range j.circuits {
-			if j.circuits[i].cached == nil {
-				row := &flow.CorpusRow{
-					Index: i, Name: j.circuits[i].name, Path: j.circuits[i].relPath,
-					Format: j.circuits[i].format.String(),
-					Err:    fmt.Sprintf("serve: spool: %v", err),
-				}
-				s.countRow(row)
-				j.fill(i, row)
-			}
-		}
-		s.finishJob(j)
-		return
+		entries = append(entries, corpus.Entry{Path: c.relPath, Name: c.name, Format: c.format, Data: c.data})
+		global = append(global, i)
 	}
 
 	// Each circuit's own flow runs single-worker (the dominoflow
@@ -444,10 +411,9 @@ func (s *Server) runJob(j *job) {
 		Workers: s.opts.FlowWorkers,
 		Timeout: s.opts.CircuitTimeout,
 		OnRow: func(r *flow.CorpusRow) {
-			g := misses[r.Index].global
+			g := global[r.Index]
 			row := *r
 			row.Index = g
-			row.Path = j.circuits[g].relPath
 			s.cache.put(j.circuits[g].key, &row)
 			s.countRow(&row)
 			j.fill(g, &row)

@@ -295,6 +295,48 @@ func TestCacheHitSecondSubmission(t *testing.T) {
 	}
 }
 
+// corruptBLIF fails to parse ("blif: line 5: pattern missing").
+const corruptBLIF = ".model bad\n.inputs a b\n.outputs f\n.names a b f\n11\n.end\n"
+
+// TestCorruptFileErrorNamesSubmittedPath: a circuit that fails to parse
+// yields an error row naming its submitted path and no server-side file
+// path, both when the flow runs it and when the cache serves the row to
+// a second submission of the same bytes.
+func TestCorruptFileErrorNamesSubmittedPath(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	for run, wantHits := range []int{0, 1} {
+		st := decodeStatus(t, postRaw(t, ts.URL, "bad.blif", []byte(corruptBLIF), testCfgJSON, ""))
+		if st.CacheHits != wantHits {
+			t.Fatalf("run %d: %d cache hits, want %d", run, st.CacheHits, wantHits)
+		}
+		recs := fetchRows(t, ts.URL, st.ID)
+		if len(recs) != 1 {
+			t.Fatalf("run %d: %d rows", run, len(recs))
+		}
+		msg := recs[0].Error
+		if !strings.Contains(msg, "bad.blif: blif: line 5") || strings.Contains(msg, os.TempDir()) || strings.Contains(msg, "dominod-") {
+			t.Errorf("run %d: error %q should name bad.blif and no server path", run, msg)
+		}
+	}
+	if runs := s.m.flowRuns.Load(); runs != 1 {
+		t.Errorf("%d flow runs, want 1 (the repeat is a cache hit)", runs)
+	}
+}
+
+// TestColdJobNeedsNoTempDir: cache misses reach the flow in memory, so a
+// daemon whose temp directory is missing still answers cold jobs with
+// flow rows.
+func TestColdJobNeedsNoTempDir(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	_, ts := testServer(t, Options{})
+	st := decodeStatus(t, postRaw(t, ts.URL, "comb.blif", []byte(tinyBLIF), testCfgJSON, ""))
+	recs := fetchRows(t, ts.URL, st.ID)
+	if len(recs) != 1 || recs[0].Error != "" || recs[0].MASize == 0 {
+		t.Fatalf("cold job without a temp dir: %+v, want one flow row", recs)
+	}
+	checkMatchesDirect(t, map[string]string{"comb.blif": tinyBLIF}, recs)
+}
+
 // TestCacheHitAcrossWallclockKnobs: resubmitting with different Workers
 // / SimKernel — pure wall-clock knobs — still hits; a semantic change
 // misses.

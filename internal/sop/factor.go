@@ -3,6 +3,8 @@ package sop
 import (
 	"fmt"
 
+	"repro/internal/bdd"
+	"repro/internal/budget"
 	"repro/internal/logic"
 )
 
@@ -113,25 +115,53 @@ func isConstTrue(n *logic.Network, id logic.NodeID) bool {
 	return n.Kind(id) == logic.KindConst1
 }
 
-// FactorNetwork rebuilds every output whose support is at most
-// maxSupport as a factored form of its minimized irredundant cover —
-// collapse followed by refactor, the classic resynthesis move. Larger
-// cones are copied structurally.
-func FactorNetwork(n *logic.Network, maxSupport int) (*logic.Network, error) {
-	covers, keep, err := coversOf(n, maxSupport)
+// FactorNetwork is the collapse-and-refactor pass of technology-
+// independent synthesis: every output whose support is at most
+// maxSupport is rebuilt as the factored form of its ISOP cover, and
+// wider outputs are copied structurally. It builds the network's BDDs
+// once, in natural input order, in a manager that carries tok (nil =
+// no budget, never cancelled) and never reorders, so the pass obeys the
+// row's cancellation, timeout and BDD node budget like every other
+// build; a trip comes back as the error.
+func FactorNetwork(n *logic.Network, maxSupport int, tok *budget.T) (*logic.Network, error) {
+	m := bdd.New(n.NumInputs())
+	m.SetBudget(tok)
+	nb, err := bdd.BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	out, inIDs, copyRec := structuralCopier(n)
+	for _, o := range n.Outputs() {
+		f := nb.NodeRefs[o.Driver]
+		if len(m.Support(f)) > maxSupport {
+			out.MarkOutput(o.Name, copyRec(o.Driver))
+			continue
+		}
+		cover, err := FromBDD(m, f, tok)
+		if err != nil {
+			return nil, err
+		}
+		driver, err := FactorInto(cover, out, inIDs)
+		if err != nil {
+			return nil, err
+		}
+		out.MarkOutput(o.Name, driver)
+	}
+	return out.Optimize(), nil
+}
+
+// structuralCopier starts a network with n's inputs and returns it, its
+// input nodes by position, and a memoized copier that rebuilds any node
+// of n (with its fanin cone) inside it.
+func structuralCopier(n *logic.Network) (*logic.Network, []logic.NodeID, func(logic.NodeID) logic.NodeID) {
 	out := logic.New(n.Name)
 	inIDs := make([]logic.NodeID, n.NumInputs())
-	for pos, id := range n.Inputs() {
-		inIDs[pos] = out.AddInput(n.Node(id).Name)
-	}
 	remap := make([]logic.NodeID, n.NumNodes())
 	for i := range remap {
 		remap[i] = logic.InvalidNode
 	}
 	for pos, id := range n.Inputs() {
+		inIDs[pos] = out.AddInput(n.Node(id).Name)
 		remap[id] = inIDs[pos]
 	}
 	var copyRec func(id logic.NodeID) logic.NodeID
@@ -156,46 +186,5 @@ func FactorNetwork(n *logic.Network, maxSupport int) (*logic.Network, error) {
 		remap[id] = res
 		return res
 	}
-	for oi, o := range n.Outputs() {
-		if keep[oi] {
-			out.MarkOutput(o.Name, copyRec(o.Driver))
-			continue
-		}
-		driver, err := FactorInto(covers[oi], out, inIDs)
-		if err != nil {
-			return nil, err
-		}
-		out.MarkOutput(o.Name, driver)
-	}
-	return out.Optimize(), nil
-}
-
-// coversOf computes minimized covers for outputs within the support
-// bound; keep[oi] marks outputs left structural.
-func coversOf(n *logic.Network, maxSupport int) ([]*Cover, []bool, error) {
-	covers := make([]*Cover, n.NumOutputs())
-	keep := make([]bool, n.NumOutputs())
-	for oi := range n.Outputs() {
-		cover, err := FromNetworkOutput(n, oi)
-		if err != nil {
-			return nil, nil, err
-		}
-		support := 0
-		seen := make([]bool, n.NumInputs())
-		for _, cube := range cover.Cubes {
-			for v := 0; v < cover.NumVars; v++ {
-				if cube.Literal(v) != DontCare && !seen[v] {
-					seen[v] = true
-					support++
-				}
-			}
-		}
-		if support > maxSupport {
-			keep[oi] = true
-			continue
-		}
-		cover.Minimize()
-		covers[oi] = cover
-	}
-	return covers, keep, nil
+	return out, inIDs, copyRec
 }

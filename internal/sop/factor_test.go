@@ -1,9 +1,12 @@
 package sop
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bdd"
+	"repro/internal/budget"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/verify"
@@ -104,7 +107,7 @@ func TestFactorNetworkPreservesAndShrinks(t *testing.T) {
 			Name: "fn", Inputs: 8 + rng.Intn(6), Outputs: 2 + rng.Intn(3),
 			Gates: 40 + rng.Intn(60), Seed: int64(trial * 3), OrProb: 0.6,
 		})
-		f, err := FactorNetwork(n, 12)
+		f, err := FactorNetwork(n, 12, nil)
 		if err != nil {
 			t.Fatalf("trial %d: FactorNetwork: %v", trial, err)
 		}
@@ -117,6 +120,82 @@ func TestFactorNetworkPreservesAndShrinks(t *testing.T) {
 	}
 	if shrunk == 0 {
 		t.Error("resynthesis never shrank any circuit (suspicious)")
+	}
+}
+
+func TestFactorNetworkKeepsBigCones(t *testing.T) {
+	// With maxSupport 0 nothing collapses; the result is a structural
+	// copy (post-Optimize).
+	n := gen.Generate(gen.Params{Name: "keep", Inputs: 10, Outputs: 3, Gates: 40, Seed: 9})
+	c, err := FactorNetwork(n, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.Check(n, c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFactorNetworkRemovesRedundancy(t *testing.T) {
+	// A small cone with heavy redundancy: ab + āc + bc (bc is the
+	// redundant consensus term) and ab + b·buf(a) (= ab, duplicated).
+	n := logic.New("redund")
+	a := n.AddInput("a")
+	b := n.AddInput("b")
+	c := n.AddInput("c")
+	ab := n.AddAnd(a, b)
+	nac := n.AddAnd(n.AddNot(a), c)
+	cons := n.AddAnd(b, c)
+	n.MarkOutput("f", n.AddOr(ab, nac, cons))
+	n.MarkOutput("g", n.AddOr(n.AddAnd(a, b), n.AddAnd(b, n.AddBuf(a))))
+	f, err := FactorNetwork(n, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.Check(n, f); err != nil {
+		t.Fatal(err)
+	}
+	if f.GateCount() >= n.GateCount() {
+		t.Errorf("resynthesis did not shrink: %d -> %d", n.GateCount(), f.GateCount())
+	}
+}
+
+// TestFactorNetworkHonoursToken: the pass builds its BDDs under the
+// caller's token, so a cancelled token and an exceeded node budget both
+// come back as errors instead of running to completion.
+func TestFactorNetworkHonoursToken(t *testing.T) {
+	n := gen.Generate(gen.Params{Name: "tok", Inputs: 12, Outputs: 4, Gates: 80, Seed: 5, OrProb: 0.6})
+	cancelled := budget.New(0, 0)
+	cancelled.Cancel(nil)
+	if _, err := FactorNetwork(n, 14, cancelled); !errors.Is(err, budget.ErrCancelled) {
+		t.Errorf("cancelled token: err = %v, want ErrCancelled", err)
+	}
+	tight := budget.New(8, 0)
+	if _, err := FactorNetwork(n, 14, tight); !errors.Is(err, budget.ErrBDDNodes) {
+		t.Errorf("8-node budget: err = %v, want ErrBDDNodes", err)
+	}
+	if tight.BDDTrips() != 1 {
+		t.Errorf("8-node budget: %d trips, want 1", tight.BDDTrips())
+	}
+}
+
+// TestFromBDDPollsToken: ISOP polls the token once per recursive call,
+// so it stops even when every BDD operation it issues hits the caches
+// and creates no node (a repeat extraction of the same function).
+func TestFromBDDPollsToken(t *testing.T) {
+	m := bdd.New(10)
+	f := bdd.False
+	for v := 0; v < 10; v++ {
+		f = m.Xor(f, m.Var(v))
+	}
+	if _, err := FromBDD(m, f, nil); err != nil {
+		t.Fatal(err)
+	}
+	tok := budget.New(0, 0)
+	tok.Cancel(nil)
+	c, err := FromBDD(m, f, tok)
+	if !errors.Is(err, budget.ErrCancelled) || c != nil {
+		t.Fatalf("cancelled token: cover %v, err %v; want nil, ErrCancelled", c, err)
 	}
 }
 

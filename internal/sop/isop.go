@@ -1,24 +1,38 @@
 package sop
 
 import (
-	"fmt"
-
 	"repro/internal/bdd"
-	"repro/internal/logic"
+	"repro/internal/budget"
 )
 
 // FromBDD extracts an irredundant sum-of-products cover for the function
 // f using the Minato-Morreale ISOP algorithm. Variables of the returned
-// cover are the manager's variable indexes 0..NumVars-1.
-func FromBDD(m *bdd.Manager, f bdd.Ref) *Cover {
+// cover are the manager's variable indexes 0..NumVars-1. Every cube of
+// the cover is a prime implicant of f and no cube is covered by the
+// union of the others, so cube merging and redundancy removal cannot
+// change it.
+//
+// tok (nil = never cancelled) is polled once per recursive call: a call
+// answered from the manager's operation caches creates no nodes, so it
+// never reaches the manager's own insert-time poll. A cancellation, or
+// a node-budget trip of the manager's token, comes back as the error.
+func FromBDD(m *bdd.Manager, f bdd.Ref, tok *budget.T) (*Cover, error) {
 	cover := NewCover(m.NumVars())
-	isop(m, f, f, NewCube(m.NumVars()), cover)
-	return cover
+	err := bdd.CatchInterrupt(func() {
+		isop(m, f, f, NewCube(m.NumVars()), cover, tok)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cover, nil
 }
 
 // isop computes an SOP g with L ≤ g ≤ U, accumulating cubes (prefixed by
 // the partial cube built so far) into cover, and returns the BDD of g.
-func isop(m *bdd.Manager, L, U bdd.Ref, prefix Cube, cover *Cover) bdd.Ref {
+func isop(m *bdd.Manager, L, U bdd.Ref, prefix Cube, cover *Cover, tok *budget.T) bdd.Ref {
+	if err := tok.Err(); err != nil {
+		bdd.Interrupt(err)
+	}
 	if L == bdd.False {
 		return bdd.False
 	}
@@ -35,12 +49,12 @@ func isop(m *bdd.Manager, L, U bdd.Ref, prefix Cube, cover *Cover) bdd.Ref {
 
 	// Cubes that must contain the negative literal of v: the part of L0
 	// not coverable under U1.
-	g0 := isop(m, m.And(L0, m.Not(U1)), U0, prefix.WithLiteral(v, Neg), cover)
+	g0 := isop(m, m.And(L0, m.Not(U1)), U0, prefix.WithLiteral(v, Neg), cover, tok)
 	// Cubes that must contain the positive literal of v.
-	g1 := isop(m, m.And(L1, m.Not(U0)), U1, prefix.WithLiteral(v, Pos), cover)
+	g1 := isop(m, m.And(L1, m.Not(U0)), U1, prefix.WithLiteral(v, Pos), cover, tok)
 	// Remaining onset, coverable without mentioning v.
 	Lrem := m.Or(m.And(L0, m.Not(g0)), m.And(L1, m.Not(g1)))
-	gd := isop(m, Lrem, m.And(U0, U1), prefix, cover)
+	gd := isop(m, Lrem, m.And(U0, U1), prefix, cover, tok)
 
 	x := m.Var(v)
 	nx := m.NVar(v)
@@ -65,88 +79,4 @@ func topSharedVar(m *bdd.Manager, L, U bdd.Ref) int {
 		panic("sop: topSharedVar on terminals")
 	}
 	return best
-}
-
-// FromNetworkOutput extracts an irredundant cover for one primary output
-// of a combinational network, over variables indexed by input position.
-func FromNetworkOutput(n *logic.Network, outputIdx int) (*Cover, error) {
-	if outputIdx < 0 || outputIdx >= n.NumOutputs() {
-		return nil, fmt.Errorf("sop: output index %d out of range", outputIdx)
-	}
-	nb, err := bdd.BuildNetwork(n, nil)
-	if err != nil {
-		return nil, err
-	}
-	f := nb.NodeRefs[n.Outputs()[outputIdx].Driver]
-	return FromBDD(nb.Manager, f), nil
-}
-
-// ToNetwork elaborates the cover as an AND/OR/NOT network whose inputs
-// are named by the given names (length NumVars) and whose single output
-// carries outName.
-func (c *Cover) ToNetwork(name string, inputNames []string, outName string) (*logic.Network, error) {
-	if len(inputNames) != c.NumVars {
-		return nil, fmt.Errorf("sop: %d input names for %d vars", len(inputNames), c.NumVars)
-	}
-	n := logic.New(name)
-	ins := make([]logic.NodeID, c.NumVars)
-	for i, nm := range inputNames {
-		ins[i] = n.AddInput(nm)
-	}
-	if len(c.Cubes) == 0 {
-		n.MarkOutput(outName, n.AddConst(false))
-		return n, nil
-	}
-	invCache := make(map[int]logic.NodeID)
-	inv := func(v int) logic.NodeID {
-		if id, ok := invCache[v]; ok {
-			return id
-		}
-		id := n.AddNot(ins[v])
-		invCache[v] = id
-		return id
-	}
-	var cubes []logic.NodeID
-	for _, cube := range c.Cubes {
-		var lits []logic.NodeID
-		for v := 0; v < c.NumVars; v++ {
-			switch cube.Literal(v) {
-			case Pos:
-				lits = append(lits, ins[v])
-			case Neg:
-				lits = append(lits, inv(v))
-			}
-		}
-		switch len(lits) {
-		case 0:
-			cubes = append(cubes, n.AddConst(true))
-		case 1:
-			cubes = append(cubes, lits[0])
-		default:
-			cubes = append(cubes, n.AddAnd(lits...))
-		}
-	}
-	if len(cubes) == 1 {
-		n.MarkOutput(outName, cubes[0])
-	} else {
-		n.MarkOutput(outName, n.AddOr(cubes...))
-	}
-	return n, nil
-}
-
-// CollapseOutput rebuilds one output of a network from its irredundant
-// two-level cover — the collapse/refactor move of technology-independent
-// synthesis. Only sensible for outputs with modest support; callers
-// bound that.
-func CollapseOutput(n *logic.Network, outputIdx int) (*logic.Network, error) {
-	cover, err := FromNetworkOutput(n, outputIdx)
-	if err != nil {
-		return nil, err
-	}
-	cover.Minimize()
-	names := make([]string, n.NumInputs())
-	for i, id := range n.Inputs() {
-		names[i] = n.Node(id).Name
-	}
-	return cover.ToNetwork(n.Name+"_collapsed", names, n.Outputs()[outputIdx].Name)
 }

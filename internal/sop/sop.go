@@ -1,12 +1,14 @@
-// Package sop implements two-level sum-of-products covers: cubes over a
-// fixed variable set, cover simplification (containment, distance-1
-// merging, irredundancy via tautology checking) and exact irredundant
-// cover extraction from BDDs with the Minato-Morreale ISOP algorithm.
+// Package sop implements ISOP and algebraic factoring: two-level
+// sum-of-products covers (cubes over a fixed variable set), exact
+// irredundant cover extraction from BDDs with the Minato-Morreale ISOP
+// algorithm, and literal-division factoring of a cover into a
+// multi-level network.
 //
 // The paper's flow begins with "standard technology independent
 // synthesis"; this package supplies the two-level half of that substrate
-// (the BLIF reader consumes covers, the collapse/refactor pass in
-// internal/flow can rebuild small cones through ISOP).
+// (the PLA reader consumes covers, and FactorNetwork is the optional
+// collapse-and-refactor pass internal/flow runs under the row's budget
+// token).
 package sop
 
 import (
@@ -41,9 +43,6 @@ func NewCube(numVars int) Cube {
 	return Cube{numVars: numVars, words: make([]uint64, (numVars+31)/32)}
 }
 
-// NumVars returns the variable count of the cube's space.
-func (c Cube) NumVars() int { return c.numVars }
-
 func (c Cube) slot(v int) (int, uint) {
 	return v / 32, uint(v%32) * 2
 }
@@ -67,44 +66,6 @@ func (c Cube) WithLiteral(v int, lit Literal) Cube {
 // Clone returns a copy.
 func (c Cube) Clone() Cube {
 	return Cube{numVars: c.numVars, words: append([]uint64(nil), c.words...)}
-}
-
-// LiteralCount returns the number of non-don't-care literals.
-func (c Cube) LiteralCount() int {
-	n := 0
-	for v := 0; v < c.numVars; v++ {
-		if c.Literal(v) != DontCare {
-			n++
-		}
-	}
-	return n
-}
-
-// Contains reports whether c covers d (every assignment in d is in c).
-func (c Cube) Contains(d Cube) bool {
-	for v := 0; v < c.numVars; v++ {
-		lc := c.Literal(v)
-		if lc == DontCare {
-			continue
-		}
-		if d.Literal(v) != lc {
-			return false
-		}
-	}
-	return true
-}
-
-// Distance returns the number of variables where c and d have opposite
-// literals. Distance 0 means the cubes intersect.
-func (c Cube) Distance(d Cube) int {
-	n := 0
-	for v := 0; v < c.numVars; v++ {
-		lc, ld := c.Literal(v), d.Literal(v)
-		if (lc == Pos && ld == Neg) || (lc == Neg && ld == Pos) {
-			n++
-		}
-	}
-	return n
 }
 
 // Eval evaluates the cube under a complete assignment.
@@ -167,25 +128,6 @@ func (c *Cover) Eval(assignment []bool) bool {
 	return false
 }
 
-// LiteralCount returns the total literal count, the classic two-level
-// cost measure.
-func (c *Cover) LiteralCount() int {
-	n := 0
-	for _, cube := range c.Cubes {
-		n += cube.LiteralCount()
-	}
-	return n
-}
-
-// Clone returns a deep copy.
-func (c *Cover) Clone() *Cover {
-	out := NewCover(c.NumVars)
-	for _, cube := range c.Cubes {
-		out.Add(cube.Clone())
-	}
-	return out
-}
-
 // String renders the cover as PLA rows joined by newlines, cubes sorted
 // for stable output.
 func (c *Cover) String() string {
@@ -195,201 +137,4 @@ func (c *Cover) String() string {
 	}
 	sort.Strings(rows)
 	return strings.Join(rows, "\n")
-}
-
-// removeContained drops cubes covered by another single cube.
-func (c *Cover) removeContained() {
-	var out []Cube
-	for i, ci := range c.Cubes {
-		contained := false
-		for j, cj := range c.Cubes {
-			if i == j {
-				continue
-			}
-			if cj.Contains(ci) && !(ci.Contains(cj) && j > i) {
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			out = append(out, ci)
-		}
-	}
-	c.Cubes = out
-}
-
-// mergeAdjacent repeatedly merges distance-1 cube pairs that differ in
-// exactly the polarity of one variable and agree elsewhere
-// (x·a + x̄·a = a).
-func (c *Cover) mergeAdjacent() bool {
-	changed := false
-	for {
-		merged := false
-	outer:
-		for i := 0; i < len(c.Cubes); i++ {
-			for j := i + 1; j < len(c.Cubes); j++ {
-				v, ok := mergeVar(c.Cubes[i], c.Cubes[j])
-				if !ok {
-					continue
-				}
-				nc := c.Cubes[i].WithLiteral(v, DontCare)
-				c.Cubes[i] = nc
-				c.Cubes = append(c.Cubes[:j], c.Cubes[j+1:]...)
-				merged, changed = true, true
-				break outer
-			}
-		}
-		if !merged {
-			return changed
-		}
-	}
-}
-
-// mergeVar reports the single variable in which a and b have opposite
-// polarity while agreeing on every other literal.
-func mergeVar(a, b Cube) (int, bool) {
-	v := -1
-	for i := 0; i < a.numVars; i++ {
-		la, lb := a.Literal(i), b.Literal(i)
-		if la == lb {
-			continue
-		}
-		if (la == Pos && lb == Neg) || (la == Neg && lb == Pos) {
-			if v >= 0 {
-				return -1, false
-			}
-			v = i
-			continue
-		}
-		return -1, false
-	}
-	if v < 0 {
-		return -1, false
-	}
-	return v, true
-}
-
-// Minimize simplifies the cover: containment removal, adjacency merging
-// and irredundancy (each cube must cover a minterm no other cube
-// covers, checked by cofactor tautology). The result is equivalent to
-// the input.
-func (c *Cover) Minimize() {
-	c.removeContained()
-	for c.mergeAdjacent() {
-		c.removeContained()
-	}
-	c.irredundant()
-}
-
-// irredundant removes cubes covered by the union of the others.
-func (c *Cover) irredundant() {
-	for i := 0; i < len(c.Cubes); {
-		rest := &Cover{NumVars: c.NumVars}
-		for j, cube := range c.Cubes {
-			if j != i {
-				rest.Cubes = append(rest.Cubes, cube)
-			}
-		}
-		if rest.covers(c.Cubes[i]) {
-			c.Cubes = append(c.Cubes[:i], c.Cubes[i+1:]...)
-		} else {
-			i++
-		}
-	}
-}
-
-// covers reports whether the cover contains every minterm of cube: the
-// cover cofactored against the cube must be a tautology.
-func (c *Cover) covers(cube Cube) bool {
-	cof := &Cover{NumVars: c.NumVars}
-	for _, ci := range c.Cubes {
-		if r, ok := cofactor(ci, cube); ok {
-			cof.Cubes = append(cof.Cubes, r)
-		}
-	}
-	return cof.tautology(0)
-}
-
-// cofactor computes ci / cube (the cofactor of a cube against another);
-// ok is false when they do not intersect.
-func cofactor(ci, cube Cube) (Cube, bool) {
-	out := ci.Clone()
-	for v := 0; v < ci.numVars; v++ {
-		li, lc := ci.Literal(v), cube.Literal(v)
-		if lc == DontCare {
-			continue
-		}
-		switch {
-		case li == DontCare:
-			// unconstrained; stays don't care
-		case li == lc:
-			out = out.WithLiteral(v, DontCare)
-		default:
-			return Cube{}, false
-		}
-	}
-	return out, true
-}
-
-// tautology checks whether the cover is identically true by recursive
-// Shannon splitting with unate shortcuts.
-func (c *Cover) tautology(fromVar int) bool {
-	if len(c.Cubes) == 0 {
-		return false
-	}
-	// A row of all don't-cares is a tautology.
-	for _, cube := range c.Cubes {
-		if cube.LiteralCount() == 0 {
-			return true
-		}
-	}
-	// Find a binate splitting variable; if the cover is unate it is a
-	// tautology only via the all-dontcare row already checked.
-	v := -1
-	for i := fromVar; i < c.NumVars; i++ {
-		hasPos, hasNeg := false, false
-		for _, cube := range c.Cubes {
-			switch cube.Literal(i) {
-			case Pos:
-				hasPos = true
-			case Neg:
-				hasNeg = true
-			}
-		}
-		if hasPos && hasNeg {
-			v = i
-			break
-		}
-		if hasPos || hasNeg {
-			if v < 0 {
-				v = i
-			}
-		}
-	}
-	if v < 0 {
-		return false
-	}
-	pos := c.cofactorVar(v, true)
-	neg := c.cofactorVar(v, false)
-	return pos.tautology(v+1) && neg.tautology(v+1)
-}
-
-// cofactorVar cofactors the cover against a single variable value.
-func (c *Cover) cofactorVar(v int, val bool) *Cover {
-	out := &Cover{NumVars: c.NumVars}
-	for _, cube := range c.Cubes {
-		switch cube.Literal(v) {
-		case DontCare:
-			out.Cubes = append(out.Cubes, cube)
-		case Pos:
-			if val {
-				out.Cubes = append(out.Cubes, cube.WithLiteral(v, DontCare))
-			}
-		case Neg:
-			if !val {
-				out.Cubes = append(out.Cubes, cube.WithLiteral(v, DontCare))
-			}
-		}
-	}
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
-	"repro/internal/logic"
 )
 
 func cubeFromString(t testing.TB, s string) Cube {
@@ -30,9 +29,6 @@ func TestCubeBasics(t *testing.T) {
 	if c.Literal(0) != Pos || c.Literal(1) != DontCare || c.Literal(2) != Neg {
 		t.Fatalf("literals wrong: %s", c)
 	}
-	if c.LiteralCount() != 2 {
-		t.Errorf("LiteralCount = %d", c.LiteralCount())
-	}
 	if c.String() != "1-0" {
 		t.Errorf("String = %q", c.String())
 	}
@@ -44,111 +40,14 @@ func TestCubeBasics(t *testing.T) {
 	}
 }
 
-func TestCubeContainsDistance(t *testing.T) {
-	big := cubeFromString(t, "1--")
-	small := cubeFromString(t, "110")
-	if !big.Contains(small) {
-		t.Error("1-- must contain 110")
-	}
-	if small.Contains(big) {
-		t.Error("110 must not contain 1--")
-	}
-	a := cubeFromString(t, "10-")
-	b := cubeFromString(t, "01-")
-	if a.Distance(b) != 2 {
-		t.Errorf("distance = %d, want 2", a.Distance(b))
-	}
-	if a.Distance(big) != 0 {
-		t.Errorf("distance to overlapping = %d, want 0", a.Distance(big))
-	}
-}
-
-func TestMergeAdjacent(t *testing.T) {
-	// x·y + x·ȳ = x
-	c := NewCover(2)
-	c.Add(cubeFromString(t, "11"))
-	c.Add(cubeFromString(t, "10"))
-	c.Minimize()
-	if len(c.Cubes) != 1 || c.Cubes[0].String() != "1-" {
-		t.Errorf("merge failed: %s", c)
-	}
-}
-
-func TestMinimizeIrredundant(t *testing.T) {
-	// ab + āc + bc: the consensus term bc is redundant.
-	c := NewCover(3)
-	c.Add(cubeFromString(t, "11-"))
-	c.Add(cubeFromString(t, "0-1"))
-	c.Add(cubeFromString(t, "-11"))
-	before := c.Clone()
-	c.Minimize()
-	if len(c.Cubes) != 2 {
-		t.Errorf("irredundant left %d cubes, want 2:\n%s", len(c.Cubes), c)
-	}
-	// Equivalence over all assignments.
-	for m := 0; m < 8; m++ {
-		asg := []bool{m&1 != 0, m&2 != 0, m&4 != 0}
-		if before.Eval(asg) != c.Eval(asg) {
-			t.Fatalf("Minimize changed function at %v", asg)
-		}
-	}
-}
-
-func TestTautology(t *testing.T) {
-	c := NewCover(2)
-	c.Add(cubeFromString(t, "1-"))
-	c.Add(cubeFromString(t, "0-"))
-	if !c.tautology(0) {
-		t.Error("x + x̄ is a tautology")
-	}
-	d := NewCover(2)
-	d.Add(cubeFromString(t, "1-"))
-	d.Add(cubeFromString(t, "-1"))
-	if d.tautology(0) {
-		t.Error("x + y is not a tautology")
-	}
-}
-
-func TestMinimizePreservesFunctionProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		vars := 2 + rng.Intn(5)
-		c := NewCover(vars)
-		for k := 0; k < 1+rng.Intn(10); k++ {
-			cube := NewCube(vars)
-			for v := 0; v < vars; v++ {
-				switch rng.Intn(3) {
-				case 0:
-					cube = cube.WithLiteral(v, Pos)
-				case 1:
-					cube = cube.WithLiteral(v, Neg)
-				}
-			}
-			c.Add(cube)
-		}
-		before := c.Clone()
-		c.Minimize()
-		if len(c.Cubes) > len(before.Cubes) {
-			t.Fatalf("trial %d: Minimize grew the cover", trial)
-		}
-		asg := make([]bool, vars)
-		for m := 0; m < 1<<uint(vars); m++ {
-			for v := 0; v < vars; v++ {
-				asg[v] = m&(1<<uint(v)) != 0
-			}
-			if before.Eval(asg) != c.Eval(asg) {
-				t.Fatalf("trial %d: Minimize changed function at %v\nbefore:\n%s\nafter:\n%s",
-					trial, asg, before, c)
-			}
-		}
-	}
-}
-
 func TestISOPFromBDD(t *testing.T) {
 	m := bdd.New(3)
 	a, b, c := m.Var(0), m.Var(1), m.Var(2)
 	f := m.Or(m.And(a, b), m.And(m.Not(a), c))
-	cover := FromBDD(m, f)
+	cover, err := FromBDD(m, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// ISOP of ab + āc is exactly those two cubes.
 	if len(cover.Cubes) != 2 {
 		t.Errorf("ISOP cubes = %d, want 2:\n%s", len(cover.Cubes), cover)
@@ -170,7 +69,10 @@ func TestISOPMatchesBDDProperty(t *testing.T) {
 		vars := 3 + rng.Intn(4)
 		m := bdd.New(vars)
 		f := randomRef(rng, m)
-		cover := FromBDD(m, f)
+		cover, err := FromBDD(m, f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		asg := make([]bool, vars)
 		for mask := 0; mask < 1<<uint(vars); mask++ {
 			for v := 0; v < vars; v++ {
@@ -180,13 +82,79 @@ func TestISOPMatchesBDDProperty(t *testing.T) {
 				t.Fatalf("trial %d: ISOP differs from BDD at %v", trial, asg)
 			}
 		}
-		// Irredundancy: Minimize must not drop cubes (they are already
-		// irredundant) though it may merge.
-		n := len(cover.Cubes)
-		cover.Minimize()
-		if len(cover.Cubes) > n {
-			t.Fatalf("trial %d: minimize grew ISOP", trial)
+	}
+}
+
+// TestISOPCoverIsPrimeAndIrredundant checks, with BDDs, the property
+// that makes a two-level minimizer after ISOP a no-op: on random
+// functions every FromBDD cover equals its function, each cube is a
+// prime implicant (dropping any literal leaves the onset) and no cube is
+// covered by the union of the others.
+func TestISOPCoverIsPrimeAndIrredundant(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		m := bdd.New(3 + rng.Intn(6))
+		f := randomRef(rng, m)
+		cover, err := FromBDD(m, f, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		cubes := make([]bdd.Ref, len(cover.Cubes))
+		union := bdd.False
+		for i, cube := range cover.Cubes {
+			cubes[i] = cubeRef(m, cube)
+			union = m.Or(union, cubes[i])
+		}
+		if union != f {
+			t.Fatalf("trial %d: cover differs from f:\n%s", trial, cover)
+		}
+		for i, cube := range cover.Cubes {
+			for v := 0; v < cover.NumVars; v++ {
+				if cube.Literal(v) == DontCare {
+					continue
+				}
+				if wider := cubeRef(m, cube.WithLiteral(v, DontCare)); m.And(wider, m.Not(f)) == bdd.False {
+					t.Fatalf("trial %d: cube %s is not prime (variable %d is removable)", trial, cube, v)
+				}
+			}
+			rest := bdd.False
+			for k, r := range cubes {
+				if k != i {
+					rest = m.Or(rest, r)
+				}
+			}
+			if m.And(cubes[i], m.Not(rest)) == bdd.False {
+				t.Fatalf("trial %d: cube %s is redundant in\n%s", trial, cube, cover)
+			}
+		}
+	}
+}
+
+// cubeRef returns the BDD of one cube.
+func cubeRef(m *bdd.Manager, cube Cube) bdd.Ref {
+	r := bdd.True
+	for v := 0; v < m.NumVars(); v++ {
+		switch cube.Literal(v) {
+		case Pos:
+			r = m.And(r, m.Var(v))
+		case Neg:
+			r = m.And(r, m.NVar(v))
+		}
+	}
+	return r
+}
+
+func TestEmptyCover(t *testing.T) {
+	m := bdd.New(2)
+	c, err := FromBDD(m, bdd.False, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Cubes) != 0 {
+		t.Fatalf("ISOP of constant 0 has cubes:\n%s", c)
+	}
+	if c.Eval([]bool{true, true}) {
+		t.Error("empty cover must be constant 0")
 	}
 }
 
@@ -212,89 +180,6 @@ func randomRef(rng *rand.Rand, m *bdd.Manager) bdd.Ref {
 	return refs[len(refs)-1]
 }
 
-func TestToNetworkRoundTrip(t *testing.T) {
-	c := NewCover(3)
-	c.Add(cubeFromString(t, "11-"))
-	c.Add(cubeFromString(t, "0-1"))
-	net, err := c.ToNetwork("rt", []string{"a", "b", "c"}, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mask := 0; mask < 8; mask++ {
-		asg := []bool{mask&1 != 0, mask&2 != 0, mask&4 != 0}
-		if net.EvalOutputs(asg)[0] != c.Eval(asg) {
-			t.Fatalf("ToNetwork differs at %v", asg)
-		}
-	}
-}
-
-func TestCollapseOutput(t *testing.T) {
-	// A redundant multi-level realization collapses to something small
-	// and equivalent.
-	n := logic.New("red")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	c := n.AddInput("c")
-	ab := n.AddAnd(a, b)
-	nac := n.AddAnd(n.AddNot(a), c)
-	cons := n.AddAnd(b, c) // consensus, redundant
-	n.MarkOutput("f", n.AddOr(ab, nac, cons))
-	collapsed, err := CollapseOutput(n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, err := logic.Equivalent(n, collapsed)
-	if err != nil || !eq {
-		t.Fatalf("collapse changed function: %v %v", eq, err)
-	}
-	if collapsed.GateCount() >= n.GateCount() {
-		t.Errorf("collapse did not shrink: %d -> %d gates", n.GateCount(), collapsed.GateCount())
-	}
-}
-
-func TestEmptyCover(t *testing.T) {
-	c := NewCover(2)
-	net, err := c.ToNetwork("zero", []string{"a", "b"}, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.EvalOutputs([]bool{true, true})[0] {
-		t.Error("empty cover must be constant 0")
-	}
-	c.Minimize()
-	if len(c.Cubes) != 0 {
-		t.Error("minimize invented cubes")
-	}
-}
-
-func BenchmarkMinimize(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	build := func() *Cover {
-		c := NewCover(10)
-		for k := 0; k < 40; k++ {
-			cube := NewCube(10)
-			for v := 0; v < 10; v++ {
-				switch rng.Intn(3) {
-				case 0:
-					cube = cube.WithLiteral(v, Pos)
-				case 1:
-					cube = cube.WithLiteral(v, Neg)
-				}
-			}
-			c.Add(cube)
-		}
-		return c
-	}
-	covers := make([]*Cover, b.N)
-	for i := range covers {
-		covers[i] = build()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		covers[i].Minimize()
-	}
-}
-
 func BenchmarkISOP(b *testing.B) {
 	m := bdd.New(14)
 	rng := rand.New(rand.NewSource(19))
@@ -313,6 +198,8 @@ func BenchmarkISOP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FromBDD(m, f)
+		if _, err := FromBDD(m, f, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

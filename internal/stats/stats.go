@@ -77,15 +77,3 @@ func Merge(a, b Running) Running {
 	m2 := a.m2 + b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
 	return Running{n: n, mean: mean, m2: m2}
 }
-
-// BernoulliCI returns the normal-approximation confidence interval for a
-// proportion observed k times out of n — used for per-cell switching
-// frequencies.
-func BernoulliCI(k, n int64, z float64) Interval {
-	if n == 0 {
-		return Interval{}
-	}
-	p := float64(k) / float64(n)
-	se := math.Sqrt(p * (1 - p) / float64(n))
-	return Interval{Mean: p, Low: math.Max(0, p-z*se), High: math.Min(1, p+z*se)}
-}

@@ -102,20 +102,3 @@ func TestMergeMatchesSequentialProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBernoulliCI(t *testing.T) {
-	ci := BernoulliCI(50, 100, Z95)
-	if !almost(ci.Mean, 0.5, 1e-12) {
-		t.Errorf("mean = %v", ci.Mean)
-	}
-	if ci.Low >= 0.5 || ci.High <= 0.5 {
-		t.Error("interval degenerate")
-	}
-	edge := BernoulliCI(0, 100, Z95)
-	if edge.Low != 0 {
-		t.Error("low not clamped at 0")
-	}
-	if z := BernoulliCI(0, 0, Z95); z.Mean != 0 {
-		t.Error("n=0 not neutral")
-	}
-}

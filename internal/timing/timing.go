@@ -11,7 +11,6 @@ package timing
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/domino"
@@ -220,16 +219,4 @@ func improveOnce(b *domino.Block, p Params, a **Analysis) bool {
 // minimum-area synthesis at minimum sizes).
 func TargetFromBaseline(baseline float64, slackFactor float64) float64 {
 	return baseline * slackFactor
-}
-
-// Slowest returns the index and delay of the slowest cell in the block,
-// a diagnostic used in reports.
-func Slowest(b *domino.Block, p Params) (int, float64) {
-	worst, idx := math.Inf(-1), -1
-	for ci := range b.Cells {
-		if d := CellDelay(&b.Cells[ci], p); d > worst {
-			worst, idx = d, ci
-		}
-	}
-	return idx, worst
 }

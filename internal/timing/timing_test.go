@@ -196,17 +196,6 @@ func TestResizeImpossibleTarget(t *testing.T) {
 	}
 }
 
-func TestSlowest(t *testing.T) {
-	b := mapChain(t, []int{4, 2}, logic.KindAnd)
-	idx, d := Slowest(b, DefaultParams())
-	if idx < 0 || d <= 0 {
-		t.Errorf("Slowest = %d, %v", idx, d)
-	}
-	if b.Cells[idx].Width != 4 {
-		t.Errorf("slowest cell width = %d, want the AND4", b.Cells[idx].Width)
-	}
-}
-
 func close(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9
