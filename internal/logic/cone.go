@@ -13,8 +13,7 @@ func (n *Network) FaninCone(root NodeID) []bool {
 
 func (n *Network) markCone(root NodeID, in []bool) {
 	// Iterative DFS: networks can be deep and Go stacks, while growable,
-	// make recursion needlessly slow for the hot cone computations the
-	// phase assigner performs per output pair.
+	// make recursion needlessly slow.
 	stack := []NodeID{root}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -28,42 +27,65 @@ func (n *Network) markCone(root NodeID, in []bool) {
 }
 
 // OutputCones returns, for each primary output, its transitive fanin cone
-// as a membership slice.
-func (n *Network) OutputCones() [][]bool {
-	cones := make([][]bool, len(n.outputs))
+// as a bitset over node ids: bit id%64 of word id/64 is set when node id
+// is in the cone.
+//
+// All cones come from one descending sweep. Nodes are numbered
+// topologically, so by the time the sweep reaches a node every gate it
+// feeds has passed on the set of outputs reaching it.
+func (n *Network) OutputCones() [][]uint64 {
+	words := (len(n.nodes) + 63) / 64
+	outWords := (len(n.outputs) + 63) / 64
+	// reach[id*outWords:][:outWords] is the set of outputs whose cone
+	// holds node id.
+	reach := make([]uint64, len(n.nodes)*outWords)
 	for i, o := range n.outputs {
-		cones[i] = n.FaninCone(o.Driver)
+		reach[int(o.Driver)*outWords+i/64] |= 1 << (uint(i) % 64)
+	}
+	flat := make([]uint64, words*len(n.outputs))
+	for id := len(n.nodes) - 1; id >= 0; id-- {
+		r := reach[id*outWords : (id+1)*outWords]
+		bit := uint64(1) << (uint(id) % 64)
+		for w, outs := range r {
+			if outs == 0 {
+				continue
+			}
+			for _, f := range n.nodes[id].Fanins {
+				reach[int(f)*outWords+w] |= outs
+			}
+			for ; outs != 0; outs &= outs - 1 {
+				flat[(w*64+bits.TrailingZeros64(outs))*words+id/64] |= bit
+			}
+		}
+	}
+	cones := make([][]uint64, len(n.outputs))
+	for i := range cones {
+		cones[i] = flat[i*words : (i+1)*words : (i+1)*words]
 	}
 	return cones
 }
 
 // ConeOverlap computes the paper's overlap measure for two cones given as
-// membership slices:
+// OutputCones bitsets:
 //
 //	O(i,j) = |Di ∩ Dj| / (|Di| + |Dj|)
 //
 // It represents the worst-case duplication penalty for incompatible phase
 // assignments of outputs i and j (Section 4.1). The result is in [0, 0.5].
-func ConeOverlap(di, dj []bool) float64 {
+func ConeOverlap(di, dj []uint64) float64 {
 	if len(di) != len(dj) {
 		panic("logic: cone length mismatch")
 	}
-	inter, si, sj := 0, 0, 0
-	for k := range di {
-		if di[k] {
-			si++
-		}
-		if dj[k] {
-			sj++
-		}
-		if di[k] && dj[k] {
-			inter++
-		}
+	inter, sizes := 0, 0
+	for w, x := range di {
+		y := dj[w]
+		inter += bits.OnesCount64(x & y)
+		sizes += bits.OnesCount64(x) + bits.OnesCount64(y)
 	}
-	if si+sj == 0 {
+	if sizes == 0 {
 		return 0
 	}
-	return float64(inter) / float64(si+sj)
+	return float64(inter) / float64(sizes)
 }
 
 // FanoutConeSizes returns, for every node, the cardinality of its

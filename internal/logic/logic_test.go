@@ -1,6 +1,8 @@
 package logic
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -115,6 +117,58 @@ func TestConeOverlap(t *testing.T) {
 	}
 	if ConeOverlap(cones[0], cones[0]) != 0.5 {
 		t.Errorf("self overlap should be 0.5")
+	}
+}
+
+// TestOutputConesMatchMembershipScan is the bitset cones' property
+// test: on random networks spanning several words, every OutputCones
+// bitset holds exactly FaninCone's members (so the sizes agree), and
+// ConeOverlap equals the ratio of plain []bool counts bit for bit.
+func TestOutputConesMatchMembershipScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xC0E))
+	for trial := 0; trial < 100; trial++ {
+		n := randomNetwork(rng, 2+rng.Intn(12), 1+rng.Intn(300))
+		for i := n.NumOutputs(); i < 8; i++ {
+			n.MarkOutput(outputName(i), NodeID(rng.Intn(n.NumNodes())))
+		}
+		cones := n.OutputCones()
+		member := make([][]bool, len(cones))
+		size := make([]int, len(cones))
+		for i, o := range n.Outputs() {
+			member[i] = n.FaninCone(o.Driver)
+			if len(cones[i]) != (n.NumNodes()+63)/64 {
+				t.Fatalf("trial %d output %d: %d words for %d nodes", trial, i, len(cones[i]), n.NumNodes())
+			}
+			for id, in := range member[i] {
+				if in {
+					size[i]++
+				}
+				if got := cones[i][id/64]>>(uint(id)%64)&1 == 1; got != in {
+					t.Fatalf("trial %d output %d node %d: bitset %v, FaninCone %v", trial, i, id, got, in)
+				}
+			}
+			bitsSet := 0
+			for _, w := range cones[i] {
+				bitsSet += bits.OnesCount64(w)
+			}
+			if bitsSet != size[i] {
+				t.Fatalf("trial %d output %d: %d bits set, cone size %d", trial, i, bitsSet, size[i])
+			}
+		}
+		for i := range cones {
+			for j := range cones {
+				inter := 0
+				for id := range member[i] {
+					if member[i][id] && member[j][id] {
+						inter++
+					}
+				}
+				want := float64(inter) / float64(size[i]+size[j])
+				if got := ConeOverlap(cones[i], cones[j]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: O(%d,%d) = %v, want %v", trial, i, j, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -373,7 +427,7 @@ func TestConstructorPanics(t *testing.T) {
 	expectPanic("duplicate output", func() { n.MarkOutput("f", a) })
 	expectPanic("bad output driver", func() { n.MarkOutput("g", NodeID(99)) })
 	expectPanic("eval arity", func() { n.Eval(nil, nil) })
-	expectPanic("cone length mismatch", func() { ConeOverlap(make([]bool, 1), make([]bool, 2)) })
+	expectPanic("cone length mismatch", func() { ConeOverlap(make([]uint64, 1), make([]uint64, 2)) })
 }
 
 func TestTruthTablesTooWide(t *testing.T) {

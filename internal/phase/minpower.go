@@ -1,7 +1,9 @@
 package phase
 
 import (
+	"container/heap"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/budget"
@@ -128,7 +130,8 @@ func (o *PowerOptions) scoreCandidate(n *logic.Network, asg Assignment) (float64
 //     phase combinations from cone sizes |D|, average cone probabilities
 //     A (flipped per Property 4.1 for the inverted options) and the
 //     overlap penalty O(i,j);
-//  3. synthesize the minimum-cost combination and measure its power;
+//  3. synthesize the minimum-cost combination (ties to the lower pair
+//     (i, j), then the lower Combo) and measure its power;
 //  4. commit if power decreased, and in either case retire the pair;
 //  5. repeat until no candidate pairs remain.
 //
@@ -182,74 +185,42 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 		return current, res, power, trace, nil
 	}
 
-	type pairKey struct{ i, j int }
-	remaining := make(map[pairKey]bool)
+	var live pairHeap
 	if opts.MaxPairs > 0 {
-		for _, pk := range topOverlapPairs(res.Block, opts.MaxPairs) {
-			remaining[pairKey{pk[0], pk[1]}] = true
-		}
+		live = topOverlapPairs(res.Block, opts.MaxPairs)
 	} else {
+		live = make(pairHeap, 0, k*(k-1)/2)
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
-				remaining[pairKey{i, j}] = true
+				live = append(live, livePair{i: i, j: j})
 			}
 		}
 	}
 
-	// ranked lists pair/combo candidates for the *current* synthesis in
-	// ascending K; recomputed after every commit (an uncommitted trial
+	// rank re-prices every live pair for the *current* synthesis and
+	// re-heapifies; it runs after every commit (an uncommitted trial
 	// leaves the circuit, hence every K, unchanged).
-	type cand struct {
-		i, j  int
-		combo Combo
-		k     float64
-	}
-	rank := func() ([]cand, error) {
+	rank := func() error {
 		stats, err := blockConeStats(res, opts.InputProbs, probFn)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cands := make([]cand, 0, len(remaining))
-		//dominolint:nondet-ok candidates are fully ordered by the total (k,i,j,combo) sort below, so collection order cannot reach a result
-		for pk := range remaining {
-			for combo := RetainRetain; combo <= InvertInvert; combo++ {
-				cands = append(cands, cand{pk.i, pk.j, combo, stats.k(pk.i, pk.j, combo)})
-			}
+		for x := range live {
+			p := &live[x]
+			p.combo, p.k = stats.best(p.i, p.j)
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].k != cands[b].k {
-				return cands[a].k < cands[b].k
-			}
-			// Deterministic tie-break.
-			if cands[a].i != cands[b].i {
-				return cands[a].i < cands[b].i
-			}
-			if cands[a].j != cands[b].j {
-				return cands[a].j < cands[b].j
-			}
-			return cands[a].combo < cands[b].combo
-		})
-		return cands, nil
+		heap.Init(&live)
+		return nil
 	}
 
-	cands, err := rank()
-	if err != nil {
+	if err := rank(); err != nil {
 		return nil, nil, 0, nil, err
 	}
-	pos := 0
-	for len(remaining) > 0 {
+	for live.Len() > 0 {
 		if err := opts.Budget.Err(); err != nil {
 			return nil, nil, 0, nil, err
 		}
-		// Find the best-ranked candidate whose pair is still live.
-		for pos < len(cands) && !remaining[pairKey{cands[pos].i, cands[pos].j}] {
-			pos++
-		}
-		if pos >= len(cands) {
-			break
-		}
-		c := cands[pos]
-		delete(remaining, pairKey{c.i, c.j})
+		c := heap.Pop(&live).(livePair)
 
 		candidate := current.Clone()
 		if c.combo == InvertRetain || c.combo == InvertInvert {
@@ -283,15 +254,53 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 			current, res, power = candidate, cRes, cPower
 			// The circuit changed: probabilities, cones and overlaps are
 			// stale. Re-rank the surviving pairs.
-			cands, err = rank()
-			if err != nil {
+			if err := rank(); err != nil {
 				return nil, nil, 0, nil, err
 			}
-			pos = 0
 		}
 		trace = append(trace, step)
 	}
 	return current, res, power, trace, nil
+}
+
+// livePair is one untried output pair (i < j) ranked by its cheapest
+// combination under the current synthesis.
+type livePair struct {
+	i, j  int
+	combo Combo
+	k     float64
+}
+
+// pairHeap is a min-heap of live pairs under the ranking's total order
+// (K, i, j, combo). Each pair holds only its cheapest combination, ties
+// to the lower Combo: the first of a pair's four candidates to surface
+// retires the pair, and under that order it is always the cheapest, so
+// the other three could never be tried.
+type pairHeap []livePair
+
+func (h pairHeap) Len() int { return len(h) }
+
+func (h pairHeap) Less(a, b int) bool {
+	x, y := h[a], h[b]
+	if x.k != y.k {
+		return x.k < y.k
+	}
+	if x.i != y.i {
+		return x.i < y.i
+	}
+	// (i, j) is unique per entry, so combo never decides.
+	return x.j < y.j
+}
+
+func (h pairHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+
+func (h *pairHeap) Push(x any) { *h = append(*h, x.(livePair)) }
+
+func (h *pairHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // coneStats caches per-output cone metrics of one synthesized block and
@@ -301,10 +310,9 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 //
 // where A+ = A (retain) and A− = 1−A (invert, by Property 4.1).
 type coneStats struct {
-	size    []int       // |Di| per output
-	avg     []float64   // Ai per output
-	cones   [][]bool    // Di membership per output
-	overlap [][]float64 // O(i,j), computed lazily
+	size  []int      // |Di| per output
+	avg   []float64  // Ai per output
+	cones [][]uint64 // Di per output, as a logic.OutputCones bitset
 }
 
 func blockConeStats(res *Result, inputProbs []float64, probFn ProbFn) (*coneStats, error) {
@@ -320,10 +328,13 @@ func blockConeStats(res *Result, inputProbs []float64, probFn ProbFn) (*coneStat
 		cones: block.OutputCones(),
 	}
 	for i, cone := range st.cones {
+		// Sum Ai in ascending block-id order (set bits lowest first):
+		// float addition is not associative, and this is the order of
+		// the membership-scan reference, so every K keeps its bits.
 		sum, cnt := 0.0, 0
-		for id, in := range cone {
-			if in {
-				sum += probs[id]
+		for w, word := range cone {
+			for ; word != 0; word &= word - 1 {
+				sum += probs[w*64+bits.TrailingZeros64(word)]
 				cnt++
 			}
 		}
@@ -332,24 +343,11 @@ func blockConeStats(res *Result, inputProbs []float64, probFn ProbFn) (*coneStat
 			st.avg[i] = sum / float64(cnt)
 		}
 	}
-	st.overlap = make([][]float64, nOut)
 	return st, nil
 }
 
-func (st *coneStats) o(i, j int) float64 {
-	if st.overlap[i] == nil {
-		st.overlap[i] = make([]float64, len(st.size))
-		for k := range st.overlap[i] {
-			st.overlap[i][k] = -1
-		}
-	}
-	if st.overlap[i][j] < 0 {
-		st.overlap[i][j] = logic.ConeOverlap(st.cones[i], st.cones[j])
-	}
-	return st.overlap[i][j]
-}
-
-func (st *coneStats) k(i, j int, combo Combo) float64 {
+// k is the cost of one combination given the pair's overlap o.
+func (st *coneStats) k(i, j int, combo Combo, o float64) float64 {
 	ai, aj := st.avg[i], st.avg[j]
 	if combo == InvertRetain || combo == InvertInvert {
 		ai = 1 - ai
@@ -357,36 +355,49 @@ func (st *coneStats) k(i, j int, combo Combo) float64 {
 	if combo == RetainInvert || combo == InvertInvert {
 		aj = 1 - aj
 	}
-	return float64(st.size[i])*ai + float64(st.size[j])*aj + 0.5*st.o(i, j)*(ai+aj)
+	return float64(st.size[i])*ai + float64(st.size[j])*aj + 0.5*o*(ai+aj)
 }
 
-// topOverlapPairs returns up to max output index pairs with the largest
-// cone overlap in the given block.
-func topOverlapPairs(block *logic.Network, max int) [][2]int {
+// best returns the pair's cheapest combination and its K from one
+// overlap, ties to the lower Combo.
+func (st *coneStats) best(i, j int) (Combo, float64) {
+	o := logic.ConeOverlap(st.cones[i], st.cones[j])
+	combo, best := RetainRetain, st.k(i, j, RetainRetain, o)
+	for c := RetainInvert; c <= InvertInvert; c++ {
+		if kc := st.k(i, j, c, o); kc < best {
+			combo, best = c, kc
+		}
+	}
+	return combo, best
+}
+
+// topOverlapPairs returns up to max output pairs with the largest cone
+// overlap in the given block, ties to the lower (i, j).
+func topOverlapPairs(block *logic.Network, max int) pairHeap {
 	cones := block.OutputCones()
 	type scored struct {
-		p [2]int
+		p livePair
 		o float64
 	}
 	var all []scored
 	for i := 0; i < len(cones); i++ {
 		for j := i + 1; j < len(cones); j++ {
-			all = append(all, scored{[2]int{i, j}, logic.ConeOverlap(cones[i], cones[j])})
+			all = append(all, scored{livePair{i: i, j: j}, logic.ConeOverlap(cones[i], cones[j])})
 		}
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].o != all[b].o {
 			return all[a].o > all[b].o
 		}
-		if all[a].p[0] != all[b].p[0] {
-			return all[a].p[0] < all[b].p[0]
+		if all[a].p.i != all[b].p.i {
+			return all[a].p.i < all[b].p.i
 		}
-		return all[a].p[1] < all[b].p[1]
+		return all[a].p.j < all[b].p.j
 	})
 	if len(all) > max {
 		all = all[:max]
 	}
-	out := make([][2]int, len(all))
+	out := make(pairHeap, len(all))
 	for i, s := range all {
 		out[i] = s.p
 	}

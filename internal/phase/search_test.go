@@ -278,18 +278,25 @@ func TestConeStatsCostFunction(t *testing.T) {
 		t.Errorf("A_g = %v, want %v", st.avg[1], wantAg)
 	}
 	// Overlap: f cone {a}, g cone {a,b,and}: 1/(1+3)=0.25.
-	if got := st.o(0, 1); !almost(got, 0.25) {
-		t.Errorf("O(f,g) = %v, want 0.25", got)
+	o := logic.ConeOverlap(st.cones[0], st.cones[1])
+	if !almost(o, 0.25) {
+		t.Errorf("O(f,g) = %v, want 0.25", o)
 	}
 	// K(i+,j+) = 1*.9 + 3*Ag + .5*.25*(.9+Ag)
 	want := 0.9 + 3*wantAg + 0.125*(0.9+wantAg)
-	if got := st.k(0, 1, RetainRetain); !almost(got, want) {
+	if got := st.k(0, 1, RetainRetain, o); !almost(got, want) {
 		t.Errorf("K(+,+) = %v, want %v", got, want)
 	}
 	// K(i-,j+) flips Ai.
 	want = 0.1 + 3*wantAg + 0.125*(0.1+wantAg)
-	if got := st.k(0, 1, InvertRetain); !almost(got, want) {
+	if got := st.k(0, 1, InvertRetain, o); !almost(got, want) {
 		t.Errorf("K(-,+) = %v, want %v", got, want)
+	}
+	// The pair's ranked candidate is its cheapest combination: Af = .9
+	// and Ag ≈ .62 both exceed .5, so inverting both wins.
+	want = 0.1 + 3*(1-wantAg) + 0.125*(0.1+1-wantAg)
+	if combo, k := st.best(0, 1); combo != InvertInvert || !almost(k, want) {
+		t.Errorf("best = %v K=%v, want %v K=%v", combo, k, InvertInvert, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"reflect"
@@ -83,6 +84,43 @@ type archiveMember struct {
 	data []byte
 }
 
+// writeTarMember appends one regular-file member to tw, which writes
+// into buf. tar.Writer refuses a regular file whose name ends in "/",
+// but a hand-made archive can carry one: such a name (at most 100
+// bytes, so USTAR stores it whole) is written with a stand-in last byte,
+// which is then patched in the raw header block.
+func writeTarMember(tw *tar.Writer, buf *bytes.Buffer, name string, data []byte) error {
+	hdr := &tar.Header{Name: name, Mode: 0o644, Size: int64(len(data)), Typeflag: tar.TypeReg}
+	patch := strings.HasSuffix(name, "/")
+	if patch {
+		if len(name) > 100 {
+			return errors.New("a slash-terminated member name over 100 bytes cannot be patched")
+		}
+		hdr.Name = name[:len(name)-1] + "_"
+		hdr.Format = tar.FormatUSTAR
+	}
+	// Pad the previous member, so the header starts at buf.Len().
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	at := buf.Len()
+	if err := tw.WriteHeader(hdr); err != nil {
+		return err
+	}
+	if patch {
+		block := buf.Bytes()[at : at+512]
+		block[len(name)-1] = '/'
+		copy(block[148:156], "        ") // the checksum sums its own field as spaces
+		sum := 0
+		for _, b := range block {
+			sum += int(b)
+		}
+		copy(block[148:156], fmt.Sprintf("%06o\x00 ", sum))
+	}
+	_, err := tw.Write(data)
+	return err
+}
+
 // archiveBodies packs one member list, in order, as a .tar, a .tar.gz
 // and a .zip body, uncompressed (compression only costs fuzzing
 // throughput; the readers are the subject). It fails when a writer
@@ -91,10 +129,7 @@ func archiveBodies(members []archiveMember) (map[string][]byte, error) {
 	var tarBuf bytes.Buffer
 	tw := tar.NewWriter(&tarBuf)
 	for _, m := range members {
-		if err := tw.WriteHeader(&tar.Header{Name: m.name, Mode: 0o644, Size: int64(len(m.data)), Typeflag: tar.TypeReg}); err != nil {
-			return nil, err
-		}
-		if _, err := tw.Write(m.data); err != nil {
+		if err := writeTarMember(tw, &tarBuf, m.name, m.data); err != nil {
 			return nil, err
 		}
 	}
@@ -146,6 +181,7 @@ func FuzzExpandSubmission(f *testing.F) {
 	f.Add("/abs.pla\nok.pla", []byte(tinyPLA+tinyPLA), uint16(4096))
 	f.Add("big.blif", []byte(tinyBLIF), uint16(16))
 	f.Add("skip.txt\nsmall.blif", []byte(strings.Repeat("x", 200)+"ab"), uint16(8))
+	f.Add("x.blif/\nok.blif", []byte(tinyBLIF+tinyBLIF), uint16(4096))
 	f.Fuzz(func(t *testing.T, names string, content []byte, capBytes uint16) {
 		split := strings.Split(names, "\n")
 		if len(split) > 8 {
@@ -204,5 +240,50 @@ func checkExpansion(t *testing.T, name string, circuits []jobCircuit, maxBytes i
 	}
 	if total > maxBytes {
 		t.Fatalf("%s: circuit bytes total %d, over the %d cap", name, total, maxBytes)
+	}
+}
+
+// TestMemberCircuitSkipsDirectoryNames: a name ending in a slash, after
+// backslashes become slashes, is a directory and is skipped unread.
+func TestMemberCircuitSkipsDirectoryNames(t *testing.T) {
+	for _, name := range []string{"x.blif/", "d/x.pla/", "d\\x.blif\\", "x.blif//"} {
+		_, ok, err := memberCircuit(name, func() ([]byte, error) {
+			t.Errorf("%q: directory member was read", name)
+			return nil, nil
+		})
+		if ok || err != nil {
+			t.Errorf("%q: got (ok=%v, err=%v), want skipped", name, ok, err)
+		}
+	}
+	c, ok, err := memberCircuit("d\\x.blif", func() ([]byte, error) { return []byte(tinyBLIF), nil })
+	if !ok || err != nil || c.relPath != "d/x.blif" || c.name != "x" {
+		t.Errorf("d\\x.blif: got (%+v, %v, %v), want circuit d/x.blif", c, ok, err)
+	}
+}
+
+// TestExpandSubmissionSkipsSlashedTarMember: a regular tar member named
+// "x.blif/" (hand-patched, since tar.Writer refuses the name) is a
+// directory, as zip treats it, not the circuit x.blif.
+func TestExpandSubmissionSkipsSlashedTarMember(t *testing.T) {
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	for _, name := range []string{"x.blif/", "ok.blif"} {
+		if err := writeTarMember(tw, &buf, name, []byte(tinyBLIF)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := tar.NewReader(bytes.NewReader(buf.Bytes())).Next()
+	if err != nil || hdr.Name != "x.blif/" || hdr.Typeflag != tar.TypeReg {
+		t.Fatalf("patched member reads back as %+v, %v; want regular file x.blif/", hdr, err)
+	}
+	circuits, err := expandSubmission("sub.tar", buf.Bytes(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(circuits) != 1 || circuits[0].relPath != "ok.blif" {
+		t.Fatalf("expanded %+v, want only ok.blif", circuits)
 	}
 }

@@ -366,12 +366,17 @@ func expandSubmission(name string, data []byte, maxBytes int64) ([]jobCircuit, e
 }
 
 // memberCircuit classifies one file: (circuit, true) for .blif/.pla,
-// (zero, false) for other extensions, error for unusable paths or a
+// (zero, false) for other extensions and for directory names (a
+// trailing slash, as zip marks them), error for unusable paths or a
 // failed read. read runs only for a usable .blif/.pla path. Paths are
 // normalized and must stay local: a path names its circuit in rows and
 // error messages, never a file the daemon opens.
 func memberCircuit(name string, read func() ([]byte, error)) (jobCircuit, bool, error) {
-	rel := path.Clean(strings.ReplaceAll(name, "\\", "/"))
+	slashed := strings.ReplaceAll(name, "\\", "/")
+	if strings.HasSuffix(slashed, "/") {
+		return jobCircuit{}, false, nil
+	}
+	rel := path.Clean(slashed)
 	f, ok := corpus.FormatOf(rel)
 	if !ok {
 		return jobCircuit{}, false, nil
