@@ -40,12 +40,15 @@ benchtest:
 # flows), and gate on row agreement with the direct in-memory gen-twin
 # flow (-check-twins): sizes must match exactly, measured/estimated
 # power to float-noise tolerance. Exits non-zero on any disagreement,
-# parse failure, or error row.
+# parse failure, or error row. The untimed rows land in
+# corpus-smoke/rows.jsonl and the timed ones in rows_timed.jsonl (both
+# uploaded as CI artifacts, so a change's rows can be diffed against its
+# parent's).
 corpussmoke:
 	rm -rf corpus-smoke
 	$(GO) run ./cmd/genbench -dir corpus-smoke -only apex7,frg1,x1
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -vectors 512 -workers 4 -check-twins -jsonl corpus-smoke/rows.jsonl
-	$(GO) run ./cmd/dominoflow -dir corpus-smoke -table 2 -vectors 512 -workers 2 -check-twins
+	$(GO) run ./cmd/dominoflow -dir corpus-smoke -table 2 -vectors 512 -workers 2 -check-twins -jsonl corpus-smoke/rows_timed.jsonl
 
 # Static-analysis ladder, cheapest first: gofmt (formatting), docgate
 # (package docs), go vet (stdlib checks), dominolint (repo contracts:

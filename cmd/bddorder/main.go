@@ -1,6 +1,7 @@
 // Command bddorder compares BDD sizes under the paper's variable-ordering
 // heuristic and baselines (Section 4.2.2, Figure 10), on a BLIF circuit
-// or on the built-in Figure 10 example.
+// or on the built-in Figure 10 example, whose run adds the figure's
+// "disturbed" order and prints the paper's node counts beside the rows.
 package main
 
 import (
@@ -61,13 +62,29 @@ func main() {
 		}
 		return nb.Manager.NodeCount(gateRoots(nb)...)
 	}
+	// The built-in run prints the paper's Figure 10 counts beside its
+	// rows, and adds the figure's third, "disturbed" order.
+	const disturbed = "disturbed [x5,x1,x4,x3,x2]"
+	var paper map[string]int
+	if *blifPath == "" {
+		paper = map[string]int{"reverse-topological": 7, "topological": 11, disturbed: 9}
+	}
+	row := func(label string, ord []int, note string) {
+		if n, ok := paper[label]; ok {
+			note += fmt.Sprintf("   (paper: %d)", n)
+		}
+		fmt.Printf("%-28s %10d%s\n", label, count(ord), note)
+	}
 	fmt.Printf("%-28s %10s\n", "ordering", "BDD nodes")
 	revOrd := order.ReverseTopological(net)
-	fmt.Printf("%-28s %10d   (the paper's heuristic)\n", "reverse-topological", count(revOrd))
-	fmt.Printf("%-28s %10d\n", "topological", count(order.Topological(net)))
-	fmt.Printf("%-28s %10d\n", "natural (declaration)", count(order.Natural(net)))
-	fmt.Printf("%-28s %10d\n", "dfs", count(order.DFS(net)))
-	fmt.Printf("%-28s %10d\n", "random", count(order.Random(net, *seed)))
+	row("reverse-topological", revOrd, "   (the paper's heuristic)")
+	row("topological", order.Topological(net), "")
+	if paper != nil {
+		row(disturbed, []int{4, 0, 3, 2, 1}, "")
+	}
+	row("natural (declaration)", order.Natural(net), "")
+	row("dfs", order.DFS(net), "")
+	row("random", order.Random(net, *seed), "")
 	if *sift {
 		// In-place sifting swaps adjacent levels inside one manager and
 		// minimizes its whole live table (every network node stays

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blif"
 	"repro/internal/corpus"
 	"repro/internal/flow"
+	"repro/internal/gen"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -342,6 +344,36 @@ func TestCorpusRecordProjection(t *testing.T) {
 	for _, want := range []string{"comb", "counter", "failed", "nope.blif"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("corpus table missing %q:\n%s", want, table)
+		}
+	}
+}
+
+// TestSimVectorBudgetTripsOncePerSynthesis pins how often a row's
+// measurement trips the sim vector budget: every synthesis is simulated
+// exactly once, so a row clamped below its SimVectors counts one trip per
+// synthesis — two, MA and MP — in the untimed and the timed flow alike.
+// (The timed flow used to simulate each synthesis before resizing as
+// well, and counted four.)
+func TestSimVectorBudgetTripsOncePerSynthesis(t *testing.T) {
+	src, err := blif.WriteString(&blif.Model{Network: gen.Frg1().Net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []corpus.Entry{{Path: "frg1.blif", Name: "frg1", Format: corpus.FormatBLIF, Data: []byte(src)}}
+	for _, timed := range []bool{false, true} {
+		rows, err := flow.RunCorpus(context.Background(), entries, flow.CorpusConfig{
+			Base:  flow.Config{SimVectors: 4096, SimVectorBudget: 256, Workers: 1},
+			Timed: timed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rows[0]
+		if r.Err != "" {
+			t.Fatalf("timed=%v: error row: %s", timed, r.Err)
+		}
+		if r.BudgetTrips != 2 {
+			t.Errorf("timed=%v: BudgetTrips = %d, want 2 (one vector clamp per synthesis)", timed, r.BudgetTrips)
 		}
 	}
 }

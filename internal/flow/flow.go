@@ -23,6 +23,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/phase"
 	"repro/internal/power"
+	"repro/internal/prob"
 	"repro/internal/sim"
 	"repro/internal/sop"
 	"repro/internal/timing"
@@ -283,13 +284,17 @@ type Synthesis struct {
 	// Size is the standard-cell count (domino cells + boundary
 	// inverters), the paper's "Size" column.
 	Size int
-	// EstPower is the model estimate used during optimization.
+	// EstPower is the model's power estimate: for an untimed
+	// combinational MP synthesis the search's own score of the chosen
+	// assignment, otherwise the estimate of the measured (on timed rows,
+	// resized) block.
 	EstPower float64
 	// SimPower is the Monte-Carlo measured power (the paper's "Pwr"
 	// column, in switched-capacitance units).
 	SimPower float64
-	// Critical is the post-flow critical delay; ResizeSteps and
-	// MetTiming are populated by the timed flow.
+	// Critical is the post-flow critical delay: at minimum sizes, or
+	// after resizing on timed rows. ResizeSteps and MetTiming are
+	// populated by the timed flow (MetTiming is true otherwise).
 	Critical    float64
 	ResizeSteps int
 	MetTiming   bool
@@ -337,15 +342,6 @@ func prepare(net *logic.Network, cfg Config, tok *budget.T) (*logic.Network, err
 	return n, nil
 }
 
-// uniformProbs builds the input probability vector.
-func uniformProbs(n *logic.Network, p float64) []float64 {
-	probs := make([]float64, n.NumInputs())
-	for i := range probs {
-		probs[i] = p
-	}
-	return probs
-}
-
 // mapCellCountEvaluator scores a phase result by mapped cell count — the
 // MA objective.
 func mapCellCountEvaluator(lib domino.Library) phase.Evaluator {
@@ -380,15 +376,12 @@ func synthesizeMAAssignment(net *logic.Network, cfg Config, tok *budget.T) (phas
 // measurement, and a build past BDDNodeBudget is returned as the error.
 func SynthesizeMA(net *logic.Network, cfg Config) (*Synthesis, error) {
 	cfg.defaults()
-	return synthesizeMA(net, cfg, cfg.token())
-}
-
-func synthesizeMA(net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, error) {
+	tok := cfg.token()
 	asg, res, err := synthesizeMAAssignment(net, cfg, tok)
 	if err != nil {
 		return nil, err
 	}
-	return finishSynthesis(asg, res, net, cfg, tok)
+	return synthesize(asg, res, prob.Uniform(net, cfg.InputProb), cfg, tok, false, 0)
 }
 
 // phaseScorer builds the candidate scorer of the configured scoring
@@ -442,19 +435,17 @@ func synthesizeMPAssignment(net *logic.Network, probs []float64, cfg Config, tok
 
 // SynthesizeMP runs the paper's minimum-power heuristic (or the
 // configured search strategy) on a prepared network under the
-// configured budgets, like SynthesizeMA.
+// configured budgets, like SynthesizeMA. Its EstPower is the search's
+// own score of the chosen assignment.
 func SynthesizeMP(net *logic.Network, cfg Config) (*Synthesis, error) {
 	cfg.defaults()
-	return synthesizeMP(net, cfg, cfg.token())
-}
-
-func synthesizeMP(net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, error) {
-	probs := uniformProbs(net, cfg.InputProb)
+	tok := cfg.token()
+	probs := prob.Uniform(net, cfg.InputProb)
 	asg, res, est, err := synthesizeMPAssignment(net, probs, cfg, tok)
 	if err != nil {
 		return nil, err
 	}
-	s, err := finishSynthesis(asg, res, net, cfg, tok)
+	s, err := synthesize(asg, res, probs, cfg, tok, false, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -462,43 +453,50 @@ func synthesizeMP(net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, er
 	return s, nil
 }
 
-// mapBlock maps a phase result with the configured library.
-func mapBlock(res *phase.Result, cfg Config) (*domino.Block, error) {
+// simConfig is the Monte-Carlo measurement of every synthesis: the
+// configured vectors, seed and engine under probs, clamped by tok's sim
+// vector budget.
+func (c Config) simConfig(probs []float64, tok *budget.T) sim.Config {
+	return sim.Config{
+		Vectors: c.SimVectors, Seed: c.SimSeed, InputProbs: probs,
+		Shards: c.SimShards, Workers: c.Workers, Kernel: c.SimKernel,
+		BlockWords: c.SimBlockWords, Budget: tok,
+	}
+}
+
+// synthesize is the one path from a chosen assignment to its measured
+// Synthesis, shared by every row kind. It maps the phase result; a timed
+// synthesis then resizes the block to the clock target and reports its
+// sized area. The block is measured once — power.Estimate, then sim.Run —
+// and an untimed synthesis finally reports its minimum-size critical
+// delay.
+func synthesize(asg phase.Assignment, res *phase.Result, probs []float64, cfg Config, tok *budget.T, timed bool, target float64) (*Synthesis, error) {
 	b, err := domino.Map(res, *cfg.Lib)
 	if err != nil {
 		return nil, fmt.Errorf("flow: Map: %w", err)
 	}
-	return b, nil
-}
-
-func finishSynthesis(asg phase.Assignment, res *phase.Result, net *logic.Network, cfg Config, tok *budget.T) (*Synthesis, error) {
-	b, err := mapBlock(res, cfg)
-	if err != nil {
-		return nil, err
+	s := &Synthesis{Assignment: asg, Block: b, Size: b.CellCount(), MetTiming: true}
+	if timed {
+		a, steps, err := timing.Resize(b, *cfg.Timing, target)
+		s.Critical, s.ResizeSteps, s.MetTiming = a.Critical, steps, err == nil
+		// The timed flow reports *sized area* rather than cell count:
+		// resizing changes transistor widths, and the area cost of
+		// meeting timing is the quantity Table 2's Size column tracks.
+		s.Size = int(math.Round(b.Area()))
 	}
-	probs := uniformProbs(net, cfg.InputProb)
 	est, err := power.Estimate(b, probs, cfg.estOptions(tok))
 	if err != nil {
 		return nil, fmt.Errorf("flow: Estimate: %w", err)
 	}
-	rep, err := sim.Run(b, sim.Config{
-		Vectors: cfg.SimVectors, Seed: cfg.SimSeed, InputProbs: probs,
-		Shards: cfg.SimShards, Workers: cfg.Workers, Kernel: cfg.SimKernel,
-		BlockWords: cfg.SimBlockWords, Budget: tok,
-	})
+	rep, err := sim.Run(b, cfg.simConfig(probs, tok))
 	if err != nil {
 		return nil, fmt.Errorf("flow: sim: %w", err)
 	}
-	a := timing.Analyze(b, *cfg.Timing)
-	return &Synthesis{
-		Assignment: asg,
-		Block:      b,
-		Size:       b.CellCount(),
-		EstPower:   est.Total,
-		SimPower:   rep.Total,
-		Critical:   a.Critical,
-		MetTiming:  true,
-	}, nil
+	s.EstPower, s.SimPower = est.Total, rep.Total
+	if !timed {
+		s.Critical = timing.Analyze(b, *cfg.Timing).Critical
+	}
+	return s, nil
 }
 
 // RunCircuit executes the untimed (Table 1) flow on one benchmark under
@@ -506,23 +504,6 @@ func finishSynthesis(asg phase.Assignment, res *phase.Result, net *logic.Network
 func RunCircuit(c gen.NamedCircuit, cfg Config) (*Row, error) {
 	row, _, _, err := runCircuitDegraded(context.Background(), c, cfg, false)
 	return row, err
-}
-
-// runCircuit is RunCircuit under an optional cancellation/budget token.
-func runCircuit(c gen.NamedCircuit, cfg Config, tok *budget.T) (*Row, error) {
-	net, err := prepare(c.Net, cfg, tok)
-	if err != nil {
-		return nil, err
-	}
-	ma, err := synthesizeMA(net, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Name, err)
-	}
-	mp, err := synthesizeMP(net, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Name, err)
-	}
-	return assembleRow(c, ma, mp), nil
 }
 
 // RunCircuitTimed executes the Table 2 flow: both syntheses are resized
@@ -534,66 +515,46 @@ func RunCircuitTimed(c gen.NamedCircuit, cfg Config) (*Row, error) {
 	return row, err
 }
 
-// runCircuitTimed is RunCircuitTimed under an optional
-// cancellation/budget token.
-func runCircuitTimed(c gen.NamedCircuit, cfg Config, tok *budget.T) (*Row, error) {
+// runCircuit is RunCircuit (or, when timed, RunCircuitTimed) under an
+// optional cancellation/budget token. It synthesizes the MA and then the
+// MP implementation. A timed row resizes both to one clock target: the
+// fastest the MA circuit can be driven (a probe mapped from the MA
+// result and tightened), relaxed by the slack factor. An untimed row's
+// MP EstPower is the search's own score; every other EstPower is the
+// measured block's estimate.
+func runCircuit(c gen.NamedCircuit, cfg Config, tok *budget.T, timed bool) (*Row, error) {
 	net, err := prepare(c.Net, cfg, tok)
 	if err != nil {
 		return nil, err
 	}
-	ma, err := synthesizeMA(net, cfg, tok)
+	probs := prob.Uniform(net, cfg.InputProb)
+	maAsg, maRes, err := synthesizeMAAssignment(net, cfg, tok)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Name, err)
 	}
-	mp, err := synthesizeMP(net, cfg, tok)
+	var target float64
+	if timed {
+		probe, err := domino.Map(maRes, *cfg.Lib)
+		if err != nil {
+			return nil, fmt.Errorf("%s: flow: Map: %w", c.Name, err)
+		}
+		best, _ := timing.Tighten(probe, *cfg.Timing)
+		target = timing.TargetFromBaseline(best.Critical, cfg.Slack)
+	}
+	ma, err := synthesize(maAsg, maRes, probs, cfg, tok, timed, target)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Name, err)
 	}
-
-	// Derive a realistic, feasible target: the fastest the MA circuit
-	// can be driven, relaxed by the slack factor.
-	maRes, err := phase.Apply(net, ma.Assignment)
+	mpAsg, mpRes, est, err := synthesizeMPAssignment(net, probs, cfg, tok)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", c.Name, err)
 	}
-	probe, err := domino.Map(maRes, *cfg.Lib)
+	mp, err := synthesize(mpAsg, mpRes, probs, cfg, tok, timed, target)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", c.Name, err)
 	}
-	best, _ := timing.Tighten(probe, *cfg.Timing)
-	target := timing.TargetFromBaseline(best.Critical, cfg.Slack)
-
-	probs := uniformProbs(net, cfg.InputProb)
-	resizeAndMeasure := func(s *Synthesis) error {
-		a, steps, err := timing.Resize(s.Block, *cfg.Timing, target)
-		s.Critical = a.Critical
-		s.ResizeSteps = steps
-		s.MetTiming = err == nil
-		rep, simErr := sim.Run(s.Block, sim.Config{
-			Vectors: cfg.SimVectors, Seed: cfg.SimSeed, InputProbs: probs,
-			Shards: cfg.SimShards, Workers: cfg.Workers, Kernel: cfg.SimKernel,
-			BlockWords: cfg.SimBlockWords, Budget: tok,
-		})
-		if simErr != nil {
-			return simErr
-		}
-		s.SimPower = rep.Total
-		est, estErr := power.Estimate(s.Block, probs, cfg.estOptions(tok))
-		if estErr != nil {
-			return estErr
-		}
-		s.EstPower = est.Total
-		// The timed flow reports *sized area* rather than cell count:
-		// resizing changes transistor widths, and the area cost of
-		// meeting timing is the quantity Table 2's Size column tracks.
-		s.Size = int(math.Round(s.Block.Area()))
-		return nil
-	}
-	if err := resizeAndMeasure(ma); err != nil {
-		return nil, fmt.Errorf("%s: MA resize: %w", c.Name, err)
-	}
-	if err := resizeAndMeasure(mp); err != nil {
-		return nil, fmt.Errorf("%s: MP resize: %w", c.Name, err)
+	if !timed {
+		mp.EstPower = est
 	}
 	return assembleRow(c, ma, mp), nil
 }
@@ -606,13 +567,20 @@ func assembleRow(c gen.NamedCircuit, ma, mp *Synthesis) *Row {
 		PaperAreaPenaltyPct: c.PaperAreaPen,
 		PaperPowerSavingPct: c.PaperPwrSav,
 	}
+	row.AreaPenaltyPct, row.PowerSavingPct = savings(ma, mp)
+	return row
+}
+
+// savings returns the paper's "% Area Pen." and "% Pwr Sav." columns of
+// an MA/MP pair, from sizes and measured powers.
+func savings(ma, mp *Synthesis) (areaPen, pwrSav float64) {
 	if ma.Size > 0 {
-		row.AreaPenaltyPct = 100 * float64(mp.Size-ma.Size) / float64(ma.Size)
+		areaPen = 100 * float64(mp.Size-ma.Size) / float64(ma.Size)
 	}
 	if ma.SimPower > 0 {
-		row.PowerSavingPct = 100 * (ma.SimPower - mp.SimPower) / ma.SimPower
+		pwrSav = 100 * (ma.SimPower - mp.SimPower) / ma.SimPower
 	}
-	return row
+	return areaPen, pwrSav
 }
 
 // RunTable1 regenerates Table 1 (untimed flow, PI probability 0.5) over

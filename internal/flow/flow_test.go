@@ -6,6 +6,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/phase"
+	"repro/internal/prob"
 )
 
 // smallCircuit is a miniature benchmark for fast flow tests.
@@ -70,17 +71,16 @@ func TestMPNoWorseThanAllPositiveInEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Estimate of all-positive assignment.
-	probs := uniformProbs(net, cfg.InputProb)
+	probs := prob.Uniform(net, cfg.InputProb)
 	evaluate := func(asg phase.Assignment) float64 {
 		res, err := phase.Apply(net, asg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := finishSynthesis(asg, res, net, cfg, nil)
+		s, err := synthesize(asg, res, probs, cfg, nil, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = probs
 		return s.EstPower
 	}
 	allPos := evaluate(phase.AllPositive(net.NumOutputs()))

@@ -156,10 +156,7 @@ func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budge
 func runCircuitDegraded(ctx context.Context, c gen.NamedCircuit, cfg Config, timed bool) (*Row, string, int, error) {
 	cfg.defaults()
 	return runDegraded(ctx, cfg, func(scfg Config, tok *budget.T) (*Row, error) {
-		if timed {
-			return runCircuitTimed(c, scfg, tok)
-		}
-		return runCircuit(c, scfg, tok)
+		return runCircuit(c, scfg, tok, timed)
 	})
 }
 

@@ -5,11 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/budget"
-	"repro/internal/phase"
-	"repro/internal/power"
 	"repro/internal/seq"
 	"repro/internal/sgraph"
-	"repro/internal/sim"
 )
 
 // SequentialRow is the result of the sequential flow: the paper's full
@@ -80,15 +77,17 @@ func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, e
 		PseudoInputs: part.PseudoInputCount(),
 	}
 
-	// Both phase searches route through the same scorer/strategy wiring
-	// as the combinational flow (synthesizeMAAssignment /
-	// synthesizeMPAssignment), so sequential rows pick up cone-table
-	// scoring and the pluggable strategies with no duplicated logic.
+	// Both syntheses route through the same search wiring
+	// (synthesizeMAAssignment / synthesizeMPAssignment) and the same
+	// measurement (synthesize) as the combinational flow, so sequential
+	// rows pick up cone-table scoring and the pluggable strategies with
+	// no duplicated logic. Both EstPowers are the measured block's
+	// estimate under the steady-state probabilities.
 	maAsg, maRes, err := synthesizeMAAssignment(net, cfg, tok)
 	if err != nil {
 		return nil, fmt.Errorf("flow: sequential MA: %w", err)
 	}
-	ma, err := finishSynthesisProbs(maAsg, maRes, blockProbs, cfg, tok)
+	ma, err := synthesize(maAsg, maRes, blockProbs, cfg, tok, false, 0)
 	if err != nil {
 		return nil, fmt.Errorf("flow: sequential MA: %w", err)
 	}
@@ -96,45 +95,11 @@ func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, e
 	if err != nil {
 		return nil, fmt.Errorf("flow: sequential MP: %w", err)
 	}
-	mp, err := finishSynthesisProbs(mpAsg, mpRes, blockProbs, cfg, tok)
+	mp, err := synthesize(mpAsg, mpRes, blockProbs, cfg, tok, false, 0)
 	if err != nil {
 		return nil, fmt.Errorf("flow: sequential MP: %w", err)
 	}
 	row.MA, row.MP = *ma, *mp
-	if ma.Size > 0 {
-		row.AreaPenaltyPct = 100 * float64(mp.Size-ma.Size) / float64(ma.Size)
-	}
-	if ma.SimPower > 0 {
-		row.PowerSavingPct = 100 * (ma.SimPower - mp.SimPower) / ma.SimPower
-	}
+	row.AreaPenaltyPct, row.PowerSavingPct = savings(ma, mp)
 	return row, nil
-}
-
-// finishSynthesisProbs is finishSynthesis with explicit per-input
-// probabilities (the sequential flow's pseudo-inputs are not uniform).
-func finishSynthesisProbs(asg phase.Assignment, res *phase.Result, probs []float64, cfg Config, tok *budget.T) (*Synthesis, error) {
-	b, err := mapBlock(res, cfg)
-	if err != nil {
-		return nil, err
-	}
-	est, err := power.Estimate(b, probs, cfg.estOptions(tok))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sim.Run(b, sim.Config{
-		Vectors: cfg.SimVectors, Seed: cfg.SimSeed, InputProbs: probs,
-		Shards: cfg.SimShards, Workers: cfg.Workers, Kernel: cfg.SimKernel,
-		BlockWords: cfg.SimBlockWords, Budget: tok,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Synthesis{
-		Assignment: asg,
-		Block:      b,
-		Size:       b.CellCount(),
-		EstPower:   est.Total,
-		SimPower:   rep.Total,
-		MetTiming:  true,
-	}, nil
 }

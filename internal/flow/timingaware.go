@@ -5,9 +5,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/logic"
-	"repro/internal/phase"
-	"repro/internal/power"
-	"repro/internal/timing"
 )
 
 // The paper's conclusion proposes "integrating the choice of phase
@@ -77,40 +74,4 @@ func andCellCount(s *Synthesis) int {
 		}
 	}
 	return n
-}
-
-// CriticalOfAssignment maps an assignment and reports the minimum-size
-// critical delay — a helper for timing-aware experiments and tests.
-func CriticalOfAssignment(c gen.NamedCircuit, asg phase.Assignment, cfg Config) (float64, error) {
-	cfg.defaults()
-	net := Prepare(c.Net)
-	res, err := phase.Apply(net, asg)
-	if err != nil {
-		return 0, err
-	}
-	b, err := mapBlock(res, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return timing.Analyze(b, *cfg.Timing).Critical, nil
-}
-
-// PenalizedEvaluator exposes the penalized MP objective for callers that
-// want to drive phase.MinPower directly.
-func PenalizedEvaluator(cfg Config, andPenalty float64, probs []float64) phase.Evaluator {
-	cfg.defaults()
-	lib := *cfg.Lib
-	lib.AndPenalty = andPenalty
-	return power.Evaluator(lib, probs, cfg.estOptions(nil))
-}
-
-// PenalizedScorer is PenalizedEvaluator's cone-table counterpart: the
-// penalized objective precomputed for scored searches (the AND-stack tax
-// is cached per cell in the table's 1+P_i terms, so the timing-aware
-// objective scores as cheaply as the plain one).
-func PenalizedScorer(net *logic.Network, cfg Config, andPenalty float64, probs []float64) (phase.AssignmentScorer, error) {
-	cfg.defaults()
-	lib := *cfg.Lib
-	lib.AndPenalty = andPenalty
-	return power.NewConeTable(net, lib, probs, cfg.estOptions(nil))
 }

@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/domino"
 	"repro/internal/gen"
 	"repro/internal/phase"
+	"repro/internal/power"
+	"repro/internal/prob"
 )
 
 func smallOrHeavy() gen.NamedCircuit {
@@ -40,26 +43,21 @@ func TestRunCircuitTimingAwareRejectsZeroPenalty(t *testing.T) {
 	}
 }
 
-func TestCriticalOfAssignment(t *testing.T) {
-	c := smallOrHeavy()
-	net := Prepare(c.Net)
-	d, err := CriticalOfAssignment(c, phase.AllPositive(net.NumOutputs()), Config{})
-	if err != nil {
-		t.Fatalf("CriticalOfAssignment: %v", err)
-	}
-	if d <= 0 {
-		t.Errorf("critical = %v", d)
-	}
+// penalizedLibrary is the default library with the AND-stack penalty
+// P_i set: under it, power.Evaluator and power.NewConeTable score the
+// timing-aware MP objective.
+func penalizedLibrary(andPenalty float64) domino.Library {
+	lib := domino.DefaultLibrary()
+	lib.AndPenalty = andPenalty
+	return lib
 }
 
 func TestPenalizedEvaluatorTaxesAnds(t *testing.T) {
 	c := smallOrHeavy()
 	net := Prepare(c.Net)
-	probs := uniformProbs(net, 0.5)
-	cfg := Config{}
-	cfg.defaults()
-	plain := PenalizedEvaluator(cfg, 1e-9, probs)
-	taxed := PenalizedEvaluator(cfg, 0.5, probs)
+	probs := prob.Uniform(net, 0.5)
+	plain := power.Evaluator(penalizedLibrary(1e-9), probs, power.Options{})
+	taxed := power.Evaluator(penalizedLibrary(0.5), probs, power.Options{})
 	// An all-negative assignment of an OR-heavy circuit is AND-heavy; the
 	// taxed evaluator must score it strictly worse.
 	asg := make(phase.Assignment, net.NumOutputs())
@@ -90,12 +88,10 @@ func TestPenalizedEvaluatorTaxesAnds(t *testing.T) {
 func TestPenalizedScorerMatchesEvaluator(t *testing.T) {
 	c := smallOrHeavy()
 	net := Prepare(c.Net)
-	probs := uniformProbs(net, 0.5)
-	cfg := Config{}
-	cfg.defaults()
+	probs := prob.Uniform(net, 0.5)
 	const tax = 0.5
-	eval := PenalizedEvaluator(cfg, tax, probs)
-	scorer, err := PenalizedScorer(net, cfg, tax, probs)
+	eval := power.Evaluator(penalizedLibrary(tax), probs, power.Options{})
+	scorer, err := power.NewConeTable(net, penalizedLibrary(tax), probs, power.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,6 @@ type Step struct {
 	Committed bool
 }
 
-// ProbFn computes per-node signal probabilities of a block network given
-// its input probabilities. The default is prob.Approximate; flows wanting
-// exactness pass a BDD-based closure.
-type ProbFn func(block *logic.Network, blockInputProbs []float64) ([]float64, error)
-
 // PowerOptions configures MinPower.
 type PowerOptions struct {
 	// InputProbs gives the signal probability of each original primary
@@ -71,9 +66,6 @@ type PowerOptions struct {
 	Scorer AssignmentScorer
 	// Initial is the starting assignment (default all-positive).
 	Initial Assignment
-	// Probs computes block node probabilities for the cost function
-	// (default prob.Approximate).
-	Probs ProbFn
 	// MaxPairs bounds the candidate pair set for very wide interfaces; 0
 	// means all pairs. When bounded, pairs with the largest cone overlap
 	// are kept, since those are the ones whose phase interaction matters.
@@ -158,12 +150,6 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 		})
 		return asg, res, score, nil, err
 	}
-	probFn := opts.Probs
-	if probFn == nil {
-		probFn = func(block *logic.Network, in []float64) ([]float64, error) {
-			return prob.Approximate(block, in), nil
-		}
-	}
 	k := n.NumOutputs()
 	current := opts.Initial.Clone()
 	if current == nil {
@@ -200,22 +186,16 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 	// rank re-prices every live pair for the *current* synthesis and
 	// re-heapifies; it runs after every commit (an uncommitted trial
 	// leaves the circuit, hence every K, unchanged).
-	rank := func() error {
-		stats, err := blockConeStats(res, opts.InputProbs, probFn)
-		if err != nil {
-			return err
-		}
+	rank := func() {
+		stats := blockConeStats(res, opts.InputProbs)
 		for x := range live {
 			p := &live[x]
 			p.combo, p.k = stats.best(p.i, p.j)
 		}
 		heap.Init(&live)
-		return nil
 	}
 
-	if err := rank(); err != nil {
-		return nil, nil, 0, nil, err
-	}
+	rank()
 	for live.Len() > 0 {
 		if err := opts.Budget.Err(); err != nil {
 			return nil, nil, 0, nil, err
@@ -254,9 +234,7 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 			current, res, power = candidate, cRes, cPower
 			// The circuit changed: probabilities, cones and overlaps are
 			// stale. Re-rank the surviving pairs.
-			if err := rank(); err != nil {
-				return nil, nil, 0, nil, err
-			}
+			rank()
 		}
 		trace = append(trace, step)
 	}
@@ -315,12 +293,11 @@ type coneStats struct {
 	cones [][]uint64 // Di per output, as a logic.OutputCones bitset
 }
 
-func blockConeStats(res *Result, inputProbs []float64, probFn ProbFn) (*coneStats, error) {
+// blockConeStats prices the cones of one synthesized block under
+// prob.Approximate's node probabilities.
+func blockConeStats(res *Result, inputProbs []float64) *coneStats {
 	block := res.Block
-	probs, err := probFn(block, res.BlockInputProbs(inputProbs))
-	if err != nil {
-		return nil, err
-	}
+	probs := prob.Approximate(block, res.BlockInputProbs(inputProbs))
 	nOut := block.NumOutputs()
 	st := &coneStats{
 		size:  make([]int, nOut),
@@ -343,7 +320,7 @@ func blockConeStats(res *Result, inputProbs []float64, probFn ProbFn) (*coneStat
 			st.avg[i] = sum / float64(cnt)
 		}
 	}
-	return st, nil
+	return st
 }
 
 // k is the cost of one combination given the pair's overlap o.

@@ -44,12 +44,6 @@ var RandomNoXorNetwork = randomNoXorNetwork
 // return its step trace, assignment and score bit for bit. Exported for
 // the phase_test package.
 func MinPowerOracle(n *logic.Network, opts PowerOptions) (Assignment, float64, []Step, error) {
-	probFn := opts.Probs
-	if probFn == nil {
-		probFn = func(block *logic.Network, in []float64) ([]float64, error) {
-			return prob.Approximate(block, in), nil
-		}
-	}
 	k := n.NumOutputs()
 	current := opts.Initial.Clone()
 	if current == nil {
@@ -87,11 +81,8 @@ func MinPowerOracle(n *logic.Network, opts PowerOptions) (Assignment, float64, [
 		combo Combo
 		k     float64
 	}
-	rank := func() ([]cand, error) {
-		stats, err := oracleBlockConeStats(res, opts.InputProbs, probFn)
-		if err != nil {
-			return nil, err
-		}
+	rank := func() []cand {
+		stats := oracleBlockConeStats(res, opts.InputProbs)
 		cands := make([]cand, 0, 4*len(remaining))
 		for pk := range remaining {
 			for combo := RetainRetain; combo <= InvertInvert; combo++ {
@@ -110,13 +101,10 @@ func MinPowerOracle(n *logic.Network, opts PowerOptions) (Assignment, float64, [
 			}
 			return cands[a].combo < cands[b].combo
 		})
-		return cands, nil
+		return cands
 	}
 
-	cands, err := rank()
-	if err != nil {
-		return nil, 0, nil, err
-	}
+	cands := rank()
 	pos := 0
 	for len(remaining) > 0 {
 		for pos < len(cands) && !remaining[pairKey{cands[pos].i, cands[pos].j}] {
@@ -154,9 +142,7 @@ func MinPowerOracle(n *logic.Network, opts PowerOptions) (Assignment, float64, [
 				}
 			}
 			current, res, power = candidate, cRes, cPower
-			if cands, err = rank(); err != nil {
-				return nil, 0, nil, err
-			}
+			cands = rank()
 			pos = 0
 		}
 		trace = append(trace, step)
@@ -204,12 +190,9 @@ func boolConeOverlap(di, dj []bool) float64 {
 	return float64(inter) / float64(si+sj)
 }
 
-func oracleBlockConeStats(res *Result, inputProbs []float64, probFn ProbFn) (*oracleConeStats, error) {
+func oracleBlockConeStats(res *Result, inputProbs []float64) *oracleConeStats {
 	block := res.Block
-	probs, err := probFn(block, res.BlockInputProbs(inputProbs))
-	if err != nil {
-		return nil, err
-	}
+	probs := prob.Approximate(block, res.BlockInputProbs(inputProbs))
 	nOut := block.NumOutputs()
 	st := &oracleConeStats{
 		size:    make([]int, nOut),
@@ -230,7 +213,7 @@ func oracleBlockConeStats(res *Result, inputProbs []float64, probFn ProbFn) (*or
 			st.avg[i] = sum / float64(cnt)
 		}
 	}
-	return st, nil
+	return st
 }
 
 func (st *oracleConeStats) o(i, j int) float64 {

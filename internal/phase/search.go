@@ -34,13 +34,11 @@ type Evaluator func(*Result) (float64, error)
 //
 // ScoreAssignment must be a pure function of the assignment: the same
 // assignment always yields the bit-identical score, regardless of call
-// order — that is what keeps sharded searches deterministic. A scorer
-// value is not required to be safe for concurrent use; Fork returns an
-// independently usable scorer sharing the same immutable precomputed
-// state (Fork itself must be safe to call concurrently).
+// order — that is what keeps sharded searches deterministic. It must
+// also be safe for concurrent use: every worker of a sharded search
+// scores through the one shared scorer.
 type AssignmentScorer interface {
 	ScoreAssignment(asg Assignment) (float64, error)
-	Fork() AssignmentScorer
 }
 
 // AreaEvaluator scores a result by block gate count plus boundary

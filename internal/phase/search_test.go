@@ -259,12 +259,7 @@ func TestConeStatsCostFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputProbs := []float64{0.9, 0.5}
-	st, err := blockConeStats(r, inputProbs, func(blk *logic.Network, in []float64) ([]float64, error) {
-		return prob.Approximate(blk, in), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := blockConeStats(r, inputProbs)
 	// f's block cone: just input a (p=.9) -> |D|=1, A=.9.
 	// g's block cone: a, b, and-gate -> |D|=3, A=(0.9+0.5+0.45)/3.
 	if st.size[0] != 1 || st.size[1] != 3 {

@@ -117,8 +117,8 @@ type ScoreState interface {
 }
 
 // StateScorer is an AssignmentScorer that can mint incremental
-// ScoreStates. NewState must be safe to call concurrently (the Fork
-// contract); the states it returns are independent.
+// ScoreStates. NewState must be safe to call concurrently; the states
+// it returns are independent.
 type StateScorer interface {
 	AssignmentScorer
 	NewState() ScoreState
@@ -149,7 +149,9 @@ type BoundScorer interface {
 
 // evalScorer adapts a synthesize-and-evaluate objective into an
 // AssignmentScorer so every strategy can run without a precomputed
-// scorer (each ScoreAssignment pays a full Apply + eval).
+// scorer (each ScoreAssignment pays a full Apply + eval). It holds no
+// state of its own: the stock evaluators are safe for concurrent use on
+// distinct Results (see package docs), so concurrent calls are too.
 type evalScorer struct {
 	n    *logic.Network
 	eval Evaluator
@@ -162,11 +164,6 @@ func (e *evalScorer) ScoreAssignment(asg Assignment) (float64, error) {
 	}
 	return e.eval(res)
 }
-
-// Fork shares the network and evaluator; the stock evaluators are safe
-// for concurrent use on distinct Results (see package docs), which is
-// exactly how forked scorers call them.
-func (e *evalScorer) Fork() AssignmentScorer { return &evalScorer{n: e.n, eval: e.eval} }
 
 // rescoreState adapts any AssignmentScorer to the ScoreState interface
 // by fully rescoring after every flip — correct for every scorer,
@@ -229,13 +226,13 @@ func (o *SearchOptions) searchScorer(n *logic.Network) AssignmentScorer {
 
 // newState mints an incremental state: the scorer's native state when
 // it has one (NewState is itself the concurrency-safe mint), a
-// rescoring adapter over a fork otherwise. Call with the shared scorer,
-// once per goroutine.
+// rescoring adapter over the shared scorer otherwise. Call once per
+// goroutine.
 func newState(sc AssignmentScorer) ScoreState {
 	if ss, ok := sc.(StateScorer); ok {
 		return ss.NewState()
 	}
-	return &rescoreState{sc: sc.Fork(), prevBit: -1}
+	return &rescoreState{sc: sc, prevBit: -1}
 }
 
 // checkMaskWidth guards every 2^k enumeration: int mask arithmetic

@@ -67,9 +67,8 @@ import (
 // the O(Δ)-per-flip incremental scorer behind the search strategies,
 // NewBound the admissible prefix bound behind exact branch-and-bound.
 //
-// The table is immutable after construction; ScoreAssignment on the
-// table itself uses one embedded scratch buffer and is for sequential
-// callers — concurrent searches Fork (cheap: one small buffer).
+// The table is immutable after construction, and ScoreAssignment keeps
+// its scratch per call, so every method is safe for concurrent use.
 type ConeTable struct {
 	k     int
 	words int // ceil(k/64), ≥ 1
@@ -87,7 +86,6 @@ type ConeTable struct {
 	gp []int64
 
 	exact bool
-	self  *coneScorer
 
 	// idx is the per-bit group index behind NewState/NewBound, built
 	// lazily once and shared immutably by every state.
@@ -271,7 +269,6 @@ func NewConeTable(n *logic.Network, lib domino.Library, inputProbs []float64, op
 		t.gp[3*g], t.gp[3*g+1], t.gp[3*g+2] = p0, p1, p2
 	}
 
-	t.self = newConeScorer(t)
 	return t, nil
 }
 
@@ -299,40 +296,6 @@ func (t *ConeTable) Outputs() int { return t.k }
 // adds one group per distinct subset of cones demanding common logic.
 func (t *ConeTable) Groups() int { return len(t.gk) }
 
-// ScoreAssignment scores one phase assignment against the cached cones.
-// It uses the table's embedded scratch and is therefore for sequential
-// use; concurrent searches must Fork.
-func (t *ConeTable) ScoreAssignment(asg phase.Assignment) (float64, error) {
-	return t.self.ScoreAssignment(asg)
-}
-
-// Fork returns an independent scorer over the shared immutable table.
-// Fork is safe to call concurrently (phase.AssignmentScorer contract).
-func (t *ConeTable) Fork() phase.AssignmentScorer { return newConeScorer(t) }
-
-// coneScorer carries one scoring stream's mask buffer and exact
-// accumulator. ScoreAssignment never allocates.
-type coneScorer struct {
-	t       *ConeTable
-	maskBuf []uint64
-	acc     *exactAcc
-}
-
-func newConeScorer(t *ConeTable) *coneScorer {
-	return &coneScorer{t: t, maskBuf: make([]uint64, t.words), acc: newExactAcc()}
-}
-
-// Fork lets a forked scorer be forked again (it only needs the table).
-func (s *coneScorer) Fork() phase.AssignmentScorer { return newConeScorer(s.t) }
-
-// NewState and NewBound delegate to the shared table, so a forked
-// scorer still advertises the incremental fast paths
-// (phase.StateScorer / phase.BoundScorer).
-func (s *coneScorer) NewState() phase.ScoreState { return s.t.NewState() }
-
-// NewBound implements phase.BoundScorer on forked scorers.
-func (s *coneScorer) NewBound() phase.PrefixBound { return s.t.NewBound() }
-
 // ScoreAssignment folds the signature-gated constants under the
 // assignment's phase mask into an exact accumulator and returns the
 // correctly rounded sum. Exact summation makes the score independent of
@@ -340,39 +303,42 @@ func (s *coneScorer) NewBound() phase.PrefixBound { return s.t.NewBound() }
 // shared with the incremental ScoreState, whose flip paths add and
 // remove the very same constants — which is the property that keeps
 // every sharded search deterministic at any worker count.
-func (s *coneScorer) ScoreAssignment(asg phase.Assignment) (float64, error) {
-	t := s.t
+func (t *ConeTable) ScoreAssignment(asg phase.Assignment) (float64, error) {
 	if len(asg) != t.k {
 		return 0, fmt.Errorf("power: assignment for %d outputs, cone table has %d", len(asg), t.k)
 	}
-	for w := range s.maskBuf {
-		s.maskBuf[w] = 0
+	// Per-call scratch: the accumulator lives on the stack, and so does
+	// the mask of a table of at most 256 outputs.
+	var small [4]uint64
+	mask := small[:min(t.words, len(small))]
+	if t.words > len(small) {
+		mask = make([]uint64, t.words)
 	}
 	for i, neg := range asg {
 		if neg {
-			s.maskBuf[i>>6] |= uint64(1) << uint(i&63)
+			mask[i>>6] |= uint64(1) << uint(i&63)
 		}
 	}
-	s.acc.Reset()
+	acc := exactAcc{lo: accLimbs, hi: -1}
 	if t.words == 1 {
-		m := s.maskBuf[0]
+		m := mask[0]
 		pos, neg := t.pos, t.neg
 		for g := range t.gk {
 			if (^m&pos[g])|(m&neg[g]) != 0 {
-				t.addGroup(s.acc, int32(g))
+				t.addGroup(&acc, int32(g))
 			}
 		}
-		return s.acc.Round(), nil
+		return acc.Round(), nil
 	}
 	W := t.words
 	for g := range t.gk {
 		base := g * W
 		for w := 0; w < W; w++ {
-			if (^s.maskBuf[w]&t.pos[base+w])|(s.maskBuf[w]&t.neg[base+w]) != 0 {
-				t.addGroup(s.acc, int32(g))
+			if (^mask[w]&t.pos[base+w])|(mask[w]&t.neg[base+w]) != 0 {
+				t.addGroup(&acc, int32(g))
 				break
 			}
 		}
 	}
-	return s.acc.Round(), nil
+	return acc.Round(), nil
 }

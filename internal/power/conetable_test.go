@@ -3,6 +3,7 @@ package power_test
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/domino"
@@ -164,46 +165,50 @@ func TestConeTableMatchesNaiveAllMasks(t *testing.T) {
 	}
 }
 
-// TestConeTableForkDeterminism pins the scorer purity contract: forked
-// scorers, interleaved arbitrarily, return bit-identical scores to the
-// table's own sequential stream.
-func TestConeTableForkDeterminism(t *testing.T) {
+// TestConeTableConcurrentDeterminism pins the scorer purity contract:
+// concurrent ScoreAssignment calls on one table, interleaved
+// arbitrarily, return bit-identical scores to the table's own
+// sequential stream (run it under -race).
+func TestConeTableConcurrentDeterminism(t *testing.T) {
 	net := gen.Generate(gen.Params{Name: "fork", Inputs: 10, Outputs: 6, Gates: 60, Seed: 7, OrProb: 0.5}).Optimize()
 	probs := testProbs(net)
 	table, err := power.NewConeTable(net, domino.DefaultLibrary(), probs, power.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, f2 := table.Fork(), table.Fork()
 	k := net.NumOutputs()
-	asg := make(phase.Assignment, k)
-	for mask := 0; mask < 1<<uint(k); mask++ {
-		for i := 0; i < k; i++ {
-			asg[i] = mask&(1<<uint(i)) != 0
-		}
-		want, err := table.ScoreAssignment(asg)
-		if err != nil {
+	maskAsg := func(mask int) phase.Assignment {
+		asg := make(phase.Assignment, k)
+		asg.SetMask(mask)
+		return asg
+	}
+	want := make([]float64, 1<<uint(k))
+	for mask := range want {
+		if want[mask], err = table.ScoreAssignment(maskAsg(mask)); err != nil {
 			t.Fatal(err)
-		}
-		// Interleave: f1 scores everything, f2 only every third mask, so
-		// their internal epochs diverge — results must not.
-		got1, err := f1.ScoreAssignment(asg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got1 != want {
-			t.Fatalf("mask %d: fork1 %v != table %v", mask, got1, want)
-		}
-		if mask%3 == 0 {
-			got2, err := f2.ScoreAssignment(asg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got2 != want {
-				t.Fatalf("mask %d: fork2 %v != table %v", mask, got2, want)
-			}
 		}
 	}
+	// Two concurrent streams: one scores every mask, the other only every
+	// third, so their progress diverges — results must not.
+	var wg sync.WaitGroup
+	for _, stride := range []int{1, 3} {
+		wg.Add(1)
+		go func(stride int) {
+			defer wg.Done()
+			for mask := 0; mask < len(want); mask += stride {
+				got, err := table.ScoreAssignment(maskAsg(mask))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[mask] {
+					t.Errorf("stride %d, mask %d: concurrent score %v != sequential %v", stride, mask, got, want[mask])
+					return
+				}
+			}
+		}(stride)
+	}
+	wg.Wait()
 }
 
 // TestExhaustiveScoredWorkerInvariance is the search-level determinism

@@ -3,6 +3,7 @@ package power_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/domino"
@@ -109,8 +110,10 @@ func TestScoreStateFlipMatchesScoreAssignment(t *testing.T) {
 	}
 }
 
-// TestScoreStateIndependence pins that states minted from one table
-// (including via forked scorers) do not interfere.
+// TestScoreStateIndependence pins that states minted from one table do
+// not interfere: minted and flipped on several goroutines at once while
+// the shared table scores the same assignments (run it under -race), and
+// interleaved on one goroutine.
 func TestScoreStateIndependence(t *testing.T) {
 	net := gen.Generate(gen.Params{Name: "ind", Inputs: 10, Outputs: 6, Gates: 60, Seed: 7, OrProb: 0.5}).Optimize()
 	probs := testProbs(net)
@@ -118,15 +121,45 @@ func TestScoreStateIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, ok := table.Fork().(phase.StateScorer)
-	if !ok {
-		t.Fatal("forked cone scorer does not advertise StateScorer")
+	var sc phase.AssignmentScorer = table
+	if _, ok := sc.(phase.StateScorer); !ok {
+		t.Fatal("cone table does not advertise StateScorer")
 	}
-	if _, ok := table.Fork().(phase.BoundScorer); !ok {
-		t.Fatal("forked cone scorer does not advertise BoundScorer")
+	if _, ok := sc.(phase.BoundScorer); !ok {
+		t.Fatal("cone table does not advertise BoundScorer")
 	}
-	s1, s2 := table.NewState(), fork.NewState()
 	k := net.NumOutputs()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			st := table.NewState()
+			asg := make(phase.Assignment, k)
+			if _, err := st.Set(asg); err != nil {
+				t.Error(err)
+				return
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 200; step++ {
+				bit := rng.Intn(k)
+				asg[bit] = !asg[bit]
+				got := st.Flip(bit)
+				want, err := table.ScoreAssignment(asg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want || st.Score() != want {
+					t.Errorf("seed %d, step %d: concurrent state %v != ScoreAssignment %v", seed, step, got, want)
+					return
+				}
+			}
+		}(int64(3 + g))
+	}
+	wg.Wait()
+
+	s1, s2 := table.NewState(), table.NewState()
 	a1, a2 := make(phase.Assignment, k), make(phase.Assignment, k)
 	if _, err := s1.Set(a1); err != nil {
 		t.Fatal(err)
