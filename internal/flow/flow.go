@@ -342,26 +342,25 @@ func prepare(net *logic.Network, cfg Config, tok *budget.T) (*logic.Network, err
 	return n, nil
 }
 
-// mapCellCountEvaluator scores a phase result by mapped cell count — the
-// MA objective.
-func mapCellCountEvaluator(lib domino.Library) phase.Evaluator {
-	return func(r *phase.Result) (float64, error) {
-		b, err := domino.Map(r, lib)
-		if err != nil {
-			return 0, err
-		}
-		return float64(b.CellCount()), nil
-	}
-}
-
 // synthesizeMAAssignment runs the MA phase search on a prepared network
 // — the single assignment-selection path shared by the combinational and
-// sequential flows. tok (nil = never cancelled) is polled by the search
-// at a bounded interval.
+// sequential flows — scoring mapped cell count from an area table. Its
+// walk keeps phase.CheckRescoreWalk's ceiling: ExhaustiveLimit is
+// untrusted input, and a 2^40 walk would not finish. tok (nil = never
+// cancelled) is polled by the search at a bounded interval.
 func synthesizeMAAssignment(net *logic.Network, cfg Config, tok *budget.T) (phase.Assignment, *phase.Result, error) {
+	if k := net.NumOutputs(); k <= cfg.ExhaustiveLimit {
+		if err := phase.CheckRescoreWalk(k); err != nil {
+			return nil, nil, fmt.Errorf("flow: MinArea: %w", err)
+		}
+	}
+	table, err := power.NewAreaTable(net, *cfg.Lib)
+	if err != nil {
+		return nil, nil, fmt.Errorf("flow: MinArea: %w", err)
+	}
 	asg, res, _, err := phase.MinArea(net, phase.SearchOptions{
 		ExhaustiveLimit: cfg.ExhaustiveLimit,
-		Eval:            mapCellCountEvaluator(*cfg.Lib),
+		Scorer:          table,
 		Workers:         cfg.Workers,
 		Budget:          tok,
 	})

@@ -9,6 +9,19 @@ import (
 	"repro/internal/par"
 )
 
+// maxRescoreWalk is the widest 2^k walk a search accepts when every
+// flip pays a full synthesis.
+const maxRescoreWalk = 20
+
+// CheckRescoreWalk refuses a 2^k walk too wide (or, past 62 outputs, too
+// wide for a mask) for a full synthesis per flip.
+func CheckRescoreWalk(k int) error {
+	if err := checkMaskWidth(k); err != nil || k <= maxRescoreWalk {
+		return err
+	}
+	return fmt.Errorf("phase: exhaustive search over %d outputs is infeasible", k)
+}
+
 // grayMask returns the i-th mask of the reflected gray-code walk.
 func grayMask(i int) int { return i ^ (i >> 1) }
 
@@ -55,11 +68,11 @@ func grayExhaustive(n *logic.Network, opts SearchOptions) (Assignment, *Result, 
 	// A native state flips in nanoseconds, so the walk polls every 4096
 	// flips. The rescoring adapter pays a full evaluation per flip: it
 	// polls (and surfaces evaluation errors) after every one, and its
-	// 2^k walk is refused outright past 20 outputs.
+	// 2^k walk is refused outright past maxRescoreWalk outputs.
 	pollMask := 0xfff
 	if _, ok := sc.(StateScorer); !ok {
-		if k > 20 {
-			return nil, nil, 0, fmt.Errorf("phase: exhaustive search over %d outputs is infeasible", k)
+		if err := CheckRescoreWalk(k); err != nil {
+			return nil, nil, 0, err
 		}
 		pollMask = 0
 	}

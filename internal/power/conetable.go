@@ -103,61 +103,16 @@ func NewConeTable(n *logic.Network, lib domino.Library, inputProbs []float64, op
 	if len(inputProbs) != n.NumInputs() {
 		return nil, fmt.Errorf("power: %d input probs for %d inputs", len(inputProbs), n.NumInputs())
 	}
-	k := n.NumOutputs()
-	words := (k + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-
-	// Union network: every output twice, second copies to be negated.
-	union := n.Clone()
-	for _, o := range n.Outputs() {
-		name := o.Name + "__coneneg"
-		for union.OutputByName(name) >= 0 {
-			name += "_"
-		}
-		union.MarkOutput(name, o.Driver)
-	}
-	asg := make(phase.Assignment, 2*k)
-	for j := k; j < 2*k; j++ {
-		asg[j] = true
-	}
-	res, err := phase.Apply(union, asg)
+	b, err := newTableBuilder(n, lib)
 	if err != nil {
-		return nil, fmt.Errorf("power: cone table union synthesis: %w", err)
+		return nil, fmt.Errorf("power: cone table: %w", err)
 	}
-	blk, err := domino.Map(res, lib)
-	if err != nil {
-		return nil, fmt.Errorf("power: cone table union mapping: %w", err)
-	}
-	net := blk.Net
-
+	blk, net, k := b.blk, b.blk.Net, b.t.k
 	nodeProbs, exact, err := blockNodeProbs(nil, blk, inputProbs, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	t := &ConeTable{k: k, words: words, exact: exact}
-
-	// Per-node demand signatures over the union block: sig[node] has bit
-	// i of the pos (neg) half set iff output i's positive (negated) cone
-	// demands the node. Union output j < k is output j positive, j ≥ k
-	// is output j−k negated.
-	sigPos := make([]uint64, net.NumNodes()*words)
-	sigNeg := make([]uint64, net.NumNodes()*words)
-	for j, o := range net.Outputs() {
-		i, sig := j, sigPos
-		if j >= k {
-			i, sig = j-k, sigNeg
-		}
-		w, bit := i>>6, uint64(1)<<uint(i&63)
-		cone := net.FaninCone(o.Driver)
-		for node, in := range cone {
-			if in {
-				sig[node*words+w] |= bit
-			}
-		}
-	}
+	b.t.exact = exact
 
 	// Switching prices per node: cells carry S·(1+P); inverted input
 	// rails carry their static inverter switching.
@@ -179,40 +134,14 @@ func NewConeTable(n *logic.Network, lib domino.Library, inputProbs []float64, op
 		isRail[id] = true
 	}
 
-	// Fold every cost term into its gating signature, in canonical
-	// order. groupIndex interns signatures; gk accumulates.
-	groupIndex := make(map[string]int)
-	keyBuf := make([]byte, 2*words*8)
-	addTerm := func(sp, sn []uint64, v float64) {
-		if v == 0 {
-			return
-		}
-		for w := 0; w < words; w++ {
-			binary.LittleEndian.PutUint64(keyBuf[w*8:], sp[w])
-			binary.LittleEndian.PutUint64(keyBuf[(words+w)*8:], sn[w])
-		}
-		if g, ok := groupIndex[string(keyBuf)]; ok {
-			t.gk[g] += v
-			return
-		}
-		groupIndex[string(keyBuf)] = len(t.gk)
-		t.pos = append(t.pos, sp...)
-		t.neg = append(t.neg, sn...)
-		t.gk = append(t.gk, v)
-	}
-	nodeSig := func(node logic.NodeID) ([]uint64, []uint64) {
-		return sigPos[int(node)*words : (int(node)+1)*words], sigNeg[int(node)*words : (int(node)+1)*words]
-	}
-
+	// Fold every cost term into its gating signature, in canonical order.
 	// 1. Wire loads, gated by the loaded element itself.
 	if lib.WireCap != 0 {
 		for i := 0; i < net.NumNodes(); i++ {
-			id := logic.NodeID(i)
-			sp, sn := nodeSig(id)
 			if isCell[i] {
-				addTerm(sp, sn, sw[i]*lib.WireCap)
+				b.add(b.sig(logic.NodeID(i)), sw[i]*lib.WireCap)
 			} else if isRail[i] {
-				addTerm(sp, sn, railSw[i]*lib.WireCap)
+				b.add(b.sig(logic.NodeID(i)), railSw[i]*lib.WireCap)
 			}
 		}
 	}
@@ -220,44 +149,158 @@ func NewConeTable(n *logic.Network, lib domino.Library, inputProbs []float64, op
 	// (c present ⇒ every fanin of c present).
 	for ci := range blk.Cells {
 		c := blk.Cells[ci].Node
-		sp, sn := nodeSig(c)
 		for _, f := range net.Fanins(c) {
 			if isCell[f] {
-				addTerm(sp, sn, sw[f]*lib.InputCap)
+				b.add(b.sig(c), sw[f]*lib.InputCap)
 			} else if isRail[f] {
-				addTerm(sp, sn, railSw[f]*lib.InputCap)
+				b.add(b.sig(c), railSw[f]*lib.InputCap)
 			}
 		}
 	}
 	// 3. Boundary terms, gated by the (output, phase) singleton — which
 	// is exactly the selected cone's signature restricted to itself.
-	single := make([]uint64, words)
-	zero := make([]uint64, words)
 	for j, o := range net.Outputs() {
-		i := j
-		neg := false
-		if j >= k {
-			i, neg = j-k, true
-		}
-		for w := range single {
-			single[w] = 0
-		}
-		single[i>>6] = uint64(1) << uint(i&63)
-		sp, sn := single, zero
-		if neg {
-			sp, sn = zero, single
-		}
 		d := o.Driver
 		if isCell[d] {
-			addTerm(sp, sn, sw[d]*lib.OutputCap)
+			b.add(b.outputSig(j), sw[d]*lib.OutputCap)
 		} else if isRail[d] {
-			addTerm(sp, sn, railSw[d]*lib.OutputCap)
+			b.add(b.outputSig(j), railSw[d]*lib.OutputCap)
 		}
-		if neg {
-			addTerm(sp, sn, prob.BoundaryOutputInverterSwitching(nodeProbs[d])*lib.OutputCap)
+		if j >= k {
+			b.add(b.outputSig(j), prob.BoundaryOutputInverterSwitching(nodeProbs[d])*lib.OutputCap)
 		}
 	}
+	return b.finish(), nil
+}
 
+// NewAreaTable precomputes the cone table of the minimum-area objective:
+// its score of an assignment is exactly the mapped block's cell count,
+// domino.Map(phase.Apply(n, asg), lib).CellCount(). Its unit terms are
+// gated like the power terms: +1 per mapped cell and per inverted input
+// rail by the element's signature, +1 per negated output by its
+// singleton. It builds no BDDs, and it returns Apply's and Map's errors
+// as they are, as a synthesis of each candidate would.
+func NewAreaTable(n *logic.Network, lib domino.Library) (*ConeTable, error) {
+	b, err := newTableBuilder(n, lib)
+	if err != nil {
+		return nil, err
+	}
+	for ci := range b.blk.Cells {
+		b.add(b.sig(b.blk.Cells[ci].Node), 1)
+	}
+	for pos, id := range b.blk.Net.Inputs() {
+		if b.blk.Phase.Inputs[pos].Inverted {
+			b.add(b.sig(id), 1)
+		}
+	}
+	for j := b.t.k; j < 2*b.t.k; j++ {
+		b.add(b.outputSig(j), 1)
+	}
+	return b.finish(), nil
+}
+
+// tableBuilder is the construction every term set shares: the mapped
+// union block (union output j < k is output j positive, j ≥ k output
+// j−k negated), each node's demand signature — 2·words words, bit i of
+// the first (second) half set iff output i's positive (negated) cone
+// demands the node — and the interning of signature-gated terms.
+type tableBuilder struct {
+	t      *ConeTable
+	blk    *domino.Block
+	sigs   []uint64
+	groups map[string]int
+	key    []byte
+	single []uint64
+}
+
+// newTableBuilder synthesizes and maps the union block and derives every
+// node's demand signature.
+func newTableBuilder(n *logic.Network, lib domino.Library) (*tableBuilder, error) {
+	k := n.NumOutputs()
+	words := max((k+63)/64, 1)
+	// Union network: every output twice, second copies to be negated.
+	union := n.Clone()
+	for _, o := range n.Outputs() {
+		name := o.Name + "__coneneg"
+		for union.OutputByName(name) >= 0 {
+			name += "_"
+		}
+		union.MarkOutput(name, o.Driver)
+	}
+	asg := make(phase.Assignment, 2*k)
+	for j := k; j < 2*k; j++ {
+		asg[j] = true
+	}
+	res, err := phase.Apply(union, asg)
+	if err != nil {
+		return nil, err
+	}
+	blk, err := domino.Map(res, lib)
+	if err != nil {
+		return nil, err
+	}
+	net := blk.Net
+	b := &tableBuilder{t: &ConeTable{k: k, words: words}, blk: blk, groups: make(map[string]int),
+		sigs: make([]uint64, 2*words*net.NumNodes()), key: make([]byte, 16*words), single: make([]uint64, 2*words)}
+	// Seed each union output's driver with its own bit, then OR every
+	// node's signature into its fanins in one descending sweep (ids are
+	// topological), as logic.OutputCones does.
+	for j, o := range net.Outputs() {
+		orInto(b.sig(o.Driver), b.outputSig(j))
+	}
+	for id := net.NumNodes() - 1; id >= 0; id-- {
+		for _, f := range net.Fanins(logic.NodeID(id)) {
+			orInto(b.sig(f), b.sig(logic.NodeID(id)))
+		}
+	}
+	return b, nil
+}
+
+// orInto sets every bit of src in dst.
+func orInto(dst, src []uint64) {
+	for w, v := range src {
+		dst[w] |= v
+	}
+}
+
+// sig returns a union-block node's demand signature.
+func (b *tableBuilder) sig(id logic.NodeID) []uint64 {
+	n := 2 * b.t.words
+	return b.sigs[int(id)*n : (int(id)+1)*n]
+}
+
+// outputSig returns union output j's (output, phase) singleton signature,
+// valid until the next call.
+func (b *tableBuilder) outputSig(j int) []uint64 {
+	clear(b.single)
+	i := j % b.t.k
+	b.single[j/b.t.k*b.t.words+(i>>6)] = 1 << uint(i&63)
+	return b.single
+}
+
+// add folds the term v into the group of signature s, interning
+// signatures in first-insertion (canonical) order.
+func (b *tableBuilder) add(s []uint64, v float64) {
+	if v == 0 {
+		return
+	}
+	for w, x := range s {
+		binary.LittleEndian.PutUint64(b.key[8*w:], x)
+	}
+	t := b.t
+	if g, ok := b.groups[string(b.key)]; ok {
+		t.gk[g] += v
+		return
+	}
+	b.groups[string(b.key)] = len(t.gk)
+	t.pos = append(t.pos, s[:t.words]...)
+	t.neg = append(t.neg, s[t.words:]...)
+	t.gk = append(t.gk, v)
+}
+
+// finish precomposes every constant's exact-accumulator pieces.
+func (b *tableBuilder) finish() *ConeTable {
+	t := b.t
 	t.gl = make([]int32, len(t.gk))
 	t.gp = make([]int64, 3*len(t.gk))
 	for g, v := range t.gk {
@@ -268,8 +311,7 @@ func NewConeTable(n *logic.Network, lib domino.Library, inputProbs []float64, op
 		t.gl[g] = int32(l)
 		t.gp[3*g], t.gp[3*g+1], t.gp[3*g+2] = p0, p1, p2
 	}
-
-	return t, nil
+	return t
 }
 
 // addGroup folds +K_g into the accumulator from the precomposed pieces.

@@ -13,21 +13,32 @@ import (
 	"repro/internal/power"
 )
 
+// tableFunc builds a cone table of one term set.
+type tableFunc func(n *logic.Network, lib domino.Library, probs []float64, opts power.Options) (*power.ConeTable, error)
+
+// areaTable builds the area term set (it takes no probabilities).
+func areaTable(n *logic.Network, lib domino.Library, _ []float64, _ power.Options) (*power.ConeTable, error) {
+	return power.NewAreaTable(n, lib)
+}
+
 // stateCases is the incremental-contract case matrix: every probability
 // engine, shared/private/inverted-rail cones, and a penalized
 // fractional-cap library — the same surfaces the cone-table exactness
-// test covers.
+// test covers — plus the area term set under the default and a narrow
+// library.
 func stateCases() []struct {
-	name string
-	net  *logic.Network
-	lib  domino.Library
-	opts power.Options
+	name     string
+	net      *logic.Network
+	lib      domino.Library
+	opts     power.Options
+	newTable tableFunc
 } {
 	type tc = struct {
-		name string
-		net  *logic.Network
-		lib  domino.Library
-		opts power.Options
+		name     string
+		net      *logic.Network
+		lib      domino.Library
+		opts     power.Options
+		newTable tableFunc
 	}
 	var cases []tc
 	for _, m := range []struct {
@@ -39,10 +50,10 @@ func stateCases() []struct {
 		{"depth", power.Options{Method: power.LimitedDepth, Depth: 3}},
 	} {
 		cases = append(cases,
-			tc{"shared/" + m.name, sharedConeNet(), domino.DefaultLibrary(), m.opts},
-			tc{"rails/" + m.name, invertedRailNet(), domino.DefaultLibrary(), m.opts},
-			tc{"private/" + m.name, privateConesNet(), domino.DefaultLibrary(), m.opts},
-			tc{"shared/fancy/" + m.name, sharedConeNet(), fancyLibrary(), m.opts},
+			tc{"shared/" + m.name, sharedConeNet(), domino.DefaultLibrary(), m.opts, power.NewConeTable},
+			tc{"rails/" + m.name, invertedRailNet(), domino.DefaultLibrary(), m.opts, power.NewConeTable},
+			tc{"private/" + m.name, privateConesNet(), domino.DefaultLibrary(), m.opts, power.NewConeTable},
+			tc{"shared/fancy/" + m.name, sharedConeNet(), fancyLibrary(), m.opts, power.NewConeTable},
 		)
 	}
 	for _, p := range []gen.Params{
@@ -51,8 +62,13 @@ func stateCases() []struct {
 	} {
 		net := gen.Generate(p).Optimize()
 		cases = append(cases,
-			tc{p.Name + "/auto", net, domino.DefaultLibrary(), power.Options{}},
-			tc{p.Name + "/fancy/approx", net, fancyLibrary(), power.Options{Method: power.Approximate}})
+			tc{p.Name + "/auto", net, domino.DefaultLibrary(), power.Options{}, power.NewConeTable},
+			tc{p.Name + "/fancy/approx", net, fancyLibrary(), power.Options{Method: power.Approximate}, power.NewConeTable},
+			tc{p.Name + "/area", net, domino.DefaultLibrary(), power.Options{}, areaTable},
+			tc{p.Name + "/area/narrow", net, narrowLibrary(), power.Options{}, areaTable})
+	}
+	for _, n := range []*logic.Network{sharedConeNet(), invertedRailNet(), privateConesNet()} {
+		cases = append(cases, tc{n.Name + "/area/narrow", n, narrowLibrary(), power.Options{}, areaTable})
 	}
 	return cases
 }
@@ -67,9 +83,9 @@ func TestScoreStateFlipMatchesScoreAssignment(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			probs := testProbs(c.net)
-			table, err := power.NewConeTable(c.net, c.lib, probs, c.opts)
+			table, err := c.newTable(c.net, c.lib, probs, c.opts)
 			if err != nil {
-				t.Fatalf("NewConeTable: %v", err)
+				t.Fatalf("table: %v", err)
 			}
 			k := c.net.NumOutputs()
 			rng := rand.New(rand.NewSource(int64(k) * 7919))
@@ -241,7 +257,7 @@ func TestBoundStateAdmissibleAndExact(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			probs := testProbs(c.net)
-			table, err := power.NewConeTable(c.net, c.lib, probs, c.opts)
+			table, err := c.newTable(c.net, c.lib, probs, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -178,6 +178,13 @@ func (j *job) finish() {
 	j.broadcast()
 }
 
+// done reports whether the job has finished.
+func (j *job) done() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == StateDone
+}
+
 // status is the GET /v1/jobs/{id} projection.
 type jobStatus struct {
 	ID         string  `json:"id"`

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -192,39 +193,24 @@ func (s *Server) lookupJob(id string) (*job, bool) {
 	return j, ok
 }
 
-// registerJob records a job, evicting the oldest done jobs past MaxJobs.
+// registerJob records an accepted job, evicting the oldest done jobs
+// past MaxJobs. Live jobs keep their places in the order; they number at
+// most the queued and running ones, so an eviction scans and shifts only
+// the ids ahead of the one it drops — never the whole store.
 func (s *Server) registerJob(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
 	for len(s.jobs) > s.opts.MaxJobs {
-		evicted := false
-		for i, id := range s.jobOrder {
-			old, ok := s.jobs[id]
-			if !ok {
-				continue
-			}
-			old.mu.Lock()
-			done := old.state == StateDone
-			old.mu.Unlock()
-			if done {
-				delete(s.jobs, id)
-				s.jobOrder = append(s.jobOrder[:i:i], s.jobOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted { // everything retained is still live; let it ride
+		i := slices.IndexFunc(s.jobOrder, func(id string) bool { return s.jobs[id].done() })
+		if i < 0 { // everything retained is still live; let it ride
 			break
 		}
+		delete(s.jobs, s.jobOrder[i])
+		copy(s.jobOrder[1:i+1], s.jobOrder[:i])
+		s.jobOrder = s.jobOrder[1:]
 	}
-}
-
-func (s *Server) unregisterJob(id string) {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	delete(s.jobs, id)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -267,13 +253,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := newJob(circuits, cfg, cfgJSON, timed)
 
 	// Resolve the cache before touching the queue: hits fill their slots
-	// immediately, and a fully cached job never occupies a queue slot.
+	// immediately, and a fully cached job never occupies a queue slot. A
+	// hit's bytes are done with once keyed; a miss's go when the flow
+	// returns (runJob).
 	misses := 0
 	for i := range j.circuits {
 		c := &j.circuits[i]
 		c.key = keyFromCanonical(cfgJSON, timed, c.data)
 		if hit, ok := s.cache.get(c.key); ok {
-			c.cached = hit
+			c.cached, c.data = hit, nil
 			j.cacheHits++
 			s.m.cacheHits.Add(1)
 		} else {
@@ -298,19 +286,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
 		return
 	}
-	s.registerJob(j)
 	select {
 	case s.queue <- j:
 		s.submitMu.Unlock()
 	default:
 		s.submitMu.Unlock()
-		s.unregisterJob(j.id)
 		s.m.rejectedBusy.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.opts.RetryAfter.Seconds())))
 		writeError(w, http.StatusTooManyRequests,
 			"job queue full (%d pending); retry after %v", s.opts.QueueDepth, s.opts.RetryAfter)
 		return
 	}
+	s.registerJob(j)
 	s.m.jobsSubmitted.Add(1)
 	s.fillCachedSlots(j)
 	writeJSON(w, http.StatusAccepted, j.status())
@@ -380,6 +367,15 @@ func (s *Server) finishJob(j *job) {
 func (s *Server) runJob(j *job) {
 	s.m.jobsRunning.Add(1)
 	defer s.m.jobsRunning.Add(-1)
+	// The job outlives its run; its miss bytes do not. (Hits dropped theirs
+	// at submit, whose goroutine may still be reading their slots.)
+	defer func() {
+		for i := range j.circuits {
+			if j.circuits[i].cached == nil {
+				j.circuits[i].data = nil
+			}
+		}
+	}()
 
 	// A job cancelled while still queued never enters the flow: its
 	// unfilled slots become cancellation rows and the job completes, so
