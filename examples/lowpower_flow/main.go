@@ -49,12 +49,13 @@ func main() {
 	fmt.Printf("%s: %d PIs, %d POs, %d gates after cleanup\n",
 		circuit.Name, net.NumInputs(), net.NumOutputs(), net.GateCount())
 
+	table, err := power.NewConeTable(net, lib, probs, power.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	if *strategy != "" {
 		strat, err := phase.ParseStrategy(*strategy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		table, err := power.NewConeTable(net, lib, probs, power.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,12 +80,10 @@ func main() {
 		return
 	}
 
-	eval := power.Evaluator(lib, probs, power.Options{})
-
-	// Minimum-power heuristic with its trace.
+	// Minimum-power heuristic with its trace, scored by the cone table.
 	asg, _, pwr, trace, err := phase.MinPower(net, phase.PowerOptions{
 		InputProbs: probs,
-		Evaluate:   eval,
+		Scorer:     table,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -113,7 +113,7 @@ type Config struct {
 	// Cache-key: semantic.
 	Timing *timing.Params `json:"Timing"`
 	// Slack scales the Table 2 clock target over the fastest achievable
-	// minimum-area implementation (default 1.10).
+	// minimum-area implementation (default 1.25).
 	// Cache-key: semantic.
 	Slack float64 `json:"Slack"`
 	// Resynthesize enables collapse-and-refactor before phase

@@ -3,7 +3,6 @@ package phase
 import (
 	"container/heap"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/budget"
@@ -61,7 +60,7 @@ type PowerOptions struct {
 	// Scorer, when set, scores candidate assignments directly from
 	// per-cone precomputed state (see power.ConeTable) instead of
 	// synthesizing and estimating every trial; Apply then runs only on
-	// committed assignments. Scorer takes precedence over Evaluate for
+	// the final assignment. Scorer takes precedence over Evaluate for
 	// all candidate scoring.
 	Scorer AssignmentScorer
 	// Initial is the starting assignment (default all-positive).
@@ -91,41 +90,20 @@ type PowerOptions struct {
 	Budget *budget.T
 }
 
-// scoreResult scores an already synthesized assignment under the
-// options' objective (Scorer wins over Evaluate).
-func (o *PowerOptions) scoreResult(res *Result) (float64, error) {
-	if o.Scorer != nil {
-		return o.Scorer.ScoreAssignment(res.Assignment)
-	}
-	return o.Evaluate(res)
-}
-
-// scoreCandidate scores a trial assignment; the Result is synthesized
-// only on the evaluator path (nil otherwise — commit paths Apply lazily).
-func (o *PowerOptions) scoreCandidate(n *logic.Network, asg Assignment) (float64, *Result, error) {
-	if o.Scorer != nil {
-		score, err := o.Scorer.ScoreAssignment(asg)
-		return score, nil, err
-	}
-	res, err := Apply(n, asg)
-	if err != nil {
-		return 0, nil, err
-	}
-	score, err := o.Evaluate(res)
-	return score, res, err
-}
-
 // MinPower runs the paper's power-driven phase assignment heuristic:
 //
 //  1. start from an arbitrary assignment;
 //  2. for every candidate output pair compute the cost K of the four
 //     phase combinations from cone sizes |D|, average cone probabilities
 //     A (flipped per Property 4.1 for the inverted options) and the
-//     overlap penalty O(i,j);
-//  3. synthesize the minimum-cost combination (ties to the lower pair
-//     (i, j), then the lower Combo) and measure its power;
-//  4. commit if power decreased, and in either case retire the pair;
-//  5. repeat until no candidate pairs remain.
+//     overlap penalty O(i,j), all read for both phases of every output
+//     from one union block (ApplyUnion);
+//  3. score the minimum-cost combination (ties to the lower pair (i, j),
+//     then the lower Combo);
+//  4. commit if power decreased, re-pricing only the pairs that touch a
+//     flipped output, and in either case retire the pair;
+//  5. repeat until no candidate pairs remain, then synthesize the final
+//     assignment.
 //
 // It returns the final assignment, its synthesis, its measured power and
 // the step trace.
@@ -158,91 +136,110 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 	if len(current) != k {
 		return nil, nil, 0, nil, fmt.Errorf("phase: initial assignment length %d, want %d", len(current), k)
 	}
-	res, err := Apply(n, current)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	power, err := opts.scoreResult(res)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	var trace []Step
-	if k < 2 {
-		return current, res, power, trace, nil
-	}
 
-	var live pairHeap
-	if opts.MaxPairs > 0 {
-		live = topOverlapPairs(res.Block, opts.MaxPairs)
-	} else {
-		live = make(pairHeap, 0, k*(k-1)/2)
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				live = append(live, livePair{i: i, j: j})
+	// A trial toggles bits of current in place. A Scorer scores it by
+	// flipping its one state (the rescoring adapter records failures in
+	// Err); the evaluator path scores the candidate's synthesis and keeps
+	// it.
+	var state ScoreState
+	if opts.Scorer != nil {
+		state = newState(opts.Scorer)
+		if _, err := state.Set(current); err != nil {
+			return nil, nil, 0, nil, err
+		}
+	}
+	flip := func(flips []int) {
+		for _, f := range flips {
+			current[f] = !current[f]
+			if state != nil {
+				state.Flip(f)
 			}
 		}
 	}
-
-	// rank re-prices every live pair for the *current* synthesis and
-	// re-heapifies; it runs after every commit (an uncommitted trial
-	// leaves the circuit, hence every K, unchanged).
-	rank := func() {
-		stats := blockConeStats(res, opts.InputProbs)
-		for x := range live {
-			p := &live[x]
-			p.combo, p.k = stats.best(p.i, p.j)
+	trial := func(flips []int) (float64, *Result, error) {
+		flip(flips)
+		if state != nil {
+			return state.Score(), nil, state.Err()
 		}
-		heap.Init(&live)
+		r, err := Apply(n, current)
+		if err != nil {
+			return 0, nil, err
+		}
+		s, err := opts.Evaluate(r)
+		return s, r, err
 	}
 
-	rank()
+	power, res, err := trial(nil) // res: current's synthesis, once one exists
+	if err != nil {
+		return nil, nil, 0, nil, err
+	}
+	st, err := newUnionStats(n, opts.InputProbs)
+	if err != nil {
+		return nil, nil, 0, nil, err
+	}
+	live := st.livePairs(current, opts.MaxPairs)
+	trace := make([]Step, 0, live.Len()) // one step per pair
+	var buf [2]int
 	for live.Len() > 0 {
 		if err := opts.Budget.Err(); err != nil {
 			return nil, nil, 0, nil, err
 		}
-		c := heap.Pop(&live).(livePair)
-
-		candidate := current.Clone()
+		c := heap.Pop(live).(livePair)
+		step := Step{I: c.i, J: c.j, Combo: c.combo, K: c.k, Power: power}
+		flips := buf[:0]
 		if c.combo == InvertRetain || c.combo == InvertInvert {
-			candidate[c.i] = !candidate[c.i]
+			flips = append(flips, c.i)
 		}
 		if c.combo == RetainInvert || c.combo == InvertInvert {
-			candidate[c.j] = !candidate[c.j]
+			flips = append(flips, c.j)
 		}
-		step := Step{I: c.i, J: c.j, Combo: c.combo, K: c.k}
-		if c.combo == RetainRetain {
+		if len(flips) == 0 {
 			// Retaining both phases is a no-op synthesis; it can never
 			// strictly decrease power, so record and move on.
-			step.Power = power
 			trace = append(trace, step)
 			continue
 		}
-		cPower, cRes, err := opts.scoreCandidate(n, candidate)
+		cPower, cRes, err := trial(flips)
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
 		step.Power = cPower
-		if cPower < power {
-			step.Committed = true
-			if cRes == nil {
-				// Scored path: synthesize only now that we commit (the
-				// re-rank below needs the block's cones).
-				if cRes, err = Apply(n, candidate); err != nil {
-					return nil, nil, 0, nil, err
+		if cPower >= power {
+			flip(flips)
+			trace = append(trace, step)
+			continue
+		}
+		step.Committed = true
+		if power = cPower; cRes != nil {
+			res = cRes
+		}
+		// Only the flipped outputs' cone statistics changed: re-price
+		// the live pairs that touch one.
+		for _, f := range flips {
+			for x := 0; x < k; x++ {
+				i, j := min(f, x), max(f, x)
+				if at := live.at[i*k+j]; at >= 0 {
+					p := &live.pairs[at]
+					p.combo, p.k = st.best(current, i, j)
+					heap.Fix(live, int(at))
 				}
 			}
-			current, res, power = candidate, cRes, cPower
-			// The circuit changed: probabilities, cones and overlaps are
-			// stale. Re-rank the surviving pairs.
-			rank()
 		}
 		trace = append(trace, step)
+	}
+	if state != nil && state.Err() != nil { // a failed revert after the last trial
+		return nil, nil, 0, nil, state.Err()
+	}
+	if res == nil {
+		if res, err = Apply(n, current); err != nil {
+			return nil, nil, 0, nil, err
+		}
 	}
 	return current, res, power, trace, nil
 }
 
 // livePair is one untried output pair (i < j) ranked by its cheapest
-// combination under the current synthesis.
+// combination under the current assignment.
 type livePair struct {
 	i, j  int
 	combo Combo
@@ -253,13 +250,18 @@ type livePair struct {
 // (K, i, j, combo). Each pair holds only its cheapest combination, ties
 // to the lower Combo: the first of a pair's four candidates to surface
 // retires the pair, and under that order it is always the cheapest, so
-// the other three could never be tried.
-type pairHeap []livePair
+// the other three could never be tried. at[i·k+j] is live pair (i, j)'s
+// heap position, or -1, so re-pricing a pair costs one heap.Fix.
+type pairHeap struct {
+	pairs []livePair
+	at    []int32
+	k     int
+}
 
-func (h pairHeap) Len() int { return len(h) }
+func (h *pairHeap) Len() int { return len(h.pairs) }
 
-func (h pairHeap) Less(a, b int) bool {
-	x, y := h[a], h[b]
+func (h *pairHeap) Less(a, b int) bool {
+	x, y := h.pairs[a], h.pairs[b]
 	if x.k != y.k {
 		return x.k < y.k
 	}
@@ -270,113 +272,142 @@ func (h pairHeap) Less(a, b int) bool {
 	return x.j < y.j
 }
 
-func (h pairHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *pairHeap) Swap(a, b int) {
+	p := h.pairs
+	p[a], p[b] = p[b], p[a]
+	h.at[p[a].i*h.k+p[a].j] = int32(a)
+	h.at[p[b].i*h.k+p[b].j] = int32(b)
+}
 
-func (h *pairHeap) Push(x any) { *h = append(*h, x.(livePair)) }
+func (h *pairHeap) Push(x any) {
+	p := x.(livePair)
+	h.at[p.i*h.k+p.j] = int32(len(h.pairs))
+	h.pairs = append(h.pairs, p)
+}
 
 func (h *pairHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	p := h.pairs[len(h.pairs)-1]
+	h.pairs = h.pairs[:len(h.pairs)-1]
+	h.at[p.i*h.k+p.j] = -1
+	return p
 }
 
-// coneStats caches per-output cone metrics of one synthesized block and
-// evaluates the paper's cost function
+// unionStats holds |D|, A and the cone of every output in both phases,
+// read once from the unmapped union block (ApplyUnion), whose induced
+// subgraphs are every assignment's block: union output u is output
+// u mod k, negated when u ≥ k. K(i±, j±) is
 //
-//	K(i±, j±) = |Di|·Ai± + |Dj|·Aj± + 0.5·O(i,j)·(Ai± + Aj±)
+//	|Di|·Ai± + |Dj|·Aj± + 0.5·O(i,j)·(Ai± + Aj±)
 //
 // where A+ = A (retain) and A− = 1−A (invert, by Property 4.1).
-type coneStats struct {
-	size  []int      // |Di| per output
-	avg   []float64  // Ai per output
-	cones [][]uint64 // Di per output, as a logic.OutputCones bitset
+type unionStats struct {
+	k     int
+	size  []int      // |D| per union output
+	avg   []float64  // A per union output
+	cones [][]uint64 // D per union output, as a logic.OutputCones bitset
 }
 
-// blockConeStats prices the cones of one synthesized block under
-// prob.Approximate's node probabilities.
-func blockConeStats(res *Result, inputProbs []float64) *coneStats {
+// newUnionStats prices the union block's cones under prob.Approximate.
+// Each A is summed in its cone's driver-rooted DFS post-order (fanins in
+// order, each node once): float addition is not associative, and this
+// order depends on the cone alone, so the union block and every
+// assignment's own block sum each A bit for bit alike.
+func newUnionStats(n *logic.Network, inputProbs []float64) (*unionStats, error) {
+	res, err := ApplyUnion(n)
+	if err != nil {
+		return nil, err
+	}
 	block := res.Block
 	probs := prob.Approximate(block, res.BlockInputProbs(inputProbs))
-	nOut := block.NumOutputs()
-	st := &coneStats{
-		size:  make([]int, nOut),
-		avg:   make([]float64, nOut),
-		cones: block.OutputCones(),
-	}
-	for i, cone := range st.cones {
-		// Sum Ai in ascending block-id order (set bits lowest first):
-		// float addition is not associative, and this is the order of
-		// the membership-scan reference, so every K keeps its bits.
-		sum, cnt := 0.0, 0
-		for w, word := range cone {
-			for ; word != 0; word &= word - 1 {
-				sum += probs[w*64+bits.TrailingZeros64(word)]
-				cnt++
+	st := &unionStats{k: n.NumOutputs(), size: make([]int, block.NumOutputs()),
+		avg: make([]float64, block.NumOutputs()), cones: block.OutputCones()}
+	seen := make([]int32, block.NumNodes()) // 1 + the last output whose walk reached the node
+	var u int
+	var sum float64
+	var walk func(id logic.NodeID)
+	walk = func(id logic.NodeID) {
+		seen[id] = int32(u + 1)
+		for _, f := range block.Fanins(id) {
+			if seen[f] != int32(u+1) {
+				walk(f)
 			}
 		}
-		st.size[i] = cnt
-		if cnt > 0 {
-			st.avg[i] = sum / float64(cnt)
-		}
+		sum += probs[id]
+		st.size[u]++
 	}
-	return st
+	for u = range st.avg {
+		sum = 0
+		walk(block.Outputs()[u].Driver)
+		st.avg[u] = sum / float64(st.size[u])
+	}
+	return st, nil
 }
 
-// k is the cost of one combination given the pair's overlap o.
-func (st *coneStats) k(i, j int, combo Combo, o float64) float64 {
-	ai, aj := st.avg[i], st.avg[j]
+// at returns output i's union output at its phase in asg.
+func (st *unionStats) at(asg Assignment, i int) int {
+	if asg[i] {
+		return i + st.k
+	}
+	return i
+}
+
+// kCost is the cost of one combination of union outputs ui and uj given
+// their overlap o.
+func (st *unionStats) kCost(ui, uj int, combo Combo, o float64) float64 {
+	ai, aj := st.avg[ui], st.avg[uj]
 	if combo == InvertRetain || combo == InvertInvert {
 		ai = 1 - ai
 	}
 	if combo == RetainInvert || combo == InvertInvert {
 		aj = 1 - aj
 	}
-	return float64(st.size[i])*ai + float64(st.size[j])*aj + 0.5*o*(ai+aj)
+	return float64(st.size[ui])*ai + float64(st.size[uj])*aj + 0.5*o*(ai+aj)
 }
 
-// best returns the pair's cheapest combination and its K from one
-// overlap, ties to the lower Combo.
-func (st *coneStats) best(i, j int) (Combo, float64) {
-	o := logic.ConeOverlap(st.cones[i], st.cones[j])
-	combo, best := RetainRetain, st.k(i, j, RetainRetain, o)
+// best returns pair (i, j)'s cheapest combination at asg's phases and
+// its K from one overlap, ties to the lower Combo.
+func (st *unionStats) best(asg Assignment, i, j int) (Combo, float64) {
+	ui, uj := st.at(asg, i), st.at(asg, j)
+	o := logic.ConeOverlap(st.cones[ui], st.cones[uj])
+	combo, best := RetainRetain, st.kCost(ui, uj, RetainRetain, o)
 	for c := RetainInvert; c <= InvertInvert; c++ {
-		if kc := st.k(i, j, c, o); kc < best {
+		if kc := st.kCost(ui, uj, c, o); kc < best {
 			combo, best = c, kc
 		}
 	}
 	return combo, best
 }
 
-// topOverlapPairs returns up to max output pairs with the largest cone
-// overlap in the given block, ties to the lower (i, j).
-func topOverlapPairs(block *logic.Network, max int) pairHeap {
-	cones := block.OutputCones()
-	type scored struct {
-		p livePair
-		o float64
+// livePairs ranks the candidate pairs at asg's phases into a heap: every
+// pair, or, under maxPairs > 0, the maxPairs pairs with the largest cone
+// overlap, ties to the lower (i, j).
+func (st *unionStats) livePairs(asg Assignment, maxPairs int) *pairHeap {
+	k := st.k
+	h := &pairHeap{pairs: make([]livePair, 0, k*(k-1)/2), at: make([]int32, k*k), k: k}
+	for x := range h.at {
+		h.at[x] = -1
 	}
-	var all []scored
-	for i := 0; i < len(cones); i++ {
-		for j := i + 1; j < len(cones); j++ {
-			all = append(all, scored{livePair{i: i, j: j}, logic.ConeOverlap(cones[i], cones[j])})
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			h.Push(livePair{i: i, j: j})
 		}
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].o != all[b].o {
-			return all[a].o > all[b].o
+	if maxPairs > 0 && maxPairs < h.Len() {
+		// The heap's own (K, i, j) order at K = −O.
+		for x := range h.pairs {
+			p := &h.pairs[x]
+			p.k = -logic.ConeOverlap(st.cones[st.at(asg, p.i)], st.cones[st.at(asg, p.j)])
 		}
-		if all[a].p.i != all[b].p.i {
-			return all[a].p.i < all[b].p.i
+		sort.Sort(h)
+		for _, p := range h.pairs[maxPairs:] {
+			h.at[p.i*k+p.j] = -1
 		}
-		return all[a].p.j < all[b].p.j
-	})
-	if len(all) > max {
-		all = all[:max]
+		h.pairs = h.pairs[:maxPairs]
 	}
-	out := make(pairHeap, len(all))
-	for i, s := range all {
-		out[i] = s.p
+	for x := range h.pairs {
+		p := &h.pairs[x]
+		p.combo, p.k = st.best(asg, p.i, p.j)
 	}
-	return out
+	heap.Init(h)
+	return h
 }

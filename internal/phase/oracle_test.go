@@ -1,6 +1,8 @@
 package phase
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/logic"
@@ -37,9 +39,34 @@ func AscendingScan(n *logic.Network, opts SearchOptions) (Assignment, float64, e
 // package.
 var RandomNoXorNetwork = randomNoXorNetwork
 
+// scoreResult scores an already synthesized assignment under the
+// options' objective (Scorer wins over Evaluate).
+func (o *PowerOptions) scoreResult(res *Result) (float64, error) {
+	if o.Scorer != nil {
+		return o.Scorer.ScoreAssignment(res.Assignment)
+	}
+	return o.Evaluate(res)
+}
+
+// scoreCandidate scores a trial assignment; the Result is synthesized
+// only on the evaluator path (nil otherwise — commit paths Apply lazily).
+func (o *PowerOptions) scoreCandidate(n *logic.Network, asg Assignment) (float64, *Result, error) {
+	if o.Scorer != nil {
+		score, err := o.Scorer.ScoreAssignment(asg)
+		return score, nil, err
+	}
+	res, err := Apply(n, asg)
+	if err != nil {
+		return 0, nil, err
+	}
+	score, err := o.Evaluate(res)
+	return score, res, err
+}
+
 // MinPowerOracle is the pairwise heuristic's reference ranking: the
 // live pairs in a map, all four combinations of every live pair ranked
-// from []bool cone overlaps, and a full sort of every candidate by
+// from []bool cone overlaps of the current assignment's own block
+// (re-Applied after each commit), and a full sort of every candidate by
 // (K, i, j, combo) after each commit. MinPower (StrategyAuto) must
 // return its step trace, assignment and score bit for bit. Exported for
 // the phase_test package.
@@ -201,19 +228,73 @@ func oracleBlockConeStats(res *Result, inputProbs []float64) *oracleConeStats {
 		overlap: make([][]float64, nOut),
 	}
 	for i, cone := range st.cones {
-		sum, cnt := 0.0, 0
-		for id, in := range cone {
+		cnt := 0
+		for _, in := range cone {
 			if in {
-				sum += probs[id]
 				cnt++
 			}
 		}
 		st.size[i] = cnt
 		if cnt > 0 {
-			st.avg[i] = sum / float64(cnt)
+			st.avg[i] = oraclePostOrderSum(block, block.Outputs()[i].Driver, probs) / float64(cnt)
 		}
 	}
 	return st
+}
+
+// oraclePostOrderSum sums probs over root's fanin cone in driver-rooted
+// DFS post-order: fanins in order, each node once.
+func oraclePostOrderSum(block *logic.Network, root logic.NodeID, probs []float64) float64 {
+	seen := make([]bool, block.NumNodes())
+	sum := 0.0
+	var visit func(id logic.NodeID)
+	visit = func(id logic.NodeID) {
+		if seen[id] {
+			return
+		}
+		seen[id] = true
+		for _, f := range block.Fanins(id) {
+			visit(f)
+		}
+		sum += probs[id]
+	}
+	visit(root)
+	return sum
+}
+
+// UnionStatsDiff checks MinPower's union premise at one assignment:
+// the union statistics read at asg's phases must equal the statistics
+// of Apply(n, asg)'s own block bit for bit — every |Di| and Ai (the
+// oracle's), and O(i,j) (logic.ConeOverlap of the block's bitset cones)
+// as float bits for every pair. It returns the first difference, or ""
+// when there is none. Exported for the phase_test package.
+func UnionStatsDiff(n *logic.Network, asg Assignment, inputProbs []float64) (string, error) {
+	union, err := newUnionStats(n, inputProbs)
+	if err != nil {
+		return "", err
+	}
+	res, err := Apply(n, asg)
+	if err != nil {
+		return "", err
+	}
+	block := oracleBlockConeStats(res, inputProbs)
+	cones := res.Block.OutputCones()
+	for i := range asg {
+		ui := union.at(asg, i)
+		if union.size[ui] != block.size[i] {
+			return fmt.Sprintf("|D%d| = %d, block %d", i, union.size[ui], block.size[i]), nil
+		}
+		if math.Float64bits(union.avg[ui]) != math.Float64bits(block.avg[i]) {
+			return fmt.Sprintf("A%d = %v, block %v", i, union.avg[ui], block.avg[i]), nil
+		}
+		for j := i + 1; j < len(asg); j++ {
+			o, want := logic.ConeOverlap(union.cones[ui], union.cones[union.at(asg, j)]), logic.ConeOverlap(cones[i], cones[j])
+			if math.Float64bits(o) != math.Float64bits(want) {
+				return fmt.Sprintf("O(%d,%d) = %v, block %v", i, j, o, want), nil
+			}
+		}
+	}
+	return "", nil
 }
 
 func (st *oracleConeStats) o(i, j int) float64 {

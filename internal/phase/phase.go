@@ -216,6 +216,27 @@ func Apply(n *logic.Network, asg Assignment) (*Result, error) {
 	return r, nil
 }
 
+// ApplyUnion is Apply with every output listed twice: union output
+// j < k is output j in positive phase, and j ≥ k is output j−k negated.
+// Since Apply memoizes per (node, polarity), every assignment's block is
+// the union block's subgraph induced by its outputs' cones.
+func ApplyUnion(n *logic.Network) (*Result, error) {
+	k := n.NumOutputs()
+	union := n.Clone()
+	for _, o := range n.Outputs() {
+		name := o.Name + "__coneneg"
+		for union.OutputByName(name) >= 0 {
+			name += "_"
+		}
+		union.MarkOutput(name, o.Driver)
+	}
+	asg := make(Assignment, 2*k)
+	for j := k; j < 2*k; j++ {
+		asg[j] = true
+	}
+	return Apply(union, asg)
+}
+
 // Reconstructed builds a plain network with the original interface from
 // the block: input-boundary inverters feed the inverted block inputs and
 // output-boundary inverters restore negative-phase outputs. It is the

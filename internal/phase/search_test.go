@@ -2,6 +2,7 @@ package phase
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -248,50 +249,63 @@ func TestMinPowerMaxPairs(t *testing.T) {
 }
 
 func TestConeStatsCostFunction(t *testing.T) {
-	// Hand-check K on a tiny synthesis: two disjoint outputs, overlap 0.
+	// Hand-check the union statistics and K on a tiny network.
 	n := logic.New("k")
 	a := n.AddInput("a")
 	b := n.AddInput("b")
 	n.MarkOutput("f", n.AddBuf(a))
 	n.MarkOutput("g", n.AddAnd(a, b))
-	r, err := Apply(n, AllPositive(2))
+	st, err := newUnionStats(n, []float64{0.9, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputProbs := []float64{0.9, 0.5}
-	st := blockConeStats(r, inputProbs)
-	// f's block cone: just input a (p=.9) -> |D|=1, A=.9.
-	// g's block cone: a, b, and-gate -> |D|=3, A=(0.9+0.5+0.45)/3.
-	if st.size[0] != 1 || st.size[1] != 3 {
-		t.Fatalf("cone sizes = %v", st.size)
-	}
-	if !almost(st.avg[0], 0.9) {
-		t.Errorf("A_f = %v", st.avg[0])
+	// Union outputs: 0 = f+, 1 = g+, 2 = f-, 3 = g-.
+	// f+: just input a (p=.9) -> |D|=1, A=.9.
+	// g+: a, b, and-gate -> |D|=3, A=(0.9+0.5+0.45)/3.
+	// f-: just a_bar (p=.1) -> |D|=1, A=.1.
+	// g-: a_bar, b_bar, or-gate -> |D|=3, A=(0.1+0.5+0.55)/3.
+	if want := []int{1, 3, 1, 3}; !reflect.DeepEqual(st.size, want) {
+		t.Fatalf("cone sizes = %v, want %v", st.size, want)
 	}
 	wantAg := (0.9 + 0.5 + 0.45) / 3
-	if !almost(st.avg[1], wantAg) {
-		t.Errorf("A_g = %v, want %v", st.avg[1], wantAg)
+	wantAgNeg := (0.1 + 0.5 + 0.55) / 3
+	for u, want := range []float64{0.9, wantAg, 0.1, wantAgNeg} {
+		if !almost(st.avg[u], want) {
+			t.Errorf("A of union output %d = %v, want %v", u, st.avg[u], want)
+		}
 	}
-	// Overlap: f cone {a}, g cone {a,b,and}: 1/(1+3)=0.25.
-	o := logic.ConeOverlap(st.cones[0], st.cones[1])
-	if !almost(o, 0.25) {
-		t.Errorf("O(f,g) = %v, want 0.25", o)
+	// Overlaps: f+ {a} and g+ {a,b,and} share a: 1/(1+3)=0.25; f+ and
+	// g- share nothing; f- {a_bar} and g- share a_bar: 0.25.
+	for _, c := range []struct {
+		ui, uj int
+		want   float64
+	}{{0, 1, 0.25}, {0, 3, 0}, {2, 3, 0.25}, {2, 1, 0}} {
+		if o := logic.ConeOverlap(st.cones[c.ui], st.cones[c.uj]); !almost(o, c.want) {
+			t.Errorf("O(%d,%d) = %v, want %v", c.ui, c.uj, o, c.want)
+		}
 	}
 	// K(i+,j+) = 1*.9 + 3*Ag + .5*.25*(.9+Ag)
+	o := 0.25
 	want := 0.9 + 3*wantAg + 0.125*(0.9+wantAg)
-	if got := st.k(0, 1, RetainRetain, o); !almost(got, want) {
+	if got := st.kCost(0, 1, RetainRetain, o); !almost(got, want) {
 		t.Errorf("K(+,+) = %v, want %v", got, want)
 	}
 	// K(i-,j+) flips Ai.
 	want = 0.1 + 3*wantAg + 0.125*(0.1+wantAg)
-	if got := st.k(0, 1, InvertRetain, o); !almost(got, want) {
+	if got := st.kCost(0, 1, InvertRetain, o); !almost(got, want) {
 		t.Errorf("K(-,+) = %v, want %v", got, want)
 	}
 	// The pair's ranked candidate is its cheapest combination: Af = .9
 	// and Ag ≈ .62 both exceed .5, so inverting both wins.
 	want = 0.1 + 3*(1-wantAg) + 0.125*(0.1+1-wantAg)
-	if combo, k := st.best(0, 1); combo != InvertInvert || !almost(k, want) {
-		t.Errorf("best = %v K=%v, want %v K=%v", combo, k, InvertInvert, want)
+	if combo, k := st.best(AllPositive(2), 0, 1); combo != InvertInvert || !almost(k, want) {
+		t.Errorf("best at ++ = %v K=%v, want %v K=%v", combo, k, InvertInvert, want)
+	}
+	// With g negated the pair reads f+ and g-: overlap 0 and
+	// Ag- ≈ .38, so only inverting f pays.
+	want = 0.1 + 3*wantAgNeg
+	if combo, k := st.best(Assignment{false, true}, 0, 1); combo != InvertRetain || !almost(k, want) {
+		t.Errorf("best at +- = %v K=%v, want %v K=%v", combo, k, InvertRetain, want)
 	}
 }
 

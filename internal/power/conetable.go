@@ -7,9 +7,9 @@
 // precomputes both phases of every cone once and reduces scoring an
 // assignment to summing a few signature-gated cached constants.
 //
-// Construction ("2k cone syntheses in one pass"): the original network is
-// cloned with every primary output listed twice, and phase.Apply runs
-// once with the first copies positive and the second copies negative.
+// Construction ("2k cone syntheses in one pass"): phase.ApplyUnion lists
+// every primary output twice and runs phase.Apply once, with the first
+// copies positive and the second copies negative.
 // Because Apply memoizes block nodes per (original node, polarity), the
 // resulting "union block" contains exactly one node for every
 // (node, polarity) any cone can ever demand, and the block any mask
@@ -213,25 +213,12 @@ type tableBuilder struct {
 	single []uint64
 }
 
-// newTableBuilder synthesizes and maps the union block and derives every
-// node's demand signature.
+// newTableBuilder synthesizes and maps the union block
+// (phase.ApplyUnion) and derives every node's demand signature.
 func newTableBuilder(n *logic.Network, lib domino.Library) (*tableBuilder, error) {
 	k := n.NumOutputs()
 	words := max((k+63)/64, 1)
-	// Union network: every output twice, second copies to be negated.
-	union := n.Clone()
-	for _, o := range n.Outputs() {
-		name := o.Name + "__coneneg"
-		for union.OutputByName(name) >= 0 {
-			name += "_"
-		}
-		union.MarkOutput(name, o.Driver)
-	}
-	asg := make(phase.Assignment, 2*k)
-	for j := k; j < 2*k; j++ {
-		asg[j] = true
-	}
-	res, err := phase.Apply(union, asg)
+	res, err := phase.ApplyUnion(n)
 	if err != nil {
 		return nil, err
 	}
