@@ -139,7 +139,7 @@ type Config struct {
 	Workers int `json:"Workers"`
 	// SimShards splits the measurement vectors into independently seeded
 	// concurrent streams (see sim.Config.Shards); 0 keeps the
-	// single-stream measurement.
+	// single-stream measurement. Validate caps it at sim.MaxShards.
 	// Cache-key: semantic.
 	SimShards int `json:"SimShards"`
 	// SimKernel selects the measurement engine (see sim.Kernel); the
@@ -166,7 +166,8 @@ type Config struct {
 	// Cache-key: semantic.
 	SearchStrategy phase.SearchStrategy `json:"SearchStrategy"`
 	// SearchRestarts, SearchSeed, and AnnealSteps parameterize the
-	// strategy path (see phase.SearchOptions).
+	// strategy path (see phase.SearchOptions). Validate caps
+	// SearchRestarts at phase.MaxRestarts.
 	// Cache-key: semantic.
 	SearchRestarts int `json:"SearchRestarts"`
 	// SearchSeed seeds the randomized strategies (annealing, restarts).

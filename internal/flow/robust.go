@@ -33,8 +33,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flow: config field MaxCollapseSupport: %d is negative", c.MaxCollapseSupport)
 	case c.Workers < 0:
 		return fmt.Errorf("flow: config field Workers: %d is negative", c.Workers)
-	case c.SimShards < 0:
-		return fmt.Errorf("flow: config field SimShards: %d is negative", c.SimShards)
+	case c.SimShards < 0 || c.SimShards > sim.MaxShards:
+		return fmt.Errorf("flow: config field SimShards: %d out of range [0,%d]", c.SimShards, sim.MaxShards)
 	case c.SimKernel > sim.KernelBlocked:
 		return fmt.Errorf("flow: config field SimKernel: unknown kernel %d", int(c.SimKernel))
 	case c.SimBlockWords < 0 || c.SimBlockWords > sim.MaxBlockWords:
@@ -43,8 +43,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flow: config field PhaseScoring: unknown scoring mode %d", int(c.PhaseScoring))
 	case c.SearchStrategy < 0 || c.SearchStrategy > phase.StrategyGreedy:
 		return fmt.Errorf("flow: config field SearchStrategy: unknown strategy %d", int(c.SearchStrategy))
-	case c.SearchRestarts < 0:
-		return fmt.Errorf("flow: config field SearchRestarts: %d is negative", c.SearchRestarts)
+	case c.SearchRestarts < 0 || c.SearchRestarts > phase.MaxRestarts:
+		return fmt.Errorf("flow: config field SearchRestarts: %d out of range [0,%d]", c.SearchRestarts, phase.MaxRestarts)
 	case c.AnnealSteps < 0:
 		return fmt.Errorf("flow: config field AnnealSteps: %d is negative", c.AnnealSteps)
 	case c.BDDNodeBudget < 0:

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/gen"
+	"repro/internal/phase"
 	"repro/internal/power"
+	"repro/internal/sim"
 )
 
 // TestConfigValidate: the zero config and the defaults validate; every
@@ -36,11 +38,13 @@ func TestConfigValidate(t *testing.T) {
 		{"MaxCollapseSupport", Config{MaxCollapseSupport: -1}},
 		{"Workers", Config{Workers: -1}},
 		{"SimShards", Config{SimShards: -1}},
+		{"SimShards", Config{SimShards: sim.MaxShards + 1}},
 		{"SimKernel", Config{SimKernel: 99}},
 		{"SimBlockWords", Config{SimBlockWords: 1 << 20}},
 		{"PhaseScoring", Config{PhaseScoring: 99}},
 		{"SearchStrategy", Config{SearchStrategy: 99}},
 		{"SearchRestarts", Config{SearchRestarts: -1}},
+		{"SearchRestarts", Config{SearchStrategy: phase.StrategyGreedy, SearchRestarts: phase.MaxRestarts + 1}},
 		{"AnnealSteps", Config{AnnealSteps: -1}},
 		{"BDDNodeBudget", Config{BDDNodeBudget: -1}},
 		{"SimVectorBudget", Config{SimVectorBudget: -1}},

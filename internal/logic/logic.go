@@ -429,15 +429,3 @@ func (n *Network) Levels() []int {
 	}
 	return lv
 }
-
-// Depth returns the maximum topological level among output drivers.
-func (n *Network) Depth() int {
-	lv := n.Levels()
-	d := 0
-	for _, o := range n.outputs {
-		if lv[o.Driver] > d {
-			d = lv[o.Driver]
-		}
-	}
-	return d
-}

@@ -85,8 +85,8 @@ func TestLevelsAndDepth(t *testing.T) {
 	if lv[4] != 1 || lv[5] != 1 {
 		t.Errorf("first-level gates: got %d,%d want 1,1", lv[4], lv[5])
 	}
-	if got, want := n.Depth(), 3; got != want {
-		t.Errorf("Depth = %d, want %d", got, want)
+	if got, want := lv[n.Outputs()[0].Driver], 3; got != want {
+		t.Errorf("level of f's driver = %d, want %d", got, want)
 	}
 }
 

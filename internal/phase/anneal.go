@@ -57,6 +57,13 @@ func descendState(st ScoreState, asg Assignment, score float64, tok *budget.T) (
 	return score, nil
 }
 
+// MaxRestarts is the largest Restarts flow.Config.Validate accepts from
+// an untrusted configuration (as SearchRestarts). greedyStarts builds
+// every start before the search first polls its budget token, and
+// annealing allocates one outcome per chain, so memory grows linearly
+// with Restarts.
+const MaxRestarts = 1024
+
 // greedyStarts generates the canonical restart set: the base start (the
 // all-positive assignment, or Initial when set) plus Restarts random
 // draws from the seeded rng, in a fixed order regardless of worker

@@ -13,39 +13,50 @@ import (
 // Monte-Carlo signal-probability estimation: the engine of last resort
 // in the flow's degradation chain. It builds no BDDs at all — node
 // probabilities are estimated by bit-parallel random simulation
-// (logic.EvalWide over 64-cycle windows of packed Bernoulli draws, the
-// same dyadic-expansion generator internal/sim uses), so its cost is
+// (logic.EvalWide over 64-cycle windows of packed Bernoulli draws from
+// BernoulliWord, the same generator internal/sim uses), so its cost is
 // O(vectors × gates) regardless of how pathological the circuit's BDDs
 // are, and it can never trip the BDD node budget. Results are a pure
 // function of (network, lits, varProbs, vectors, seed): deterministic,
 // worker-count independent, and therefore cacheable like every other
 // engine's rows.
 
-// mcBernoulliBits mirrors internal/sim's generator resolution;
-// duplicated rather than imported to keep prob free of a sim
-// dependency (the two streams need not match — only determinism and
-// the marginal probabilities matter here).
-const mcBernoulliBits = 30
-
 // mcPollWindows is how many 64-cycle windows pass between cancellation
 // polls of the budget token.
 const mcPollWindows = 16
 
-func mcBernoulliWord(rng *rand.Rand, p float64) uint64 {
+// BernoulliBits is the resolution of BernoulliWord: probabilities are
+// rounded to this many binary digits (quantization error ≤ 2^-31, far
+// below Monte-Carlo noise at any realistic vector count; exact for
+// dyadic probabilities such as 0, 0.25, 0.5, 1).
+const BernoulliBits = 30
+
+// BernoulliWord draws 64 independent Bernoulli(p) lanes as one uint64
+// using the dyadic-expansion trick: with p = 0.b1b2…bK in binary, fold
+// one uniform word per digit from least to most significant — w = r|w
+// for a 1 digit, r&w for a 0 digit — which halves the lane probability
+// per step and adds ½ at every 1 digit. Trailing zero digits are
+// skipped (they cannot change an all-zero word), so the rng consumption
+// is a pure function of p: none for p ≤ 0 or p ≥ 1, one draw for
+// p = 0.5, at most BernoulliBits draws in general. Compared with 64
+// Float64 draws per word this is what keeps the packed simulators from
+// being rng-bound. internal/sim's input vectors and MonteCarloLits both
+// draw through it, so each stream is fixed bit for bit by its seed.
+func BernoulliWord(rng *rand.Rand, p float64) uint64 {
 	if p >= 1 {
 		return ^uint64(0)
 	}
-	q := uint32(p*(1<<mcBernoulliBits) + 0.5)
+	q := uint32(p*(1<<BernoulliBits) + 0.5)
 	if p <= 0 || q == 0 {
 		return 0
 	}
-	if q >= 1<<mcBernoulliBits {
+	if q >= 1<<BernoulliBits {
 		return ^uint64(0)
 	}
 	tz := uint(bits.TrailingZeros32(q))
 	q >>= tz
 	w := uint64(0)
-	for j := uint(0); j < mcBernoulliBits-tz; j++ {
+	for j := uint(0); j < BernoulliBits-tz; j++ {
 		r := rng.Uint64()
 		if q&1 == 1 {
 			w |= r
@@ -97,7 +108,7 @@ func MonteCarloLits(n *logic.Network, numVars int, lits []bdd.InputLit, varProbs
 		}
 		mask := ^uint64(0) >> (64 - uint(width))
 		for v := range varWords {
-			varWords[v] = mcBernoulliWord(rng, varProbs[v])
+			varWords[v] = BernoulliWord(rng, varProbs[v])
 		}
 		for pos := range inWords {
 			if lits == nil {

@@ -41,6 +41,8 @@ func FuzzParseConfig(f *testing.F) {
 		`{"BDDNodeBudget":-1}`,
 		`{"SimVectorBudget":-8}`,
 		`{"AnnealSteps":-3}`,
+		`{"SimShards":1025}`,
+		`{"SearchStrategy":4,"SearchRestarts":1025}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -78,6 +78,8 @@ func TestConfigValidationRejections(t *testing.T) {
 		field string
 	}{
 		{"negative SimShards", `{"SimShards":-1}`, "SimShards"},
+		{"oversized SimShards", `{"SimShards":1025}`, "SimShards"},
+		{"oversized SearchRestarts", `{"SearchStrategy":4,"SearchRestarts":1025}`, "SearchRestarts"},
 		{"negative SimVectors", `{"SimVectors":-5}`, "SimVectors"},
 		{"negative Workers", `{"Workers":-2}`, "Workers"},
 		{"InputProb above 1", `{"InputProb":1.5}`, "InputProb"},

@@ -37,15 +37,6 @@ type KernelStats struct {
 	GateSkips int64
 }
 
-// SkipRate returns the fraction of gate-block evaluations the activity
-// gate removed (0 when nothing was counted).
-func (s KernelStats) SkipRate() float64 {
-	if t := s.GateEvals + s.GateSkips; t > 0 {
-		return float64(s.GateSkips) / float64(t)
-	}
-	return 0
-}
-
 // fastGate is one row of the blocked kernel's precompiled gate table: a
 // flat, cache-friendly encoding of (node, kind, fanins) that replaces
 // the per-node Node()/Kind() lookups in the hot loop. Every gate's
@@ -106,12 +97,11 @@ func newBlockedPrecomp(b *domino.Block) *blockedPrecomp {
 // the shard lives in word j of every node's block. Each window's inputs
 // are drawn by packInputs on the shard's own *rand.Rand — the scalar
 // oracle's generator path, so the block's words are by construction the
-// packed form of the oracle's vectors — and every count folds into the
-// shard totals in fold's order (per window: cells in Cells order, then
-// input inverters, then negated outputs). That makes its Reports
-// byte-identical to the scalar kernel's for any (Seed, Shards,
-// BlockWords) (TestBlockedMatchesScalarAndWideKernels). pc is built
-// once per Run and shared read-only across shards.
+// packed form of the oracle's vectors — and every transition is counted
+// by popcount into the shard's int64 totals. The counts, and so the
+// Reports, equal the scalar kernel's for any (Seed, Shards, BlockWords)
+// (TestBlockedMatchesScalarAndWideKernels). pc is built once per Run and
+// shared read-only across shards.
 //
 // Gating: a gate whose fanin blocks all carry an unchanged flag is
 // skipped (its stored words are provably the correct value), and
@@ -119,16 +109,12 @@ func newBlockedPrecomp(b *domino.Block) *blockedPrecomp {
 // elides evaluation, never measurement. Every block makes one eval or
 // skip decision per gate; the first block evaluates every gate.
 //
-// One pass serves every block: any bw from 1 to 8, a tail shorter than
-// bw windows or ending in a partial window, and per-cycle CI. It loops
-// over the live windows only — dead word slots keep the previous
-// block's values, which is deterministic and invisible to the Report —
-// and counts in separate passes after the gate walk. In batch-means
-// mode each window's weighted counts add into sums[j]; in per-cycle CI
-// mode each event word scatters its weight into lanePower[j], so every
-// lane receives its float adds in the scalar oracle's within-cycle
-// order before feeding one Welford sample.
-func runShardBlocked(ctx context.Context, b *domino.Block, cfg Config, p *blockParams, pc *blockedPrecomp, perCycleCI bool, seed int64, vectors int) (*shardResult, error) {
+// One pass serves every block: any bw from 1 to 8, and a tail shorter
+// than bw windows or ending in a partial window. It loops over the live
+// windows only — dead word slots keep the previous block's values, which
+// is deterministic and invisible to the Report — and counts in separate
+// passes after the gate walk.
+func runShardBlocked(ctx context.Context, b *domino.Block, cfg Config, p *blockParams, pc *blockedPrecomp, seed int64, vectors int) (*shardResult, error) {
 	bw := blockWordsOf(cfg)
 	net := b.Net
 	numNodes := net.NumNodes()
@@ -144,8 +130,6 @@ func runShardBlocked(ctx context.Context, b *domino.Block, cfg Config, p *blockP
 	prevBit := make([]uint64, len(pc.inputNode))
 	sr := newShardResult(b)
 	var evals, skips int64
-	var sums [MaxBlockWords]float64
-	var lanePower [MaxBlockWords][simWindow]float64
 
 	// Constant blocks are set once; their change flags stay false (the
 	// first block evaluates every gate regardless).
@@ -254,40 +238,20 @@ func runShardBlocked(ctx context.Context, b *domino.Block, cfg Config, p *blockP
 			changed[g.dst] = d != 0
 		}
 
-		// Stage 4: count the live windows source by source — cells in
-		// Cells order, then input inverters, then negated outputs —
-		// skipping zero words, as fold skips zero counts.
-		for j := 0; j < nw; j++ {
-			sums[j] = 0
-			if perCycleCI {
-				lanePower[j] = [simWindow]float64{}
-			}
-		}
-		count := func(j int, v uint64, weight float64) int64 {
-			c := bits.OnesCount64(v)
-			if perCycleCI {
-				for t := v; t != 0; t &= t - 1 {
-					lanePower[j][bits.TrailingZeros64(t)] += weight
-				}
-			} else {
-				sums[j] += weight * float64(c)
-			}
-			return int64(c)
-		}
+		// Stage 4: popcount the live windows into the shard totals —
+		// cells, then input inverters, then negated outputs.
 		for ci := range b.Cells {
 			w := &ws[b.Cells[ci].Node]
-			var tot int64
+			tot := 0
 			for j := 0; j < nw; j++ {
-				if v := w[j] & masks[j]; v != 0 {
-					tot += count(j, v, p.weights[ci])
-				}
+				tot += bits.OnesCount64(w[j] & masks[j])
 			}
-			sr.cellTrans[ci] += tot
+			sr.cellTrans[ci] += int64(tot)
 		}
 		for _, pos := range p.invPos {
 			w := &ws[pc.inputNode[pos]]
 			carry := prevBit[pos]
-			var tot int64
+			tot := 0
 			for j := 0; j < nw; j++ {
 				v := w[j]
 				diff := (v ^ (v<<1 | carry)) & masks[j]
@@ -295,32 +259,18 @@ func runShardBlocked(ctx context.Context, b *domino.Block, cfg Config, p *blockP
 					diff &^= 1
 				}
 				carry = (v >> uint(lanes[j]-1)) & 1
-				if diff != 0 {
-					tot += count(j, diff, p.invLoad[pos])
-				}
+				tot += bits.OnesCount64(diff)
 			}
 			prevBit[pos] = carry
-			sr.inputInvTrans[pos] += tot
+			sr.inputInvTrans[pos] += int64(tot)
 		}
 		for _, oi := range p.negOut {
 			w := &ws[p.drivers[oi]]
-			var tot int64
+			tot := 0
 			for j := 0; j < nw; j++ {
-				if v := w[j] & masks[j]; v != 0 {
-					tot += count(j, v, p.outCap)
-				}
+				tot += bits.OnesCount64(w[j] & masks[j])
 			}
-			sr.outputInvTrans[oi] += tot
-		}
-		for j := 0; j < nw; j++ {
-			switch {
-			case perCycleCI:
-				for k := 0; k < lanes[j]; k++ {
-					sr.perCycle.Add(lanePower[j][k])
-				}
-			case lanes[j] == simWindow:
-				sr.perCycle.Add(sums[j] / float64(simWindow))
-			}
+			sr.outputInvTrans[oi] += int64(tot)
 		}
 	}
 	sr.gateEvals = evals

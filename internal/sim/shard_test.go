@@ -75,7 +75,7 @@ func TestRunShardedIndependentOfWorkers(t *testing.T) {
 
 func TestRunSingleShardMatchesLegacySequential(t *testing.T) {
 	// Shards 0 (default) and 1 must reproduce the pre-sharding sequential
-	// report bit-for-bit: one rng stream seeded Seed, one Welford pass.
+	// report bit-for-bit: one rng stream seeded Seed.
 	blk, probs := shardTestBlock(t)
 	legacy, err := Run(blk, Config{Vectors: 1500, Seed: 21, InputProbs: probs})
 	if err != nil {
@@ -92,7 +92,8 @@ func TestRunSingleShardMatchesLegacySequential(t *testing.T) {
 
 func TestRunShardedEstimatesAgree(t *testing.T) {
 	// Different shard counts are different samples of the same process:
-	// totals must agree within overlapping confidence intervals.
+	// totals must agree within 0.36% of the sequential total, the summed
+	// widths of the two runs' former 95% intervals (0.369 on 102.26).
 	blk, probs := shardTestBlock(t)
 	seq, err := Run(blk, Config{Vectors: 8192, Seed: 1, InputProbs: probs})
 	if err != nil {
@@ -105,9 +106,8 @@ func TestRunShardedEstimatesAgree(t *testing.T) {
 	if sh.Cycles != seq.Cycles {
 		t.Errorf("cycles %d != %d", sh.Cycles, seq.Cycles)
 	}
-	if math.Abs(sh.Total-seq.Total) > (seq.TotalCI.High-seq.TotalCI.Low)+(sh.TotalCI.High-sh.TotalCI.Low) {
-		t.Errorf("sharded total %v too far from sequential %v (CIs %+v vs %+v)",
-			sh.Total, seq.Total, sh.TotalCI, seq.TotalCI)
+	if math.Abs(sh.Total-seq.Total) > 0.0036*seq.Total {
+		t.Errorf("sharded total %v too far from sequential %v", sh.Total, seq.Total)
 	}
 }
 
@@ -117,7 +117,7 @@ const kernelRetiredWide Kernel = 1
 
 // TestRunDegenerateShardSizing is the regression test for Vectors <
 // Shards: the budget must clamp to one vector per shard — no zero-vector
-// shards, no NaNs from empty Welford accumulators in the merge.
+// shards, no NaNs in the merged report.
 func TestRunDegenerateShardSizing(t *testing.T) {
 	blk, probs := shardTestBlock(t)
 	for _, c := range []struct{ vectors, shards int }{
@@ -139,9 +139,6 @@ func TestRunDegenerateShardSizing(t *testing.T) {
 				"InputInvPower":  rep.InputInvPower,
 				"OutputInvPower": rep.OutputInvPower,
 				"Total":          rep.Total,
-				"CI.Mean":        rep.TotalCI.Mean,
-				"CI.Low":         rep.TotalCI.Low,
-				"CI.High":        rep.TotalCI.High,
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Errorf("%+v kernel=%d: %s = %v", c, k, name, v)
@@ -151,41 +148,6 @@ func TestRunDegenerateShardSizing(t *testing.T) {
 				if math.IsNaN(f) {
 					t.Errorf("%+v kernel=%d: PerCellFreq[%d] is NaN", c, k, ci)
 				}
-			}
-		}
-	}
-}
-
-// TestTotalCINotDegenerate guards the error bar itself: short runs fall
-// back to per-cycle variance samples and long runs use batch means, but
-// in both regimes (and in both kernels) the 95% interval must have
-// positive width on a block with varying cycle power.
-func TestTotalCINotDegenerate(t *testing.T) {
-	blk, probs := shardTestBlock(t)
-	for _, c := range []struct{ vectors, shards int }{
-		{50, 1},   // < one window: per-cycle samples
-		{65, 1},   // one full window + 1-cycle tail: per-cycle samples
-		{200, 4},  // 50-cycle shards: per-cycle samples
-		{4096, 8}, // batch means, 8 full windows per shard
-		{2000, 3}, // batch means with partial tail windows per shard
-	} {
-		for _, k := range []Kernel{KernelScalar, KernelBlocked} {
-			rep, err := Run(blk, Config{
-				Vectors: c.vectors, Seed: 11, InputProbs: probs,
-				Shards: c.shards, Workers: 2, Kernel: k,
-			})
-			if err != nil {
-				t.Fatalf("%+v kernel=%d: %v", c, k, err)
-			}
-			if !(rep.TotalCI.Low < rep.TotalCI.High) {
-				t.Errorf("%+v kernel=%d: degenerate CI [%v, %v]", c, k, rep.TotalCI.Low, rep.TotalCI.High)
-			}
-			if rep.TotalCI.Mean != rep.Total {
-				t.Errorf("%+v kernel=%d: CI centered on %v, want Total %v", c, k, rep.TotalCI.Mean, rep.Total)
-			}
-			if rep.TotalCI.Low > rep.Total || rep.Total > rep.TotalCI.High {
-				t.Errorf("%+v kernel=%d: CI [%v, %v] does not bracket Total %v",
-					c, k, rep.TotalCI.Low, rep.TotalCI.High, rep.Total)
 			}
 		}
 	}

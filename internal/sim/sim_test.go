@@ -131,10 +131,12 @@ func TestExtremeProbabilities(t *testing.T) {
 	}
 }
 
+// TestTotalCIBracketsModel: the measured total must lie within a fixed
+// relative distance of the exact model value. The bounds are the
+// half-widths of the 95% intervals the simulator once reported for these
+// runs (2.11% at 20,000 vectors, 0.665% at 200,000), rounded down; the
+// fixed seed makes the check deterministic.
 func TestTotalCIBracketsModel(t *testing.T) {
-	// The 95% interval of the measured total must bracket the exact model
-	// value at moderate vector counts (up to statistical bad luck; the
-	// fixed seed makes this deterministic).
 	n := figure5Network()
 	probs := prob.Uniform(n, 0.9)
 	blk := mapNet(t, n, phase.Assignment{false, true})
@@ -142,23 +144,18 @@ func TestTotalCIBracketsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(blk, Config{Vectors: 20000, Seed: 5, InputProbs: probs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalCI.Low > est.Total || est.Total > rep.TotalCI.High {
-		t.Errorf("model %v outside CI [%v, %v]", est.Total, rep.TotalCI.Low, rep.TotalCI.High)
-	}
-	if rep.TotalCI.Low > rep.Total || rep.Total > rep.TotalCI.High {
-		t.Error("CI does not bracket its own mean")
-	}
-	// More vectors, tighter interval.
-	rep2, err := Run(blk, Config{Vectors: 200000, Seed: 5, InputProbs: probs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (rep2.TotalCI.High - rep2.TotalCI.Low) >= (rep.TotalCI.High - rep.TotalCI.Low) {
-		t.Error("CI did not shrink with more vectors")
+	for _, c := range []struct {
+		vectors int
+		relTol  float64
+	}{{20000, 0.021}, {200000, 0.0066}} {
+		rep, err := Run(blk, Config{Vectors: c.vectors, Seed: 5, InputProbs: probs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel := math.Abs(rep.Total-est.Total) / est.Total; rel > c.relTol {
+			t.Errorf("%d vectors: total %v vs model %v (rel err %.4f > %.4f)",
+				c.vectors, rep.Total, est.Total, rel, c.relTol)
+		}
 	}
 }
 
@@ -167,51 +164,6 @@ func TestRunRejectsBadProbs(t *testing.T) {
 	blk := mapNet(t, n, phase.Assignment{false, false})
 	if _, err := Run(blk, Config{InputProbs: []float64{0.5}}); err == nil {
 		t.Error("Run accepted wrong-length probs")
-	}
-}
-
-func TestStaticGlitchesDetectsGlitching(t *testing.T) {
-	// A classic glitch generator: f = a·ā through different path depths.
-	// Static unit-delay simulation must show glitches; the domino
-	// counterpart (Property 2.2) cannot, since cells switch at most once
-	// per cycle by construction of Run.
-	n := logic.New("glitchy")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	// Path-length imbalance: x = a·b, y = (a·b)·b ... chain, f = x ⊕ deep(x)
-	x := n.AddAnd(a, b)
-	d1 := n.AddAnd(x, b)
-	d2 := n.AddAnd(d1, b)
-	d3 := n.AddAnd(d2, b)
-	f := n.AddXor(x, d3)
-	n.MarkOutput("f", f)
-	total, glitches, err := StaticGlitches(n, []float64{0.5, 0.5}, 4000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total == 0 {
-		t.Fatal("static sim recorded no transitions at all")
-	}
-	if glitches == 0 {
-		t.Error("expected glitches in unbalanced static network, got none")
-	}
-}
-
-func TestStaticGlitchesBalancedTreeIsCleanish(t *testing.T) {
-	// A fanout-free tree has no reconvergence, hence no glitches under
-	// unit delay with single-input-change... but we change all inputs at
-	// once, so some glitching is still possible through depth skew. Use a
-	// depth-1 circuit where no glitch is possible.
-	n := logic.New("flat")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	n.MarkOutput("f", n.AddAnd(a, b))
-	_, glitches, err := StaticGlitches(n, []float64{0.5, 0.5}, 2000, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if glitches != 0 {
-		t.Errorf("depth-1 network glitched %d times", glitches)
 	}
 }
 
