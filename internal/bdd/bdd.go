@@ -10,11 +10,13 @@
 //
 // The engine is map-free on every hot path, following the BuDDy/CUDD
 // design: the unique table is an open-addressed (linear-probe) hash table
-// over packed (level, lo, hi) triples that grows at 3/4 load, the ITE and
-// binary-operator memos are fixed-size lossy direct-mapped caches, and
-// node storage grows in chunks. Lossy caches never change results — a
-// missed memo merely recomputes the same canonical node — so Ref identity
-// and node counts are exactly those of an unbounded-memo build.
+// over packed (variable, lo, hi) triples that grows at 3/4 load, the ITE
+// and binary-operator memos are fixed-size lossy direct-mapped caches, and
+// node storage grows in chunks. Keying by variable rather than level lets
+// an adjacent-level swap leave every node whose triple it keeps in its
+// slot (see reorder.go). Lossy caches never change results — a missed
+// memo merely recomputes the same canonical node — so Ref identity and
+// node counts are exactly those of an unbounded-memo build.
 package bdd
 
 import (
@@ -83,11 +85,18 @@ const (
 type Manager struct {
 	nodes []node
 
-	// unique is the open-addressed table interning (level, lo, hi)
+	// unique is the open-addressed table interning (variable, lo, hi)
 	// triples; slots hold a Ref into nodes (False = empty). Keys live in
-	// the nodes slice itself, so the table is a bare []Ref.
+	// the nodes slice itself (the variable as varAtLevel[level]), so the
+	// table is a bare []Ref.
 	unique      []Ref
 	uniqueCount int
+	// free holds the node slots a reorder collected, sorted ascending
+	// when collected and popped from the end by mk and mkSwap. It
+	// outlives the reorder (so post-reorder builds refill the holes
+	// instead of growing node storage) until the next collection merges
+	// it or Reset clears it.
+	free []Ref
 
 	// ite and binop are lossy direct-mapped operation caches.
 	ite   []iteEntry
@@ -197,6 +206,7 @@ func (m *Manager) Reset() {
 		m.unique[i] = False
 	}
 	m.uniqueCount = 0
+	m.free = m.free[:0]
 	for i := range m.ite {
 		m.ite[i] = iteEntry{}
 	}
@@ -230,7 +240,8 @@ func (m *Manager) ResetWithOrder(order []int) {
 	}
 }
 
-// Size returns the total number of allocated nodes including terminals.
+// Size returns the number of node slots: the terminals, every interned
+// node, and the slots a reorder collected that no node has reused yet.
 func (m *Manager) Size() int { return len(m.nodes) }
 
 // Order returns the current variable order (level -> variable index).
@@ -245,10 +256,10 @@ func (m *Manager) Order() []int {
 // LevelOf returns the level at which variable v is decided.
 func (m *Manager) LevelOf(v int) int { return int(m.levelOfVar[v]) }
 
-// tripleHash mixes a (level, lo, hi) triple into a table index seed
+// tripleHash mixes a (key, lo, hi) triple into a table index seed
 // (Fibonacci-style multiplicative hashing over the packed key).
-func tripleHash(level int32, lo, hi Ref) uint64 {
-	h := uint64(uint32(level))*0x9E3779B97F4A7C15 ^
+func tripleHash(key int32, lo, hi Ref) uint64 {
+	h := uint64(uint32(key))*0x9E3779B97F4A7C15 ^
 		uint64(uint32(lo))*0xBF58476D1CE4E5B9 ^
 		uint64(uint32(hi))*0x94D049BB133111EB
 	h ^= h >> 29
@@ -257,30 +268,60 @@ func tripleHash(level int32, lo, hi Ref) uint64 {
 	return h
 }
 
+// home is the unique-table slot a (level, lo, hi) triple hashes to: the
+// key is the variable decided at that level, so a node keeps its home
+// while a swap moves its variable to another level.
+func (m *Manager) home(level int32, lo, hi Ref) uint64 {
+	return tripleHash(m.varAtLevel[level], lo, hi) & uint64(len(m.unique)-1)
+}
+
 // growUnique doubles the open-addressed table and reinserts every interned
 // node (keys are read back from the nodes slice). The lossy operation
-// caches are rescaled alongside; dropping their contents is sound (the
-// caches are advisory) and keeps resizing O(1) amortized.
+// caches are rescaled alongside (up to maxCacheSize); dropping their
+// contents is sound (the caches are advisory) and keeps resizing O(1)
+// amortized.
 func (m *Manager) growUnique() {
 	old := m.unique
-	grown := make([]Ref, 2*len(old))
-	mask := uint64(len(grown) - 1)
+	m.unique = make([]Ref, 2*len(old))
+	mask := uint64(len(m.unique) - 1)
 	for _, r := range old {
 		if r == False {
 			continue
 		}
 		n := &m.nodes[r]
-		idx := tripleHash(n.level, n.lo, n.hi) & mask
-		for grown[idx] != False {
+		idx := m.home(n.level, n.lo, n.hi)
+		for m.unique[idx] != False {
 			idx = (idx + 1) & mask
 		}
-		grown[idx] = r
+		m.unique[idx] = r
 	}
-	m.unique = grown
-	if size := len(grown); size <= maxCacheSize && size > len(m.ite) {
+	if size := len(m.unique); size <= maxCacheSize && size > len(m.ite) {
 		m.ite = make([]iteEntry, size)
 		m.binop = make([]binopEntry, size)
 	}
+}
+
+// newNode stores (level, lo, hi) in a collected slot when one is free,
+// else appends it to node storage, which grows chunk-wise. It does not
+// intern the node.
+func (m *Manager) newNode(level int32, lo, hi Ref) Ref {
+	if k := len(m.free); k > 0 {
+		r := m.free[k-1]
+		m.free = m.free[:k-1]
+		m.nodes[r] = node{level: level, lo: lo, hi: hi}
+		return r
+	}
+	if len(m.nodes) == cap(m.nodes) {
+		step := cap(m.nodes) / 2
+		if step < nodeChunk {
+			step = nodeChunk
+		}
+		ns := make([]node, len(m.nodes), cap(m.nodes)+step)
+		copy(ns, m.nodes)
+		m.nodes = ns
+	}
+	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	return Ref(len(m.nodes) - 1)
 }
 
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
@@ -288,7 +329,7 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 		return lo
 	}
 	mask := uint64(len(m.unique) - 1)
-	idx := tripleHash(level, lo, hi) & mask
+	idx := m.home(level, lo, hi)
 	for {
 		r := m.unique[idx]
 		if r == False {
@@ -300,27 +341,15 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 		}
 		idx = (idx + 1) & mask
 	}
-	// Miss: intern a fresh node, growing storage chunk-wise and the table
-	// at 3/4 load. Any reorder state becomes stale the moment a node it
-	// has no books for appears.
-	if m.rs != nil {
-		m.rs = nil
-	}
-	if len(m.nodes) == cap(m.nodes) {
-		step := cap(m.nodes) / 2
-		if step < nodeChunk {
-			step = nodeChunk
-		}
-		ns := make([]node, len(m.nodes), cap(m.nodes)+step)
-		copy(ns, m.nodes)
-		m.nodes = ns
-	}
-	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	// Miss: intern a fresh node, growing the table at 3/4 load. Any
+	// reorder state becomes stale the moment a node it has no books for
+	// appears.
+	m.rs = nil
+	r := m.newNode(level, lo, hi)
 	if 4*(m.uniqueCount+1) > 3*len(m.unique) {
 		m.growUnique()
 		mask = uint64(len(m.unique) - 1)
-		idx = tripleHash(level, lo, hi) & mask
+		idx = m.home(level, lo, hi)
 		for m.unique[idx] != False {
 			idx = (idx + 1) & mask
 		}
@@ -328,7 +357,7 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	m.unique[idx] = r
 	m.uniqueCount++
 	if m.budget != nil {
-		m.pollBudget()
+		m.pollBudget(m.uniqueCount)
 	}
 	return r
 }
@@ -344,14 +373,6 @@ func (m *Manager) Var(v int) Ref {
 // NVar returns the BDD for the complemented variable v.
 func (m *Manager) NVar(v int) Ref {
 	return m.mk(m.levelOfVar[v], True, False)
-}
-
-// Const returns the terminal for a boolean value.
-func Const(v bool) Ref {
-	if v {
-		return True
-	}
-	return False
 }
 
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
@@ -377,24 +398,6 @@ func (m *Manager) Or(f, g Ref) Ref { return m.apply(opOr, f, g) }
 
 // Xor returns f ⊕ g.
 func (m *Manager) Xor(f, g Ref) Ref { return m.apply(opXor, f, g) }
-
-// AndN folds And over its arguments (True for none).
-func (m *Manager) AndN(fs ...Ref) Ref {
-	acc := True
-	for _, f := range fs {
-		acc = m.And(acc, f)
-	}
-	return acc
-}
-
-// OrN folds Or over its arguments (False for none).
-func (m *Manager) OrN(fs ...Ref) Ref {
-	acc := False
-	for _, f := range fs {
-		acc = m.Or(acc, f)
-	}
-	return acc
-}
 
 func (m *Manager) apply(op uint8, f, g Ref) Ref {
 	// Terminal rules.
@@ -522,7 +525,7 @@ func (m *Manager) Restrict(f Ref, v int, val bool) Ref {
 			res = m.mk(n.level, rec(n.lo), rec(n.hi))
 		}
 		// memo/seen are sized for the pre-call node count; mk may have
-		// appended nodes since, but only pre-existing refs are memoized
+		// created nodes since, but only pre-existing refs are memoized
 		// (rec is called on subgraphs of f only).
 		memo[r] = res
 		seen[r] = true
@@ -645,21 +648,6 @@ func (m *Manager) probability(f Ref, probs []float64, memo []float64, seen []boo
 	memo[f] = res
 	seen[f] = true
 	return res
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// NumVars variables.
-func (m *Manager) SatCount(f Ref) float64 {
-	probs := make([]float64, m.NumVars())
-	for i := range probs {
-		probs[i] = 0.5
-	}
-	frac := m.Probability(f, probs)
-	total := 1.0
-	for i := 0; i < m.NumVars(); i++ {
-		total *= 2
-	}
-	return frac * total
 }
 
 // String renders a node for debugging.

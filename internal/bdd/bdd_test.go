@@ -9,6 +9,42 @@ import (
 	"repro/internal/logic"
 )
 
+// Const returns the terminal for a boolean value.
+func Const(v bool) Ref {
+	if v {
+		return True
+	}
+	return False
+}
+
+// AndN folds And over its arguments (True for none).
+func (m *Manager) AndN(fs ...Ref) Ref {
+	acc := True
+	for _, f := range fs {
+		acc = m.And(acc, f)
+	}
+	return acc
+}
+
+// OrN folds Or over its arguments (False for none).
+func (m *Manager) OrN(fs ...Ref) Ref {
+	acc := False
+	for _, f := range fs {
+		acc = m.Or(acc, f)
+	}
+	return acc
+}
+
+// SatCount returns the number of satisfying assignments of f over all
+// NumVars variables.
+func (m *Manager) SatCount(f Ref) float64 {
+	probs := make([]float64, m.NumVars())
+	for i := range probs {
+		probs[i] = 0.5
+	}
+	return m.Probability(f, probs) * math.Pow(2, float64(m.NumVars()))
+}
+
 func TestTerminalsAndVars(t *testing.T) {
 	m := New(3)
 	if m.NumVars() != 3 {

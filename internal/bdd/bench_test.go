@@ -79,6 +79,28 @@ func BenchmarkBDDBuildReset(b *testing.B) {
 	b.ReportMetric(float64(nodes), "bdd_nodes")
 }
 
+// BenchmarkReorder measures one in-place sifting pass over the bench
+// network's forest, built in natural order before each pass (untimed,
+// into one recycled manager) — the kernel of the exact engine's
+// reorder-and-retry stage.
+func BenchmarkReorder(b *testing.B) {
+	n := bddBenchNet()
+	m := New(n.NumInputs())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := m.Reorder(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.LiveNodes()), "live_nodes")
+}
+
 // BenchmarkBDDProbability measures the linear-pass probability evaluation
 // over a prebuilt forest (the per-candidate cost inside phase.MinPower).
 func BenchmarkBDDProbability(b *testing.B) {

@@ -38,12 +38,13 @@ const cancelPollInterval = 256
 func (m *Manager) SetBudget(t *budget.T) { m.budget = t }
 
 // pollBudget enforces the node cap and cancellation on the fresh-node
-// intern path. Caller guarantees m.budget != nil.
-func (m *Manager) pollBudget() {
-	if max := m.budget.MaxBDDNodes(); max > 0 && m.uniqueCount > max {
+// intern path, with live the node count the cap is checked against.
+// Caller guarantees m.budget != nil.
+func (m *Manager) pollBudget(live int) {
+	if max := m.budget.MaxBDDNodes(); max > 0 && live > max {
 		panic(buildInterrupt{m.budget.TripBDD()})
 	}
-	if m.uniqueCount%cancelPollInterval == 0 {
+	if live%cancelPollInterval == 0 {
 		if err := m.budget.Err(); err != nil {
 			panic(buildInterrupt{err})
 		}

@@ -1,7 +1,7 @@
 package bdd
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -10,17 +10,21 @@ import (
 //
 // The reordering contract:
 //
-//   - SwapLevels and Reorder preserve the *slots* (Refs) of every node
+//   - Swaps and Reorder preserve the *slots* (Refs) of every node
 //     reachable from a protected root. A swap of adjacent levels l/l+1
 //     touches only the nodes at those two levels: nodes at level l not
 //     depending on the level-l+1 variable keep their triple and move to
-//     l+1; level-l+1 nodes are rekeyed to l in place; level-l nodes that
-//     do depend on the other variable are rewritten in place as deciders
+//     l+1; level-l+1 nodes move to l; level-l nodes that do depend on the
+//     other variable (the dependents) are rewritten in place as deciders
 //     of it (F = y ? (x?f11:f01) : (x?f10:f00)). External Refs into the
 //     protected forest therefore stay valid across any number of swaps.
+//   - The unique table is keyed by (variable, lo, hi), so the nodes that
+//     only move keep their key and their table slot: a swap relabels
+//     their level field and rehashes just the dependents it rewrites.
 //   - Every Ref *not* reachable from a protected root is invalidated:
-//     reorder-state setup garbage-collects unreachable interned nodes and
-//     reuses their slots for swap-created nodes.
+//     reorder-state setup garbage-collects unreachable interned nodes,
+//     and their slots go to the manager's free list, which swap-created
+//     nodes and, after the reorder, mk refill.
 //   - Every decision — garbage-collection order, sift order, tie-breaks,
 //     slot assignment, growth aborts, the auto-reorder trigger — is a
 //     pure function of the table state, so a build+reorder sequence is
@@ -31,11 +35,14 @@ import (
 // node (node cap + cancellation), so both land inside a reorder as the
 // usual CUDD-style interrupt panic; the build boundary (or Reorder's own
 // CatchInterrupt) converts it to an error and the manager is left
-// unusable-but-not-corrupt — a Reset* restores it.
+// unusable-but-not-corrupt — a Reset* restores it. Inside a swap the cap
+// is checked against the live count plus the dependents the swap holds
+// out of the table, so where a reorder trips is a function of the
+// forest and the order alone, like its sift decisions.
 
 // reorderState is the ephemeral bookkeeping a reorder needs: reference
 // counts, a per-level node index (swap cost proportional to the two
-// levels' populations), and a free list of collected slots. It is built
+// levels' populations), and scratch space the swaps reuse. It is built
 // on demand from the protected roots and dropped when a reorder ends or
 // any ordinary mk interns a node the state doesn't know about.
 type reorderState struct {
@@ -46,11 +53,18 @@ type reorderState struct {
 	pos []int32
 	// levels[l] lists the live nodes at level l in deterministic order.
 	levels [][]Ref
-	// free holds collected slots for reuse by swap-created nodes, popped
-	// from the end.
-	free []Ref
 	// dead is the deferred death worklist shared across swaps.
 	dead []Ref
+	// deps is the swaps' shared dependent scratch list.
+	deps []depNode
+}
+
+// depNode is a dependent of a swap: a level-l node with a level-l+1
+// child, and the four grandchildren (x = the level-l variable, y = the
+// level-l+1 one) it is rewritten from: f_xy for x, y in {0, 1}.
+type depNode struct {
+	r                  Ref
+	f00, f01, f10, f11 Ref
 }
 
 const (
@@ -64,7 +78,7 @@ const (
 )
 
 // Protect registers roots as protected across reorders: nodes reachable
-// from any registered slice survive SwapLevels/Reorder with their Refs
+// from any registered slice survive swaps and Reorder with their Refs
 // intact. The slice is aliased, not copied — its *current* contents are
 // re-read whenever reorder state is built, so a caller may register a
 // result slice up front and fill it as a build progresses
@@ -138,22 +152,6 @@ func (m *Manager) maybeReorder() {
 // cancellation mid-reorder returns an error and leaves the manager
 // unusable until the next Reset*.
 func (m *Manager) Reorder() error { return CatchInterrupt(m.reorderNow) }
-
-// SwapLevels exchanges adjacent levels l and l+1 in place, rewriting
-// only the nodes at those two levels. It is the primitive Reorder is
-// built from, exported for direct order surgery and property tests; the
-// same protected-root contract applies.
-func (m *Manager) SwapLevels(l int) error {
-	if l < 0 || l+1 >= m.NumVars() {
-		return fmt.Errorf("bdd: swap level %d out of range [0,%d)", l, m.NumVars()-1)
-	}
-	return CatchInterrupt(func() {
-		if m.rs == nil {
-			m.buildReorderState()
-		}
-		m.swapLevels(l)
-	})
-}
 
 // reorderNow is the panicking core of Reorder, also invoked by the
 // auto-reorder trigger inside builds.
@@ -230,7 +228,7 @@ func (m *Manager) siftVar(v int) {
 
 // buildReorderState marks the protected forest, builds the per-level
 // index and reference counts, garbage-collects unreachable interned
-// nodes (their slots seed the free list), and drops the operation
+// nodes (their slots join the free list), and drops the operation
 // caches (their entries may name collected slots).
 func (m *Manager) buildReorderState() {
 	numVars := m.NumVars()
@@ -260,19 +258,20 @@ func (m *Manager) buildReorderState() {
 		}
 	}
 	// Garbage collection: interned nodes unreachable from any protected
-	// root leave the table; their slots are freed in ascending order so
-	// slot reuse is independent of hash-table layout.
-	var garbage []Ref
+	// root leave the table; their slots join the ones still free from
+	// earlier collections, sorted ascending so slot reuse is independent
+	// of hash-table layout.
+	free := m.free
 	for _, r := range m.unique {
 		if r != False && !seen[r] {
-			garbage = append(garbage, r)
+			free = append(free, r)
 		}
 	}
-	sort.Slice(garbage, func(i, j int) bool { return garbage[i] < garbage[j] })
-	for _, r := range garbage {
+	for _, r := range free[len(m.free):] {
 		m.uniqueDelete(r)
 	}
-	rs.free = garbage
+	slices.Sort(free)
+	m.free = free
 	for r := 2; r < len(m.nodes); r++ {
 		if !seen[r] {
 			continue
@@ -294,10 +293,12 @@ func (m *Manager) buildReorderState() {
 
 // swapLevels is the in-place adjacent swap. Phase order matters for
 // canonicity: classification snapshots the four grandchildren while
-// child levels are still old; both levels leave the unique table while
-// triples still match their entries; level-l+1 nodes rekey to l and
-// movers to l+1 *before* dependents intern their new children, so
-// swap-created deciders share with movers; deaths cascade last.
+// child levels are still old; dependents leave the unique table while
+// their triples (under the old variable maps) still match their entries;
+// level-l+1 nodes relabel to l and movers to l+1 *before* dependents
+// intern their new children, so swap-created deciders share with
+// movers; deaths cascade last. Movers and old level-l+1 nodes keep their
+// (variable, lo, hi) key, so they never leave their table slots.
 func (m *Manager) swapLevels(l int) {
 	if m.budget != nil {
 		if err := m.budget.Err(); err != nil {
@@ -306,39 +307,20 @@ func (m *Manager) swapLevels(l int) {
 	}
 	rs := m.rs
 	lx, ly := int32(l), int32(l+1)
-	levL := rs.levels[l]
-	levY := rs.levels[l+1]
-	if len(levL) == 0 {
-		// No level-l nodes: level-l+1 nodes just rekey one level up.
-		for _, r := range levY {
-			m.uniqueDelete(r)
-		}
-		for _, r := range levY {
-			m.nodes[r].level = lx
-			m.uniqueInsert(r)
-		}
-		rs.levels[l], rs.levels[l+1] = levY, levL
-		m.swapVarMaps(l)
-		return
-	}
-	// Classify level-l nodes: movers keep their children; dependents
-	// snapshot the grandchildren quadruple before any level changes.
-	type depNode struct {
-		r                  Ref
-		f00, f01, f10, f11 Ref
-	}
-	var movers []Ref
-	var deps []depNode
+	levL, levY := rs.levels[l], rs.levels[l+1]
+	// Classify level-l nodes: movers keep their children and are
+	// compacted in place into levL's front; dependents snapshot the
+	// grandchildren quadruple before any level changes.
+	movers, deps := levL[:0], rs.deps[:0]
 	for _, r := range levL {
 		n := &m.nodes[r]
-		f0, f1 := n.lo, n.hi
-		d := depNode{r: r, f00: f0, f01: f0, f10: f1, f11: f1}
+		d := depNode{r: r, f00: n.lo, f01: n.lo, f10: n.hi, f11: n.hi}
 		isDep := false
-		if c := &m.nodes[f0]; c.level == ly {
+		if c := &m.nodes[n.lo]; c.level == ly {
 			d.f00, d.f01 = c.lo, c.hi
 			isDep = true
 		}
-		if c := &m.nodes[f1]; c.level == ly {
+		if c := &m.nodes[n.hi]; c.level == ly {
 			d.f10, d.f11 = c.lo, c.hi
 			isDep = true
 		}
@@ -348,46 +330,40 @@ func (m *Manager) swapLevels(l int) {
 			movers = append(movers, r)
 		}
 	}
-	// Unkey both levels while triples still match their table entries.
-	for _, r := range levL {
-		m.uniqueDelete(r)
-	}
-	for _, r := range levY {
-		m.uniqueDelete(r)
-	}
-	// Rekey: old level-l+1 nodes decide their variable at level l now;
-	// movers decide theirs at l+1. Slots and children are untouched, so
-	// external Refs keep their meaning.
-	newL := make([]Ref, 0, len(deps)+len(levY))
+	rs.deps = deps
 	for _, d := range deps {
-		newL = append(newL, d.r)
+		m.uniqueDelete(d.r)
 	}
+	m.swapVarMaps(l)
+	// Relabel: old level-l+1 nodes decide their variable at level l now,
+	// movers theirs at l+1. Slots, children and keys are untouched, so
+	// external Refs keep their meaning and the table needs no update.
 	for _, r := range levY {
 		m.nodes[r].level = lx
-		m.uniqueInsert(r)
-		newL = append(newL, r)
 	}
-	newL1 := make([]Ref, 0, len(movers)+len(deps))
 	for _, r := range movers {
 		m.nodes[r].level = ly
-		m.uniqueInsert(r)
-		newL1 = append(newL1, r)
 	}
-	rs.levels[l] = newL
-	rs.levels[l+1] = newL1
+	// Level l lists the dependents, then the old level-l+1 nodes.
+	newL := slices.Grow(levY, len(deps))[:len(deps)+len(levY)]
+	copy(newL[len(deps):], newL[:len(levY)])
+	for i, d := range deps {
+		newL[i] = d.r
+	}
+	rs.levels[l], rs.levels[l+1] = newL, movers
 	for i, r := range newL {
 		rs.pos[r] = int32(i)
 	}
-	for i, r := range newL1 {
+	for i, r := range movers {
 		rs.pos[r] = int32(i)
 	}
 	// Rewrite dependents in place as deciders of the other variable:
 	// F = y ? (x?f11:f01) : (x?f10:f00). Distinct canonical functions
 	// produce distinct triples, so the in-place reinsertions never
 	// collide; mkSwap interns the two new cofactors with full sharing.
-	for _, d := range deps {
-		g0 := m.mkSwap(ly, d.f00, d.f10)
-		g1 := m.mkSwap(ly, d.f01, d.f11)
+	for i, d := range deps {
+		g0 := m.mkSwap(ly, d.f00, d.f10, len(deps)-i)
+		g1 := m.mkSwap(ly, d.f01, d.f11, len(deps)-i)
 		n := &m.nodes[d.r]
 		of0, of1 := n.lo, n.hi
 		n.level, n.lo, n.hi = lx, g0, g1
@@ -398,19 +374,21 @@ func (m *Manager) swapLevels(l int) {
 		m.deferDecRef(of1)
 	}
 	m.collectDead()
-	m.swapVarMaps(l)
 }
 
 // mkSwap interns (level, lo, hi) during a swap: unique-table sharing
 // with movers and previously created nodes, slot reuse from the free
 // list, level index and refcount maintenance, and a budget poll. It
-// bypasses the operation caches entirely.
-func (m *Manager) mkSwap(level int32, lo, hi Ref) Ref {
+// bypasses the operation caches entirely. unkeyed is the number of
+// dependents the swap holds out of the unique table; the node cap counts
+// them as live, so it sees the swap's starting size plus the nodes it
+// has created, whatever the order of its dependents.
+func (m *Manager) mkSwap(level int32, lo, hi Ref, unkeyed int) Ref {
 	if lo == hi {
 		return lo
 	}
 	mask := uint64(len(m.unique) - 1)
-	idx := tripleHash(level, lo, hi) & mask
+	idx := m.home(level, lo, hi)
 	for {
 		r := m.unique[idx]
 		if r == False {
@@ -423,23 +401,8 @@ func (m *Manager) mkSwap(level int32, lo, hi Ref) Ref {
 		idx = (idx + 1) & mask
 	}
 	rs := m.rs
-	var r Ref
-	if k := len(rs.free); k > 0 {
-		r = rs.free[k-1]
-		rs.free = rs.free[:k-1]
-		m.nodes[r] = node{level: level, lo: lo, hi: hi}
-	} else {
-		if len(m.nodes) == cap(m.nodes) {
-			step := cap(m.nodes) / 2
-			if step < nodeChunk {
-				step = nodeChunk
-			}
-			ns := make([]node, len(m.nodes), cap(m.nodes)+step)
-			copy(ns, m.nodes)
-			m.nodes = ns
-		}
-		r = Ref(len(m.nodes))
-		m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	r := m.newNode(level, lo, hi)
+	if int(r) == len(rs.refcnt) {
 		rs.refcnt = append(rs.refcnt, 0)
 		rs.pos = append(rs.pos, 0)
 	}
@@ -450,7 +413,7 @@ func (m *Manager) mkSwap(level int32, lo, hi Ref) Ref {
 	rs.pos[r] = int32(len(rs.levels[level]))
 	rs.levels[level] = append(rs.levels[level], r)
 	if m.budget != nil {
-		m.pollBudget()
+		m.pollBudget(m.uniqueCount + unkeyed)
 	}
 	return r
 }
@@ -486,7 +449,7 @@ func (m *Manager) collectDead() {
 		rs.levels[n.level] = list[:len(list)-1]
 		m.deferDecRef(n.lo)
 		m.deferDecRef(n.hi)
-		rs.free = append(rs.free, r)
+		m.free = append(m.free, r)
 	}
 }
 
@@ -506,7 +469,7 @@ func (m *Manager) uniqueInsert(r Ref) {
 	}
 	n := &m.nodes[r]
 	mask := uint64(len(m.unique) - 1)
-	idx := tripleHash(n.level, n.lo, n.hi) & mask
+	idx := m.home(n.level, n.lo, n.hi)
 	for m.unique[idx] != False {
 		idx = (idx + 1) & mask
 	}
@@ -516,11 +479,12 @@ func (m *Manager) uniqueInsert(r Ref) {
 
 // uniqueDelete removes a node from the open-addressed table with
 // backward-shift rehoming, preserving every other entry's probe chain.
-// The node's triple must still match its entry (delete before mutate).
+// The node's key must still match its entry: delete before rewriting
+// its children or swapping its variable's level.
 func (m *Manager) uniqueDelete(r Ref) {
 	n := &m.nodes[r]
 	mask := uint64(len(m.unique) - 1)
-	idx := tripleHash(n.level, n.lo, n.hi) & mask
+	idx := m.home(n.level, n.lo, n.hi)
 	for m.unique[idx] != r {
 		if m.unique[idx] == False {
 			return // not interned (already deleted)
@@ -540,7 +504,7 @@ func (m *Manager) uniqueDelete(r Ref) {
 			return
 		}
 		sn := &m.nodes[s]
-		home := tripleHash(sn.level, sn.lo, sn.hi) & mask
+		home := m.home(sn.level, sn.lo, sn.hi)
 		if ((j - home) & mask) >= ((j - hole) & mask) {
 			m.unique[hole] = s
 			m.unique[j] = False

@@ -2,7 +2,10 @@ package bdd
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/budget"
@@ -30,6 +33,88 @@ func andOrPairs(k int) *logic.Network {
 	return n
 }
 
+// SwapLevels exchanges adjacent levels l and l+1 in place, rewriting
+// only the nodes at those two levels: the primitive Reorder is built
+// from, under the same protected-root contract.
+func (m *Manager) SwapLevels(l int) error {
+	if l < 0 || l+1 >= m.NumVars() {
+		return fmt.Errorf("bdd: swap level %d out of range [0,%d)", l, m.NumVars()-1)
+	}
+	return CatchInterrupt(func() {
+		if m.rs == nil {
+			m.buildReorderState()
+		}
+		m.swapLevels(l)
+	})
+}
+
+// checkUniqueTable verifies the unique table against the nodes it
+// interns: every occupied slot holds a reduced, ordered node that is
+// reachable from its (variable, lo, hi) home with no empty slot on the
+// probe path; uniqueCount is the number of occupied slots; no node or
+// triple is interned twice; no free slot is interned, nor listed twice;
+// and every node reachable from a protected root is interned.
+func checkUniqueTable(t *testing.T, m *Manager) {
+	t.Helper()
+	mask := uint64(len(m.unique) - 1)
+	interned := make(map[Ref]bool, m.uniqueCount)
+	triples := make(map[node]Ref, m.uniqueCount)
+	for i, r := range m.unique {
+		if r == False {
+			continue
+		}
+		if r == True || int(r) >= len(m.nodes) {
+			t.Fatalf("slot %d holds Ref %d (%d node slots)", i, r, len(m.nodes))
+		}
+		if interned[r] {
+			t.Fatalf("node %d is interned twice", r)
+		}
+		interned[r] = true
+		n := m.nodes[r]
+		if n.lo == n.hi || n.level < 0 || int(n.level) >= m.NumVars() ||
+			m.nodes[n.lo].level <= n.level || m.nodes[n.hi].level <= n.level {
+			t.Fatalf("node %d = %+v is not reduced and ordered", r, n)
+		}
+		if other, dup := triples[n]; dup {
+			t.Fatalf("nodes %d and %d share the triple %+v", other, r, n)
+		}
+		triples[n] = r
+		for j := tripleHash(m.varAtLevel[n.level], n.lo, n.hi) & mask; j != uint64(i); j = (j + 1) & mask {
+			if m.unique[j] == False {
+				t.Fatalf("node %d in slot %d: its probe path crosses empty slot %d", r, i, j)
+			}
+		}
+	}
+	if len(interned) != m.uniqueCount {
+		t.Fatalf("uniqueCount = %d, occupied slots = %d", m.uniqueCount, len(interned))
+	}
+	freed := make(map[Ref]bool, len(m.free))
+	for _, r := range m.free {
+		if interned[r] || freed[r] || r <= True {
+			t.Fatalf("free slot %d is interned, listed twice or a terminal", r)
+		}
+		freed[r] = true
+	}
+	visited := make([]bool, len(m.nodes))
+	var reach func(Ref)
+	reach = func(r Ref) {
+		if r <= True || visited[r] {
+			return
+		}
+		visited[r] = true
+		if !interned[r] {
+			t.Fatalf("node %d is reachable from a protected root but not interned", r)
+		}
+		reach(m.nodes[r].lo)
+		reach(m.nodes[r].hi)
+	}
+	for _, roots := range m.protected {
+		for _, r := range roots {
+			reach(r)
+		}
+	}
+}
+
 // checkAgainstNetwork verifies every protected network-node BDD still
 // computes its gate function under random assignments.
 func checkAgainstNetwork(t *testing.T, n *logic.Network, nb *NetworkBDDs, rng *rand.Rand, trials int) {
@@ -53,7 +138,8 @@ func checkAgainstNetwork(t *testing.T, n *logic.Network, nb *NetworkBDDs, rng *r
 // protected-root semantics — every network-node BDD still evaluates
 // correctly, the live-node count equals a fresh reachability count, and
 // a canonical rebuild under the final order yields an identical shared
-// node count (the table stayed reduced and canonical).
+// node count (the table stayed reduced and canonical). The unique table
+// passes checkUniqueTable after every swap.
 func TestSwapLevelsPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 25; trial++ {
@@ -67,6 +153,7 @@ func TestSwapLevelsPropertyRandom(t *testing.T) {
 			if err := m.SwapLevels(rng.Intn(m.NumVars() - 1)); err != nil {
 				t.Fatalf("trial %d swap %d: %v", trial, s, err)
 			}
+			checkUniqueTable(t, m)
 		}
 		checkAgainstNetwork(t, n, nb, rng, 32)
 		if got, want := m.LiveNodes(), m.NodeCount(nb.NodeRefs...); got != want {
@@ -113,6 +200,7 @@ func TestReorderAgainstSiftOracle(t *testing.T) {
 		if got := CountUnderOrder(m, nb.NodeRefs, m.Order()); got != after {
 			t.Fatalf("trial %d: oracle rebuild under sifted order = %d, in-place = %d", trial, got, after)
 		}
+		checkUniqueTable(t, m)
 		checkAgainstNetwork(t, n, nb, rng, 32)
 		if m.Reorders() != 1 {
 			t.Fatalf("trial %d: Reorders = %d, want 1", trial, m.Reorders())
@@ -279,6 +367,216 @@ func TestAutoReorderDuringBuild(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	checkAgainstNetwork(t, n, nb1, rng, 64)
+}
+
+// rebuildNode recomputes node i of a randomNetwork (two-fanin gates)
+// from its fanins' Refs.
+func rebuildNode(m *Manager, n *logic.Network, refs []Ref, i int) Ref {
+	nd := n.Node(logic.NodeID(i))
+	switch nd.Kind {
+	case logic.KindNot:
+		return m.Not(refs[nd.Fanins[0]])
+	case logic.KindAnd:
+		return m.And(refs[nd.Fanins[0]], refs[nd.Fanins[1]])
+	case logic.KindOr:
+		return m.Or(refs[nd.Fanins[0]], refs[nd.Fanins[1]])
+	case logic.KindXor:
+		return m.Xor(refs[nd.Fanins[0]], refs[nd.Fanins[1]])
+	}
+	return refs[i]
+}
+
+// TestBuildsAfterReorder: builds that continue after a reorder intern
+// into the slots it collected before growing node storage, and the
+// table stays canonical — rebuilding any live function from its fanins
+// returns its Ref, fresh functions keep the table's invariants, and
+// every protected root keeps its function.
+func TestBuildsAfterReorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	refilled := 0
+	for trial := 0; trial < 15; trial++ {
+		n := randomNetwork(rng, 8, 40)
+		nb, err := BuildNetwork(n, rng.Perm(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := nb.Manager
+		if err := m.Reorder(); err != nil {
+			t.Fatalf("trial %d: Reorder: %v", trial, err)
+		}
+		if len(m.free) > 0 {
+			refilled++
+		}
+		for i := range nb.NodeRefs {
+			size := m.Size()
+			if got := rebuildNode(m, n, nb.NodeRefs, i); got != nb.NodeRefs[i] {
+				t.Fatalf("trial %d: rebuilt node %d is Ref %d, the live function is Ref %d", trial, i, got, nb.NodeRefs[i])
+			}
+			if len(m.free) > 0 && m.Size() != size {
+				t.Fatalf("trial %d: node storage grew %d -> %d with %d collected slots free", trial, size, m.Size(), len(m.free))
+			}
+		}
+		for k := 0; k < 40; k++ {
+			size := m.Size()
+			f := nb.NodeRefs[rng.Intn(len(nb.NodeRefs))]
+			g := nb.NodeRefs[rng.Intn(len(nb.NodeRefs))]
+			h := nb.NodeRefs[rng.Intn(len(nb.NodeRefs))]
+			m.ITE(f, m.Xor(g, h), m.Not(g))
+			if len(m.free) > 0 && m.Size() != size {
+				t.Fatalf("trial %d: node storage grew %d -> %d with %d collected slots free", trial, size, m.Size(), len(m.free))
+			}
+		}
+		checkUniqueTable(t, m)
+		checkAgainstNetwork(t, n, nb, rng, 32)
+	}
+	if refilled == 0 {
+		t.Fatal("no reorder left collected slots to refill")
+	}
+}
+
+// TestAutoReorderPinned pins a budgeted build that reorders itself
+// several times: the sifted order, the live-node count, the reorder
+// count, the output probabilities' bits and the bits of the sum of every
+// node's probability. Sift decisions read only live-node counts, which
+// are canonical for an order, so none of these may move with the unique
+// table's layout or the numbering of Refs.
+func TestAutoReorderPinned(t *testing.T) {
+	n := randomNetwork(rand.New(rand.NewSource(2)), 20, 300)
+	m := New(n.NumInputs())
+	m.SetBudget(budget.New(2000, 0))
+	m.SetAutoReorder(true)
+	nb, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOrder := []int{8, 1, 11, 14, 0, 15, 2, 5, 10, 13, 6, 12, 7, 3, 4, 16, 19, 17, 9, 18}
+	if got := m.Order(); !slices.Equal(got, wantOrder) {
+		t.Errorf("order = %v, want %v", got, wantOrder)
+	}
+	if got := m.LiveNodes(); got != 1318 {
+		t.Errorf("LiveNodes = %d, want 1318", got)
+	}
+	if got := m.Reorders(); got != 5 {
+		t.Errorf("Reorders = %d, want 5", got)
+	}
+	probs := make([]float64, n.NumInputs())
+	for i := range probs {
+		probs[i] = 0.2 + 0.6*float64(i)/float64(len(probs))
+	}
+	for i, want := range []uint64{0x3fb15d1155b53b4a, 0x3fd851eb851eb850} {
+		if p := m.Probability(nb.OutputRefs(n)[i], probs); math.Float64bits(p) != want {
+			t.Errorf("output %d: P = %v (bits %#x), want bits %#x", i, p, math.Float64bits(p), want)
+		}
+	}
+	sum := 0.0
+	for _, p := range m.ProbabilityMany(nb.NodeRefs, probs) {
+		sum += p
+	}
+	if bits := math.Float64bits(sum); bits != 0x406344c531b83944 {
+		t.Errorf("sum of node probabilities = %v (bits %#x), want bits 0x406344c531b83944", sum, bits)
+	}
+	checkUniqueTable(t, m)
+	checkAgainstNetwork(t, n, nb, rand.New(rand.NewSource(4)), 32)
+}
+
+// secondReorder builds randomNetwork(seed 0, 18 inputs, 250 gates),
+// sifts it once, interns and protects 40 further functions of its nodes
+// (refilling slots the first reorder collected), then sifts again under
+// a node cap. A non-nil shuffle permutes every level list before the
+// second reorder, and with it the order of each swap's dependents.
+func secondReorder(limit int, shuffle *rand.Rand) (*Manager, error) {
+	n := randomNetwork(rand.New(rand.NewSource(0)), 18, 250)
+	m := New(n.NumInputs())
+	nb, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil)
+	if err != nil {
+		return m, err
+	}
+	if err := m.Reorder(); err != nil {
+		return m, err
+	}
+	rng := rand.New(rand.NewSource(1000))
+	extra := make([]Ref, 40)
+	m.Protect(extra)
+	for k := range extra {
+		f := nb.NodeRefs[rng.Intn(len(nb.NodeRefs))]
+		g := nb.NodeRefs[rng.Intn(len(nb.NodeRefs))]
+		h := nb.NodeRefs[rng.Intn(len(nb.NodeRefs))]
+		extra[k] = m.ITE(f, m.Xor(g, h), m.Not(g))
+	}
+	m.SetBudget(budget.New(limit, 0))
+	if shuffle != nil {
+		m.buildReorderState()
+		for _, list := range m.rs.levels {
+			shuffle.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+			for i, r := range list {
+				m.rs.pos[r] = int32(i)
+			}
+		}
+	}
+	return m, m.Reorder()
+}
+
+// TestSecondReorderTrip pins the smallest node cap a manager's second
+// reorder completes under, and shows that it depends only on the forest
+// and the order: inside a swap the cap is checked against the live nodes
+// plus the dependents the swap holds out of the table, so shuffling the
+// level lists moves no trip. The completed reorder's order and live
+// count are those the level-keyed unique table reached. Its count left
+// out the dependents not yet reinserted, so its threshold moved with
+// their order: it read 3083, and that count gives 3090, 3087 and 3083
+// for the three list orders below.
+func TestSecondReorderTrip(t *testing.T) {
+	const threshold = 3091
+	wantOrder := []int{7, 1, 4, 9, 3, 15, 5, 10, 14, 0, 11, 2, 6, 8, 12, 16, 13, 17}
+	for i, seed := range []int64{0, 8, 11} {
+		var shuffle *rand.Rand
+		if seed != 0 {
+			shuffle = rand.New(rand.NewSource(seed))
+		}
+		m, err := secondReorder(threshold-1, shuffle)
+		if !errors.Is(err, budget.ErrBDDNodes) || m.Reorders() != 1 {
+			t.Errorf("shuffle %d, cap %d: err = %v after %d reorders, want ErrBDDNodes in the second", i, threshold-1, err, m.Reorders())
+		}
+		if seed != 0 {
+			shuffle = rand.New(rand.NewSource(seed))
+		}
+		m, err = secondReorder(threshold, shuffle)
+		if err != nil || m.Reorders() != 2 {
+			t.Fatalf("shuffle %d, cap %d: err = %v after %d reorders, want two", i, threshold, err, m.Reorders())
+		}
+		if got := m.Order(); !slices.Equal(got, wantOrder) {
+			t.Errorf("shuffle %d: order = %v, want %v", i, got, wantOrder)
+		}
+		if got := m.LiveNodes(); got != 1869 {
+			t.Errorf("shuffle %d: LiveNodes = %d, want 1869", i, got)
+		}
+		checkUniqueTable(t, m)
+	}
+}
+
+// TestReorderAllocs: a reorder allocates its bookkeeping once — its level
+// lists grow by appends, O(log population) allocations each — and its
+// swaps reuse scratch space, so the count does not scale with the
+// hundreds of swaps a sifting pass makes.
+func TestReorderAllocs(t *testing.T) {
+	n := bddBenchNet()
+	m := New(n.NumInputs())
+	build := func() {
+		if _, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buildAllocs := testing.AllocsPerRun(3, build)
+	allocs := testing.AllocsPerRun(3, func() {
+		build()
+		if err := m.Reorder(); err != nil {
+			t.Fatal(err)
+		}
+	}) - buildAllocs
+	t.Logf("one Reorder over %d levels: %.0f allocations", n.NumInputs(), allocs)
+	if levels := n.NumInputs(); allocs > float64(12*levels) {
+		t.Errorf("one Reorder over %d levels made %.0f allocations, want at most %d", levels, allocs, 12*levels)
+	}
 }
 
 // TestSiftOracleUnchangedByIndexFix: the position-indexed Sift must

@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -200,17 +201,21 @@ func TestExactSiftedRescue(t *testing.T) {
 	}
 }
 
-// TestX4FrontierExactSifted is the exact-engine frontier gate: the x4
-// twin (288 PIs) blows the 20000-node budget on its static variable
-// order, and the reorder-and-retry stage must rescue it, ending the row
-// exact-sifted rather than on a degraded engine. The config is the
-// budgeted corpus one (exact engine, 24-pair MinPower cap).
+// TestX4FrontierExactSifted is the exact-engine frontier gate, run
+// under the budgeted corpus config (exact engine, 20000-node BDD budget,
+// 24-pair MinPower cap) at 256 vectors. The x4 twin (288 PIs) blows the
+// budget on its static variable order, and the reorder-and-retry stage
+// must rescue it, ending the row exact-sifted rather than on a degraded
+// engine; Industry 2 and x3 trip the sifted stage as well and end
+// depth-weighted. Each row's engine, budget trips, MA/MP sizes and the
+// bits of both power figures are pinned: the sifted stage's orders,
+// node counts and trips are pure functions of the BDD kernel's
+// decisions, so a kernel change that moved one would show here.
 func TestX4FrontierExactSifted(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("exact-BDD build of the 288-input x4 twin takes seconds (minutes under -race)")
+		t.Skip("sifted exact-BDD builds of Industry 2, x3 and the 288-input x4 twin take seconds (minutes under -race)")
 	}
-	c := gen.X4()
-	if pis := c.Net.NumInputs(); pis != 288 {
+	if pis := gen.X4().Net.NumInputs(); pis != 288 {
 		t.Fatalf("x4 twin has %d PIs, want 288", pis)
 	}
 	cfg := Config{
@@ -220,12 +225,46 @@ func TestX4FrontierExactSifted(t *testing.T) {
 		EstOpts:       power.Options{Method: power.Exact, Depth: 3, MaxFrontier: 8},
 		BDDNodeBudget: 20000,
 	}
-	_, engine, trips, err := runCircuitDegraded(context.Background(), c, cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if engine != EngineExactSifted {
-		t.Errorf("x4 at budget 20000 ended on engine %q (%d trips), want %q", engine, trips, EngineExactSifted)
+	for _, tc := range []struct {
+		c                          gen.NamedCircuit
+		engine                     string
+		trips                      int
+		maSize, mpSize             int
+		maEst, mpEst, maSim, mpSim uint64
+	}{
+		{gen.Industry2(), EngineDepthWeighted, 2, 1109, 1148,
+			0x40921c81c021c742, 0x409370ef71841441, 0x4092151400000000, 0x40936c0400000000},
+		{gen.X3(), EngineDepthWeighted, 2, 885, 905,
+			0x408d715ecbb7822c, 0x408d5b13ca40a08a, 0x408d73e800000000, 0x408d58b000000000},
+		{gen.X4(), EngineExactSifted, 1, 907, 937,
+			0x408ed3d05912722b, 0x408efb087b910f14, 0x408ecac000000000, 0x408eea3000000000},
+	} {
+		t.Run(tc.c.Name, func(t *testing.T) {
+			row, engine, trips, err := runCircuitDegraded(context.Background(), tc.c, cfg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if engine != tc.engine || trips != tc.trips {
+				t.Errorf("ended on engine %q after %d trips, want %q after %d", engine, trips, tc.engine, tc.trips)
+			}
+			if row.MA.Size != tc.maSize || row.MP.Size != tc.mpSize {
+				t.Errorf("MA/MP Size = %d/%d, want %d/%d", row.MA.Size, row.MP.Size, tc.maSize, tc.mpSize)
+			}
+			for _, p := range []struct {
+				name string
+				got  float64
+				want uint64
+			}{
+				{"MA EstPower", row.MA.EstPower, tc.maEst},
+				{"MP EstPower", row.MP.EstPower, tc.mpEst},
+				{"MA SimPower", row.MA.SimPower, tc.maSim},
+				{"MP SimPower", row.MP.SimPower, tc.mpSim},
+			} {
+				if bits := math.Float64bits(p.got); bits != p.want {
+					t.Errorf("%s = %v (bits %#x), want bits %#x (%v)", p.name, p.got, bits, p.want, math.Float64frombits(p.want))
+				}
+			}
+		})
 	}
 }
 
