@@ -2,8 +2,10 @@ package power
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/domino"
 	"repro/internal/logic"
 	"repro/internal/phase"
@@ -165,6 +167,37 @@ func TestAutoMethodSelection(t *testing.T) {
 	}
 	if wrep.ExactProbs {
 		t.Error("Auto should fall back to approximate beyond the input limit")
+	}
+}
+
+// TestEstimateBadOrderReturnsError: Options.Order arrives in config
+// JSON and Validate does not check it, so a malformed order must come
+// back from the exact engine as an error naming the order, never as a
+// panic — with and without a budget token and auto-reorder attached to
+// the build's manager.
+func TestEstimateBadOrderReturnsError(t *testing.T) {
+	blk := mapFig5(t, phase.Assignment{false, true})
+	probs := []float64{0.9, 0.9, 0.9, 0.9}
+	cases := map[string][]int{
+		"wrong length":      {0, 1, 2},
+		"repeated variable": {0, 1, 1, 3},
+		"out of range":      {0, 1, 2, 9},
+		"negative":          {0, -1, 2, 3},
+	}
+	for name, ord := range cases {
+		for _, opts := range []Options{
+			{Method: Exact, Order: ord},
+			{Method: Exact, Order: ord, Budget: budget.New(1000, 0), Reorder: true},
+		} {
+			rep, err := Estimate(blk, probs, opts)
+			if err == nil || rep != nil {
+				t.Errorf("%s (budgeted %v): Estimate accepted order %v", name, opts.Budget != nil, ord)
+				continue
+			}
+			if !strings.Contains(err.Error(), "order") {
+				t.Errorf("%s (budgeted %v): error %q does not mention the order", name, opts.Budget != nil, err)
+			}
+		}
 	}
 }
 

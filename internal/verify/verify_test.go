@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/flow"
@@ -116,6 +117,111 @@ func TestDetectsSubtleDifference(t *testing.T) {
 		}
 	} else if res.FailingOutput != "f" {
 		t.Errorf("failing output = %q", res.FailingOutput)
+	}
+}
+
+// redeclared copies n with its inputs declared in the order perm (the
+// copy's input j is n's input perm[j], under the same name); gates and
+// outputs are copied unchanged, except that when flip is a gate node
+// the copy turns that AND into an OR or that OR into an AND.
+func redeclared(n *logic.Network, perm []int, flip logic.NodeID) *logic.Network {
+	out := logic.New(n.Name)
+	ids := make([]logic.NodeID, n.NumNodes())
+	for _, p := range perm {
+		in := n.Inputs()[p]
+		ids[in] = out.AddInput(n.Node(in).Name)
+	}
+	for i := 0; i < n.NumNodes(); i++ {
+		nd := n.Node(logic.NodeID(i))
+		kind := nd.Kind
+		switch kind {
+		case logic.KindInput:
+			continue
+		case logic.KindConst0, logic.KindConst1:
+			ids[i] = out.AddConst(kind == logic.KindConst1)
+			continue
+		case logic.KindAnd:
+			if logic.NodeID(i) == flip {
+				kind = logic.KindOr
+			}
+		case logic.KindOr:
+			if logic.NodeID(i) == flip {
+				kind = logic.KindAnd
+			}
+		}
+		fanins := make([]logic.NodeID, len(nd.Fanins))
+		for k, f := range nd.Fanins {
+			fanins[k] = ids[f]
+		}
+		ids[i] = out.AddGate(kind, fanins...)
+	}
+	for _, o := range n.Outputs() {
+		out.MarkOutput(o.Name, ids[o.Driver])
+	}
+	return out
+}
+
+// TestEquivalentReorderedInputs: inputs are matched by name, so a second
+// network that declares its inputs in another order is proven
+// equivalent, and when it differs, the counterexample — indexed by the
+// first network's inputs — distinguishes the two networks once it is
+// mapped onto the second network's inputs by name.
+func TestEquivalentReorderedInputs(t *testing.T) {
+	a := gen.Generate(gen.Params{Name: "reord", Inputs: 14, Outputs: 4, Gates: 70, Seed: 11, OrProb: 0.4})
+	rng := rand.New(rand.NewSource(12))
+	perm := rng.Perm(a.NumInputs())
+	copied := redeclared(a, perm, -1)
+	// Precondition: matching inputs by position would not prove the copy.
+	x := make([]bool, a.NumInputs())
+	differsByPosition := false
+	for m := 0; m < 1<<a.NumInputs() && !differsByPosition; m++ {
+		for i := range x {
+			x[i] = m>>i&1 == 1
+		}
+		differsByPosition = !slices.Equal(a.EvalOutputs(x), copied.EvalOutputs(x))
+	}
+	if !differsByPosition {
+		t.Fatal("the copy computes the original's functions even with its inputs matched by position")
+	}
+	res, err := Equivalent(a, copied)
+	if err != nil {
+		t.Fatalf("Equivalent: %v", err)
+	}
+	if !res.Equivalent {
+		t.Fatalf("reordered copy not proven equivalent (output %q)", res.FailingOutput)
+	}
+	differing := 0
+	for id := 0; id < a.NumNodes() && differing < 5; id++ {
+		if k := a.Kind(logic.NodeID(id)); k != logic.KindAnd && k != logic.KindOr {
+			continue
+		}
+		b := redeclared(a, perm, logic.NodeID(id))
+		if eq, err := logic.Equivalent(a, b); err != nil || eq {
+			continue // the flipped gate is masked at every output
+		}
+		differing++
+		res, err := Equivalent(a, b)
+		if err != nil {
+			t.Fatalf("gate %d: Equivalent: %v", id, err)
+		}
+		if res.Equivalent {
+			t.Fatalf("gate %d: flipped copy declared equivalent", id)
+		}
+		cexB := make([]bool, b.NumInputs())
+		for pos, in := range b.Inputs() {
+			cexB[pos] = res.Counterexample[perm[pos]]
+			if a.Inputs()[perm[pos]] != a.InputByName(b.Node(in).Name) {
+				t.Fatalf("input %d of the copy is not input %d of the original", pos, perm[pos])
+			}
+		}
+		oa := a.OutputByName(res.FailingOutput)
+		ob := b.OutputByName(res.FailingOutput)
+		if va, vb := a.EvalOutputs(res.Counterexample)[oa], b.EvalOutputs(cexB)[ob]; va == vb {
+			t.Errorf("gate %d: counterexample %v does not distinguish output %q", id, res.Counterexample, res.FailingOutput)
+		}
+	}
+	if differing == 0 {
+		t.Fatal("no flipped gate changed the function")
 	}
 }
 
