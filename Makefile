@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench benchtest corpussmoke lint lintgate staticcheck staticcheck-install docgate fmt
+.PHONY: all build test race fuzz bench benchtest corpussmoke loc lint lintgate staticcheck staticcheck-install docgate fmt
 
 all: lint build test
 
@@ -49,6 +49,14 @@ corpussmoke:
 	$(GO) run ./cmd/genbench -dir corpus-smoke -only apex7,frg1,x1
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -vectors 512 -workers 4 -check-twins -jsonl corpus-smoke/rows.jsonl
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -table 2 -vectors 512 -workers 2 -check-twins -jsonl corpus-smoke/rows_timed.jsonl
+
+# Go line counts outside bench/: non-test code (ROADMAP aim 2's measure),
+# then _test.go files, so code moved into test files shows as a rise in
+# the second number rather than as a fall in the first. Only files git
+# tracks are counted: `git add` new files first.
+loc:
+	@echo "non-test Go lines: $$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test.go$$' | grep -v testdata | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(git ls-files '*.go' | grep -v '^bench/' | grep '_test.go$$' | grep -v testdata | xargs cat | wc -l)"
 
 # Static-analysis ladder, cheapest first: gofmt (formatting), docgate
 # (package docs), go vet (stdlib checks), dominolint (repo contracts:

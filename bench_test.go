@@ -139,7 +139,7 @@ func BenchmarkFigure6ParadigmLoop(b *testing.B) {
 	net := flow.Prepare(c.Net)
 	probs := prob.Uniform(net, 0.5)
 	lib := domino.DefaultLibrary()
-	eval := power.Evaluator(lib, probs, power.Options{})
+	eval := power.NewEstimator(lib, probs, power.Options{}).Evaluate
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, _, err := phase.MinPower(net, phase.PowerOptions{
@@ -230,7 +230,7 @@ func BenchmarkFigure10Ordering(b *testing.B) {
 			b.ReportAllocs()
 			var count int
 			for i := 0; i < b.N; i++ {
-				nb, err := bdd.BuildNetwork(n, c.ord)
+				nb, err := bdd.BuildNetwork(bdd.NewWithOrder(n.NumInputs(), c.ord), n, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -297,7 +297,7 @@ func BenchmarkAblationProbabilityEngine(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _, p, _, err := phase.MinPower(net, phase.PowerOptions{
 					InputProbs: probs,
-					Evaluate:   power.Evaluator(lib, probs, power.Options{Method: m.method}),
+					Evaluate:   power.NewEstimator(lib, probs, power.Options{Method: m.method}).Evaluate,
 				})
 				if err != nil {
 					b.Fatal(err)

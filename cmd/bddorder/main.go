@@ -55,11 +55,15 @@ func main() {
 		}
 		return roots
 	}
-	count := func(ord []int) int {
-		nb, err := bdd.BuildNetwork(net, ord)
+	build := func(ord []int) *bdd.NetworkBDDs {
+		nb, err := bdd.BuildNetwork(bdd.NewWithOrder(net.NumInputs(), ord), net, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
+		return nb
+	}
+	count := func(ord []int) int {
+		nb := build(ord)
 		return nb.Manager.NodeCount(gateRoots(nb)...)
 	}
 	// The built-in run prints the paper's Figure 10 counts beside its
@@ -89,10 +93,7 @@ func main() {
 		// In-place sifting swaps adjacent levels inside one manager and
 		// minimizes its whole live table (every network node stays
 		// protected, inputs included).
-		ip, err := bdd.BuildNetwork(net, revOrd)
-		if err != nil {
-			log.Fatal(err)
-		}
+		ip := build(revOrd)
 		ipRoots := gateRoots(ip)
 		fmt.Printf("\n%-28s %10s %14s\n", "sifting from heuristic", "BDD nodes", "wall time")
 		fmt.Printf("%-28s %10d %14s\n", "no sifting", ip.Manager.NodeCount(ipRoots...), "-")

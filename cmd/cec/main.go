@@ -31,7 +31,7 @@ func main() {
 		os.Exit(2)
 	}
 	if res.Equivalent {
-		fmt.Printf("EQUIVALENT (%d BDD nodes)\n", res.Nodes)
+		fmt.Printf("EQUIVALENT (%d BDD nodes, both circuits in one manager)\n", res.Nodes)
 		return
 	}
 	fmt.Printf("DIFFERENT at output %q\n", res.FailingOutput)

@@ -80,7 +80,7 @@ func analyze(n *logic.Network, asg phase.Assignment, probs []float64) breakdown 
 	if err != nil {
 		log.Fatal(err)
 	}
-	blockProbs, err := prob.Exact(res.Block, res.BlockInputProbs(probs), nil)
+	blockProbs, err := prob.Exact(res.Block, res.BlockInputProbs(probs))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -81,7 +81,11 @@ const (
 
 // Manager owns a shared ROBDD forest over a fixed number of variables.
 // Variables are identified by index 0..NumVars-1; the variable order is
-// fixed at construction (level i holds variable order[i]).
+// set at construction (level i holds variable order[i]) and changed only
+// by reordering. A manager has one lifetime: construct it with its
+// order, attach a budget (SetBudget) and then auto-reorder
+// (SetAutoReorder), build into it (BuildNetwork), and drop it. Nothing
+// resets a manager.
 type Manager struct {
 	nodes []node
 
@@ -93,9 +97,9 @@ type Manager struct {
 	uniqueCount int
 	// free holds the node slots a reorder collected, sorted ascending
 	// when collected and popped from the end by mk and mkSwap. It
-	// outlives the reorder (so post-reorder builds refill the holes
-	// instead of growing node storage) until the next collection merges
-	// it or Reset clears it.
+	// outlives the reorder, so post-reorder builds refill the holes
+	// instead of growing node storage; the next collection merges what
+	// is left with its own garbage.
 	free []Ref
 
 	// ite and binop are lossy direct-mapped operation caches.
@@ -187,58 +191,6 @@ func NewWithOrderSized(numVars int, order []int, sizeHint int) *Manager {
 
 // NumVars returns the number of variables the manager was created with.
 func (m *Manager) NumVars() int { return len(m.varAtLevel) }
-
-// Reset clears the manager in place — node storage is truncated to the
-// two terminals, the unique table is emptied and the operation caches are
-// invalidated — while every allocation (node chunks, tables, caches) is
-// retained for reuse. A reset manager behaves exactly like a freshly
-// constructed one over the same variables and order: because builds are
-// deterministic, re-running the same construction yields the same Refs,
-// node counts, and probabilities, without re-paying the allocations.
-// This is what lets per-cone probability passes recycle one manager
-// instead of allocating a fresh forest per cone.
-func (m *Manager) Reset() {
-	m.nodes = m.nodes[:2]
-	numVars := int32(m.NumVars())
-	m.nodes[False] = node{level: numVars, lo: False, hi: False}
-	m.nodes[True] = node{level: numVars, lo: True, hi: True}
-	for i := range m.unique {
-		m.unique[i] = False
-	}
-	m.uniqueCount = 0
-	m.free = m.free[:0]
-	for i := range m.ite {
-		m.ite[i] = iteEntry{}
-	}
-	for i := range m.binop {
-		m.binop[i] = binopEntry{}
-	}
-	m.rs = nil
-	m.protected = nil
-	if m.autoReorder {
-		m.scheduleNextReorder()
-	}
-}
-
-// ResetWithOrder is Reset with a new variable order (a permutation of the
-// manager's 0..NumVars-1 variables) installed, so one manager can serve a
-// sequence of builds that each want their own order.
-func (m *Manager) ResetWithOrder(order []int) {
-	if len(order) != m.NumVars() {
-		panic(orderError(fmt.Sprintf("bdd: order length %d != numVars %d", len(order), m.NumVars())))
-	}
-	m.Reset()
-	for v := range m.levelOfVar {
-		m.levelOfVar[v] = -1
-	}
-	for l, v := range order {
-		if v < 0 || v >= m.NumVars() || m.levelOfVar[v] >= 0 {
-			panic(orderError(fmt.Sprintf("bdd: order is not a permutation at position %d", l)))
-		}
-		m.varAtLevel[l] = int32(v)
-		m.levelOfVar[v] = int32(l)
-	}
-}
 
 // Size returns the number of node slots: the terminals, every interned
 // node, and the slots a reorder collected that no node has reused yet.

@@ -328,7 +328,7 @@ func TestBuildNetwork(t *testing.T) {
 	or := n.AddOr(and, c)
 	inv := n.AddNot(or)
 	n.MarkOutput("f", inv)
-	nb, err := BuildNetwork(n, nil)
+	nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 	if err != nil {
 		t.Fatalf("BuildNetwork: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestBuildNetworkMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := randomNetwork(rng, 5, 20)
-		nb, err := BuildNetwork(n, nil)
+		nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 		if err != nil {
 			t.Fatalf("BuildNetwork: %v", err)
 		}
@@ -458,7 +458,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 	n := randomNetwork(rng, 16, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildNetwork(n, nil); err != nil {
+		if _, err := BuildNetwork(New(n.NumInputs()), n, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,7 +467,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 func BenchmarkProbability(b *testing.B) {
 	rng := rand.New(rand.NewSource(19))
 	n := randomNetwork(rng, 16, 500)
-	nb, err := BuildNetwork(n, nil)
+	nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

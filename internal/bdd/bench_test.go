@@ -46,31 +46,7 @@ func BenchmarkBDDBuild(b *testing.B) {
 	b.ReportAllocs()
 	var nodes int
 	for i := 0; i < b.N; i++ {
-		nb, err := BuildNetwork(n, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes = nb.Manager.Size()
-	}
-	b.ReportMetric(float64(nodes), "bdd_nodes")
-}
-
-// BenchmarkBDDBuildReset is BenchmarkBDDBuild with one manager recycled
-// via Reset across iterations — the per-cone reuse pattern of the
-// cone-table precompute. Compare allocs/op against BenchmarkBDDBuild:
-// table, cache, and chunk allocations are paid once, not per build.
-func BenchmarkBDDBuildReset(b *testing.B) {
-	n := bddBenchNet()
-	m := New(n.NumInputs())
-	// Prime the manager so steady-state iterations re-use full-size tables.
-	if _, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var nodes int
-	for i := 0; i < b.N; i++ {
-		nb, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil)
+		nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,17 +56,18 @@ func BenchmarkBDDBuildReset(b *testing.B) {
 }
 
 // BenchmarkReorder measures one in-place sifting pass over the bench
-// network's forest, built in natural order before each pass (untimed,
-// into one recycled manager) — the kernel of the exact engine's
+// network's forest, built in natural order into a fresh manager before
+// each pass (untimed) — the kernel of the exact engine's
 // reorder-and-retry stage.
 func BenchmarkReorder(b *testing.B) {
 	n := bddBenchNet()
-	m := New(n.NumInputs())
+	var m *Manager
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if _, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil); err != nil {
+		m = New(n.NumInputs())
+		if _, err := BuildNetwork(m, n, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -105,7 +82,7 @@ func BenchmarkReorder(b *testing.B) {
 // over a prebuilt forest (the per-candidate cost inside phase.MinPower).
 func BenchmarkBDDProbability(b *testing.B) {
 	n := bddBenchNet()
-	nb, err := BuildNetwork(n, nil)
+	nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

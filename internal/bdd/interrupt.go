@@ -12,19 +12,21 @@ import (
 // apply/ITE recursions. Returning an error from there would thread an
 // error path through every recursive operator, so the engine follows
 // the CUDD convention instead: a trip raises a typed panic that unwinds
-// the whole build, and the BuildNetwork* boundary (or CatchInterrupt)
+// the whole build, and the BuildNetwork boundary (or CatchInterrupt)
 // converts it back into an ordinary error. The manager's state stays
 // consistent across the unwind — mk polls only after an insert
-// completes — so a Reset*-based retry on the same manager is sound.
+// completes — but a tripped manager is dropped: a retry (the flow's
+// degradation chain runs one per stage) builds into a fresh manager.
 
 // buildInterrupt is the typed panic carrying a budget/cancellation trip
 // out of a build.
 type buildInterrupt struct{ err error }
 
 // orderError is the typed panic raised by order validation
-// (NewWithOrder*, ResetWithOrder) on a malformed variable order, so the
-// BuildNetwork* boundary can hand a bad order from a config knob back
-// as an error row instead of a trapped panic.
+// (NewWithOrder*) on a malformed variable order, so a caller
+// constructing the manager for an order from a config knob under
+// CatchInterrupt hands it back as an error row instead of a trapped
+// panic.
 type orderError string
 
 // cancelPollInterval is how many unique-table inserts pass between
@@ -34,7 +36,6 @@ const cancelPollInterval = 256
 
 // SetBudget attaches a cancellation/budget token to the manager; every
 // subsequent build polls it at bounded intervals. A nil token detaches.
-// Reset and ResetWithOrder keep the attachment.
 func (m *Manager) SetBudget(t *budget.T) { m.budget = t }
 
 // pollBudget enforces the node cap and cancellation on the fresh-node
@@ -67,8 +68,9 @@ func recoveredBuildErr(p any) error {
 // CatchInterrupt runs build, converting a budget/cancellation interrupt
 // or order-validation panic raised by manager operations inside it into
 // the returned error. Any other panic propagates unchanged. Callers
-// constructing BDDs outside BuildNetwork* (per-cone local builds, say)
-// use it to get the same error-not-panic contract.
+// constructing BDDs outside BuildNetwork (per-cone local builds, say),
+// or a manager from an unchecked order, use it to get the same
+// error-not-panic contract.
 func CatchInterrupt(build func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -84,7 +86,7 @@ func CatchInterrupt(build func()) (err error) {
 }
 
 // Interrupt trips an explicit build interrupt carrying err from inside
-// a CatchInterrupt/BuildNetwork* region. It exists for callers that
+// a CatchInterrupt/BuildNetwork region. It exists for callers that
 // poll the token themselves between manager operations.
 func Interrupt(err error) {
 	if err == nil {

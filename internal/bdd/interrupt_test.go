@@ -22,7 +22,10 @@ func xorChain(inputs int) *logic.Network {
 }
 
 // TestBuildNetworkBadOrderReturnsError: a malformed order from a future
-// config knob must come back as an error row, not a trapped panic.
+// config knob must come back as an error row, not a trapped panic. The
+// order is fixed when the build's manager is constructed, so the
+// boundary is NewWithOrder under CatchInterrupt, as the production
+// callers construct it.
 func TestBuildNetworkBadOrderReturnsError(t *testing.T) {
 	n := xorChain(4)
 	cases := map[string][]int{
@@ -32,23 +35,25 @@ func TestBuildNetworkBadOrderReturnsError(t *testing.T) {
 		"negative":          {0, -1, 2, 3},
 	}
 	for name, order := range cases {
-		nb, err := BuildNetwork(n, order)
-		if err == nil || nb != nil {
-			t.Errorf("%s: BuildNetwork accepted order %v", name, order)
+		var m *Manager
+		err := CatchInterrupt(func() { m = NewWithOrder(n.NumInputs(), order) })
+		if err == nil || m != nil {
+			t.Errorf("%s: NewWithOrder accepted order %v", name, order)
 			continue
 		}
 		if !strings.Contains(err.Error(), "order") {
 			t.Errorf("%s: error %q does not mention the order", name, err)
 		}
 	}
-	// And via the reused-manager path, which validates in ResetWithOrder.
-	m := New(4)
-	if _, err := BuildNetworkLitsIn(m, n, 4, nil, []int{2, 2, 2, 2}); err == nil {
-		t.Error("BuildNetworkLitsIn accepted a non-permutation order on a reused manager")
+	// A valid non-natural order still builds: the XOR chain has 2n-1
+	// internal nodes under any order.
+	m := NewWithOrder(4, []int{3, 1, 0, 2})
+	nb, err := BuildNetwork(m, n, nil)
+	if err != nil {
+		t.Fatalf("valid order: %v", err)
 	}
-	// The manager stays usable after the failed validation.
-	if _, err := BuildNetworkLitsIn(m, n, 4, nil, nil); err != nil {
-		t.Fatalf("manager unusable after rejected order: %v", err)
+	if got := m.NodeCount(nb.OutputRefs(n)...); got != 7 {
+		t.Fatalf("valid order: %d nodes, want 7", got)
 	}
 }
 
@@ -60,20 +65,22 @@ func TestBuildNetworkNodeBudget(t *testing.T) {
 	tok := budget.New(4, 0)
 	m := New(8)
 	m.SetBudget(tok)
-	if _, err := BuildNetworkLitsIn(m, n, 8, nil, nil); !errors.Is(err, budget.ErrBDDNodes) {
+	if _, err := BuildNetwork(m, n, nil); !errors.Is(err, budget.ErrBDDNodes) {
 		t.Fatalf("tiny budget: err = %v, want ErrBDDNodes", err)
 	}
 	if tok.BDDTrips() != 1 {
 		t.Fatalf("BDDTrips = %d, want 1", tok.BDDTrips())
 	}
-	// A budget trip does not cancel the token; the same manager retries
-	// under a looser budget (the degradation chain's contract).
+	// A budget trip does not cancel the token; the tripped manager is
+	// dropped and a fresh one retries under a looser budget (the
+	// degradation chain's contract).
+	m = New(8)
 	m.SetBudget(budget.New(1000, 0))
-	nb, err := BuildNetworkLitsIn(m, n, 8, nil, nil)
+	nb, err := BuildNetwork(m, n, nil)
 	if err != nil {
 		t.Fatalf("generous budget: %v", err)
 	}
-	ref, err2 := BuildNetwork(n, nil)
+	ref, err2 := BuildNetwork(New(n.NumInputs()), n, nil)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -93,7 +100,7 @@ func TestBuildNetworkCancellation(t *testing.T) {
 	// The cancellation poll fires every cancelPollInterval inserts; a
 	// 15-node build may finish under it, so loop builds until observed.
 	for i := 0; i < cancelPollInterval; i++ {
-		if _, err := BuildNetworkLitsIn(m, n, 8, nil, nil); err != nil {
+		if _, err := BuildNetwork(m, n, nil); err != nil {
 			if !errors.Is(err, budget.ErrCancelled) {
 				t.Fatalf("err = %v, want ErrCancelled", err)
 			}

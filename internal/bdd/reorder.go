@@ -35,7 +35,7 @@ import (
 // node (node cap + cancellation), so both land inside a reorder as the
 // usual CUDD-style interrupt panic; the build boundary (or Reorder's own
 // CatchInterrupt) converts it to an error and the manager is left
-// unusable-but-not-corrupt — a Reset* restores it. Inside a swap the cap
+// unusable-but-not-corrupt, to be dropped. Inside a swap the cap
 // is checked against the live count plus the dependents the swap holds
 // out of the table, so where a reorder trips is a function of the
 // forest and the order alone, like its sift decisions.
@@ -82,8 +82,8 @@ const (
 // intact. The slice is aliased, not copied — its *current* contents are
 // re-read whenever reorder state is built, so a caller may register a
 // result slice up front and fill it as a build progresses
-// (BuildNetworkLitsIn does exactly that). Reset and ResetWithOrder clear
-// the registrations.
+// (BuildNetwork does exactly that). Registrations last as long as the
+// manager.
 func (m *Manager) Protect(roots []Ref) {
 	m.protected = append(m.protected, roots)
 	m.rs = nil
@@ -95,16 +95,16 @@ func (m *Manager) Protect(roots []Ref) {
 func (m *Manager) LiveNodes() int { return m.uniqueCount }
 
 // Reorders returns the number of completed in-place reorders over the
-// manager's lifetime (Reset does not clear it, matching the budget
-// attachment's lifetime).
+// manager's lifetime.
 func (m *Manager) Reorders() int { return m.reorders }
 
 // SetAutoReorder enables or disables automatic reordering at safe points
-// during BuildNetwork* builds. When enabled, a reorder fires once live
+// during BuildNetwork builds. When enabled, a reorder fires once live
 // nodes double since the last reorder (with a floor of 4096) or cross
 // half of the budget's MaxBDDNodes.
 // Both triggers are pure functions of table state, so enabling
-// auto-reorder keeps builds deterministic. Reset keeps the setting.
+// auto-reorder keeps builds deterministic. Call it after SetBudget: the
+// first trigger point reads the budget's fraction point.
 func (m *Manager) SetAutoReorder(on bool) {
 	m.autoReorder = on
 	if on {
@@ -150,7 +150,7 @@ func (m *Manager) maybeReorder() {
 // a 1.2× growth abort per direction. Refs reachable from protected
 // roots remain valid; all others are invalidated. A budget trip or
 // cancellation mid-reorder returns an error and leaves the manager
-// unusable until the next Reset*.
+// unusable: drop it.
 func (m *Manager) Reorder() error { return CatchInterrupt(m.reorderNow) }
 
 // reorderNow is the panicking core of Reorder, also invoked by the

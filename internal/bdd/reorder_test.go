@@ -144,7 +144,7 @@ func TestSwapLevelsPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 25; trial++ {
 		n := randomNetwork(rng, 7, 30)
-		nb, err := BuildNetwork(n, nil)
+		nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestReorderAgainstSiftOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 15; trial++ {
 		n := randomNetwork(rng, 8, 40)
-		nb, err := BuildNetwork(n, rng.Perm(8))
+		nb, err := BuildNetwork(NewWithOrder(8, rng.Perm(8)), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestReorderAgainstSiftOracle(t *testing.T) {
 func TestReorderShrinksPathologicalOrder(t *testing.T) {
 	const k = 8
 	n := andOrPairs(k)
-	nb, err := BuildNetwork(n, nil) // natural order: a0..a7 b0..b7 — pathological
+	nb, err := BuildNetwork(New(n.NumInputs()), n, nil) // natural order: a0..a7 b0..b7 — pathological
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestReorderShrinksPathologicalOrder(t *testing.T) {
 func TestReorderDeterministic(t *testing.T) {
 	run := func() ([]int, int) {
 		n := andOrPairs(6)
-		nb, err := BuildNetwork(n, nil)
+		nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,10 +263,11 @@ func TestReorderDeterministic(t *testing.T) {
 
 // TestReorderBudgetTripMidReorder: a node-cap trip inside a reorder is
 // the usual CUDD-style interrupt — Reorder returns ErrBDDNodes, and the
-// manager, while unusable, is not corrupt: a Reset* fully restores it.
+// tripped manager is dropped: a retry on a fresh manager under a looser
+// budget builds the same forest as an unbudgeted build.
 func TestReorderBudgetTripMidReorder(t *testing.T) {
 	n := andOrPairs(6)
-	nb, err := BuildNetwork(n, nil)
+	nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +279,14 @@ func TestReorderBudgetTripMidReorder(t *testing.T) {
 	if err := m.Reorder(); !errors.Is(err, budget.ErrBDDNodes) {
 		t.Fatalf("Reorder under tiny cap: err = %v, want ErrBDDNodes", err)
 	}
-	// Unusable-but-not-corrupt: the standard retry path (Reset under a
-	// looser budget) rebuilds the same forest as a fresh manager.
-	m.SetBudget(budget.New(0, 0))
-	nb2, err := BuildNetworkLitsIn(m, n, m.NumVars(), nil, nil)
+	// The standard retry path: a fresh manager under a looser budget.
+	retry := New(n.NumInputs())
+	retry.SetBudget(budget.New(0, 0))
+	nb2, err := BuildNetwork(retry, n, nil)
 	if err != nil {
 		t.Fatalf("rebuild after tripped reorder: %v", err)
 	}
-	fresh, err := BuildNetwork(n, nil)
+	fresh, err := BuildNetwork(New(n.NumInputs()), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestReorderBudgetTripMidReorder(t *testing.T) {
 // the per-swap poll, so cancellation lands inside a reorder promptly.
 func TestReorderCancellationLandsInside(t *testing.T) {
 	n := andOrPairs(6)
-	nb, err := BuildNetwork(n, nil)
+	nb, err := BuildNetwork(New(n.NumInputs()), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestAutoReorderDuringBuild(t *testing.T) {
 	// Plain build under the cap must trip...
 	capped := New(2 * k)
 	capped.SetBudget(budget.New(150, 0))
-	if _, err := BuildNetworkLitsIn(capped, n, 2*k, nil, nil); !errors.Is(err, budget.ErrBDDNodes) {
+	if _, err := BuildNetwork(capped, n, nil); !errors.Is(err, budget.ErrBDDNodes) {
 		t.Fatalf("plain build under cap: err = %v, want ErrBDDNodes", err)
 	}
 	// ...while the auto-reordering build completes.
@@ -328,7 +329,7 @@ func TestAutoReorderDuringBuild(t *testing.T) {
 		m := New(2 * k)
 		m.SetBudget(budget.New(150, 0))
 		m.SetAutoReorder(true)
-		nb, err := BuildNetworkLitsIn(m, n, 2*k, nil, nil)
+		nb, err := BuildNetwork(m, n, nil)
 		if err != nil {
 			t.Fatalf("auto-reorder build: %v", err)
 		}
@@ -354,7 +355,7 @@ func TestAutoReorderDuringBuild(t *testing.T) {
 	for i := range probs {
 		probs[i] = 0.5
 	}
-	ref, err := BuildNetwork(n, nil)
+	ref, err := BuildNetwork(New(n.NumInputs()), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestBuildsAfterReorder(t *testing.T) {
 	refilled := 0
 	for trial := 0; trial < 15; trial++ {
 		n := randomNetwork(rng, 8, 40)
-		nb, err := BuildNetwork(n, rng.Perm(8))
+		nb, err := BuildNetwork(NewWithOrder(8, rng.Perm(8)), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +446,7 @@ func TestAutoReorderPinned(t *testing.T) {
 	m := New(n.NumInputs())
 	m.SetBudget(budget.New(2000, 0))
 	m.SetAutoReorder(true)
-	nb, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil)
+	nb, err := BuildNetwork(m, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestAutoReorderPinned(t *testing.T) {
 func secondReorder(limit int, shuffle *rand.Rand) (*Manager, error) {
 	n := randomNetwork(rand.New(rand.NewSource(0)), 18, 250)
 	m := New(n.NumInputs())
-	nb, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil)
+	nb, err := BuildNetwork(m, n, nil)
 	if err != nil {
 		return m, err
 	}
@@ -557,12 +558,14 @@ func TestSecondReorderTrip(t *testing.T) {
 // TestReorderAllocs: a reorder allocates its bookkeeping once — its level
 // lists grow by appends, O(log population) allocations each — and its
 // swaps reuse scratch space, so the count does not scale with the
-// hundreds of swaps a sifting pass makes.
+// hundreds of swaps a sifting pass makes. Each run builds into a fresh
+// manager, whose allocations are measured alone and subtracted.
 func TestReorderAllocs(t *testing.T) {
 	n := bddBenchNet()
-	m := New(n.NumInputs())
+	var m *Manager
 	build := func() {
-		if _, err := BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil); err != nil {
+		m = New(n.NumInputs())
+		if _, err := BuildNetwork(m, n, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -74,3 +74,38 @@ func moveVar(order []int, from, to int) {
 	}
 	order[to] = v
 }
+
+// Transfer rebuilds the function rooted at f in a destination manager with
+// a possibly different variable order. varMap maps source variable index
+// to destination variable index (nil for identity).
+func Transfer(src *Manager, f Ref, dst *Manager, varMap []int) Ref {
+	if varMap == nil {
+		varMap = make([]int, src.NumVars())
+		for i := range varMap {
+			varMap[i] = i
+		}
+	}
+	memo := make([]Ref, len(src.nodes))
+	seen := make([]bool, len(src.nodes))
+	var rec func(Ref) Ref
+	rec = func(r Ref) Ref {
+		if r == False {
+			return False
+		}
+		if r == True {
+			return True
+		}
+		if seen[r] {
+			return memo[r]
+		}
+		n := &src.nodes[r]
+		v := varMap[src.varAtLevel[n.level]]
+		lo := rec(n.lo)
+		hi := rec(n.hi)
+		res := dst.ITE(dst.Var(v), hi, lo)
+		memo[r] = res
+		seen[r] = true
+		return res
+	}
+	return rec(f)
+}

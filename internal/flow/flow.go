@@ -422,8 +422,6 @@ func synthesizeMPAssignment(net *logic.Network, probs []float64, cfg Config, tok
 	if scorer != nil {
 		popts.Scorer = scorer
 	} else {
-		// Sequential heuristic: the estimator's reusable BDD manager
-		// saves a forest allocation per candidate, bit-identically.
 		popts.Evaluate = power.NewEstimator(*cfg.Lib, probs, cfg.estOptions(tok)).Evaluate
 	}
 	asg, res, est, _, err := phase.MinPower(net, popts)

@@ -2,9 +2,11 @@ package flow
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/phase"
 	"repro/internal/power"
 )
 
@@ -72,6 +74,41 @@ func TestScoreNaiveRowsPinned(t *testing.T) {
 		} {
 			if bits := math.Float64bits(p.got); bits != p.want {
 				t.Errorf("%s %s method %d: %s = %v (bits %#x), want bits %#x (%v)", tc.c.Name, kind, tc.method, p.name, p.got, bits, p.want, math.Float64frombits(p.want))
+			}
+		}
+	}
+}
+
+// TestScoreNaiveParallelSearch runs the naive scorer under the search
+// strategies that score candidates from Workers goroutines, with the
+// exact engine building a BDD forest per candidate, and requires the
+// row of Workers 1: the same assignments, sizes and power bits. Under
+// `go test -race` it is the regression test for an estimator whose
+// calls shared one BDD manager across those goroutines.
+func TestScoreNaiveParallelSearch(t *testing.T) {
+	c := gen.NamedCircuit{Name: "naivepar", Net: gen.Generate(gen.Params{Name: "naivepar", Inputs: 10, Outputs: 6, Gates: 60, Seed: 0x9A17E, OrProb: 0.6})}
+	for _, strategy := range []phase.SearchStrategy{phase.StrategyGreedy, phase.StrategyExhaustive} {
+		rows := make([]*Row, 2)
+		for i, workers := range []int{1, 4} {
+			cfg := Config{
+				SimVectors: 1024, PhaseScoring: ScoreNaive, SearchStrategy: strategy, SearchRestarts: 8,
+				EstOpts: power.Options{Method: power.Exact}, Workers: workers,
+			}
+			row, err := RunCircuit(c, cfg)
+			if err != nil {
+				t.Fatalf("%v workers %d: %v", strategy, workers, err)
+			}
+			rows[i] = row
+		}
+		for _, s := range []struct {
+			name      string
+			want, got *Synthesis
+		}{{"MA", &rows[0].MA, &rows[1].MA}, {"MP", &rows[0].MP, &rows[1].MP}} {
+			if !slices.Equal(s.got.Assignment, s.want.Assignment) || s.got.Size != s.want.Size {
+				t.Errorf("%v %s at 4 workers: assignment %s size %d, want %s size %d", strategy, s.name, s.got.Assignment, s.got.Size, s.want.Assignment, s.want.Size)
+			}
+			if math.Float64bits(s.got.EstPower) != math.Float64bits(s.want.EstPower) || math.Float64bits(s.got.SimPower) != math.Float64bits(s.want.SimPower) {
+				t.Errorf("%v %s at 4 workers: EstPower %v SimPower %v, want %v and %v", strategy, s.name, s.got.EstPower, s.got.SimPower, s.want.EstPower, s.want.SimPower)
 			}
 		}
 	}

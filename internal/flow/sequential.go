@@ -37,18 +37,14 @@ func RunSequential(c *seq.Circuit, cfg Config) (*SequentialRow, error) {
 // token.
 func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, error) {
 	cut := c.Cut(sgraph.DefaultOptions())
-	part, err := c.Partition(cut)
-	if err != nil {
-		return nil, fmt.Errorf("flow: partition: %w", err)
-	}
-
 	// Steady-state probabilities of the cut flip-flops become the
-	// pseudo-input probabilities of the block.
+	// pseudo-input probabilities of the block. SteadyStateProbs
+	// partitions the circuit at the cut and returns that partition.
 	inputProbs := make([]float64, c.Comb.NumInputs())
 	for _, pos := range c.RealInputs {
 		inputProbs[pos] = cfg.InputProb
 	}
-	_, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: inputProbs, Cut: cut})
+	part, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: inputProbs, Cut: cut})
 	if err != nil {
 		return nil, fmt.Errorf("flow: steady state: %w", err)
 	}

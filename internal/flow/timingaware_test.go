@@ -44,7 +44,7 @@ func TestRunCircuitTimingAwareRejectsZeroPenalty(t *testing.T) {
 }
 
 // penalizedLibrary is the default library with the AND-stack penalty
-// P_i set: under it, power.Evaluator and power.NewConeTable score the
+// P_i set: under it, power.Estimator and power.NewConeTable score the
 // timing-aware MP objective.
 func penalizedLibrary(andPenalty float64) domino.Library {
 	lib := domino.DefaultLibrary()
@@ -56,8 +56,8 @@ func TestPenalizedEvaluatorTaxesAnds(t *testing.T) {
 	c := smallOrHeavy()
 	net := Prepare(c.Net)
 	probs := prob.Uniform(net, 0.5)
-	plain := power.Evaluator(penalizedLibrary(1e-9), probs, power.Options{})
-	taxed := power.Evaluator(penalizedLibrary(0.5), probs, power.Options{})
+	plain := power.NewEstimator(penalizedLibrary(1e-9), probs, power.Options{}).Evaluate
+	taxed := power.NewEstimator(penalizedLibrary(0.5), probs, power.Options{}).Evaluate
 	// An all-negative assignment of an OR-heavy circuit is AND-heavy; the
 	// taxed evaluator must score it strictly worse.
 	asg := make(phase.Assignment, net.NumOutputs())
@@ -90,7 +90,7 @@ func TestPenalizedScorerMatchesEvaluator(t *testing.T) {
 	net := Prepare(c.Net)
 	probs := prob.Uniform(net, 0.5)
 	const tax = 0.5
-	eval := power.Evaluator(penalizedLibrary(tax), probs, power.Options{})
+	eval := power.NewEstimator(penalizedLibrary(tax), probs, power.Options{}).Evaluate
 	scorer, err := power.NewConeTable(net, penalizedLibrary(tax), probs, power.Options{})
 	if err != nil {
 		t.Fatal(err)

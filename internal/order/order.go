@@ -13,8 +13,8 @@
 // cone-heavy networks domino synthesis produces.
 //
 // All functions return a permutation of input *positions* suitable for
-// bdd.NewWithOrder / bdd.BuildNetwork: level l of the BDD decides input
-// order[l].
+// bdd.NewWithOrder, whose manager bdd.BuildNetwork builds into: level l
+// of the BDD decides input order[l].
 package order
 
 import (

@@ -56,7 +56,7 @@ func TestFirstVisitSequenceFigure10(t *testing.T) {
 func TestFigure10NodeCounts(t *testing.T) {
 	n := figure10()
 	count := func(ord []int) int {
-		nb, err := bdd.BuildNetwork(n, ord)
+		nb, err := bdd.BuildNetwork(bdd.NewWithOrder(n.NumInputs(), ord), n, nil)
 		if err != nil {
 			t.Fatalf("BuildNetwork: %v", err)
 		}
@@ -125,11 +125,11 @@ func TestReverseTopologicalBeatsNaturalOnConvergentCircuits(t *testing.T) {
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		n := convergentNetwork(rng, 8, 40)
-		nbRev, err := bdd.BuildNetwork(n, ReverseTopological(n))
+		nbRev, err := bdd.BuildNetwork(bdd.NewWithOrder(n.NumInputs(), ReverseTopological(n)), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nbRand, err := bdd.BuildNetwork(n, Random(n, int64(trial*7+1)))
+		nbRand, err := bdd.BuildNetwork(bdd.NewWithOrder(n.NumInputs(), Random(n, int64(trial*7+1))), n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

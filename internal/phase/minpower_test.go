@@ -163,7 +163,7 @@ func TestMinPowerMatchesOracle(t *testing.T) {
 				if scored {
 					opts.Scorer = table
 				} else {
-					opts.Evaluate = power.Evaluator(lib, probs, power.Options{})
+					opts.Evaluate = power.NewEstimator(lib, probs, power.Options{}).Evaluate
 				}
 				wantAsg, wantScore, wantSteps, err := phase.MinPowerOracle(net, opts)
 				if err != nil {

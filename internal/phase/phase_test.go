@@ -37,7 +37,7 @@ func figure5Network() *logic.Network {
 // the driving block output's probability. Exact probabilities via BDDs.
 func totalSwitching(t testing.TB, r *Result, inputProbs []float64) (domino, inInv, outInv float64) {
 	t.Helper()
-	blockProbs, err := prob.Exact(r.Block, r.BlockInputProbs(inputProbs), nil)
+	blockProbs, err := prob.Exact(r.Block, r.BlockInputProbs(inputProbs))
 	if err != nil {
 		t.Fatalf("prob.Exact: %v", err)
 	}

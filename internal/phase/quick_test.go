@@ -79,7 +79,7 @@ func outputProb(n *logic.Network, asg Assignment, k int, probs []float64) (float
 	if err != nil {
 		return 0, err
 	}
-	blockProbs, err := prob.Exact(r.Block, r.BlockInputProbs(probs), nil)
+	blockProbs, err := prob.Exact(r.Block, r.BlockInputProbs(probs))
 	if err != nil {
 		return 0, err
 	}
@@ -104,7 +104,7 @@ func correlatedOutputProb(r *Result, probs []float64, k int) (float64, error) {
 	for pos, bi := range r.Inputs {
 		lits[pos] = bdd.InputLit{Var: bi.InputPos, Neg: bi.Inverted}
 	}
-	nodeProbs, err := prob.ExactLits(r.Block, len(probs), lits, probs, nil)
+	nodeProbs, err := prob.ExactLits(bdd.New(len(probs)), r.Block, lits, probs)
 	if err != nil {
 		return 0, err
 	}

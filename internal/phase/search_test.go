@@ -14,7 +14,7 @@ import (
 // exact probabilities, used as the power measure in these tests.
 func switchingEvaluator(inputProbs []float64) Evaluator {
 	return func(r *Result) (float64, error) {
-		blockProbs, err := prob.Exact(r.Block, r.BlockInputProbs(inputProbs), nil)
+		blockProbs, err := prob.Exact(r.Block, r.BlockInputProbs(inputProbs))
 		if err != nil {
 			return 0, err
 		}

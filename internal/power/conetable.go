@@ -108,7 +108,7 @@ func NewConeTable(n *logic.Network, lib domino.Library, inputProbs []float64, op
 		return nil, fmt.Errorf("power: cone table: %w", err)
 	}
 	blk, net, k := b.blk, b.blk.Net, b.t.k
-	nodeProbs, exact, err := blockNodeProbs(nil, blk, inputProbs, opts)
+	nodeProbs, exact, err := blockNodeProbs(blk, inputProbs, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -138,7 +138,7 @@ func TestConeTableMatchesNaiveAllMasks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewConeTable: %v", err)
 			}
-			eval := power.Evaluator(c.lib, probs, c.opts)
+			eval := power.NewEstimator(c.lib, probs, c.opts).Evaluate
 			k := c.net.NumOutputs()
 			asg := make(phase.Assignment, k)
 			for mask := 0; mask < 1<<uint(k); mask++ {
@@ -252,7 +252,7 @@ func TestExhaustiveScoredWorkerInvariance(t *testing.T) {
 		}
 		// Cross-check the winner against the naive exhaustive search.
 		nAsg, _, nScore, err := phase.Search(net, phase.SearchOptions{
-			Strategy: phase.StrategyExhaustive, Eval: power.Evaluator(lib, probs, opts), Workers: 1,
+			Strategy: phase.StrategyExhaustive, Eval: power.NewEstimator(lib, probs, opts).Evaluate, Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +280,7 @@ func TestMinPowerWithScorerMatchesNaive(t *testing.T) {
 	}
 	nAsg, _, nPow, nTrace, err := phase.MinPower(net, phase.PowerOptions{
 		InputProbs: probs,
-		Evaluate:   power.Evaluator(lib, probs, opts),
+		Evaluate:   power.NewEstimator(lib, probs, opts).Evaluate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestConeTableSingleOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := power.Evaluator(lib, probs, power.Options{})
+	eval := power.NewEstimator(lib, probs, power.Options{}).Evaluate
 	for _, neg := range []bool{false, true} {
 		asg := phase.Assignment{neg}
 		got, err := table.ScoreAssignment(asg)

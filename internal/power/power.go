@@ -107,9 +107,9 @@ type Report struct {
 // Approximate and LimitedDepth propagate strictly fanin-local state), so
 // a node shared by several output cones carries the same probability in
 // any block that contains it — the invariant the cone table's
-// precompute-once/score-many decomposition rests on. mgr, when non-nil,
-// is reset and reused by the exact engine (see bdd.BuildNetworkLitsIn).
-func blockNodeProbs(mgr *bdd.Manager, b *domino.Block, inputProbs []float64, opts Options) ([]float64, bool, error) {
+// precompute-once/score-many decomposition rests on. The exact engine
+// builds into a manager of its own, dropped when the call returns.
+func blockNodeProbs(b *domino.Block, inputProbs []float64, opts Options) ([]float64, bool, error) {
 	net := b.Net
 	blockProbs := b.Phase.BlockInputProbs(inputProbs)
 	if len(blockProbs) != net.NumInputs() {
@@ -134,21 +134,19 @@ func blockNodeProbs(mgr *bdd.Manager, b *domino.Block, inputProbs []float64, opt
 			}
 			return nodeProbs, false, nil
 		}
-		if mgr == nil && (opts.Budget != nil || opts.Reorder) {
-			// The exact engine must build under the token (and/or with
-			// auto-reorder armed); materialize the manager here so both
-			// can be attached.
-			mgr = bdd.New(numVars)
-		}
-		if mgr != nil {
-			mgr.SetBudget(opts.Budget)
-			mgr.SetAutoReorder(opts.Reorder)
-		}
 		ord := opts.Order
 		if ord == nil {
 			ord = mapOrderToVars(order.ReverseTopological(net), lits, numVars)
 		}
-		nodeProbs, err := prob.ExactLitsIn(mgr, net, numVars, lits, inputProbs, ord)
+		// Options.Order arrives unchecked from config JSON: a malformed
+		// order becomes the returned error, never a panic.
+		var m *bdd.Manager
+		if err := bdd.CatchInterrupt(func() { m = bdd.NewWithOrder(numVars, ord) }); err != nil {
+			return nil, false, err
+		}
+		m.SetBudget(opts.Budget)
+		m.SetAutoReorder(opts.Reorder)
+		nodeProbs, err := prob.ExactLits(m, net, lits, inputProbs)
 		if err != nil {
 			return nil, false, err
 		}
@@ -171,14 +169,8 @@ func blockNodeProbs(mgr *bdd.Manager, b *domino.Block, inputProbs []float64, opt
 // Estimate computes the power report of a mapped block given the original
 // primary-input probabilities (indexed by original input position).
 func Estimate(b *domino.Block, inputProbs []float64, opts Options) (*Report, error) {
-	return estimateIn(nil, b, inputProbs, opts)
-}
-
-// estimateIn is Estimate with an optional reusable BDD manager for the
-// exact engine.
-func estimateIn(mgr *bdd.Manager, b *domino.Block, inputProbs []float64, opts Options) (*Report, error) {
 	net := b.Net
-	nodeProbs, exact, err := blockNodeProbs(mgr, b, inputProbs, opts)
+	nodeProbs, exact, err := blockNodeProbs(b, inputProbs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -239,40 +231,17 @@ func mapOrderToVars(inputOrder []int, lits []bdd.InputLit, numVars int) []int {
 	return out
 }
 
-// Evaluator adapts Estimate into a phase.Evaluator: it maps each
-// candidate synthesis with the given library and scores it by estimated
-// total power. This is the objective the MinPower loop minimizes.
-//
-// The returned closure is safe for concurrent use on distinct Results —
-// each call maps its own block and builds its own probability state
-// (including any BDD manager), sharing only the immutable lib and
-// inputProbs — so it may be passed to any phase search running with
+// Estimator adapts Estimate into a phase.Evaluator over a fixed library,
+// input probability vector and engine options: Evaluate maps each
+// candidate synthesis and scores it by estimated total power, the
+// objective the MinPower loop minimizes. An Estimator holds no state
+// between calls — each call maps its own block and builds its own
+// probability state — so Evaluate may serve a phase search running with
 // Workers > 1.
-func Evaluator(lib domino.Library, inputProbs []float64, opts Options) phase.Evaluator {
-	return func(r *phase.Result) (float64, error) {
-		b, err := domino.Map(r, lib)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := Estimate(b, inputProbs, opts)
-		if err != nil {
-			return 0, err
-		}
-		return rep.Total, nil
-	}
-}
-
-// Estimator is Estimate with retained state: one BDD manager is created
-// lazily and recycled (bdd.Manager.Reset) across calls of the exact
-// engine, so sequential estimation loops — the MinPower trial loop, the
-// naive exhaustive baseline — stop allocating a fresh forest per
-// candidate. Unlike the Evaluator closure, an Estimator is NOT safe for
-// concurrent use; keep one per goroutine (they share nothing).
 type Estimator struct {
 	lib        domino.Library
 	inputProbs []float64
 	opts       Options
-	mgr        *bdd.Manager
 }
 
 // NewEstimator returns an estimator over a fixed library, input
@@ -281,22 +250,14 @@ func NewEstimator(lib domino.Library, inputProbs []float64, opts Options) *Estim
 	return &Estimator{lib: lib, inputProbs: inputProbs, opts: opts}
 }
 
-// Estimate is power.Estimate reusing the estimator's BDD manager.
-func (e *Estimator) Estimate(b *domino.Block) (*Report, error) {
-	if e.mgr == nil {
-		e.mgr = bdd.New(len(e.inputProbs))
-	}
-	return estimateIn(e.mgr, b, e.inputProbs, e.opts)
-}
-
 // Evaluate maps and scores one phase candidate; it is a phase.Evaluator
-// method value for sequential searches such as MinPower.
+// method value.
 func (e *Estimator) Evaluate(r *phase.Result) (float64, error) {
 	b, err := domino.Map(r, e.lib)
 	if err != nil {
 		return 0, err
 	}
-	rep, err := e.Estimate(b)
+	rep, err := Estimate(b, e.inputProbs, e.opts)
 	if err != nil {
 		return 0, err
 	}

@@ -235,11 +235,14 @@ func TestLimitedDepthMethod(t *testing.T) {
 	}
 }
 
+// TestEvaluatorAdapterMatchesEstimate: Estimator.Evaluate is the adapter
+// the phase searches call per candidate; it must price a network exactly
+// as Map followed by Estimate does.
 func TestEvaluatorAdapterMatchesEstimate(t *testing.T) {
 	n := figure5Network()
 	probs := prob.Uniform(n, 0.9)
 	lib := domino.DefaultLibrary()
-	eval := Evaluator(lib, probs, Options{Method: Exact})
+	eval := NewEstimator(lib, probs, Options{Method: Exact}).Evaluate
 	r, err := phase.Apply(n, phase.Assignment{false, true})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +260,7 @@ func TestEvaluatorAdapterMatchesEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !almost(got, rep.Total) {
-		t.Errorf("Evaluator = %v, Estimate = %v", got, rep.Total)
+		t.Errorf("Estimator.Evaluate = %v, Estimate = %v", got, rep.Total)
 	}
 }
 

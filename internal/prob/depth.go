@@ -8,31 +8,23 @@ import (
 	"repro/internal/logic"
 )
 
-// LimitedDepth estimates signal probabilities with bounded reconvergence
-// analysis, after Costa, Monteiro & Devadas [6] (cited by the paper):
-// each node's probability is computed exactly over a local BDD of its
-// fanin cone truncated `depth` levels back; the truncation frontier is
-// treated as independent pseudo-inputs carrying their previously
-// computed probabilities. depth 0 degenerates to Approximate; growing
-// depth converges to Exact while keeping per-node cost bounded.
+// LimitedDepthBudget estimates signal probabilities with bounded
+// reconvergence analysis, after Costa, Monteiro & Devadas [6] (cited by
+// the paper): each node's probability is computed exactly over a local
+// BDD of its fanin cone truncated `depth` levels back; the truncation
+// frontier is treated as independent pseudo-inputs carrying their
+// previously computed probabilities. depth 0 degenerates to Approximate;
+// growing depth converges to Exact while keeping per-node cost bounded.
 //
 // maxFrontier caps the local support (BDD variable count); nodes whose
 // frontier exceeds it fall back to the correlation-free formula. Pass 0
 // for the default of 16.
-func LimitedDepth(n *logic.Network, inputProbs []float64, depth, maxFrontier int) []float64 {
-	p, err := LimitedDepthBudget(n, inputProbs, depth, maxFrontier, nil)
-	if err != nil {
-		// Unreachable with a nil token: only the token can abort.
-		panic(err)
-	}
-	return p
-}
-
-// LimitedDepthBudget is LimitedDepth under a cancellation/budget token:
-// the token is polled once per node, and each node's local cone build
-// runs under the token's BDD node budget (local BDDs are small by
-// construction, but a hostile depth/frontier combination can still blow
-// up). A tripped budget or cancellation aborts with the token's error.
+//
+// tok (nil = no budget, never cancelled) is polled once per node, and
+// each node's local cone build runs under the token's BDD node budget
+// (local BDDs are small by construction, but a hostile depth/frontier
+// combination can still blow up). A tripped budget or cancellation
+// aborts with the token's error.
 func LimitedDepthBudget(n *logic.Network, inputProbs []float64, depth, maxFrontier int, tok *budget.T) ([]float64, error) {
 	if len(inputProbs) != n.NumInputs() {
 		panic(fmt.Sprintf("prob: %d input probs for %d inputs", len(inputProbs), n.NumInputs()))
@@ -148,29 +140,7 @@ func LimitedDepthBudget(n *logic.Network, inputProbs []float64, depth, maxFronti
 				refs[u] = r
 				return r
 			}
-			// The node itself.
-			var root bdd.Ref
-			switch node.Kind {
-			case logic.KindBuf:
-				root = build(node.Fanins[0])
-			case logic.KindNot:
-				root = m.Not(build(node.Fanins[0]))
-			case logic.KindAnd:
-				root = bdd.True
-				for _, f := range node.Fanins {
-					root = m.And(root, build(f))
-				}
-			case logic.KindOr:
-				root = bdd.False
-				for _, f := range node.Fanins {
-					root = m.Or(root, build(f))
-				}
-			case logic.KindXor:
-				root = bdd.False
-				for _, f := range node.Fanins {
-					root = m.Xor(root, build(f))
-				}
-			}
+			root := build(id)
 			varProbs := make([]float64, len(frontierOrder))
 			for v, u := range frontierOrder {
 				varProbs[v] = p[u]

@@ -19,7 +19,10 @@ func TestLimitedDepthCatchesLocalReconvergence(t *testing.T) {
 	if !almost(ap[f], 0.25) {
 		t.Fatalf("approximate = %v, want 0.25", ap[f])
 	}
-	ld := LimitedDepth(n, probs, 2, 0)
+	ld, err := LimitedDepthBudget(n, probs, 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ld[f] != 0 {
 		t.Errorf("limited depth = %v, want exact 0", ld[f])
 	}
@@ -30,7 +33,10 @@ func TestLimitedDepthZeroIsApproximate(t *testing.T) {
 	n := randomReconvNet(rng, 6, 30)
 	probs := Uniform(n, 0.5)
 	ap := Approximate(n, probs)
-	ld := LimitedDepth(n, probs, 0, 0)
+	ld, err := LimitedDepthBudget(n, probs, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ap {
 		if !almost(ap[i], ld[i]) {
 			t.Fatalf("node %d: depth-0 %v != approximate %v", i, ld[i], ap[i])
@@ -46,12 +52,15 @@ func TestLimitedDepthConvergesToExact(t *testing.T) {
 		for i := range probs {
 			probs[i] = 0.2 + 0.6*rng.Float64()
 		}
-		exact, err := Exact(n, probs, nil)
+		exact, err := Exact(n, probs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		errAt := func(depth int) float64 {
-			ld := LimitedDepth(n, probs, depth, 64)
+			ld, err := LimitedDepthBudget(n, probs, depth, 64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			worst := 0.0
 			for i := range exact {
 				if d := math.Abs(exact[i] - ld[i]); d > worst {
@@ -85,7 +94,10 @@ func TestLimitedDepthFrontierCap(t *testing.T) {
 	f := n.AddOr(ins...)
 	n.MarkOutput("f", f)
 	probs := Uniform(n, 0.5)
-	ld := LimitedDepth(n, probs, 3, 8)
+	ld, err := LimitedDepthBudget(n, probs, 3, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ap := Approximate(n, probs)
 	if !almost(ld[f], ap[f]) {
 		t.Errorf("capped frontier should match approximate: %v vs %v", ld[f], ap[f])
@@ -121,6 +133,8 @@ func BenchmarkLimitedDepth(b *testing.B) {
 	probs := Uniform(n, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LimitedDepth(n, probs, 4, 16)
+		if _, err := LimitedDepthBudget(n, probs, 4, 16, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -69,12 +69,12 @@ func BernoulliWord(rng *rand.Rand, p float64) uint64 {
 }
 
 // MonteCarloLits estimates the probability of every node of n over an
-// external variable space, mirroring ExactLitsIn's interface: input
-// position p of the network is the literal lits[p] (nil lits is the
-// identity mapping, requiring numVars == NumInputs), and varProbs gives
-// the Bernoulli probability of each variable. Because two inputs
-// mapped to the same variable draw from the same random word, rail
-// correlation is respected exactly as in the exact engine.
+// external variable space, like ExactLits: input position p of the
+// network is the literal lits[p] (nil lits is the identity mapping,
+// requiring numVars == NumInputs), and varProbs gives the Bernoulli
+// probability of each variable. Because two inputs mapped to the same
+// variable draw from the same random word, rail correlation is
+// respected exactly as in the exact engine.
 //
 // vectors defaults to 2048 when non-positive. tok, when non-nil, is
 // polled every mcPollWindows windows for cancellation.

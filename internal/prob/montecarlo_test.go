@@ -64,7 +64,7 @@ func TestMonteCarloMatchesExact(t *testing.T) {
 	// variable 1: correlation the naive estimator would miss.
 	lits := []bdd.InputLit{{Var: 0}, {Var: 1}, {Var: 1, Neg: true}}
 	varProbs := []float64{0.5, 0.25}
-	exact, err := ExactLitsIn(nil, n, 2, lits, varProbs, nil)
+	exact, err := ExactLits(bdd.New(2), n, lits, varProbs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,44 +30,33 @@ func Uniform(n *logic.Network, p float64) []float64 {
 }
 
 // Exact computes the exact signal probability of every network node via
-// BDDs built under the given variable order (nil = natural). inputProbs
-// is indexed by input position. The cost is linear in the shared BDD size,
-// which is why the paper pairs this computation with the variable-ordering
-// heuristic of internal/order.
-func Exact(n *logic.Network, inputProbs []float64, ord []int) ([]float64, error) {
+// BDDs built in natural input order. inputProbs is indexed by input
+// position. The cost is linear in the shared BDD size, which is why the
+// paper pairs this computation with the variable-ordering heuristic of
+// internal/order (ExactLits takes a manager carrying such an order).
+func Exact(n *logic.Network, inputProbs []float64) ([]float64, error) {
 	if len(inputProbs) != n.NumInputs() {
 		return nil, fmt.Errorf("prob: %d input probs for %d inputs", len(inputProbs), n.NumInputs())
 	}
-	nb, err := bdd.BuildNetwork(n, ord)
-	if err != nil {
-		return nil, err
-	}
-	return nb.Manager.ProbabilityMany(nb.NodeRefs, inputProbs), nil
+	return ExactLits(bdd.New(n.NumInputs()), n, nil, inputProbs)
 }
 
-// ExactLits computes exact node probabilities when the network's inputs
-// are literals over a shared variable space: input position p is the
-// literal lits[p] over numVars variables with probabilities varProbs.
+// ExactLits computes exact node probabilities by building n into m, whose
+// variable order, budget and auto-reorder setting the caller has fixed:
+// input position p is the literal lits[p] over m's variables (nil = the
+// identity mapping), and varProbs holds the variables' probabilities.
 // This is how a domino block is analyzed faithfully: its true and
 // complemented input rails are correlated literals of the same primary
 // input, not independent signals.
-func ExactLits(n *logic.Network, numVars int, lits []bdd.InputLit, varProbs []float64, ord []int) ([]float64, error) {
-	return ExactLitsIn(nil, n, numVars, lits, varProbs, ord)
-}
-
-// ExactLitsIn is ExactLits computing on an existing BDD manager (reset
-// and reused; see bdd.BuildNetworkLitsIn) so sequential callers — the
-// per-cone cone-table precompute, the reusable power estimator — avoid
-// allocating a fresh forest per network. A nil manager allocates one.
-func ExactLitsIn(m *bdd.Manager, n *logic.Network, numVars int, lits []bdd.InputLit, varProbs []float64, ord []int) ([]float64, error) {
-	if len(varProbs) != numVars {
-		return nil, fmt.Errorf("prob: %d var probs for %d vars", len(varProbs), numVars)
+func ExactLits(m *bdd.Manager, n *logic.Network, lits []bdd.InputLit, varProbs []float64) ([]float64, error) {
+	if len(varProbs) != m.NumVars() {
+		return nil, fmt.Errorf("prob: %d var probs for %d vars", len(varProbs), m.NumVars())
 	}
-	nb, err := bdd.BuildNetworkLitsIn(m, n, numVars, lits, ord)
+	nb, err := bdd.BuildNetwork(m, n, lits)
 	if err != nil {
 		return nil, err
 	}
-	return nb.Manager.ProbabilityMany(nb.NodeRefs, varProbs), nil
+	return m.ProbabilityMany(nb.NodeRefs, varProbs), nil
 }
 
 // Approximate computes signal probabilities with the correlation-free
@@ -85,37 +74,15 @@ func Approximate(n *logic.Network, inputProbs []float64) []float64 {
 	}
 	for i := 0; i < n.NumNodes(); i++ {
 		id := logic.NodeID(i)
-		node := n.Node(id)
-		switch node.Kind {
+		switch n.Kind(id) {
 		case logic.KindInput:
 			p[i] = inputProbs[inPos[id]]
 		case logic.KindConst0:
 			p[i] = 0
 		case logic.KindConst1:
 			p[i] = 1
-		case logic.KindBuf:
-			p[i] = p[node.Fanins[0]]
-		case logic.KindNot:
-			p[i] = 1 - p[node.Fanins[0]]
-		case logic.KindAnd:
-			v := 1.0
-			for _, f := range node.Fanins {
-				v *= p[f]
-			}
-			p[i] = v
-		case logic.KindOr:
-			v := 1.0
-			for _, f := range node.Fanins {
-				v *= 1 - p[f]
-			}
-			p[i] = 1 - v
-		case logic.KindXor:
-			v := 0.0
-			for _, f := range node.Fanins {
-				pf := p[f]
-				v = v*(1-pf) + (1-v)*pf
-			}
-			p[i] = v
+		default:
+			p[i] = localApprox(n, id, p)
 		}
 	}
 	return p

@@ -31,7 +31,7 @@ func TestExactFigure5Probabilities(t *testing.T) {
 	n.MarkOutput("ng", ng)
 	n.MarkOutput("nf", nf)
 
-	p, err := Exact(n, Uniform(n, 0.9), nil)
+	p, err := Exact(n, Uniform(n, 0.9))
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestExactHandlesReconvergence(t *testing.T) {
 	na := n.AddNot(a)
 	f := n.AddAnd(a, na)
 	n.MarkOutput("f", f)
-	p, err := Exact(n, Uniform(n, 0.5), nil)
+	p, err := Exact(n, Uniform(n, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestApproximateMatchesExactOnTrees(t *testing.T) {
 		for i := range probs {
 			probs[i] = rng.Float64()
 		}
-		exact, err := Exact(n, probs, nil)
+		exact, err := Exact(n, probs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestComplementProperty(t *testing.T) {
 		for i := range probs {
 			probs[i] = rng.Float64()
 		}
-		p, err := Exact(n, probs, nil)
+		p, err := Exact(n, probs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkExact(b *testing.B) {
 	probs := Uniform(n, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Exact(n, probs, nil); err != nil {
+		if _, err := Exact(n, probs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,10 +247,10 @@ func BenchmarkExact(b *testing.B) {
 func TestErrorPaths(t *testing.T) {
 	n := logic.New("e")
 	n.AddInput("a")
-	if _, err := Exact(n, []float64{0.5, 0.5}, nil); err == nil {
+	if _, err := Exact(n, []float64{0.5, 0.5}); err == nil {
 		t.Error("Exact accepted wrong-length probs")
 	}
-	if _, err := ExactLits(n, 1, nil, []float64{0.5, 0.5}, nil); err == nil {
+	if _, err := ExactLits(bdd.New(1), n, nil, []float64{0.5, 0.5}); err == nil {
 		t.Error("ExactLits accepted wrong-length var probs")
 	}
 	expectPanic := func(name string, f func()) {
@@ -264,7 +264,7 @@ func TestErrorPaths(t *testing.T) {
 	}
 	expectPanic("Approximate arity", func() { Approximate(n, []float64{0.5, 0.5}) })
 	expectPanic("Figure2Curves steps", func() { Figure2Curves(0) })
-	expectPanic("LimitedDepth arity", func() { LimitedDepth(n, []float64{0.5, 0.5}, 2, 0) })
+	expectPanic("LimitedDepthBudget arity", func() { LimitedDepthBudget(n, []float64{0.5, 0.5}, 2, 0, nil) })
 }
 
 func TestExactLitsCorrelatedRails(t *testing.T) {
@@ -276,7 +276,7 @@ func TestExactLitsCorrelatedRails(t *testing.T) {
 	f := blk.AddAnd(x, xb)
 	blk.MarkOutput("f", f)
 	lits := []bdd.InputLit{{Var: 0}, {Var: 0, Neg: true}}
-	probs, err := ExactLits(blk, 1, lits, []float64{0.7}, nil)
+	probs, err := ExactLits(bdd.New(1), blk, lits, []float64{0.7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -371,7 +371,7 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, e
 	var nodeProbs []float64
 	for it := 0; it < iters; it++ {
 		if block.NumInputs() <= maxExact {
-			nodeProbs, err = prob.Exact(block, inProbs, nil)
+			nodeProbs, err = prob.Exact(block, inProbs)
 			if err != nil {
 				return nil, nil, err
 			}

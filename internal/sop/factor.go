@@ -126,7 +126,7 @@ func isConstTrue(n *logic.Network, id logic.NodeID) bool {
 func FactorNetwork(n *logic.Network, maxSupport int, tok *budget.T) (*logic.Network, error) {
 	m := bdd.New(n.NumInputs())
 	m.SetBudget(tok)
-	nb, err := bdd.BuildNetworkLitsIn(m, n, n.NumInputs(), nil, nil)
+	nb, err := bdd.BuildNetwork(m, n, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,8 @@ type Result struct {
 	// Counterexample is an input assignment (by first network's input
 	// order) witnessing the mismatch, when not equivalent.
 	Counterexample []bool
-	// Nodes is the shared BDD size used for the proof, a cost indicator.
+	// Nodes is the size of the one manager both networks were built
+	// into (bdd.Manager.Size), a cost indicator.
 	Nodes int
 }
 
@@ -53,16 +54,16 @@ func Equivalent(a, b *logic.Network) (*Result, error) {
 		bLits[pos] = bdd.InputLit{Var: v}
 	}
 
-	ord := order.ReverseTopological(a)
-	nbA, err := bdd.BuildNetwork(a, ord)
+	// Both networks go into one manager over a's inputs, in the paper's
+	// reverse-topological order: ROBDDs are canonical within a manager,
+	// so two outputs compute the same function exactly when their Refs
+	// are equal.
+	m := bdd.NewWithOrder(a.NumInputs(), order.ReverseTopological(a))
+	nbA, err := bdd.BuildNetwork(m, a, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Build b inside the same manager via Transfer? Simpler: build b
-	// with the same variable space and order in a second manager, then
-	// compare by transferring into a's manager (refs are canonical per
-	// manager).
-	nbB, err := bdd.BuildNetworkLits(b, a.NumInputs(), bLits, ord)
+	nbB, err := bdd.BuildNetwork(m, b, bLits)
 	if err != nil {
 		return nil, err
 	}
@@ -74,16 +75,15 @@ func Equivalent(a, b *logic.Network) (*Result, error) {
 			return nil, fmt.Errorf("verify: output %q missing in second network", oa.Name)
 		}
 		fa := nbA.NodeRefs[oa.Driver]
-		fbSrc := nbB.NodeRefs[b.Outputs()[oi].Driver]
-		fb := bdd.Transfer(nbB.Manager, fbSrc, nbA.Manager, nil)
+		fb := nbB.NodeRefs[b.Outputs()[oi].Driver]
 		if fa != fb {
 			res.Equivalent = false
 			res.FailingOutput = oa.Name
-			res.Counterexample = counterexample(nbA.Manager, fa, fb, a.NumInputs())
+			res.Counterexample = counterexample(m, fa, fb, a.NumInputs())
 			break
 		}
 	}
-	res.Nodes = nbA.Manager.Size()
+	res.Nodes = m.Size()
 	return res, nil
 }
 
