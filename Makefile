@@ -35,18 +35,20 @@ bench:
 benchtest:
 	cd bench && $(GO) test .
 
-# Corpus smoke: emit the small public twins as BLIF, stream the
+# Corpus smoke: emit the small public twins and one latched model (seq0,
+# the first circuit of dominoflow -seq's set) as BLIF, stream the
 # directory through the concurrent corpus engine (untimed and timed
-# flows), and gate on row agreement with the direct in-memory gen-twin
-# flow (-check-twins): sizes must match exactly, measured/estimated
-# power to float-noise tolerance. Exits non-zero on any disagreement,
-# parse failure, or error row. The untimed rows land in
-# corpus-smoke/rows.jsonl and the timed ones in rows_timed.jsonl (both
-# uploaded as CI artifacts, so a change's rows can be diffed against its
-# parent's).
+# flows; the latched model takes the sequential flow in both), and gate
+# on row agreement with the direct in-memory gen-twin flow
+# (-check-twins, which skips seq0: no twin has that name): sizes must
+# match exactly, measured/estimated power to float-noise tolerance.
+# Exits non-zero on any disagreement, parse failure, or error row —
+# seq0's included. The untimed rows land in corpus-smoke/rows.jsonl and
+# the timed ones in rows_timed.jsonl (both uploaded as CI artifacts, so
+# a change's rows can be diffed against its parent's).
 corpussmoke:
 	rm -rf corpus-smoke
-	$(GO) run ./cmd/genbench -dir corpus-smoke -only apex7,frg1,x1
+	$(GO) run ./cmd/genbench -dir corpus-smoke -only apex7,frg1,x1,seq0
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -vectors 512 -workers 4 -check-twins -jsonl corpus-smoke/rows.jsonl
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -table 2 -vectors 512 -workers 2 -check-twins -jsonl corpus-smoke/rows_timed.jsonl
 

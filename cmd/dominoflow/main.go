@@ -37,8 +37,8 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of the formatted table")
 	verbose := flag.Bool("v", false, "log per-circuit progress")
 	seqMode := flag.Bool("seq", false, "run the sequential flow (enhanced-MFVS partitioning + phase assignment) on generated sequential circuits")
-	seqFFs := flag.Int("seqffs", 16, "flip-flop count for -seq circuits")
-	seqCount := flag.Int("seqcount", 3, "number of -seq circuits")
+	seqFFs := flag.Int("seqffs", gen.DefaultSeqFFs, "flip-flop count for -seq circuits")
+	seqCount := flag.Int("seqcount", gen.DefaultSeqCount, "number of -seq circuits")
 	blifFiles := flag.String("blif", "", "comma-separated BLIF files to run through the corpus engine")
 	plaFiles := flag.String("pla", "", "comma-separated PLA files to run through the corpus engine")
 	dir := flag.String("dir", "", "comma-separated directories (or glob patterns) of .blif/.pla files to run through the corpus engine")
@@ -328,12 +328,8 @@ func compareRows(name string, got, want *flow.Row) bool {
 // partitioning; here the partitioning itself is automated).
 func runSequential(cfg flow.Config, ffs, count int, verbose bool) {
 	var rows []*flow.SequentialRow
-	for i := 0; i < count; i++ {
-		c, err := gen.Sequential(gen.SeqParams{
-			Name:   fmt.Sprintf("seq%d", i),
-			Inputs: 8 + i*2, FFs: ffs, Gates: 60 + 30*i,
-			Seed: int64(100 + i), TwinProb: 0.5,
-		})
+	for _, p := range gen.SeqSet(ffs, count) {
+		c, err := gen.Sequential(p)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -75,21 +75,16 @@ func main() {
 	sort.Strings(names)
 	fmt.Printf("MFVS (symmetry=%v): weight %d, cut %v\n", opts.Symmetry, sol.Weight, names)
 
-	part, err := c.Partition(sol.Vertices)
+	probs := make([]float64, c.Comb.NumInputs())
+	for _, pos := range c.RealInputs {
+		probs[pos] = *p
+	}
+	part, _, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: probs, Cut: sol.Vertices})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("partitioned block: %d nodes, %d inputs (%d pseudo from cut FFs), %d outputs\n",
 		part.Block.NumNodes(), part.Block.NumInputs(), part.PseudoInputCount(), part.Block.NumOutputs())
-
-	probs := make([]float64, c.Comb.NumInputs())
-	for _, pos := range c.RealInputs {
-		probs[pos] = *p
-	}
-	_, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: probs, Cut: sol.Vertices})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("steady-state next-state probabilities of cut flip-flops:")
 	for _, ffIdx := range sol.Vertices {
 		name := "ns_" + c.FFs[ffIdx].Name

@@ -60,7 +60,7 @@ func main() {
 	for _, pos := range c.RealInputs {
 		probs[pos] = 0.5
 	}
-	_, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: probs, Cut: enhanced.Vertices})
+	_, _, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: probs, Cut: enhanced.Vertices})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -155,24 +155,15 @@ func (cc *CorpusConfig) fillRow(runCtx, ctx context.Context, row *CorpusRow, e c
 	if cc.Configure != nil {
 		cfg = cc.Configure(c, cfg)
 	}
-	if c.Seq != nil {
-		row.Sequential = true
-		sr, engine, trips, err := runSequentialDegraded(runCtx, c.Seq, cfg)
-		row.Engine, row.BudgetTrips = engine, trips
-		if err != nil {
-			cc.classifyErr(ctx, row, err)
-			return
-		}
-		row.SeqRow = sr
-		return
+	row.Sequential = c.Seq != nil
+	if row.Sequential {
+		row.SeqRow, row.Engine, row.BudgetTrips, err = runSequentialDegraded(runCtx, c.Seq, cfg)
+	} else {
+		row.Row, row.Engine, row.BudgetTrips, err = runCircuitDegraded(runCtx, c.Named, cfg, cc.Timed)
 	}
-	r, engine, trips, err := runCircuitDegraded(runCtx, c.Named, cfg, cc.Timed)
-	row.Engine, row.BudgetTrips = engine, trips
 	if err != nil {
 		cc.classifyErr(ctx, row, err)
-		return
 	}
-	row.Row = r
 }
 
 // classifyErr splits cancellation from genuine flow failures: an error

@@ -98,7 +98,8 @@ type Config struct {
 	// SimSeed drives the measurement vectors.
 	// Cache-key: semantic.
 	SimSeed int64 `json:"SimSeed"`
-	// EstOpts selects the probability engine for the optimization loop.
+	// EstOpts selects the probability engine for the optimization loop
+	// and for the sequential flow's steady state.
 	// Cache-key: semantic.
 	EstOpts power.Options `json:"EstOpts"`
 	// MaxPairs caps the MinPower candidate pair set (0 = all pairs).
@@ -285,10 +286,10 @@ type Synthesis struct {
 	// Size is the standard-cell count (domino cells + boundary
 	// inverters), the paper's "Size" column.
 	Size int
-	// EstPower is the model's power estimate: for an untimed
-	// combinational MP synthesis the search's own score of the chosen
-	// assignment, otherwise the estimate of the measured (on timed rows,
-	// resized) block.
+	// EstPower is the model's power estimate: for an untimed MP
+	// synthesis — combinational, sequential or SynthesizeMP's — the
+	// search's own score of the chosen assignment, otherwise the
+	// estimate of the measured (on timed rows, resized) block.
 	EstPower float64
 	// SimPower is the Monte-Carlo measured power (the paper's "Pwr"
 	// column, in switched-capacitance units).
@@ -381,7 +382,7 @@ func SynthesizeMA(net *logic.Network, cfg Config) (*Synthesis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return synthesize(asg, res, prob.Uniform(net, cfg.InputProb), cfg, tok, false, 0)
+	return synthesize(asg, res, prob.Uniform(net, cfg.InputProb), cfg, tok, false, 0, nil)
 }
 
 // phaseScorer builds the candidate scorer of the configured scoring
@@ -443,12 +444,7 @@ func SynthesizeMP(net *logic.Network, cfg Config) (*Synthesis, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := synthesize(asg, res, probs, cfg, tok, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	s.EstPower = est
-	return s, nil
+	return synthesize(asg, res, probs, cfg, tok, false, 0, &est)
 }
 
 // simConfig is the Monte-Carlo measurement of every synthesis: the
@@ -467,8 +463,10 @@ func (c Config) simConfig(probs []float64, tok *budget.T) sim.Config {
 // synthesis then resizes the block to the clock target and reports its
 // sized area. The block is measured once — power.Estimate, then sim.Run —
 // and an untimed synthesis finally reports its minimum-size critical
-// delay.
-func synthesize(asg phase.Assignment, res *phase.Result, probs []float64, cfg Config, tok *budget.T, timed bool, target float64) (*Synthesis, error) {
+// delay. A non-nil score is the search's own estimate of asg: an untimed
+// synthesis reports it as EstPower and runs no power.Estimate (resizing
+// changes loads, so a timed one is estimated after resizing).
+func synthesize(asg phase.Assignment, res *phase.Result, probs []float64, cfg Config, tok *budget.T, timed bool, target float64, score *float64) (*Synthesis, error) {
 	b, err := domino.Map(res, *cfg.Lib)
 	if err != nil {
 		return nil, fmt.Errorf("flow: Map: %w", err)
@@ -482,15 +480,20 @@ func synthesize(asg phase.Assignment, res *phase.Result, probs []float64, cfg Co
 		// meeting timing is the quantity Table 2's Size column tracks.
 		s.Size = int(math.Round(b.Area()))
 	}
-	est, err := power.Estimate(b, probs, cfg.estOptions(tok))
-	if err != nil {
-		return nil, fmt.Errorf("flow: Estimate: %w", err)
+	if score != nil && !timed {
+		s.EstPower = *score
+	} else {
+		est, err := power.Estimate(b, probs, cfg.estOptions(tok))
+		if err != nil {
+			return nil, fmt.Errorf("flow: Estimate: %w", err)
+		}
+		s.EstPower = est.Total
 	}
 	rep, err := sim.Run(b, cfg.simConfig(probs, tok))
 	if err != nil {
 		return nil, fmt.Errorf("flow: sim: %w", err)
 	}
-	s.EstPower, s.SimPower = est.Total, rep.Total
+	s.SimPower = rep.Total
 	if !timed {
 		s.Critical = timing.Analyze(b, *cfg.Timing).Critical
 	}
@@ -513,51 +516,51 @@ func RunCircuitTimed(c gen.NamedCircuit, cfg Config) (*Row, error) {
 	return row, err
 }
 
-// runCircuit is RunCircuit (or, when timed, RunCircuitTimed) under an
-// optional cancellation/budget token. It synthesizes the MA and then the
-// MP implementation. A timed row resizes both to one clock target: the
-// fastest the MA circuit can be driven (a probe mapped from the MA
-// result and tightened), relaxed by the slack factor. An untimed row's
-// MP EstPower is the search's own score; every other EstPower is the
-// measured block's estimate.
-func runCircuit(c gen.NamedCircuit, cfg Config, tok *budget.T, timed bool) (*Row, error) {
-	net, err := prepare(c.Net, cfg, tok)
-	if err != nil {
-		return nil, err
-	}
-	probs := prob.Uniform(net, cfg.InputProb)
+// synthesizePair is the MA/MP composition every row kind shares, on a
+// prepared network with per-input probabilities: MA search; when timed,
+// the one clock target both syntheses are resized to — the fastest the
+// MA circuit can be driven (a probe mapped from the MA result and
+// tightened), relaxed by the slack factor; MA measurement; MP search; MP
+// measurement, which takes the search's score (see synthesize).
+func synthesizePair(net *logic.Network, probs []float64, cfg Config, tok *budget.T, timed bool) (ma, mp *Synthesis, err error) {
 	maAsg, maRes, err := synthesizeMAAssignment(net, cfg, tok)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Name, err)
+		return nil, nil, err
 	}
 	var target float64
 	if timed {
 		probe, err := domino.Map(maRes, *cfg.Lib)
 		if err != nil {
-			return nil, fmt.Errorf("%s: flow: Map: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("flow: Map: %w", err)
 		}
 		best, _ := timing.Tighten(probe, *cfg.Timing)
 		target = timing.TargetFromBaseline(best.Critical, cfg.Slack)
 	}
-	ma, err := synthesize(maAsg, maRes, probs, cfg, tok, timed, target)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Name, err)
+	if ma, err = synthesize(maAsg, maRes, probs, cfg, tok, timed, target, nil); err != nil {
+		return nil, nil, err
 	}
 	mpAsg, mpRes, est, err := synthesizeMPAssignment(net, probs, cfg, tok)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.Name, err)
+		return nil, nil, err
 	}
-	mp, err := synthesize(mpAsg, mpRes, probs, cfg, tok, timed, target)
+	if mp, err = synthesize(mpAsg, mpRes, probs, cfg, tok, timed, target, &est); err != nil {
+		return nil, nil, err
+	}
+	return ma, mp, nil
+}
+
+// runCircuit is RunCircuit (or, when timed, RunCircuitTimed) under an
+// optional cancellation/budget token: prepare, then the MA/MP pair
+// under uniform input probabilities.
+func runCircuit(c gen.NamedCircuit, cfg Config, tok *budget.T, timed bool) (*Row, error) {
+	net, err := prepare(c.Net, cfg, tok)
+	if err != nil {
+		return nil, err
+	}
+	ma, mp, err := synthesizePair(net, prob.Uniform(net, cfg.InputProb), cfg, tok, timed)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Name, err)
 	}
-	if !timed {
-		mp.EstPower = est
-	}
-	return assembleRow(c, ma, mp), nil
-}
-
-func assembleRow(c gen.NamedCircuit, ma, mp *Synthesis) *Row {
 	row := &Row{
 		Name: c.Name, Desc: c.Desc,
 		PIs: c.Net.NumInputs(), POs: c.Net.NumOutputs(),
@@ -566,7 +569,7 @@ func assembleRow(c gen.NamedCircuit, ma, mp *Synthesis) *Row {
 		PaperPowerSavingPct: c.PaperPwrSav,
 	}
 	row.AreaPenaltyPct, row.PowerSavingPct = savings(ma, mp)
-	return row
+	return row, nil
 }
 
 // savings returns the paper's "% Area Pen." and "% Pwr Sav." columns of

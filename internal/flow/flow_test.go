@@ -77,7 +77,7 @@ func TestMPNoWorseThanAllPositiveInEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := synthesize(asg, res, probs, cfg, nil, false, 0)
+		s, err := synthesize(asg, res, probs, cfg, nil, false, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,14 +120,15 @@ func degradeStages(cfg Config) []degradeStage {
 	return stages
 }
 
-// runDegraded drives one circuit down the degradation chain: each stage
-// runs under a fresh budget token attached to ctx, and only a BDD
-// node-budget trip advances to the next (cheaper) stage — cancellation
-// and real failures surface immediately. It returns the stage's result,
-// the engine name of the stage that produced it ("" = the configured
-// engine, untouched), and the total number of budget trips accumulated
-// across every attempted stage.
+// runDegraded drives one circuit down the degradation chain of the
+// defaulted cfg: each stage runs under a fresh budget token attached to
+// ctx, and only a BDD node-budget trip advances to the next (cheaper)
+// stage — cancellation and real failures surface immediately. It
+// returns the stage's result, the engine name of the stage that
+// produced it ("" = the configured engine, untouched), and the total
+// number of budget trips accumulated across every attempted stage.
 func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budget.T) (T, error)) (result T, engine string, trips int, err error) {
+	cfg.defaults()
 	var zero T
 	stages := degradeStages(cfg)
 	for _, st := range stages {
@@ -154,7 +155,6 @@ func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budge
 // one benchmark under ctx with the configured budgets and the
 // degradation chain.
 func runCircuitDegraded(ctx context.Context, c gen.NamedCircuit, cfg Config, timed bool) (*Row, string, int, error) {
-	cfg.defaults()
 	return runDegraded(ctx, cfg, func(scfg Config, tok *budget.T) (*Row, error) {
 		return runCircuit(c, scfg, tok, timed)
 	})
@@ -162,7 +162,6 @@ func runCircuitDegraded(ctx context.Context, c gen.NamedCircuit, cfg Config, tim
 
 // runSequentialDegraded is runCircuitDegraded for the sequential flow.
 func runSequentialDegraded(ctx context.Context, c *seq.Circuit, cfg Config) (*SequentialRow, string, int, error) {
-	cfg.defaults()
 	return runDegraded(ctx, cfg, func(scfg Config, tok *budget.T) (*SequentialRow, error) {
 		return runSequential(c, scfg, tok)
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/budget"
+	"repro/internal/prob"
 	"repro/internal/seq"
 	"repro/internal/sgraph"
 )
@@ -33,69 +34,31 @@ func RunSequential(c *seq.Circuit, cfg Config) (*SequentialRow, error) {
 	return row, err
 }
 
-// runSequential is RunSequential under an optional cancellation/budget
-// token.
+// runSequential is RunSequential under an optional budget token: the
+// steady state runs the stage's engine under tok, and its block-input
+// probabilities feed the MA/MP pair every row kind shares.
 func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, error) {
 	cut := c.Cut(sgraph.DefaultOptions())
-	// Steady-state probabilities of the cut flip-flops become the
-	// pseudo-input probabilities of the block. SteadyStateProbs
-	// partitions the circuit at the cut and returns that partition.
-	inputProbs := make([]float64, c.Comb.NumInputs())
-	for _, pos := range c.RealInputs {
-		inputProbs[pos] = cfg.InputProb
-	}
-	part, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: inputProbs, Cut: cut})
+	part, blockProbs, _, err := c.SteadyStateProbs(seq.SteadyOptions{
+		InputProbs: prob.Uniform(c.Comb, cfg.InputProb), Cut: cut, Est: cfg.estOptions(tok),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("flow: steady state: %w", err)
 	}
-	blockProbs := make([]float64, part.Block.NumInputs())
-	for pos, in := range part.Inputs {
-		if in.FF >= 0 {
-			name := "ns_" + c.FFs[in.FF].Name
-			oi := part.Block.OutputByName(name)
-			if oi >= 0 {
-				blockProbs[pos] = nodeProbs[part.Block.Outputs()[oi].Driver]
-			} else {
-				blockProbs[pos] = 0.5
-			}
-		} else {
-			blockProbs[pos] = cfg.InputProb
-		}
-	}
-
-	net := Prepare(part.Block)
 	// Prepare preserves the input interface (inputs are never dropped),
 	// so blockProbs stays aligned.
+	ma, mp, err := synthesizePair(Prepare(part.Block), blockProbs, cfg, tok, false)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", c.Comb.Name, err)
+	}
 	row := &SequentialRow{
 		Name:         c.Comb.Name,
 		FFs:          len(c.FFs),
 		Cut:          len(cut),
 		PseudoInputs: part.PseudoInputCount(),
+		MA:           *ma,
+		MP:           *mp,
 	}
-
-	// Both syntheses route through the same search wiring
-	// (synthesizeMAAssignment / synthesizeMPAssignment) and the same
-	// measurement (synthesize) as the combinational flow, so sequential
-	// rows pick up cone-table scoring and the pluggable strategies with
-	// no duplicated logic. Both EstPowers are the measured block's
-	// estimate under the steady-state probabilities.
-	maAsg, maRes, err := synthesizeMAAssignment(net, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("flow: sequential MA: %w", err)
-	}
-	ma, err := synthesize(maAsg, maRes, blockProbs, cfg, tok, false, 0)
-	if err != nil {
-		return nil, fmt.Errorf("flow: sequential MA: %w", err)
-	}
-	mpAsg, mpRes, _, err := synthesizeMPAssignment(net, blockProbs, cfg, tok)
-	if err != nil {
-		return nil, fmt.Errorf("flow: sequential MP: %w", err)
-	}
-	mp, err := synthesize(mpAsg, mpRes, blockProbs, cfg, tok, false, 0)
-	if err != nil {
-		return nil, fmt.Errorf("flow: sequential MP: %w", err)
-	}
-	row.MA, row.MP = *ma, *mp
 	row.AreaPenaltyPct, row.PowerSavingPct = savings(ma, mp)
 	return row, nil
 }

@@ -1,9 +1,18 @@
 package flow
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/blif"
+	"repro/internal/budget"
+	"repro/internal/corpus"
 	"repro/internal/gen"
+	"repro/internal/power"
 )
 
 func TestRunSequential(t *testing.T) {
@@ -74,5 +83,99 @@ func TestRunSequentialAcyclic(t *testing.T) {
 	}
 	if row.PseudoInputs != row.Cut {
 		t.Errorf("pseudo inputs %d != cut %d", row.PseudoInputs, row.Cut)
+	}
+}
+
+// latchedEntries is a corpus of n copies of a generated sequential
+// circuit, written as latched BLIF.
+func latchedEntries(t *testing.T, p gen.SeqParams, n int) []corpus.Entry {
+	t.Helper()
+	src, err := blif.WriteString(gen.SequentialModel(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]corpus.Entry, n)
+	for i := range entries {
+		entries[i] = corpus.Entry{Path: p.Name + ".blif", Name: p.Name, Format: corpus.FormatBLIF, Data: []byte(src)}
+	}
+	return entries
+}
+
+// seqRowKey renders the deterministic content of a sequential corpus
+// row: engine, trips, partition sizes, and both syntheses' assignments,
+// sizes and power bits.
+func seqRowKey(t *testing.T, r *CorpusRow) string {
+	t.Helper()
+	if r.Err != "" || r.SeqRow == nil {
+		t.Fatalf("%s: no sequential row (error %q)", r.Name, r.Err)
+	}
+	s := r.SeqRow
+	return fmt.Sprintf("engine %q trips %d ffs %d cut %d pseudo %d | MA %v %d %x %x | MP %v %d %x %x",
+		r.Engine, r.BudgetTrips, s.FFs, s.Cut, s.PseudoInputs,
+		s.MA.Assignment, s.MA.Size, math.Float64bits(s.MA.EstPower), math.Float64bits(s.MA.SimPower),
+		s.MP.Assignment, s.MP.Size, math.Float64bits(s.MP.EstPower), math.Float64bits(s.MP.SimPower))
+}
+
+// runLatched runs entries through RunCorpus at one worker count, for
+// the corpus and each circuit alike, and requires every row to render
+// as want (the first row when want is empty). It returns the row key.
+func runLatched(t *testing.T, entries []corpus.Entry, base Config, workers int, want string) string {
+	t.Helper()
+	base.Workers = workers
+	rows, err := RunCorpus(context.Background(), entries, CorpusConfig{Base: base, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		got := seqRowKey(t, r)
+		if want == "" {
+			want = got
+		}
+		if got != want {
+			t.Fatalf("workers %d, row %d:\n got %s\nwant %s", workers, r.Index, got, want)
+		}
+	}
+	return want
+}
+
+// TestRunCorpusSequentialDeterministic: a latched model gives one row
+// across repeated runs and at Workers 1 and 4. This model has two
+// minimum-weight cuts with different rows, so any map-order dependence
+// of the cut shows from run to run.
+func TestRunCorpusSequentialDeterministic(t *testing.T) {
+	entries := latchedEntries(t, gen.SeqParams{
+		Name: "seq18", Inputs: 8, FFs: 16, Gates: 88, Seed: 18, TwinProb: 0.5,
+	}, 4)
+	want := ""
+	for run := 0; run < 3; run++ {
+		for _, workers := range []int{1, 4} {
+			want = runLatched(t, entries, Config{SimVectors: 256}, workers, want)
+		}
+	}
+}
+
+// TestSequentialSteadyStateTripsBudget: the steady state runs the
+// stage's engine under the stage's token. Under the exact engine and a
+// BDD node budget its block exceeds, the configured stage ends in the
+// steady state with budget.ErrBDDNodes, and the row lands on a later
+// chain stage — the same row, engine and trips at Workers 1 and 2.
+func TestSequentialSteadyStateTripsBudget(t *testing.T) {
+	entries := latchedEntries(t, gen.SeqParams{
+		Name: "seqbudget", Inputs: 14, FFs: 16, Gates: 160, Seed: 2, TwinProb: 0.5,
+	}, 2)
+	c, err := corpus.Load(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{SimVectors: 256, EstOpts: power.Options{Method: power.Exact}, BDDNodeBudget: 50}
+	cfg.defaults()
+	_, err = runSequential(c.Seq, cfg, cfg.token())
+	if !errors.Is(err, budget.ErrBDDNodes) || !strings.HasPrefix(err.Error(), "flow: steady state: ") {
+		t.Fatalf("configured stage: err = %v, want a steady-state BDD node budget trip", err)
+	}
+	want := runLatched(t, entries, cfg, 1, "")
+	runLatched(t, entries, cfg, 2, want)
+	if strings.HasPrefix(want, `engine ""`) || strings.Contains(want, "trips 0 ") {
+		t.Errorf("row did not degrade: %s", want)
 	}
 }

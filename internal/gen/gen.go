@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/blif"
 	"repro/internal/logic"
 	"repro/internal/seq"
 )
@@ -351,6 +352,25 @@ func Table2Circuits() []NamedCircuit {
 	return cs
 }
 
+// DefaultSeqFFs and DefaultSeqCount size dominoflow -seq's default set.
+const DefaultSeqFFs, DefaultSeqCount = 16, 3
+
+// SeqSet returns the parameters of dominoflow -seq's circuit set: count
+// circuits named seq0, seq1, … of ffs flip-flops each, with inputs and
+// gates growing along the set. genbench emits the default set as latched
+// BLIF, so the corpus engine streams the same circuits.
+func SeqSet(ffs, count int) []SeqParams {
+	ps := make([]SeqParams, count)
+	for i := range ps {
+		ps[i] = SeqParams{
+			Name:   fmt.Sprintf("seq%d", i),
+			Inputs: 8 + i*2, FFs: ffs, Gates: 60 + 30*i,
+			Seed: int64(100 + i), TwinProb: 0.5,
+		}
+	}
+	return ps
+}
+
 // SeqParams controls sequential circuit generation for the MFVS
 // experiments.
 type SeqParams struct {
@@ -368,18 +388,23 @@ type SeqParams struct {
 // Sequential generates a random sequential circuit: a combinational core
 // plus FFs whose next-state functions draw from the core and other FFs.
 func Sequential(p SeqParams) (*seq.Circuit, error) {
+	return seq.FromModel(SequentialModel(p))
+}
+
+// SequentialModel is the circuit Sequential generates, as a latched BLIF
+// model.
+func SequentialModel(p SeqParams) *blif.Model {
 	if p.TwinProb == 0 {
 		p.TwinProb = 0.3
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	n := logic.New(p.Name)
+	m := &blif.Model{Network: n}
 	var ffIn []logic.NodeID
-	ffPos := make([]int, p.FFs)
 	for i := 0; i < p.Inputs; i++ {
 		n.AddInput(fmt.Sprintf("x%03d", i))
 	}
 	for i := 0; i < p.FFs; i++ {
-		ffPos[i] = p.Inputs + i
 		ffIn = append(ffIn, n.AddInput(fmt.Sprintf("q%03d", i)))
 	}
 	ids := append([]logic.NodeID(nil), n.Inputs()...)
@@ -397,7 +422,6 @@ func Sequential(p SeqParams) (*seq.Circuit, error) {
 	// Next-state functions: either a fresh random node combined with FF
 	// outputs, or (with TwinProb) a function reusing the exact fanin
 	// structure of an earlier FF to create s-graph twins.
-	nsIdx := make([]int, p.FFs)
 	type twin struct{ a, b logic.NodeID }
 	var prevNS []twin
 	for i := 0; i < p.FFs; i++ {
@@ -413,17 +437,14 @@ func Sequential(p SeqParams) (*seq.Circuit, error) {
 			root = n.AddAnd(a, b)
 			prevNS = append(prevNS, twin{a, b})
 		}
-		nsIdx[i] = n.NumOutputs()
-		n.MarkOutput(fmt.Sprintf("ns%03d", i), root)
+		ns := fmt.Sprintf("ns%03d", i)
+		n.MarkOutput(ns, root)
+		m.Latches = append(m.Latches, blif.Latch{Input: ns, Output: fmt.Sprintf("q%03d", i)})
 	}
 	// A couple of real outputs over FF state.
 	n.MarkOutput("out0", n.AddOr(ffIn[0], ffIn[len(ffIn)-1]))
 	if p.FFs > 2 {
 		n.MarkOutput("out1", n.AddAnd(ffIn[1], ffIn[2]))
 	}
-	names := make([]string, p.FFs)
-	for i := range names {
-		names[i] = fmt.Sprintf("q%03d", i)
-	}
-	return seq.New(n, ffPos, nsIdx, names)
+	return m
 }

@@ -7,11 +7,12 @@ import (
 
 // detRangeScope is the set of row-producing packages: everything whose
 // output feeds the bit-identical-rows contract (flow rows, report
-// tables, served JSONL, phase/power winners, corpus entry order). A map
+// tables, served JSONL, phase/power winners, corpus entry order, the
+// sequential flow's MFVS cut and partition). A map
 // iteration whose order leaks into any of those outputs breaks
 // determinism at some worker count or run, so it poisons the
 // content-addressed cache.
-var detRangeScope = []string{"flow", "report", "serve", "phase", "power", "corpus"}
+var detRangeScope = []string{"flow", "report", "serve", "phase", "power", "corpus", "seq", "sgraph"}
 
 // DetRange flags `range` over a map in row-producing packages. The only
 // allowed raw map range is a pure key/value collection loop (every
@@ -24,7 +25,7 @@ var DetRange = &Analyzer{
 	Name:      "detrange",
 	Directive: "nondet-ok",
 	Doc: "range over a map in a row-producing package (flow, report, " +
-		"serve, phase, power, corpus) is nondeterministic; sort the keys " +
+		"serve, phase, power, corpus, seq, sgraph) is nondeterministic; sort the keys " +
 		"first, collect-then-sort, or annotate //dominolint:nondet-ok",
 	Run: runDetRange,
 }

@@ -11,9 +11,10 @@
 // directive checker:
 //
 //   - detrange: flags `range` over a map in the row-producing packages
-//     (flow, report, serve, phase, power, corpus) unless the loop is a
-//     pure key-collection (`keys = append(keys, k)`) that feeds a sort,
-//     or the site carries a //dominolint:nondet-ok directive.
+//     (flow, report, serve, phase, power, corpus, seq, sgraph) unless
+//     the loop is a pure key-collection (`keys = append(keys, k)`) that
+//     feeds a sort, or the site carries a //dominolint:nondet-ok
+//     directive.
 //   - cachekey: makes flow.Config field classification a build-time
 //     contract — every field must carry a `Cache-key: semantic.` or
 //     `Cache-key: wall-clock` doc marker and a json tag naming the

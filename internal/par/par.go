@@ -13,7 +13,9 @@
 //     count or scheduling;
 //   - the first failure cancels the shared context and the error reported
 //     is the one from the lowest-numbered failing shard, again independent
-//     of scheduling.
+//     of scheduling;
+//   - a shard that panics fails with the error "panic: <value>" instead
+//     of killing the process, on the pooled and the inline path alike.
 //
 // Determinism therefore rests on shard numbering alone: a caller that
 // fixes its shard count gets bit-identical reductions at any worker
@@ -23,6 +25,7 @@ package par
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,7 +64,7 @@ func Do(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(ctx, i); err != nil {
+			if err := call(ctx, i, fn); err != nil {
 				return err
 			}
 		}
@@ -86,7 +89,7 @@ func Do(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)
 				if ctx.Err() != nil {
 					return
 				}
-				if err := fn(ctx, i); err != nil {
+				if err := call(ctx, i, fn); err != nil {
 					errs[i] = err
 					cancel()
 				}
@@ -115,6 +118,17 @@ func Do(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)
 	// always follows an errs write), so surface it rather than reporting
 	// skipped work as success.
 	return ctx.Err()
+}
+
+// call runs one shard, recovering a panic into its error: a panic on a
+// pooled worker goroutine would otherwise end the process.
+func call(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return fn(ctx, i)
 }
 
 // Map runs fn over every index in [0, n) under the Do contract and

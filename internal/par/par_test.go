@@ -155,3 +155,25 @@ func TestSplitRange(t *testing.T) {
 		}
 	}
 }
+
+// TestMapRecoversPanic: a shard that panics fails the Map with the same
+// error at every worker count — on the pooled path as on the inline one
+// — and the process survives to report it.
+func TestMapRecoversPanic(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		out, err := Map(context.Background(), 16, workers, func(_ context.Context, i int) (int, error) {
+			if i == 5 {
+				var s []int
+				return s[i], nil
+			}
+			return i, nil
+		})
+		const want = "panic: runtime error: index out of range [5] with length 0"
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		if out != nil {
+			t.Errorf("workers=%d: partial results returned on error", workers)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/budget"
 	"repro/internal/domino"
+	"repro/internal/logic"
 	"repro/internal/order"
 	"repro/internal/phase"
 	"repro/internal/prob"
@@ -100,40 +101,52 @@ type Report struct {
 	ExactProbs bool
 }
 
-// blockNodeProbs runs the configured probability engine over a mapped
-// block's network and reports whether the exact engine was used. It is
-// the cone-granular piece of Estimate: every value it returns is a pure
-// function of a node's fanin cone (BDDs are canonical per function,
-// Approximate and LimitedDepth propagate strictly fanin-local state), so
-// a node shared by several output cones carries the same probability in
-// any block that contains it — the invariant the cone table's
-// precompute-once/score-many decomposition rests on. The exact engine
-// builds into a manager of its own, dropped when the call returns.
-func blockNodeProbs(b *domino.Block, inputProbs []float64, opts Options) ([]float64, bool, error) {
-	net := b.Net
-	blockProbs := b.Phase.BlockInputProbs(inputProbs)
-	if len(blockProbs) != net.NumInputs() {
-		return nil, false, fmt.Errorf("power: block input mismatch: %d probs, %d inputs", len(blockProbs), net.NumInputs())
+// NodeProbs runs the configured probability engine over a plain network
+// whose input i has probability inputProbs[i]: the dispatch Estimate runs
+// on a mapped block, so the sequential steady state runs the row's
+// engine under the row's budget token.
+func NodeProbs(net *logic.Network, inputProbs []float64, opts Options) ([]float64, error) {
+	if len(inputProbs) != net.NumInputs() {
+		return nil, fmt.Errorf("power: %d input probs for %d inputs", len(inputProbs), net.NumInputs())
 	}
-	numVars := len(inputProbs)
-	exact := opts.Method == Exact || (opts.Method == Auto && numVars <= AutoExactInputLimit)
-	if exact || opts.Method == MonteCarlo {
-		// Build over the *original* primary inputs: block input rails
-		// carrying a complemented signal become complemented literals of
-		// the same variable, so the shared-variable correlation between
-		// a signal and its inverted rail is exact (BDDs) or sampled from
-		// the same random word (MonteCarlo).
-		lits := make([]bdd.InputLit, len(b.Phase.Inputs))
-		for pos, bi := range b.Phase.Inputs {
-			lits[pos] = bdd.InputLit{Var: bi.InputPos, Neg: bi.Inverted}
-		}
-		if opts.Method == MonteCarlo {
-			nodeProbs, err := prob.MonteCarloLits(net, numVars, lits, inputProbs, opts.MCVectors, opts.MCSeed, opts.Budget)
-			if err != nil {
-				return nil, false, err
-			}
-			return nodeProbs, false, nil
-		}
+	lits := make([]bdd.InputLit, net.NumInputs())
+	for i := range lits {
+		lits[i] = bdd.InputLit{Var: i}
+	}
+	nodeProbs, _, err := netNodeProbs(net, lits, inputProbs, opts)
+	return nodeProbs, err
+}
+
+// blockNodeProbs is NodeProbs on a mapped block, whose input rails are
+// literals of the *original* primary inputs (a complemented rail is the
+// complemented literal), so a signal and its inverted rail stay exactly
+// correlated. It reports whether the exact engine ran. Every value is a
+// pure function of a node's fanin cone (BDDs are canonical per
+// function, Approximate and LimitedDepth propagate fanin-local state),
+// so a node shared by several output cones carries the same probability
+// in every block that contains it — the invariant the cone table's
+// precompute-once/score-many decomposition rests on.
+func blockNodeProbs(b *domino.Block, inputProbs []float64, opts Options) ([]float64, bool, error) {
+	lits := make([]bdd.InputLit, len(b.Phase.Inputs))
+	for pos, bi := range b.Phase.Inputs {
+		lits[pos] = bdd.InputLit{Var: bi.InputPos, Neg: bi.Inverted}
+	}
+	return netNodeProbs(b.Net, lits, inputProbs, opts)
+}
+
+// netNodeProbs is the one probability-engine dispatch: input p of net is
+// the literal lits[p] over variables of probabilities varProbs. The
+// exact engine builds into a manager of its own, dropped on return.
+func netNodeProbs(net *logic.Network, lits []bdd.InputLit, varProbs []float64, opts Options) ([]float64, bool, error) {
+	if len(lits) != net.NumInputs() {
+		return nil, false, fmt.Errorf("power: block input mismatch: %d probs, %d inputs", len(lits), net.NumInputs())
+	}
+	numVars := len(varProbs)
+	if opts.Method == MonteCarlo {
+		nodeProbs, err := prob.MonteCarloLits(net, numVars, lits, varProbs, opts.MCVectors, opts.MCSeed, opts.Budget)
+		return nodeProbs, false, err
+	}
+	if opts.Method == Exact || (opts.Method == Auto && numVars <= AutoExactInputLimit) {
 		ord := opts.Order
 		if ord == nil {
 			ord = mapOrderToVars(order.ReverseTopological(net), lits, numVars)
@@ -146,24 +159,28 @@ func blockNodeProbs(b *domino.Block, inputProbs []float64, opts Options) ([]floa
 		}
 		m.SetBudget(opts.Budget)
 		m.SetAutoReorder(opts.Reorder)
-		nodeProbs, err := prob.ExactLits(m, net, lits, inputProbs)
+		nodeProbs, err := prob.ExactLits(m, net, lits, varProbs)
 		if err != nil {
 			return nil, false, err
 		}
 		return nodeProbs, true, nil
+	}
+	litProbs := make([]float64, len(lits))
+	for pos, l := range lits {
+		litProbs[pos] = varProbs[l.Var]
+		if l.Neg {
+			litProbs[pos] = 1 - litProbs[pos]
+		}
 	}
 	if opts.Method == LimitedDepth {
 		depth := opts.Depth
 		if depth <= 0 {
 			depth = 4
 		}
-		nodeProbs, err := prob.LimitedDepthBudget(net, blockProbs, depth, opts.MaxFrontier, opts.Budget)
-		if err != nil {
-			return nil, false, err
-		}
-		return nodeProbs, false, nil
+		nodeProbs, err := prob.LimitedDepthBudget(net, litProbs, depth, opts.MaxFrontier, opts.Budget)
+		return nodeProbs, false, err
 	}
-	return prob.Approximate(net, blockProbs), false, nil
+	return prob.Approximate(net, litProbs), false, nil
 }
 
 // Estimate computes the power report of a mapped block given the original

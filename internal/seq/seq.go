@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/blif"
 	"repro/internal/logic"
-	"repro/internal/prob"
+	"repro/internal/power"
 	"repro/internal/sgraph"
 )
 
@@ -78,8 +78,9 @@ func FromModel(m *blif.Model) (*Circuit, error) {
 }
 
 // New assembles a Circuit directly from a combinational network and FF
-// descriptions (used by the generators). ffOutputs and ffNextStates are
-// parallel: input position / output index per flip-flop.
+// descriptions, for hand-built circuits (gen goes through FromModel).
+// ffOutputs and ffNextStates are parallel: input position / output
+// index per flip-flop.
 func New(comb *logic.Network, ffOutputs []int, ffNextStates []int, names []string) (*Circuit, error) {
 	if len(ffOutputs) != len(ffNextStates) {
 		return nil, fmt.Errorf("seq: %d outputs vs %d next-states", len(ffOutputs), len(ffNextStates))
@@ -326,24 +327,25 @@ type SteadyOptions struct {
 	// Tolerance stops iteration early when no cut probability moves more
 	// than this (default 1e-9).
 	Tolerance float64
-	// MaxExactInputs bounds the exact BDD engine; larger blocks use
-	// approximate propagation (default 24).
-	MaxExactInputs int
+	// Est is every iteration's probability engine and budget token (see
+	// power.NodeProbs); zero is power.Auto (exact up to 24 inputs), no token.
+	Est power.Options
 }
 
 // SteadyStateProbs estimates steady-state signal probabilities of the
 // expanded block: cut flip-flops start at probability 0.5 and are
 // iterated to a fixed point of their next-state probabilities. It
-// returns the final probabilities of every Block node together with the
-// partition used.
-func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, error) {
+// returns the partition used, its block inputs' probabilities at the
+// fixed point and the final probabilities of every Block node. A trip
+// or cancellation of the engine's token ends the iteration as an error.
+func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, []float64, error) {
 	cut := opts.Cut
 	if cut == nil {
 		cut = c.Cut(sgraph.DefaultOptions())
 	}
 	p, err := c.Partition(cut)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	iters := opts.Iterations
 	if iters <= 0 {
@@ -352,10 +354,6 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, e
 	tol := opts.Tolerance
 	if tol <= 0 {
 		tol = 1e-9
-	}
-	maxExact := opts.MaxExactInputs
-	if maxExact <= 0 {
-		maxExact = 24
 	}
 	block := p.Block
 	inProbs := make([]float64, block.NumInputs())
@@ -370,13 +368,12 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, e
 	}
 	var nodeProbs []float64
 	for it := 0; it < iters; it++ {
-		if block.NumInputs() <= maxExact {
-			nodeProbs, err = prob.Exact(block, inProbs)
-			if err != nil {
-				return nil, nil, err
-			}
-		} else {
-			nodeProbs = prob.Approximate(block, inProbs)
+		if err := opts.Est.Budget.Err(); err != nil {
+			return nil, nil, nil, err
+		}
+		nodeProbs, err = power.NodeProbs(block, inProbs, opts.Est)
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		delta := 0.0
 		for _, ffIdx := range cut {
@@ -398,5 +395,5 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, e
 			break
 		}
 	}
-	return p, nodeProbs, nil
+	return p, inProbs, nodeProbs, nil
 }

@@ -1,11 +1,14 @@
 package seq
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/blif"
+	"repro/internal/budget"
 	"repro/internal/logic"
+	"repro/internal/power"
 	"repro/internal/sgraph"
 )
 
@@ -42,7 +45,7 @@ func TestSGraphSelfLoop(t *testing.T) {
 
 func TestToggleSteadyState(t *testing.T) {
 	c := toggleCircuit(t)
-	p, probs, err := c.SteadyStateProbs(SteadyOptions{
+	p, inProbs, probs, err := c.SteadyStateProbs(SteadyOptions{
 		InputProbs: []float64{0, 0.5}, // position 0 is the FF, ignored
 	})
 	if err != nil {
@@ -57,6 +60,43 @@ func TestToggleSteadyState(t *testing.T) {
 	got := probs[p.Block.Outputs()[oi].Driver]
 	if math.Abs(got-0.5) > 1e-6 {
 		t.Errorf("steady p(q') = %v, want 0.5", got)
+	}
+	// The block inputs carry the fixed point: the cut flip-flop's
+	// next-state probability and the real input's given one.
+	for pos, in := range p.Inputs {
+		want := 0.5
+		if in.FF >= 0 {
+			want = got
+		}
+		if inProbs[pos] != want {
+			t.Errorf("block input %d probability %v, want %v", pos, inProbs[pos], want)
+		}
+	}
+}
+
+// TestSteadyStateObeysBudget: every fixed-point iteration runs under the
+// caller's engine options and budget token. An exact build past the
+// token's node cap ends the iteration with budget.ErrBDDNodes; a
+// cancelled token ends it with budget.ErrCancelled, under the exact
+// engine and under approximate propagation, which polls no token itself.
+func TestSteadyStateObeysBudget(t *testing.T) {
+	c := toggleCircuit(t)
+	opts := func(m power.Method, tok *budget.T) SteadyOptions {
+		return SteadyOptions{InputProbs: []float64{0, 0.5}, Est: power.Options{Method: m, Budget: tok}}
+	}
+	tok := budget.New(1, 0)
+	if _, _, _, err := c.SteadyStateProbs(opts(power.Exact, tok)); !errors.Is(err, budget.ErrBDDNodes) {
+		t.Errorf("node cap 1: err = %v, want budget.ErrBDDNodes", err)
+	}
+	if tok.BDDTrips() != 1 {
+		t.Errorf("node cap 1: %d trips recorded, want 1", tok.BDDTrips())
+	}
+	for _, m := range []power.Method{power.Exact, power.Approximate} {
+		tok := budget.New(0, 0)
+		tok.Cancel(nil)
+		if _, _, _, err := c.SteadyStateProbs(opts(m, tok)); !errors.Is(err, budget.ErrCancelled) {
+			t.Errorf("method %d, cancelled token: err = %v, want budget.ErrCancelled", m, err)
+		}
 	}
 }
 
@@ -87,7 +127,7 @@ func TestShiftRegisterAcyclic(t *testing.T) {
 	if len(cut) != 0 {
 		t.Errorf("shift register cut = %v, want empty", cut)
 	}
-	p, probs, err := c.SteadyStateProbs(SteadyOptions{
+	p, _, probs, err := c.SteadyStateProbs(SteadyOptions{
 		InputProbs: []float64{0, 0, 0, 0.3}, // in at position 3
 	})
 	if err != nil {
@@ -204,7 +244,7 @@ func TestFromModel(t *testing.T) {
 	for _, pos := range c.RealInputs {
 		probs[pos] = 0.5
 	}
-	if _, _, err := c.SteadyStateProbs(SteadyOptions{InputProbs: probs, Cut: cut}); err != nil {
+	if _, _, _, err := c.SteadyStateProbs(SteadyOptions{InputProbs: probs, Cut: cut}); err != nil {
 		t.Fatalf("SteadyStateProbs: %v", err)
 	}
 }
@@ -222,7 +262,7 @@ func TestSteadyStateConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, probs, err := c.SteadyStateProbs(SteadyOptions{InputProbs: []float64{0, 0.5}})
+	p, _, probs, err := c.SteadyStateProbs(SteadyOptions{InputProbs: []float64{0, 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +285,7 @@ func TestSteadyStateProbsInRange(t *testing.T) {
 		for _, pos := range c.RealInputs {
 			probs[pos] = 0.3
 		}
-		_, nodeProbs, err := c.SteadyStateProbs(SteadyOptions{InputProbs: probs, Iterations: 5})
+		_, _, nodeProbs, err := c.SteadyStateProbs(SteadyOptions{InputProbs: probs, Iterations: 5})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

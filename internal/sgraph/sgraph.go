@@ -10,13 +10,17 @@ package sgraph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // Graph is a mutable directed graph over weighted supervertices. Vertex
 // identity is the index into the vertex table; dead vertices stay in the
-// table with alive=false.
+// table with alive=false. Wherever the order of a neighbor set can reach
+// a result, the set is walked in ascending vertex order, so every
+// result — the MFVS cut above all — is a pure function of the graph.
 type Graph struct {
 	names   []string
 	weight  []int
@@ -73,14 +77,8 @@ func (g *Graph) Clone() *Graph {
 	}
 	for i := range g.members {
 		c.members[i] = append([]int(nil), g.members[i]...)
-		c.out[i] = make(map[int]bool, len(g.out[i]))
-		for v := range g.out[i] {
-			c.out[i][v] = true
-		}
-		c.in[i] = make(map[int]bool, len(g.in[i]))
-		for v := range g.in[i] {
-			c.in[i][v] = true
-		}
+		c.out[i] = maps.Clone(g.out[i])
+		c.in[i] = maps.Clone(g.in[i])
 	}
 	return c
 }
@@ -109,9 +107,11 @@ func (g *Graph) Weight(v int) int { return g.weight[v] }
 func (g *Graph) HasEdge(u, v int) bool { return g.alive[u] && g.alive[v] && g.out[u][v] }
 
 func (g *Graph) remove(v int) {
+	//dominolint:nondet-ok deletions from distinct sets commute
 	for u := range g.in[v] {
 		delete(g.out[u], v)
 	}
+	//dominolint:nondet-ok deletions from distinct sets commute
 	for w := range g.out[v] {
 		delete(g.in[w], v)
 	}
@@ -163,13 +163,13 @@ func (g *Graph) Reduce(sol *Solution) {
 				g.remove(v)
 				changed = true
 			case len(g.in[v]) == 1:
-				u := anyKey(g.in[v])
+				u := sortedKeys(g.in[v])[0]
 				if g.weight[u] <= g.weight[v] {
 					g.bypass(v)
 					changed = true
 				}
 			case len(g.out[v]) == 1:
-				u := anyKey(g.out[v])
+				u := sortedKeys(g.out[v])[0]
 				if g.weight[u] <= g.weight[v] {
 					g.bypass(v)
 					changed = true
@@ -181,8 +181,8 @@ func (g *Graph) Reduce(sol *Solution) {
 
 // bypass removes v, connecting all predecessors to all successors.
 func (g *Graph) bypass(v int) {
-	preds := keys(g.in[v])
-	succs := keys(g.out[v])
+	preds := sortedKeys(g.in[v])
+	succs := sortedKeys(g.out[v])
 	g.remove(v)
 	for _, u := range preds {
 		for _, w := range succs {
@@ -206,6 +206,7 @@ func (g *Graph) Symmetrize() int {
 		sig[key] = append(sig[key], v)
 	}
 	merges := 0
+	//dominolint:nondet-ok groups are disjoint, and a merge reads only edges inside its own group, which no other group's merge removes
 	for _, group := range sig {
 		if len(group) < 2 {
 			continue
@@ -232,17 +233,11 @@ func (g *Graph) Symmetrize() int {
 }
 
 func neighborSignature(set map[int]bool, self int) string {
-	ks := make([]int, 0, len(set))
-	for k := range set {
-		if k == self {
-			continue
+	var parts []string
+	for _, k := range sortedKeys(set) {
+		if k != self {
+			parts = append(parts, strconv.Itoa(k))
 		}
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	parts := make([]string, len(ks))
-	for i, k := range ks {
-		parts[i] = fmt.Sprint(k)
 	}
 	return strings.Join(parts, ",")
 }
@@ -376,7 +371,9 @@ func exactMFVS(g *Graph) []int {
 }
 
 // findCycle returns the vertices of one directed cycle in the live
-// subgraph, or nil if acyclic.
+// subgraph, or nil if acyclic. exactMFVS keeps the first minimum-weight
+// cut it meets while branching on this cycle, so successors are visited
+// in ascending order, never in map order.
 func findCycle(g *Graph) []int {
 	const (
 		white = 0
@@ -389,7 +386,7 @@ func findCycle(g *Graph) []int {
 	var dfs func(v int) bool
 	dfs = func(v int) bool {
 		color[v] = gray
-		for w := range g.out[v] {
+		for _, w := range sortedKeys(g.out[v]) {
 			if !g.alive[w] {
 				continue
 			}
@@ -444,18 +441,12 @@ func (g *Graph) IsFeedbackSet(original []int) bool {
 	return findCycle(w) == nil
 }
 
-func anyKey(m map[int]bool) int {
-	for k := range m {
-		return k
-	}
-	return -1
-}
-
-func keys(m map[int]bool) []int {
+func sortedKeys(m map[int]bool) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
+	sort.Ints(out)
 	return out
 }
 
