@@ -214,37 +214,21 @@ func legalize(n *logic.Network, lib Library) (*logic.Network, error) {
 	return out, nil
 }
 
-// RecomputeLoads refreshes every cell's Load from the current cell sizes:
-// a cell's output drives one InputCap × consumer-size per consuming pin,
-// plus WireCap, plus OutputCap per primary output (or boundary inverter)
-// it feeds.
+// RecomputeLoads refreshes every cell's Load from the current cell
+// sizes (see NodeLoads).
 func (b *Block) RecomputeLoads() {
-	lib := b.lib
-	load := make([]float64, b.Net.NumNodes())
-	for i := range load {
-		load[i] = lib.WireCap
-	}
-	for i := 0; i < b.Net.NumNodes(); i++ {
-		id := logic.NodeID(i)
-		consumerSize := 1.0
-		if ci := b.CellOf[i]; ci >= 0 {
-			consumerSize = b.Cells[ci].Size
-		}
-		for _, f := range b.Net.Fanins(id) {
-			load[f] += lib.InputCap * consumerSize
-		}
-	}
-	for _, o := range b.Net.Outputs() {
-		load[o.Driver] += lib.OutputCap
-	}
+	load := b.NodeLoads()
 	for ci := range b.Cells {
 		b.Cells[ci].Load = load[b.Cells[ci].Node]
 	}
 }
 
 // NodeLoads returns the capacitive load on every Net node under current
-// sizing (used by the power estimator for boundary inverters and
-// input-driven nets).
+// sizing: a node drives WireCap, plus one InputCap × consumer-size per
+// consuming pin, plus OutputCap per primary output (or boundary
+// inverter) it feeds. Each node's sum is taken in that order, consumers
+// in ascending node id; timing's incremental sizer re-sums one driver's
+// load in the same order, so its loads match these bit for bit.
 func (b *Block) NodeLoads() []float64 {
 	lib := b.lib
 	load := make([]float64, b.Net.NumNodes())

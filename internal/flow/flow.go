@@ -14,6 +14,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -208,6 +209,15 @@ func (c Config) estOptions(tok *budget.T) power.Options {
 	o.Budget = tok
 	o.Reorder = c.BDDReorder == ReorderAlways
 	return o
+}
+
+// timingParams returns the delay model bound to a budget token, which
+// resizing polls before every trial upsizing. Like estOptions it works
+// on a copy: the token never reaches the configuration or its JSON.
+func (c Config) timingParams(tok *budget.T) timing.Params {
+	p := *c.Timing
+	p.Budget = tok
+	return p
 }
 
 // token returns a fresh budget token carrying the configuration's BDD
@@ -473,7 +483,10 @@ func synthesize(asg phase.Assignment, res *phase.Result, probs []float64, cfg Co
 	}
 	s := &Synthesis{Assignment: asg, Block: b, Size: b.CellCount(), MetTiming: true}
 	if timed {
-		a, steps, err := timing.Resize(b, *cfg.Timing, target)
+		a, steps, err := timing.Resize(b, cfg.timingParams(tok), target)
+		if errors.Is(err, budget.ErrCancelled) {
+			return nil, fmt.Errorf("flow: Resize: %w", err)
+		}
 		s.Critical, s.ResizeSteps, s.MetTiming = a.Critical, steps, err == nil
 		// The timed flow reports *sized area* rather than cell count:
 		// resizing changes transistor widths, and the area cost of
@@ -533,7 +546,10 @@ func synthesizePair(net *logic.Network, probs []float64, cfg Config, tok *budget
 		if err != nil {
 			return nil, nil, fmt.Errorf("flow: Map: %w", err)
 		}
-		best, _ := timing.Tighten(probe, *cfg.Timing)
+		best, _ := timing.Tighten(probe, cfg.timingParams(tok))
+		if err := tok.Err(); err != nil {
+			return nil, nil, fmt.Errorf("flow: Tighten: %w", err)
+		}
 		target = timing.TargetFromBaseline(best.Critical, cfg.Slack)
 	}
 	if ma, err = synthesize(maAsg, maRes, probs, cfg, tok, timed, target, nil); err != nil {

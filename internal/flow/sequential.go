@@ -35,8 +35,10 @@ func RunSequential(c *seq.Circuit, cfg Config) (*SequentialRow, error) {
 }
 
 // runSequential is RunSequential under an optional budget token: the
-// steady state runs the stage's engine under tok, and its block-input
-// probabilities feed the MA/MP pair every row kind shares.
+// steady state runs the stage's engine under tok, the partitioned block
+// takes the configured technology-independent pipeline (resynthesis
+// included), and the steady state's block-input probabilities feed the
+// MA/MP pair every row kind shares.
 func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, error) {
 	cut := c.Cut(sgraph.DefaultOptions())
 	part, blockProbs, _, err := c.SteadyStateProbs(seq.SteadyOptions{
@@ -45,9 +47,13 @@ func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, e
 	if err != nil {
 		return nil, fmt.Errorf("flow: steady state: %w", err)
 	}
-	// Prepare preserves the input interface (inputs are never dropped),
-	// so blockProbs stays aligned.
-	ma, mp, err := synthesizePair(Prepare(part.Block), blockProbs, cfg, tok, false)
+	// prepare preserves the input interface (inputs are never dropped
+	// or reordered), so blockProbs stays aligned.
+	net, err := prepare(part.Block, cfg, tok)
+	if err != nil {
+		return nil, err
+	}
+	ma, mp, err := synthesizePair(net, blockProbs, cfg, tok, false)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Comb.Name, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +13,9 @@ import (
 	"repro/internal/budget"
 	"repro/internal/corpus"
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/power"
+	"repro/internal/sgraph"
 )
 
 func TestRunSequential(t *testing.T) {
@@ -178,4 +181,55 @@ func TestSequentialSteadyStateTripsBudget(t *testing.T) {
 	if strings.HasPrefix(want, `engine ""`) || strings.Contains(want, "trips 0 ") {
 		t.Errorf("row did not degrade: %s", want)
 	}
+}
+
+// TestSequentialResynthesize: Config.Resynthesize reaches sequential
+// rows — the partitioned block goes through prepare, resynthesis
+// included. On the seed-18, 16-FF model it shrinks MA/MP from 23/39 to
+// 15/23 cells, and under the approximate engine (which builds no BDD
+// for the steady state) a 5-node BDD budget ends the stage in the
+// collapse build. prepare keeps the block's inputs in place, so the
+// steady state's block-input probabilities stay aligned.
+func TestSequentialResynthesize(t *testing.T) {
+	c, err := gen.Sequential(gen.SeqParams{Name: "seq18", Inputs: 8, FFs: 16, Gates: 88, Seed: 18, TwinProb: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		resynthesize   bool
+		maSize, mpSize int
+	}{{false, 23, 39}, {true, 15, 23}} {
+		row, err := RunSequential(c, Config{Resynthesize: tc.resynthesize})
+		if err != nil {
+			t.Fatalf("Resynthesize %v: %v", tc.resynthesize, err)
+		}
+		if row.MA.Size != tc.maSize || row.MP.Size != tc.mpSize {
+			t.Errorf("Resynthesize %v: MA/MP Size = %d/%d, want %d/%d", tc.resynthesize, row.MA.Size, row.MP.Size, tc.maSize, tc.mpSize)
+		}
+	}
+	cfg := Config{Resynthesize: true, BDDNodeBudget: 5, EstOpts: power.Options{Method: power.Approximate}}
+	cfg.defaults()
+	_, err = runSequential(c, cfg, cfg.token())
+	if want := "flow: resynthesis: BDD node budget exceeded (max 5 nodes)"; err == nil || err.Error() != want {
+		t.Errorf("5-node budget: err = %v, want %q", err, want)
+	}
+	part, err := c.Partition(c.Cut(sgraph.DefaultOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := prepare(part.Block, Config{Resynthesize: true, MaxCollapseSupport: 14}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := inputNames(net), inputNames(part.Block); !slices.Equal(got, want) {
+		t.Errorf("prepared block inputs %v, want the partition's %v", got, want)
+	}
+}
+
+func inputNames(n *logic.Network) []string {
+	var names []string
+	for _, id := range n.Inputs() {
+		names = append(names, n.Node(id).Name)
+	}
+	return names
 }

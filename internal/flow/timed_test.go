@@ -1,11 +1,20 @@
 package flow
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/blif"
+	"repro/internal/budget"
+	"repro/internal/corpus"
 	"repro/internal/domino"
 	"repro/internal/gen"
+	"repro/internal/phase"
+	"repro/internal/prob"
 	"repro/internal/timing"
 )
 
@@ -65,11 +74,22 @@ func TestTimedResizingPinned(t *testing.T) {
 // flow tightens to derive its clock target.
 func maProbe(tb testing.TB, c gen.NamedCircuit, cfg Config) *domino.Block {
 	tb.Helper()
+	return mapProbe(tb, maResult(tb, c, cfg), cfg)
+}
+
+func maResult(tb testing.TB, c gen.NamedCircuit, cfg Config) *phase.Result {
+	tb.Helper()
 	cfg.defaults()
 	_, res, err := synthesizeMAAssignment(Prepare(c.Net), cfg, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return res
+}
+
+func mapProbe(tb testing.TB, res *phase.Result, cfg Config) *domino.Block {
+	tb.Helper()
+	cfg.defaults()
 	b, err := domino.Map(res, *cfg.Lib)
 	if err != nil {
 		tb.Fatal(err)
@@ -98,5 +118,63 @@ func TestTimedProbePinned(t *testing.T) {
 			t.Errorf("%s: Tighten took %d steps to critical %v (bits %#x), want %d steps to bits %#x (%v)",
 				tc.c.Name, steps, best.Critical, bits, tc.steps, tc.critical, math.Float64frombits(tc.critical))
 		}
+	}
+}
+
+// TestTimedRowHonoursTimeout: Tighten and Resize poll the row's token
+// before every trial upsizing, so a per-circuit timeout ends a timed row
+// promptly even under a delay model (SizeStep 1.01, MaxSize 1e6) whose
+// x3 probe alone takes 18,814 Tighten steps.
+func TestTimedRowHonoursTimeout(t *testing.T) {
+	src, err := blif.WriteString(&blif.Model{Network: gen.X3().Net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := timing.DefaultParams()
+	p.SizeStep, p.MaxSize = 1.01, 1e6
+	start := time.Now()
+	rows, err := RunCorpus(context.Background(), []corpus.Entry{{Path: "x3.blif", Name: "x3", Format: corpus.FormatBLIF, Data: []byte(src)}},
+		CorpusConfig{Base: Config{Timing: &p, Workers: 1}, Timed: true, Workers: 1, Timeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wall := time.Since(start); !rows[0].TimedOut || wall > 2*time.Second {
+		t.Errorf("TimedOut=%v after %v (err %q), want a timeout row within 2s", rows[0].TimedOut, wall, rows[0].Err)
+	}
+}
+
+// TestCancelledResizeIsAnError: a resize cut short by cancellation ends
+// the synthesis with the token's error; it never reads as a synthesis
+// that missed its clock target (MetTiming false).
+func TestCancelledResizeIsAnError(t *testing.T) {
+	cfg := Config{}
+	cfg.defaults()
+	net := Prepare(gen.Frg1().Net)
+	asg, res, err := synthesizeMAAssignment(net, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := cfg.token()
+	tok.Cancel(nil)
+	s, err := synthesize(asg, res, prob.Uniform(net, cfg.InputProb), cfg, tok, true, 1, nil)
+	if !errors.Is(err, budget.ErrCancelled) || !strings.HasPrefix(err.Error(), "flow: Resize: ") {
+		t.Errorf("cancelled resize: synthesis %+v, err %v; want a flow: Resize: cancellation error", s, err)
+	}
+}
+
+// BenchmarkTighten tightens x3's MA probe under the default delay model:
+// the largest Tighten of a Table 2 pass (390 steps). Each iteration maps
+// a fresh probe outside the timer.
+func BenchmarkTighten(b *testing.B) {
+	cfg := Config{}
+	cfg.defaults()
+	res := maResult(b, gen.X3(), cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		probe := mapProbe(b, res, cfg)
+		b.StartTimer()
+		timing.Tighten(probe, *cfg.Timing)
 	}
 }

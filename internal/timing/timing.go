@@ -11,8 +11,12 @@ package timing
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
+	"repro/internal/budget"
 	"repro/internal/domino"
 	"repro/internal/logic"
 )
@@ -33,6 +37,11 @@ type Params struct {
 	MaxSize float64
 	// SizeStep is the multiplicative upsizing step.
 	SizeStep float64
+	// Budget is the row's cancellation token (nil = never cancelled):
+	// Tighten and Resize poll it before every trial upsizing. Excluded
+	// from JSON, like power.Options.Budget, so it never reaches a
+	// configuration's wire form or cache key.
+	Budget *budget.T `json:"-"`
 }
 
 // DefaultParams returns the coefficients used across the reproduction.
@@ -73,6 +82,13 @@ type Analysis struct {
 // Analyze computes arrival times of the mapped block. Inverted block
 // inputs start at the inverter delay; everything else starts at 0.
 func Analyze(b *domino.Block, p Params) *Analysis {
+	a, _ := analyze(b, p)
+	return a
+}
+
+// analyze is Analyze that also returns every node's worst fanin (the
+// links the critical path is backtracked along).
+func analyze(b *domino.Block, p Params) (*Analysis, []logic.NodeID) {
 	net := b.Net
 	arr := make([]float64, net.NumNodes())
 	from := make([]logic.NodeID, net.NumNodes())
@@ -84,52 +100,65 @@ func Analyze(b *domino.Block, p Params) *Analysis {
 			arr[id] = p.InverterDelay
 		}
 	}
-	for i := 0; i < net.NumNodes(); i++ {
-		id := logic.NodeID(i)
-		node := net.Node(id)
-		if len(node.Fanins) == 0 {
-			continue
+	for i := range arr {
+		if len(net.Fanins(logic.NodeID(i))) > 0 {
+			arr[i], from[i] = arrival(b, p, arr, i)
 		}
-		worst := 0.0
-		worstFrom := logic.InvalidNode
-		for _, f := range node.Fanins {
-			if arr[f] >= worst {
-				worst = arr[f]
-				worstFrom = f
-			}
-		}
-		var d float64
-		if ci := b.CellOf[i]; ci >= 0 {
-			d = CellDelay(&b.Cells[ci], p)
-		}
-		arr[i] = worst + d
-		from[i] = worstFrom
 	}
-	a := &Analysis{Arrival: arr, CriticalOutput: -1}
-	for oi, o := range net.Outputs() {
+	a := &Analysis{Arrival: arr}
+	a.Critical, a.CriticalOutput = critical(b, p, arr)
+	a.CriticalPath = criticalPath(b, a.CriticalOutput, from)
+	return a, from
+}
+
+// arrival times gate node i from its fanins' arrivals: the latest fanin
+// (ties go to the last one, which it also returns) plus the node's cell
+// delay.
+func arrival(b *domino.Block, p Params, arr []float64, i int) (float64, logic.NodeID) {
+	worst := 0.0
+	worstFrom := logic.InvalidNode
+	for _, f := range b.Net.Fanins(logic.NodeID(i)) {
+		if arr[f] >= worst {
+			worst = arr[f]
+			worstFrom = f
+		}
+	}
+	var d float64
+	if ci := b.CellOf[i]; ci >= 0 {
+		d = CellDelay(&b.Cells[ci], p)
+	}
+	return worst + d, worstFrom
+}
+
+// critical returns the worst output arrival, counting output inverters,
+// and the index of its output (ties go to the last output; -1 when the
+// block has no outputs).
+func critical(b *domino.Block, p Params, arr []float64) (float64, int) {
+	worst, at := 0.0, -1
+	for oi, o := range b.Net.Outputs() {
 		t := arr[o.Driver]
 		if b.Phase.Outputs[oi].Negated {
 			t += p.InverterDelay
 		}
-		if t >= a.Critical {
-			a.Critical = t
-			a.CriticalOutput = oi
+		if t >= worst {
+			worst, at = t, oi
 		}
 	}
-	if a.CriticalOutput >= 0 {
-		// Backtrack the worst path.
-		var path []logic.NodeID
-		id := net.Outputs()[a.CriticalOutput].Driver
-		for id != logic.InvalidNode {
-			path = append(path, id)
-			id = from[id]
-		}
-		for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-			path[l], path[r] = path[r], path[l]
-		}
-		a.CriticalPath = path
+	return worst, at
+}
+
+// criticalPath backtracks the worst-fanin links from output out's
+// driver and returns the path input to output (nil for out -1).
+func criticalPath(b *domino.Block, out int, from []logic.NodeID) []logic.NodeID {
+	if out < 0 {
+		return nil
 	}
-	return a
+	var path []logic.NodeID
+	for id := b.Net.Outputs()[out].Driver; id != logic.InvalidNode; id = from[id] {
+		path = append(path, id)
+	}
+	slices.Reverse(path)
+	return path
 }
 
 // Resize upsizes cells on the critical path until the block meets the
@@ -137,53 +166,141 @@ func Analyze(b *domino.Block, p Params) *Analysis {
 // critical-path candidates in descending estimated gain-per-area order
 // and keeps the first upsizing that actually reduces the critical delay
 // (an upsizing can backfire by loading its own drivers, so every move is
-// verified by re-analysis and reverted if it did not help). It mutates
+// verified by re-timing and reverted if it did not help). It mutates
 // the block's cell sizes (hence loads, area and power) and returns the
 // final analysis and the number of committed steps. A target that cannot
-// be met returns an error alongside the best analysis achieved.
+// be met returns an error alongside the best analysis achieved, and so
+// does a cancelled p.Budget: the token's error, polled before every
+// trial. The block's loads must be current, as Map and every sizing
+// call leave them.
 func Resize(b *domino.Block, p Params, target float64) (*Analysis, int, error) {
+	s := newSizer(b, p)
 	steps := 0
 	const maxSteps = 100000
-	a := Analyze(b, p)
-	for a.Critical > target {
+	for s.a.Critical > target {
 		if steps >= maxSteps {
-			return a, steps, fmt.Errorf("timing: resize exceeded %d steps", maxSteps)
+			return s.a, steps, fmt.Errorf("timing: resize exceeded %d steps", maxSteps)
 		}
-		if !improveOnce(b, p, &a) {
-			return a, steps, fmt.Errorf("timing: cannot meet target %.3f (best %.3f)", target, a.Critical)
+		ok, err := s.improve()
+		if err != nil {
+			return s.a, steps, err
+		}
+		if !ok {
+			return s.a, steps, fmt.Errorf("timing: cannot meet target %.3f (best %.3f)", target, s.a.Critical)
 		}
 		steps++
 	}
-	return a, steps, nil
+	return s.a, steps, nil
 }
 
 // Tighten resizes for maximum speed: it keeps committing improving moves
 // until none exists, returning the best analysis achieved and the number
 // of steps. It is how the Table 2 flow derives a realistic, feasible
-// clock target.
+// clock target. A cancelled p.Budget stops it early at the best
+// analysis so far; the caller reads the token's error.
 func Tighten(b *domino.Block, p Params) (*Analysis, int) {
+	s := newSizer(b, p)
 	steps := 0
-	a := Analyze(b, p)
-	for improveOnce(b, p, &a) {
+	for {
+		if ok, err := s.improve(); !ok || err != nil {
+			return s.a, steps
+		}
 		steps++
 	}
-	return a, steps
 }
 
-// improveOnce tries to strictly reduce the critical delay by one
-// verified upsizing move. On success it updates *a and returns true.
-func improveOnce(b *domino.Block, p Params, a **Analysis) bool {
-	type cand struct {
-		ci   int
-		gain float64
+// sizer resizes one block incrementally. It keeps the cell loads, the
+// arrival times and the worst-fanin links current across trial
+// upsizings: a trial re-sums only the upsized cell's drivers' loads and
+// re-times only the nodes whose inputs changed, and an undo log takes a
+// rejected trial back. Each value is evaluated as Block.NodeLoads and
+// Analyze evaluate it, so after any run of moves the sizer's state
+// equals a full recompute bit for bit.
+type sizer struct {
+	b   *domino.Block
+	p   Params
+	lib domino.Library
+	// a is the analysis of the current sizing; a.Arrival is arr.
+	a    *Analysis
+	arr  []float64
+	from []logic.NodeID
+	// fanout[fanoutAt[i]:fanoutAt[i+1]] lists node i's consumers, one
+	// entry per consuming pin, in ascending consumer id; outputs[i]
+	// counts the primary outputs node i drives.
+	fanoutAt []int32
+	fanout   []logic.NodeID
+	outputs  []int32
+	// dirty marks the nodes a trial must re-time; lo is the lowest word
+	// that may hold a mark.
+	dirty []uint64
+	lo    int
+	cands []cand
+	// The pending trial's undo logs, applied in reverse.
+	loadLog []loadEntry
+	arrLog  []arrEntry
+}
+
+type cand struct {
+	ci   int
+	gain float64
+}
+
+type loadEntry struct {
+	ci   int
+	load float64
+}
+
+type arrEntry struct {
+	node int
+	arr  float64
+	from logic.NodeID
+}
+
+func newSizer(b *domino.Block, p Params) *sizer {
+	a, from := analyze(b, p)
+	n := b.Net.NumNodes()
+	s := &sizer{
+		b: b, p: p, lib: b.Library(), a: a, arr: a.Arrival, from: from,
+		fanoutAt: make([]int32, n+1),
+		outputs:  make([]int32, n),
+		dirty:    make([]uint64, (n+63)/64),
 	}
-	var cands []cand
-	for _, node := range (*a).CriticalPath {
-		ci := b.CellOf[node]
+	s.lo = len(s.dirty)
+	for i := 0; i < n; i++ {
+		for _, f := range b.Net.Fanins(logic.NodeID(i)) {
+			s.fanoutAt[f+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.fanoutAt[i+1] += s.fanoutAt[i]
+	}
+	s.fanout = make([]logic.NodeID, s.fanoutAt[n])
+	next := slices.Clone(s.fanoutAt[:n])
+	for i := 0; i < n; i++ {
+		for _, f := range b.Net.Fanins(logic.NodeID(i)) {
+			s.fanout[next[f]] = logic.NodeID(i)
+			next[f]++
+		}
+	}
+	for _, o := range b.Net.Outputs() {
+		s.outputs[o.Driver]++
+	}
+	return s
+}
+
+// improve is one resizing step: it tries the critical path's upsizable
+// cells in descending estimated gain per added area and keeps the first
+// upsizing that strictly reduces the critical delay. It reports whether
+// one did, or the budget token's error, polled before every trial.
+func (s *sizer) improve() (bool, error) {
+	p := s.p
+	s.cands = s.cands[:0]
+	for _, node := range s.a.CriticalPath {
+		ci := s.b.CellOf[node]
 		if ci < 0 {
 			continue
 		}
-		cell := &b.Cells[ci]
+		cell := &s.b.Cells[ci]
 		if cell.Size*p.SizeStep > p.MaxSize {
 			continue
 		}
@@ -196,22 +313,111 @@ func improveOnce(b *domino.Block, p Params, a **Analysis) bool {
 		if cost <= 0 {
 			continue
 		}
-		cands = append(cands, cand{ci, (before - after) / cost})
+		s.cands = append(s.cands, cand{ci, (before - after) / cost})
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].gain > cands[j].gain })
-	for _, c := range cands {
-		old := b.Cells[c.ci].Size
-		b.Cells[c.ci].Size *= p.SizeStep
-		b.RecomputeLoads()
-		na := Analyze(b, p)
-		if na.Critical < (*a).Critical-1e-12 {
-			*a = na
-			return true
+	sort.Slice(s.cands, func(i, j int) bool { return s.cands[i].gain > s.cands[j].gain })
+	for _, c := range s.cands {
+		if err := p.Budget.Err(); err != nil {
+			return false, err
 		}
-		b.Cells[c.ci].Size = old
-		b.RecomputeLoads()
+		if s.try(c.ci) {
+			return true, nil
+		}
 	}
+	return false, nil
+}
+
+// try upsizes cell ci by one step: it re-sums the loads of the cell's
+// drivers, re-times the cell, those drivers and whatever their arrival
+// changes reach, and rescans the outputs. A move that cuts the critical
+// delay by more than 1e-12 is kept (and the critical path backtracked);
+// any other is undone.
+func (s *sizer) try(ci int) bool {
+	cell := &s.b.Cells[ci]
+	old := cell.Size
+	cell.Size *= s.p.SizeStep
+	for _, f := range s.b.Net.Fanins(cell.Node) {
+		s.reload(f)
+	}
+	s.mark(cell.Node)
+	s.retime()
+	crit, out := critical(s.b, s.p, s.arr)
+	if crit < s.a.Critical-1e-12 {
+		s.a = &Analysis{Arrival: s.arr, Critical: crit, CriticalOutput: out, CriticalPath: criticalPath(s.b, out, s.from)}
+		s.loadLog, s.arrLog = s.loadLog[:0], s.arrLog[:0]
+		return true
+	}
+	for i := len(s.arrLog) - 1; i >= 0; i-- {
+		e := s.arrLog[i]
+		s.arr[e.node], s.from[e.node] = e.arr, e.from
+	}
+	for i := len(s.loadLog) - 1; i >= 0; i-- {
+		e := s.loadLog[i]
+		s.b.Cells[e.ci].Load = e.load
+	}
+	cell.Size = old
+	s.loadLog, s.arrLog = s.loadLog[:0], s.arrLog[:0]
 	return false
+}
+
+// reload re-sums driver f's load in Block.NodeLoads' order — WireCap,
+// one InputCap × consumer size per consuming pin in ascending consumer
+// id, then OutputCap per output f drives — and marks f for re-timing.
+// Nodes without a cell (block inputs) carry no load the delay model
+// reads.
+func (s *sizer) reload(f logic.NodeID) {
+	ci := s.b.CellOf[f]
+	if ci < 0 {
+		return
+	}
+	load := s.lib.WireCap
+	for _, c := range s.fanout[s.fanoutAt[f]:s.fanoutAt[f+1]] {
+		size := 1.0
+		if cc := s.b.CellOf[c]; cc >= 0 {
+			size = s.b.Cells[cc].Size
+		}
+		load += s.lib.InputCap * size
+	}
+	for k := int32(0); k < s.outputs[f]; k++ {
+		load += s.lib.OutputCap
+	}
+	s.loadLog = append(s.loadLog, loadEntry{ci, s.b.Cells[ci].Load})
+	s.b.Cells[ci].Load = load
+	s.mark(f)
+}
+
+func (s *sizer) mark(id logic.NodeID) {
+	w := int(id) >> 6
+	s.dirty[w] |= 1 << (uint(id) & 63)
+	if w < s.lo {
+		s.lo = w
+	}
+}
+
+// retime re-times the marked nodes in ascending id — Analyze's order,
+// since ids are topological and a node only marks its consumers, which
+// come later. A node whose arrival bits do not change marks nothing:
+// its consumers read only its arrival.
+func (s *sizer) retime() {
+	for w := s.lo; w < len(s.dirty); w++ {
+		for s.dirty[w] != 0 {
+			i := w<<6 | bits.TrailingZeros64(s.dirty[w])
+			s.dirty[w] &= s.dirty[w] - 1
+			arr, from := arrival(s.b, s.p, s.arr, i)
+			moved := math.Float64bits(arr) != math.Float64bits(s.arr[i])
+			if !moved && from == s.from[i] {
+				continue
+			}
+			s.arrLog = append(s.arrLog, arrEntry{i, s.arr[i], s.from[i]})
+			s.arr[i], s.from[i] = arr, from
+			if moved {
+				for _, c := range s.fanout[s.fanoutAt[i]:s.fanoutAt[i+1]] {
+					s.mark(c)
+				}
+			}
+		}
+	}
+	s.lo = len(s.dirty)
 }
 
 // TargetFromBaseline derives a clock target the way the Table 2 flow
