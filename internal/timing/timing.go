@@ -224,12 +224,11 @@ type sizer struct {
 	a    *Analysis
 	arr  []float64
 	from []logic.NodeID
-	// fanout[fanoutAt[i]:fanoutAt[i+1]] lists node i's consumers, one
-	// entry per consuming pin, in ascending consumer id; outputs[i]
-	// counts the primary outputs node i drives.
-	fanoutAt []int32
-	fanout   []logic.NodeID
-	outputs  []int32
+	// fanout[i] lists node i's consumers, one entry per consuming pin,
+	// in ascending consumer id; outputs[i] counts the primary outputs
+	// node i drives.
+	fanout  [][]logic.NodeID
+	outputs []int32
 	// dirty marks the nodes a trial must re-time; lo is the lowest word
 	// that may hold a mark.
 	dirty []uint64
@@ -261,27 +260,11 @@ func newSizer(b *domino.Block, p Params) *sizer {
 	n := b.Net.NumNodes()
 	s := &sizer{
 		b: b, p: p, lib: b.Library(), a: a, arr: a.Arrival, from: from,
-		fanoutAt: make([]int32, n+1),
-		outputs:  make([]int32, n),
-		dirty:    make([]uint64, (n+63)/64),
+		fanout:  b.Net.FanoutLists(),
+		outputs: make([]int32, n),
+		dirty:   make([]uint64, (n+63)/64),
 	}
 	s.lo = len(s.dirty)
-	for i := 0; i < n; i++ {
-		for _, f := range b.Net.Fanins(logic.NodeID(i)) {
-			s.fanoutAt[f+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		s.fanoutAt[i+1] += s.fanoutAt[i]
-	}
-	s.fanout = make([]logic.NodeID, s.fanoutAt[n])
-	next := slices.Clone(s.fanoutAt[:n])
-	for i := 0; i < n; i++ {
-		for _, f := range b.Net.Fanins(logic.NodeID(i)) {
-			s.fanout[next[f]] = logic.NodeID(i)
-			next[f]++
-		}
-	}
 	for _, o := range b.Net.Outputs() {
 		s.outputs[o.Driver]++
 	}
@@ -371,7 +354,7 @@ func (s *sizer) reload(f logic.NodeID) {
 		return
 	}
 	load := s.lib.WireCap
-	for _, c := range s.fanout[s.fanoutAt[f]:s.fanoutAt[f+1]] {
+	for _, c := range s.fanout[f] {
 		size := 1.0
 		if cc := s.b.CellOf[c]; cc >= 0 {
 			size = s.b.Cells[cc].Size
@@ -411,7 +394,7 @@ func (s *sizer) retime() {
 			s.arrLog = append(s.arrLog, arrEntry{i, s.arr[i], s.from[i]})
 			s.arr[i], s.from[i] = arr, from
 			if moved {
-				for _, c := range s.fanout[s.fanoutAt[i]:s.fanoutAt[i+1]] {
+				for _, c := range s.fanout[i] {
 					s.mark(c)
 				}
 			}
