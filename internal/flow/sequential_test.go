@@ -217,7 +217,7 @@ func TestSequentialResynthesize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := prepare(part.Block, Config{Resynthesize: true, MaxCollapseSupport: 14}, nil)
+	net, err := prepare(part.Block, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/domino"
 	"repro/internal/flow"
 	"repro/internal/phase"
@@ -91,7 +92,11 @@ func TestCacheKeyZeroVsDefault(t *testing.T) {
 // results must not fragment the key.
 func TestCacheKeyWallclockInvariant(t *testing.T) {
 	base := mustKey(t, flow.Config{}, false, keyFile)
+	// The delay model's budget token is plumbing, kept out of JSON.
+	tokened := timing.DefaultParams()
+	tokened.Budget = budget.New(0, 0)
 	for _, cfg := range []flow.Config{
+		{Timing: &tokened},
 		{Workers: 1}, {Workers: 8},
 		{SimKernel: 1}, {SimKernel: sim.KernelScalar}, // 1: the retired wide kernel's wire value
 		{Workers: 3, SimKernel: sim.KernelScalar},

@@ -38,9 +38,10 @@ type Params struct {
 	// SizeStep is the multiplicative upsizing step.
 	SizeStep float64
 	// Budget is the row's cancellation token (nil = never cancelled):
-	// Tighten and Resize poll it before every trial upsizing. Excluded
-	// from JSON, like power.Options.Budget, so it never reaches a
-	// configuration's wire form or cache key.
+	// Tighten and Resize poll it before every trial upsizing. The flow
+	// sets it on its own copy of the configured params, overriding any
+	// caller-set token. Excluded from JSON, like power.Options.Budget,
+	// so it never reaches a configuration's wire form or cache key.
 	Budget *budget.T `json:"-"`
 }
 
@@ -325,22 +326,22 @@ func (s *sizer) try(ci int) bool {
 	s.mark(cell.Node)
 	s.retime()
 	crit, out := critical(s.b, s.p, s.arr)
-	if crit < s.a.Critical-1e-12 {
+	kept := crit < s.a.Critical-1e-12
+	if kept {
 		s.a = &Analysis{Arrival: s.arr, Critical: crit, CriticalOutput: out, CriticalPath: criticalPath(s.b, out, s.from)}
-		s.loadLog, s.arrLog = s.loadLog[:0], s.arrLog[:0]
-		return true
+	} else {
+		for i := len(s.arrLog) - 1; i >= 0; i-- {
+			e := s.arrLog[i]
+			s.arr[e.node], s.from[e.node] = e.arr, e.from
+		}
+		for i := len(s.loadLog) - 1; i >= 0; i-- {
+			e := s.loadLog[i]
+			s.b.Cells[e.ci].Load = e.load
+		}
+		cell.Size = old
 	}
-	for i := len(s.arrLog) - 1; i >= 0; i-- {
-		e := s.arrLog[i]
-		s.arr[e.node], s.from[e.node] = e.arr, e.from
-	}
-	for i := len(s.loadLog) - 1; i >= 0; i-- {
-		e := s.loadLog[i]
-		s.b.Cells[e.ci].Load = e.load
-	}
-	cell.Size = old
 	s.loadLog, s.arrLog = s.loadLog[:0], s.arrLog[:0]
-	return false
+	return kept
 }
 
 // reload re-sums driver f's load in Block.NodeLoads' order — WireCap,
