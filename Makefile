@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench benchtest corpussmoke loc lint lintgate staticcheck staticcheck-install docgate fmt
+.PHONY: all build test race fuzz bench benchtest corpussmoke loc lint lintgate staticcheck staticcheck-install docgate testinggate fmt
 
 all: lint build test
 
@@ -61,9 +61,9 @@ loc:
 	@echo "test Go lines:     $$(git ls-files '*.go' | grep -v '^bench/' | grep '_test.go$$' | grep -v testdata | xargs cat | wc -l)"
 
 # Static-analysis ladder, cheapest first: gofmt (formatting), docgate
-# (package docs), go vet (stdlib checks), dominolint (repo contracts:
-# determinism, cache keys, budget polling — see internal/lint), then
-# staticcheck when installed. dominolint findings are persisted to
+# (package docs), testinggate (no production "testing" import), go vet
+# (stdlib checks), dominolint (repo contracts: determinism, cache keys,
+# budget polling — see internal/lint), then staticcheck when installed. dominolint findings are persisted to
 # dominolint-findings.txt (uploaded as a CI artifact, empty when clean).
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -71,6 +71,7 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	@$(MAKE) --no-print-directory docgate
+	@$(MAKE) --no-print-directory testinggate
 	$(GO) vet ./...
 	$(GO) run ./cmd/dominolint -out dominolint-findings.txt ./...
 	@$(MAKE) --no-print-directory staticcheck
@@ -113,6 +114,15 @@ docgate:
 		fi; \
 	done; \
 	[ $$missing -eq 0 ] || exit 1
+
+# No non-test Go file outside bench/ may import "testing": code only
+# tests call lives in _test.go files. `go list` reports each package's
+# non-test imports (bench/ is its own module, so ./... skips it).
+testinggate:
+	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E ' testing( |$$)' | cut -d: -f1); \
+	if [ -n "$$bad" ]; then \
+		echo "testinggate: non-test files of these packages import \"testing\":"; echo "$$bad"; exit 1; \
+	fi
 
 fmt:
 	gofmt -w .

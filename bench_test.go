@@ -118,7 +118,7 @@ func BenchmarkFigure5(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := power.SwitchingOnly(blk, probs, power.Options{Method: power.Exact})
+			s, err := totalSwitching(blk, probs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -127,6 +127,32 @@ func BenchmarkFigure5(b *testing.B) {
 		reduction = 100 * (1 - totals[1]/totals[0])
 	}
 	b.ReportMetric(reduction, "%fewer_transitions") // paper: 75
+}
+
+// totalSwitching is Figure 5's metric: the block's unweighted total
+// switching (every load and penalty 1) under exact probabilities — each
+// domino cell's, then each boundary inverter's, read from Estimate's
+// node probabilities.
+func totalSwitching(blk *domino.Block, probs []float64) (float64, error) {
+	rep, err := power.Estimate(blk, probs, power.Options{Method: power.Exact})
+	if err != nil {
+		return 0, err
+	}
+	total := 0.0
+	for ci := range blk.Cells {
+		total += prob.DominoSwitching(rep.NodeProbs[blk.Cells[ci].Node])
+	}
+	for _, bi := range blk.Phase.Inputs {
+		if bi.Inverted {
+			total += prob.BoundaryInputInverterSwitching(probs[bi.InputPos])
+		}
+	}
+	for i, bo := range blk.Phase.Outputs {
+		if bo.Negated {
+			total += prob.BoundaryOutputInverterSwitching(rep.NodeProbs[blk.Net.Outputs()[i].Driver])
+		}
+	}
+	return total, nil
 }
 
 // --- Figure 6: the overall paradigm loop -------------------------------
@@ -310,9 +336,10 @@ func BenchmarkAblationProbabilityEngine(b *testing.B) {
 }
 
 // BenchmarkAblationPenalty explores the paper's future-work direction
-// (timing-integrated phase assignment) through the P_i knob: the MP
-// objective with and without the AND-stack penalty, reporting the
-// AND-cell count of the chosen synthesis and its resize effort.
+// (timing-integrated phase assignment) through the P_i knob: the timed
+// flow with and without the AND-stack penalty in the library
+// (Lib.AndPenalty), reporting the AND-cell count of the chosen MP
+// synthesis and its resize effort.
 func BenchmarkAblationPenalty(b *testing.B) {
 	b.ReportAllocs()
 	c := gen.NamedCircuit{
@@ -326,23 +353,16 @@ func BenchmarkAblationPenalty(b *testing.B) {
 		pen := pen
 		b.Run(pen.name, func(b *testing.B) {
 			b.ReportAllocs()
+			lib := domino.DefaultLibrary()
+			lib.AndPenalty = pen.val
 			var andCells, steps float64
 			for i := 0; i < b.N; i++ {
-				if pen.val == 0 {
-					row, err := flow.RunCircuitTimed(c, flow.Config{SimVectors: 1024})
-					if err != nil {
-						b.Fatal(err)
-					}
-					andCells = countAnd(row)
-					steps = float64(row.MP.ResizeSteps)
-				} else {
-					res, err := flow.RunCircuitTimingAware(c, flow.Config{SimVectors: 1024}, pen.val)
-					if err != nil {
-						b.Fatal(err)
-					}
-					andCells = countAnd(res.Penalized)
-					steps = float64(res.PenalizedResizeSteps)
+				row, err := flow.RunCircuitTimed(c, flow.Config{SimVectors: 1024, Lib: &lib})
+				if err != nil {
+					b.Fatal(err)
 				}
+				andCells = countAnd(row)
+				steps = float64(row.MP.ResizeSteps)
 			}
 			b.ReportMetric(andCells, "mp_and_cells")
 			b.ReportMetric(steps, "mp_resize_steps")

@@ -273,14 +273,3 @@ func (b *Block) Area() float64 {
 	a += float64(b.InverterCount()) * b.lib.InverterArea
 	return a
 }
-
-// WidthHistogram returns cell counts keyed by (kind, width), a quick
-// structural fingerprint used in tests and reports.
-func (b *Block) WidthHistogram() map[string]int {
-	h := make(map[string]int)
-	for i := range b.Cells {
-		key := fmt.Sprintf("%s%d", b.Cells[i].Kind, b.Cells[i].Width)
-		h[key]++
-	}
-	return h
-}

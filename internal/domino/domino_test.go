@@ -1,6 +1,7 @@
 package domino
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,7 +50,7 @@ func TestMapFigure5(t *testing.T) {
 	if got := b.CellCount(); got != 5 {
 		t.Errorf("cell count = %d, want 5", got)
 	}
-	h := b.WidthHistogram()
+	h := widthHistogram(b)
 	if h["or2"] != 2 || h["and2"] != 2 {
 		t.Errorf("width histogram = %v, want 2×or2 + 2×and2", h)
 	}
@@ -95,7 +96,7 @@ func TestLegalizeWidths(t *testing.T) {
 	}
 	// 10-input AND with 4-series: 10 -> 3 cells + root = ceil(10/4)=3 then
 	// 3<=4 one root: 4 cells total for the AND tree.
-	h := b.WidthHistogram()
+	h := widthHistogram(b)
 	if h["and4"] != 2 || h["and2"] != 1 || h["and3"] != 1 {
 		t.Errorf("AND tree histogram = %v", h)
 	}
@@ -298,4 +299,14 @@ func TestSharedDriverOutputLoads(t *testing.T) {
 	if got, want := blk.Cells[0].Load, 2*lib.OutputCap; got != want {
 		t.Errorf("shared driver load = %v, want %v", got, want)
 	}
+}
+
+// widthHistogram returns cell counts keyed by (kind, width), a quick
+// structural fingerprint of a mapping.
+func widthHistogram(b *Block) map[string]int {
+	h := make(map[string]int)
+	for i := range b.Cells {
+		h[fmt.Sprintf("%s%d", b.Cells[i].Kind, b.Cells[i].Width)]++
+	}
+	return h
 }

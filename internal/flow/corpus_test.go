@@ -16,7 +16,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/report"
-	"repro/internal/sim"
 )
 
 // Small hand-written corpus members: fast to synthesize (<= 3 outputs
@@ -251,10 +250,9 @@ func TestRunCorpusTimeoutLeaksNoGoroutines(t *testing.T) {
 			Workers: 2,
 			Timeout: 30 * time.Millisecond,
 			Configure: func(c *corpus.Circuit, base flow.Config) flow.Config {
-				// Pin the circuit in the scalar sim loop so only
+				// Pin the circuit in the sim loop so only
 				// cancellation can end it.
-				base.SimVectors = 1 << 28
-				base.SimKernel = sim.KernelScalar
+				base.SimVectors = 1 << 30
 				return base
 			},
 		})

@@ -8,8 +8,9 @@
 //	  → (Table 2 only) transistor resizing to a timing target
 //	  → power measurement by Monte-Carlo simulation (PowerMill stand-in)
 //
-// RunTable1 and RunTable2 regenerate the paper's two result tables on the
-// synthetic benchmark twins of internal/gen.
+// RunCircuit and RunCircuitTimed compute one row of the paper's Table 1
+// and Table 2; over the synthetic benchmark twins of internal/gen
+// (gen.Table1Circuits, gen.Table2Circuits) they regenerate both tables.
 package flow
 
 import (
@@ -93,7 +94,7 @@ type Config struct {
 	// Cache-key: semantic.
 	InputProb float64 `json:"InputProb"`
 	// SimVectors is the Monte-Carlo cycle count for final measurement
-	// (default 4096).
+	// (default sim.DefaultVectors).
 	// Cache-key: semantic.
 	SimVectors int `json:"SimVectors"`
 	// SimSeed drives the measurement vectors.
@@ -107,7 +108,7 @@ type Config struct {
 	// Cache-key: semantic.
 	MaxPairs int `json:"MaxPairs"`
 	// ExhaustiveLimit is the output count up to which MinArea searches
-	// exhaustively (default 12).
+	// exhaustively (default phase.DefaultExhaustiveLimit).
 	// Cache-key: semantic.
 	ExhaustiveLimit int `json:"ExhaustiveLimit"`
 	// Timing is the delay model for the timed flow (default
@@ -144,15 +145,15 @@ type Config struct {
 	// single-stream measurement. Validate caps it at sim.MaxShards.
 	// Cache-key: semantic.
 	SimShards int `json:"SimShards"`
-	// SimKernel selects the measurement engine (see sim.Kernel); the
-	// zero value, sim.KernelAuto, and the reserved value 1 both run the
-	// blocked one. Like Workers, it never changes results — only
-	// wall-clock.
+	// SimKernel is kept so that existing configurations still decode
+	// (see sim.Kernel): every valid value, 0 through sim.KernelBlocked,
+	// runs the one blocked kernel. Like Workers, it never changes
+	// results.
 	// Cache-key: wall-clock (erased by Canonical).
 	SimKernel sim.Kernel `json:"SimKernel"`
 	// SimBlockWords sets the blocked kernel's block size in 64-lane
 	// words (see sim.Config.BlockWords); 0 means the kernel default.
-	// Like SimKernel, it never changes results — only wall-clock.
+	// Like Workers, it never changes results — only wall-clock.
 	// Cache-key: wall-clock (erased by Canonical).
 	SimBlockWords int `json:"SimBlockWords"`
 	// PhaseScoring selects the candidate-scoring engine of the
@@ -235,10 +236,10 @@ func (c *Config) defaults() {
 		c.InputProb = 0.5
 	}
 	if c.SimVectors == 0 {
-		c.SimVectors = 4096
+		c.SimVectors = sim.DefaultVectors
 	}
 	if c.ExhaustiveLimit == 0 {
-		c.ExhaustiveLimit = 12
+		c.ExhaustiveLimit = phase.DefaultExhaustiveLimit
 	}
 	if c.Timing == nil {
 		p := timing.DefaultParams()
@@ -267,19 +268,20 @@ func (c *Config) defaults() {
 func (c Config) Canonical() Config {
 	c.defaults()
 	// Deeper zero-value defaults applied by the engines themselves
-	// (power.Options, phase.SearchOptions) are mirrored here so
-	// zero-vs-default spellings of those knobs also key identically.
+	// (power.Options, prob, phase.SearchOptions) are read from their
+	// packages, so zero-vs-default spellings of those knobs key
+	// identically and run identically.
 	if c.EstOpts.Depth == 0 {
-		c.EstOpts.Depth = 4
+		c.EstOpts.Depth = power.DefaultDepth
 	}
 	if c.EstOpts.MaxFrontier == 0 {
-		c.EstOpts.MaxFrontier = 16
+		c.EstOpts.MaxFrontier = prob.DefaultMaxFrontier
 	}
 	if c.EstOpts.MCVectors == 0 {
-		c.EstOpts.MCVectors = 2048
+		c.EstOpts.MCVectors = prob.DefaultMCVectors
 	}
 	if c.SearchRestarts == 0 {
-		c.SearchRestarts = 3
+		c.SearchRestarts = phase.DefaultRestarts
 	}
 	// Pure wall-clock knobs: no result anywhere depends on them.
 	c.Workers = 0
@@ -598,34 +600,6 @@ func savings(ma, mp *Synthesis) (areaPen, pwrSav float64) {
 		pwrSav = 100 * (ma.SimPower - mp.SimPower) / ma.SimPower
 	}
 	return areaPen, pwrSav
-}
-
-// RunTable1 regenerates Table 1 (untimed flow, PI probability 0.5) over
-// the seven benchmark twins.
-func RunTable1(cfg Config) ([]*Row, error) {
-	var rows []*Row
-	for _, c := range gen.Table1Circuits() {
-		row, err := RunCircuit(c, cfg)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RunTable2 regenerates Table 2 (timed flow with resizing) over the four
-// public benchmark twins.
-func RunTable2(cfg Config) ([]*Row, error) {
-	var rows []*Row
-	for _, c := range gen.Table2Circuits() {
-		row, err := RunCircuitTimed(c, cfg)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // Averages returns the mean area penalty and power saving of a row set —

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/budget"
 	"repro/internal/gen"
@@ -11,12 +12,15 @@ import (
 	"repro/internal/power"
 	"repro/internal/seq"
 	"repro/internal/sim"
+	"repro/internal/timing"
 )
 
-// Validate rejects configurations that no flow can execute, naming the
+// Validate rejects configurations that no flow can execute, or whose
+// delay model would let resizing run without bound, naming the
 // offending field in the error so API boundaries (internal/serve) can
 // turn it into a structured 400 instead of a mid-job failure. It checks
-// ranges only — it does not apply defaults, so the zero value validates.
+// ranges only — it does not apply defaults, so the zero value
+// validates.
 func (c Config) Validate() error {
 	switch {
 	case c.InputProb < 0 || c.InputProb > 1:
@@ -61,6 +65,35 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flow: config field EstOpts.MaxFrontier: %d is negative", c.EstOpts.MaxFrontier)
 	case c.EstOpts.MCVectors < 0:
 		return fmt.Errorf("flow: config field EstOpts.MCVectors: %d is negative", c.EstOpts.MCVectors)
+	}
+	if c.Timing != nil {
+		return validateTiming(c.Timing)
+	}
+	return nil
+}
+
+// validateTiming checks a configured delay model: finite non-negative
+// delays, a MaxSize in [1, timing.MaxSizeLimit], a finite SizeStep above
+// 1, and at most timing.MaxUpsizings upsizings per cell, which bounds
+// every Tighten and Resize at cells × MaxUpsizings steps.
+func validateTiming(p *timing.Params) error {
+	for _, d := range []struct {
+		field string
+		v     float64
+	}{{"Intrinsic", p.Intrinsic}, {"SeriesDelay", p.SeriesDelay}, {"LoadDelay", p.LoadDelay}, {"InverterDelay", p.InverterDelay}} {
+		if !(d.v >= 0) || math.IsInf(d.v, 1) {
+			return fmt.Errorf("flow: config field Timing.%s: %v is negative or not finite", d.field, d.v)
+		}
+	}
+	switch {
+	case !(p.MaxSize >= 1 && p.MaxSize <= timing.MaxSizeLimit):
+		return fmt.Errorf("flow: config field Timing.MaxSize: %v out of range [1,%d]", p.MaxSize, timing.MaxSizeLimit)
+	case !(p.SizeStep > 1) || math.IsInf(p.SizeStep, 1):
+		return fmt.Errorf("flow: config field Timing.SizeStep: %v is not a finite step above 1", p.SizeStep)
+	}
+	if n := math.Floor(math.Log(p.MaxSize) / math.Log(p.SizeStep)); n > timing.MaxUpsizings {
+		return fmt.Errorf("flow: config field Timing.SizeStep: %v takes a cell to MaxSize %v in %v upsizings, more than %d",
+			p.SizeStep, p.MaxSize, n, timing.MaxUpsizings)
 	}
 	return nil
 }

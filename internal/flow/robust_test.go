@@ -13,10 +13,12 @@ import (
 	"repro/internal/phase"
 	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/timing"
 )
 
-// TestConfigValidate: the zero config and the defaults validate; every
-// out-of-range field is rejected with an error naming that field.
+// TestConfigValidate: the zero config, the defaults and delay models
+// within the bounds validate; every out-of-range field is rejected with
+// an error naming that field.
 func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config must validate, got %v", err)
@@ -25,6 +27,23 @@ func TestConfigValidate(t *testing.T) {
 	def.defaults()
 	if err := def.Validate(); err != nil {
 		t.Fatalf("default config must validate, got %v", err)
+	}
+	model := func(edit func(*timing.Params)) *timing.Params {
+		p := timing.DefaultParams()
+		edit(&p)
+		return &p
+	}
+	for _, p := range []*timing.Params{
+		// The sizer oracle test's model: 42 upsizings per cell.
+		model(func(p *timing.Params) { p.SizeStep, p.MaxSize = 1.05, 8 }),
+		// 63 upsizings; all-zero delays; the largest MaxSize.
+		model(func(p *timing.Params) { p.SizeStep = 1.0333 }),
+		model(func(p *timing.Params) { p.Intrinsic, p.SeriesDelay, p.LoadDelay, p.InverterDelay = 0, 0, 0, 0 }),
+		model(func(p *timing.Params) { p.SizeStep, p.MaxSize = 2, timing.MaxSizeLimit }),
+	} {
+		if err := (Config{Timing: p}).Validate(); err != nil {
+			t.Errorf("delay model %+v must validate, got %v", *p, err)
+		}
 	}
 	cases := []struct {
 		field string
@@ -55,6 +74,25 @@ func TestConfigValidate(t *testing.T) {
 		{"EstOpts.Depth", Config{EstOpts: power.Options{Depth: -1}}},
 		{"EstOpts.MaxFrontier", Config{EstOpts: power.Options{MaxFrontier: -1}}},
 		{"EstOpts.MCVectors", Config{EstOpts: power.Options{MCVectors: -1}}},
+		{"Timing.Intrinsic", Config{Timing: model(func(p *timing.Params) { p.Intrinsic = -1 })}},
+		{"Timing.Intrinsic", Config{Timing: model(func(p *timing.Params) { p.Intrinsic = math.NaN() })}},
+		{"Timing.SeriesDelay", Config{Timing: model(func(p *timing.Params) { p.SeriesDelay = -0.15 })}},
+		{"Timing.LoadDelay", Config{Timing: model(func(p *timing.Params) { p.LoadDelay = math.Inf(1) })}},
+		{"Timing.InverterDelay", Config{Timing: model(func(p *timing.Params) { p.InverterDelay = -0.5 })}},
+		// The zero model ({"Timing":{}} on the wire).
+		{"Timing.MaxSize", Config{Timing: &timing.Params{}}},
+		{"Timing.MaxSize", Config{Timing: model(func(p *timing.Params) { p.MaxSize = 0.5 })}},
+		{"Timing.MaxSize", Config{Timing: model(func(p *timing.Params) { p.MaxSize = timing.MaxSizeLimit + 1 })}},
+		{"Timing.MaxSize", Config{Timing: model(func(p *timing.Params) { p.MaxSize = math.NaN() })}},
+		// The model that took x3's probe to 18,814 Tighten steps.
+		{"Timing.MaxSize", Config{Timing: model(func(p *timing.Params) { p.SizeStep, p.MaxSize = 1.01, 1e6 })}},
+		{"Timing.SizeStep", Config{Timing: model(func(p *timing.Params) { p.SizeStep = 1 })}},
+		{"Timing.SizeStep", Config{Timing: model(func(p *timing.Params) { p.SizeStep = 0.5 })}},
+		{"Timing.SizeStep", Config{Timing: model(func(p *timing.Params) { p.SizeStep = math.Inf(1) })}},
+		{"Timing.SizeStep", Config{Timing: model(func(p *timing.Params) { p.SizeStep = math.NaN() })}},
+		// 65 and 208 upsizings per cell.
+		{"Timing.SizeStep", Config{Timing: model(func(p *timing.Params) { p.SizeStep = 1.0324 })}},
+		{"Timing.SizeStep", Config{Timing: model(func(p *timing.Params) { p.SizeStep = 1.01 })}},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -268,24 +306,26 @@ func TestX4FrontierExactSifted(t *testing.T) {
 	}
 }
 
-// TestRetiredSimKernelValue: the retired wide kernel's wire value 1
-// still validates, and it runs the blocked kernel, so its row is the
-// default config's row.
+// TestRetiredSimKernelValue: the retired wide and scalar kernels' wire
+// values 1 and 2 still validate, and they run the blocked kernel, so
+// their rows are the default config's row.
 func TestRetiredSimKernelValue(t *testing.T) {
-	cfg := Config{SimVectors: 512, SimKernel: 1}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("SimKernel 1 must validate, got %v", err)
-	}
 	want, err := RunCircuit(smallCircuit(), Config{SimVectors: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunCircuit(smallCircuit(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SimKernel 1 row differs from the default row:\n%+v\nvs\n%+v", got, want)
+	for _, k := range []sim.Kernel{1, 2} {
+		cfg := Config{SimVectors: 512, SimKernel: k}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("SimKernel %d must validate, got %v", k, err)
+		}
+		got, err := RunCircuit(smallCircuit(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("SimKernel %d row differs from the default row:\n%+v\nvs\n%+v", k, got, want)
+		}
 	}
 }
 

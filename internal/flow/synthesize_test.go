@@ -31,16 +31,17 @@ func maMP(base Config, strategies ...phase.SearchStrategy) []synthesizer {
 	return out
 }
 
-// TestSynthesizeKernelInvariant pins the kernel contract at the top of
-// the stack: swapping the blocked measurement engine for the scalar
-// oracle must not change a single field of either synthesis, with the
-// phase search and the simulator both sharded.
+// TestSynthesizeKernelInvariant pins the SimKernel wire contract at the
+// top of the stack: no valid value, the reserved ones included, may
+// change a single field of either synthesis, with the phase search and
+// the simulator both sharded. (The sim package tests compare the blocked
+// kernel with its scalar oracle.)
 func TestSynthesizeKernelInvariant(t *testing.T) {
 	net := Prepare(gen.Generate(gen.Params{Name: "kernreg", Inputs: 10, Outputs: 5, Gates: 60, Seed: 0xBEA7, OrProb: 0.6}))
 	base := Config{SimVectors: 1500, SimSeed: 7, Workers: 4, SimShards: 4}
 	for _, s := range maMP(base) {
 		var want *Synthesis
-		for _, k := range []sim.Kernel{sim.KernelScalar, sim.KernelAuto} {
+		for k := sim.KernelAuto; k <= sim.KernelBlocked; k++ {
 			cfg := s.cfg
 			cfg.SimKernel = k
 			got, err := s.run(net, cfg)

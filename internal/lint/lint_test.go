@@ -5,18 +5,18 @@ import (
 	"testing"
 )
 
-func TestDetRangeFixture(t *testing.T)   { RunFixture(t, DetRange, "detrange/flow") }
-func TestBudgetPollFixture(t *testing.T) { RunFixture(t, BudgetPoll, "budgetpoll/sim") }
-func TestWallTimeFixture(t *testing.T)   { RunFixture(t, WallTime, "walltime/power") }
-func TestErrSinkFixture(t *testing.T)    { RunFixture(t, ErrSink, "errsink/blif") }
+func TestDetRangeFixture(t *testing.T)   { runFixture(t, DetRange, "detrange/flow") }
+func TestBudgetPollFixture(t *testing.T) { runFixture(t, BudgetPoll, "budgetpoll/sim") }
+func TestWallTimeFixture(t *testing.T)   { runFixture(t, WallTime, "walltime/power") }
+func TestErrSinkFixture(t *testing.T)    { runFixture(t, ErrSink, "errsink/blif") }
 
 func TestCacheKeyFixtures(t *testing.T) {
-	RunFixture(t, CacheKey, "cachekey/good/flow")
-	RunFixture(t, CacheKey, "cachekey/bad/flow")
-	RunFixture(t, CacheKey, "cachekey/nocanon/flow")
+	runFixture(t, CacheKey, "cachekey/good/flow")
+	runFixture(t, CacheKey, "cachekey/bad/flow")
+	runFixture(t, CacheKey, "cachekey/nocanon/flow")
 }
 
-func TestDirectiveFixture(t *testing.T) { RunFixture(t, DirectiveAnalyzer, "directive/flow") }
+func TestDirectiveFixture(t *testing.T) { runFixture(t, DirectiveAnalyzer, "directive/flow") }
 
 // TestSuiteOutOfScope: the full suite over a package outside every
 // scope reports nothing even though each violation pattern is present.

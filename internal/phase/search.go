@@ -64,6 +64,12 @@ func maskAssignment(mask, k int) Assignment {
 	return asg
 }
 
+// SearchOptions' defaults for a zero ExhaustiveLimit and Restarts.
+const (
+	DefaultExhaustiveLimit = 12
+	DefaultRestarts        = 3
+)
+
 // SearchOptions configures Search (and its MinArea alias).
 type SearchOptions struct {
 	// Strategy selects the search implementation (see SearchStrategy).
@@ -71,11 +77,11 @@ type SearchOptions struct {
 	// exhaustive up to ExhaustiveLimit outputs, greedy descent beyond.
 	Strategy SearchStrategy
 	// ExhaustiveLimit: under StrategyAuto, exhaustive search is used when
-	// the output count is at most this (default 12).
+	// the output count is at most this (default DefaultExhaustiveLimit).
 	ExhaustiveLimit int
 	// Restarts is the number of random restarts for the greedy descent
-	// (default 3, plus the all-positive start) and, for StrategyAnneal,
-	// the number of extra annealing chains.
+	// (default DefaultRestarts, plus the all-positive start) and, for
+	// StrategyAnneal, the number of extra annealing chains.
 	Restarts int
 	// Initial, when non-nil, replaces the all-positive assignment as the
 	// first greedy start / annealing chain's start. The exact strategies
@@ -108,10 +114,10 @@ type SearchOptions struct {
 
 func (o *SearchOptions) defaults() {
 	if o.ExhaustiveLimit == 0 {
-		o.ExhaustiveLimit = 12
+		o.ExhaustiveLimit = DefaultExhaustiveLimit
 	}
 	if o.Restarts == 0 {
-		o.Restarts = 3
+		o.Restarts = DefaultRestarts
 	}
 	if o.Eval == nil {
 		o.Eval = AreaEvaluator

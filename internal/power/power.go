@@ -50,6 +50,10 @@ const (
 // falls back to approximate probabilities.
 const AutoExactInputLimit = 24
 
+// DefaultDepth is LimitedDepth's truncation depth when Options.Depth
+// is not positive.
+const DefaultDepth = 4
+
 // Options configures estimation.
 type Options struct {
 	Method Method
@@ -57,13 +61,13 @@ type Options struct {
 	// the *original* primary-input variables (nil = the paper's
 	// reverse-topological heuristic mapped onto them).
 	Order []int
-	// Depth and MaxFrontier parameterize LimitedDepth (defaults 4 and
-	// 16).
+	// Depth and MaxFrontier parameterize LimitedDepth (defaults
+	// DefaultDepth and prob.DefaultMaxFrontier).
 	Depth       int
 	MaxFrontier int
-	// MCVectors and MCSeed parameterize MonteCarlo (default 2048
-	// vectors, seed 0). Both are semantic: they change the estimated
-	// probabilities deterministically.
+	// MCVectors and MCSeed parameterize MonteCarlo (default
+	// prob.DefaultMCVectors vectors, seed 0). Both are semantic: they
+	// change the estimated probabilities deterministically.
 	MCVectors int
 	MCSeed    int64
 	// Budget is the cancellation/resource token every engine runs
@@ -175,7 +179,7 @@ func netNodeProbs(net *logic.Network, lits []bdd.InputLit, varProbs []float64, o
 	if opts.Method == LimitedDepth {
 		depth := opts.Depth
 		if depth <= 0 {
-			depth = 4
+			depth = DefaultDepth
 		}
 		nodeProbs, err := prob.LimitedDepthBudget(net, litProbs, depth, opts.MaxFrontier, opts.Budget)
 		return nodeProbs, false, err
@@ -279,44 +283,4 @@ func (e *Estimator) Evaluate(r *phase.Result) (float64, error) {
 		return 0, err
 	}
 	return rep.Total, nil
-}
-
-// SwitchingOnly computes the unweighted total switching of a block (all
-// loads and penalties treated as 1) — the Figure 5 metric. It shares the
-// probability engine selection with Estimate.
-func SwitchingOnly(b *domino.Block, inputProbs []float64, opts Options) (float64, error) {
-	rep, err := Estimate(b, inputProbs, opts)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for ci := range b.Cells {
-		total += prob.DominoSwitching(rep.NodeProbs[b.Cells[ci].Node])
-	}
-	for pos := range b.Net.Inputs() {
-		bi := b.Phase.Inputs[pos]
-		if bi.Inverted {
-			total += prob.BoundaryInputInverterSwitching(inputProbs[bi.InputPos])
-		}
-	}
-	for i, bo := range b.Phase.Outputs {
-		if bo.Negated {
-			total += prob.BoundaryOutputInverterSwitching(rep.NodeProbs[b.Net.Outputs()[i].Driver])
-		}
-	}
-	return total, nil
-}
-
-// CellSwitching returns the switching probability of each domino cell,
-// parallel to Block.Cells, using the requested engine.
-func CellSwitching(b *domino.Block, inputProbs []float64, opts Options) ([]float64, error) {
-	rep, err := Estimate(b, inputProbs, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(b.Cells))
-	for ci := range b.Cells {
-		out[ci] = prob.DominoSwitching(rep.NodeProbs[b.Cells[ci].Node])
-	}
-	return out, nil
 }

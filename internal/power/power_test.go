@@ -42,22 +42,50 @@ func mapFig5(t testing.TB, asg phase.Assignment) *domino.Block {
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestSwitchingOnlyMatchesFigure5(t *testing.T) {
+// cellSwitching is each domino cell's switching probability, parallel
+// to Block.Cells, read from an Estimate report's node probabilities.
+func cellSwitching(b *domino.Block, rep *Report) []float64 {
+	out := make([]float64, len(b.Cells))
+	for ci := range b.Cells {
+		out[ci] = prob.DominoSwitching(rep.NodeProbs[b.Cells[ci].Node])
+	}
+	return out
+}
+
+// totalSwitching is Figure 5's metric: the block's unweighted total
+// switching (every load and penalty 1) — its cells', then its boundary
+// inverters' — from Estimate's exact node probabilities.
+func totalSwitching(t *testing.T, b *domino.Block, probs []float64) float64 {
+	t.Helper()
+	rep, err := Estimate(b, probs, Options{Method: Exact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	for _, s := range cellSwitching(b, rep) {
+		total += s
+	}
+	for _, bi := range b.Phase.Inputs {
+		if bi.Inverted {
+			total += prob.BoundaryInputInverterSwitching(probs[bi.InputPos])
+		}
+	}
+	for i, bo := range b.Phase.Outputs {
+		if bo.Negated {
+			total += prob.BoundaryOutputInverterSwitching(rep.NodeProbs[b.Net.Outputs()[i].Driver])
+		}
+	}
+	return total
+}
+
+func TestFigure5Switching(t *testing.T) {
 	probs := []float64{0.9, 0.9, 0.9, 0.9}
 	left := mapFig5(t, phase.Assignment{true, false})
 	right := mapFig5(t, phase.Assignment{false, true})
-	ls, err := SwitchingOnly(left, probs, Options{Method: Exact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := SwitchingOnly(right, probs, Options{Method: Exact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(ls, 4.4019) {
+	if ls := totalSwitching(t, left, probs); !almost(ls, 4.4019) {
 		t.Errorf("left total switching = %v, want 4.4019", ls)
 	}
-	if !almost(rs, 1.1219) {
+	if rs := totalSwitching(t, right, probs); !almost(rs, 1.1219) {
 		t.Errorf("right total switching = %v, want 1.1219", rs)
 	}
 }
@@ -303,10 +331,11 @@ func TestAndPenaltyRaisesPower(t *testing.T) {
 func TestCellSwitching(t *testing.T) {
 	probs := []float64{0.9, 0.9, 0.9, 0.9}
 	blk := mapFig5(t, phase.Assignment{true, false})
-	sw, err := CellSwitching(blk, probs, Options{Method: Exact})
+	rep, err := Estimate(blk, probs, Options{Method: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sw := cellSwitching(blk, rep)
 	// Cells implement X=a+b (.99), Y=cd (.81), X·Y (.8019), X+Y (.9981).
 	want := map[float64]bool{0.99: true, 0.81: true, 0.8019: true, 0.9981: true}
 	for _, s := range sw {

@@ -8,6 +8,10 @@ import (
 	"repro/internal/logic"
 )
 
+// DefaultMaxFrontier is LimitedDepthBudget's local-support cap when the
+// caller passes none.
+const DefaultMaxFrontier = 16
+
 // LimitedDepthBudget estimates signal probabilities with bounded
 // reconvergence analysis, after Costa, Monteiro & Devadas [6] (cited by
 // the paper): each node's probability is computed exactly over a local
@@ -18,7 +22,7 @@ import (
 //
 // maxFrontier caps the local support (BDD variable count); nodes whose
 // frontier exceeds it fall back to the correlation-free formula. Pass 0
-// for the default of 16.
+// for DefaultMaxFrontier.
 //
 // tok (nil = no budget, never cancelled) is polled once per node, and
 // each node's local cone build runs under the token's BDD node budget
@@ -30,7 +34,7 @@ func LimitedDepthBudget(n *logic.Network, inputProbs []float64, depth, maxFronti
 		panic(fmt.Sprintf("prob: %d input probs for %d inputs", len(inputProbs), n.NumInputs()))
 	}
 	if maxFrontier <= 0 {
-		maxFrontier = 16
+		maxFrontier = DefaultMaxFrontier
 	}
 	if depth <= 0 {
 		return Approximate(n, inputProbs), nil

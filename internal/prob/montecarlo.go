@@ -68,6 +68,10 @@ func BernoulliWord(rng *rand.Rand, p float64) uint64 {
 	return w
 }
 
+// DefaultMCVectors is MonteCarloLits' vector count when the caller
+// passes none.
+const DefaultMCVectors = 2048
+
 // MonteCarloLits estimates the probability of every node of n over an
 // external variable space, like ExactLits: input position p of the
 // network is the literal lits[p] (nil lits is the identity mapping,
@@ -76,8 +80,8 @@ func BernoulliWord(rng *rand.Rand, p float64) uint64 {
 // variable draw from the same random word, rail correlation is
 // respected exactly as in the exact engine.
 //
-// vectors defaults to 2048 when non-positive. tok, when non-nil, is
-// polled every mcPollWindows windows for cancellation.
+// vectors defaults to DefaultMCVectors when non-positive. tok, when
+// non-nil, is polled every mcPollWindows windows for cancellation.
 func MonteCarloLits(n *logic.Network, numVars int, lits []bdd.InputLit, varProbs []float64, vectors int, seed int64, tok *budget.T) ([]float64, error) {
 	if lits != nil && len(lits) != n.NumInputs() {
 		return nil, fmt.Errorf("prob: %d literals for %d inputs", len(lits), n.NumInputs())
@@ -89,7 +93,7 @@ func MonteCarloLits(n *logic.Network, numVars int, lits []bdd.InputLit, varProbs
 		return nil, fmt.Errorf("prob: %d var probs for %d vars", len(varProbs), numVars)
 	}
 	if vectors <= 0 {
-		vectors = 2048
+		vectors = DefaultMCVectors
 	}
 	rng := rand.New(rand.NewSource(seed))
 	varWords := make([]uint64, numVars)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -10,22 +11,26 @@ import (
 )
 
 // CacheKey content-addresses one circuit's flow result: the SHA-256 of
-// (canonical configuration JSON, flow selector, file bytes). Because a
-// corpus row is a pure function of exactly those inputs (the corpus
-// determinism contract, internal/README.md), a key collision-free cache
-// lookup is always a correct answer — no invalidation is ever needed.
+// (canonical configuration JSON, flow selector, submitted path, file
+// bytes). Because a corpus row is a pure function of exactly those
+// inputs (the corpus determinism contract, internal/README.md), a key
+// collision-free cache lookup is always a correct answer — no
+// invalidation is ever needed.
 //
 // The configuration is hashed in its flow.Config.Canonical() form, so
 // zero-valued and explicitly-defaulted configurations key identically
-// and the pure wall-clock knobs (Workers, SimKernel) do not key at all.
-// The timed flag is part of the key because the untimed (Table 1) and
-// timed (Table 2) flows produce different rows from the same file.
-func CacheKey(cfg flow.Config, timed bool, fileBytes []byte) ([32]byte, error) {
+// and the pure wall-clock knobs (Workers, SimKernel, SimBlockWords) do
+// not key at all. The timed flag is part of the key because the untimed
+// (Table 1) and timed (Table 2) flows produce different rows from the
+// same file. The path — the submitted, normalized circuit path — is
+// part of it because the row depends on it: its extension selects the
+// parser, and the row's name and its parse and flow errors carry it.
+func CacheKey(cfg flow.Config, timed bool, path string, fileBytes []byte) ([32]byte, error) {
 	cfgJSON, err := canonicalConfigJSON(cfg)
 	if err != nil {
 		return [32]byte{}, err
 	}
-	return keyFromCanonical(cfgJSON, timed, fileBytes), nil
+	return keyFromCanonical(cfgJSON, timed, path, fileBytes), nil
 }
 
 // canonicalConfigJSON is the deterministic byte form of a configuration:
@@ -41,9 +46,10 @@ func canonicalConfigJSON(cfg flow.Config) ([]byte, error) {
 
 // keyFromCanonical hashes a precomputed canonical config encoding — the
 // per-job fast path (one config encoding, many files). The 0x00
-// separator cannot occur inside JSON text, so the framing is
+// separator cannot occur inside JSON text, the selector has a fixed
+// length and the path is length-prefixed, so the framing is
 // unambiguous.
-func keyFromCanonical(cfgJSON []byte, timed bool, fileBytes []byte) [32]byte {
+func keyFromCanonical(cfgJSON []byte, timed bool, path string, fileBytes []byte) [32]byte {
 	h := sha256.New()
 	h.Write(cfgJSON)
 	sel := []byte{0, 't', 0}
@@ -51,6 +57,8 @@ func keyFromCanonical(cfgJSON []byte, timed bool, fileBytes []byte) [32]byte {
 		sel[1] = 'u'
 	}
 	h.Write(sel)
+	h.Write(binary.BigEndian.AppendUint64(nil, uint64(len(path))))
+	h.Write([]byte(path))
 	h.Write(fileBytes)
 	var key [32]byte
 	h.Sum(key[:0])
@@ -58,8 +66,9 @@ func keyFromCanonical(cfgJSON []byte, timed bool, fileBytes []byte) [32]byte {
 }
 
 // cachedResult is the deterministic portion of one corpus row — the
-// fields that are a pure function of (config, file bytes). Submission
-// metadata (index, submitted path, wall-clock) is reattached per job.
+// fields that are a pure function of (config, flow selector, path, file
+// bytes). Submission metadata (index, submitted path, wall-clock) is
+// reattached per job.
 type cachedResult struct {
 	sequential bool
 	row        *flow.Row

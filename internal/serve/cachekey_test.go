@@ -7,17 +7,22 @@ import (
 	"repro/internal/budget"
 	"repro/internal/domino"
 	"repro/internal/flow"
+	"repro/internal/gen"
 	"repro/internal/phase"
 	"repro/internal/power"
+	"repro/internal/prob"
 	"repro/internal/sim"
 	"repro/internal/timing"
 )
 
 var keyFile = []byte(".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n")
 
+// keyPath is the submitted path the key tests hash keyFile under.
+const keyPath = "t.blif"
+
 func mustKey(t *testing.T, cfg flow.Config, timed bool, data []byte) [32]byte {
 	t.Helper()
-	k, err := CacheKey(cfg, timed, data)
+	k, err := CacheKey(cfg, timed, keyPath, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func TestCanonicalCoversEveryConfigField(t *testing.T) {
 				"decide whether it changes rows and update Canonical plus this test", name)
 		}
 	}
-	canon := reflect.ValueOf(flow.Config{Workers: 7, SimKernel: sim.KernelScalar, SimBlockWords: 4}.Canonical())
+	canon := reflect.ValueOf(flow.Config{Workers: 7, SimKernel: sim.KernelBlocked, SimBlockWords: 4}.Canonical())
 	for name := range wallclock {
 		if !canon.FieldByName(name).IsZero() {
 			t.Errorf("Canonical() keeps wall-clock field %q; the key would fragment on it", name)
@@ -88,6 +93,46 @@ func TestCacheKeyZeroVsDefault(t *testing.T) {
 	}
 }
 
+// TestZeroAndSpelledDefaultsRunAlike: each engine default has one home,
+// the package that applies it, and Canonical reads it from there. A
+// zero knob and its spelled-out default must therefore share a key and
+// run the same row — under the depth-weighted and Monte-Carlo engines
+// and a greedy search too.
+func TestZeroAndSpelledDefaultsRunAlike(t *testing.T) {
+	twin := gen.Frg1()
+	ld, mc := power.Options{Method: power.LimitedDepth}, power.Options{Method: power.MonteCarlo}
+	for _, c := range []struct {
+		knob          string
+		zero, spelled flow.Config
+	}{
+		{"SimVectors", flow.Config{}, flow.Config{SimVectors: sim.DefaultVectors}},
+		{"ExhaustiveLimit", flow.Config{SimVectors: 512}, flow.Config{SimVectors: 512, ExhaustiveLimit: phase.DefaultExhaustiveLimit}},
+		{"EstOpts.Depth", flow.Config{SimVectors: 512, EstOpts: ld},
+			flow.Config{SimVectors: 512, EstOpts: power.Options{Method: power.LimitedDepth, Depth: power.DefaultDepth}}},
+		{"EstOpts.MaxFrontier", flow.Config{SimVectors: 512, EstOpts: ld},
+			flow.Config{SimVectors: 512, EstOpts: power.Options{Method: power.LimitedDepth, MaxFrontier: prob.DefaultMaxFrontier}}},
+		{"EstOpts.MCVectors", flow.Config{SimVectors: 512, EstOpts: mc},
+			flow.Config{SimVectors: 512, EstOpts: power.Options{Method: power.MonteCarlo, MCVectors: prob.DefaultMCVectors}}},
+		{"SearchRestarts", flow.Config{SimVectors: 512, SearchStrategy: phase.StrategyGreedy},
+			flow.Config{SimVectors: 512, SearchStrategy: phase.StrategyGreedy, SearchRestarts: phase.DefaultRestarts}},
+	} {
+		if mustKey(t, c.zero, false, keyFile) != mustKey(t, c.spelled, false, keyFile) {
+			t.Errorf("%s: zero and spelled-out default key differently", c.knob)
+		}
+		want, err := flow.RunCircuit(twin, c.zero)
+		if err != nil {
+			t.Fatalf("%s zero: %v", c.knob, err)
+		}
+		got, err := flow.RunCircuit(twin, c.spelled)
+		if err != nil {
+			t.Fatalf("%s spelled: %v", c.knob, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the spelled-out default runs another row:\n%+v\nvs\n%+v", c.knob, got, want)
+		}
+	}
+}
+
 // TestCacheKeyWallclockInvariant: knobs that by contract never change
 // results must not fragment the key.
 func TestCacheKeyWallclockInvariant(t *testing.T) {
@@ -98,8 +143,9 @@ func TestCacheKeyWallclockInvariant(t *testing.T) {
 	for _, cfg := range []flow.Config{
 		{Timing: &tokened},
 		{Workers: 1}, {Workers: 8},
-		{SimKernel: 1}, {SimKernel: sim.KernelScalar}, // 1: the retired wide kernel's wire value
-		{Workers: 3, SimKernel: sim.KernelScalar},
+		// 1 and 2: the retired wide and scalar kernels' wire values.
+		{SimKernel: 1}, {SimKernel: 2},
+		{Workers: 3, SimKernel: 2},
 		{SimKernel: sim.KernelBlocked, SimBlockWords: 4},
 		{SimBlockWords: 8},
 	} {
@@ -110,7 +156,7 @@ func TestCacheKeyWallclockInvariant(t *testing.T) {
 }
 
 // TestCacheKeySemanticChanges: every semantic knob (and the flow
-// selector, and the file bytes) must move the key.
+// selector, the submitted path and the file bytes) must move the key.
 func TestCacheKeySemanticChanges(t *testing.T) {
 	lib := domino.DefaultLibrary()
 	lib.MaxSeries = 3
@@ -157,6 +203,24 @@ func TestCacheKeySemanticChanges(t *testing.T) {
 	other := append(append([]byte{}, keyFile...), '\n')
 	if k := mustKey(t, flow.Config{}, false, other); keys[k] != "" {
 		t.Error("file bytes do not change the key")
+	}
+	for _, path := range []string{"t.pla", "u.blif", "dir/t.blif"} {
+		k, err := CacheKey(flow.Config{}, false, path, keyFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := keys[k]; dup {
+			t.Errorf("path %q keys identically to %q", path, prev)
+			continue
+		}
+		keys[k] = "path " + path
+	}
+	// The path is length-prefixed: moving bytes between the path and
+	// the file must move the key.
+	k1, err1 := CacheKey(flow.Config{}, false, "a.blif", []byte("x"))
+	k2, err2 := CacheKey(flow.Config{}, false, "a.blifx", nil)
+	if err1 != nil || err2 != nil || k1 == k2 {
+		t.Errorf("path/bytes boundary is ambiguous (%v, %v)", err1, err2)
 	}
 }
 

@@ -43,6 +43,13 @@ func FuzzParseConfig(f *testing.F) {
 		`{"AnnealSteps":-3}`,
 		`{"SimShards":1025}`,
 		`{"SearchStrategy":4,"SearchRestarts":1025}`,
+		`{"Timing":{"Intrinsic":1,"SeriesDelay":0.15,"LoadDelay":0.5,"InverterDelay":0.5,"MaxSize":8,"SizeStep":1.26}}`,
+		`{"Timing":{"Intrinsic":1,"MaxSize":8,"SizeStep":1.05},"Slack":1.1}`,
+		`{"Timing":{}}`,
+		`{"Timing":{"Intrinsic":1,"MaxSize":1000000,"SizeStep":1.01}}`,
+		`{"Timing":{"Intrinsic":1,"MaxSize":8,"SizeStep":1.01}}`,
+		`{"Timing":{"Intrinsic":-1,"MaxSize":8,"SizeStep":1.26}}`,
+		`{"Timing":{"LoadDelay":1e308,"MaxSize":1024,"SizeStep":2}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -72,8 +79,8 @@ func FuzzParseConfig(f *testing.F) {
 		if !reflect.DeepEqual(back.Canonical(), canon) {
 			t.Fatalf("canonical JSON %s decodes to another canonical form:\n%+v\n%+v", cj, back.Canonical(), canon)
 		}
-		k1, err1 := CacheKey(cfg, false, raw)
-		k2, err2 := CacheKey(canon, false, raw)
+		k1, err1 := CacheKey(cfg, false, "c.blif", raw)
+		k2, err2 := CacheKey(canon, false, "c.blif", raw)
 		if err1 != nil || err2 != nil || k1 != k2 {
 			t.Fatalf("CacheKey differs between a config and its canonical form (%v, %v)", err1, err2)
 		}

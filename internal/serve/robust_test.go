@@ -41,11 +41,11 @@ func waitStatus(t *testing.T, base, id string, pred func(jobStatus) bool) jobSta
 }
 
 // Hostile configurations, submitted as ordinary flow.Config JSON:
-// pinnedCfgJSON holds a circuit in the scalar sim loop (SimKernel 2)
-// until a timeout or DELETE cancels it, and budgetBlowCfgJSON forces
-// exact BDD probabilities (Method 1) under a node budget no circuit fits.
+// pinnedCfgJSON holds a circuit in the sim loop (2^30 vectors) until a
+// timeout or DELETE cancels it, and budgetBlowCfgJSON forces exact BDD
+// probabilities (Method 1) under a node budget no circuit fits.
 const (
-	pinnedCfgJSON     = `{"SimVectors":1073741824,"SimShards":2,"SimKernel":2}`
+	pinnedCfgJSON     = `{"SimVectors":1073741824,"SimShards":2}`
 	budgetBlowCfgJSON = `{"SimVectors":128,"SimShards":2,"EstOpts":{"Method":1},"BDDNodeBudget":8}`
 )
 
@@ -92,6 +92,12 @@ func TestConfigValidationRejections(t *testing.T) {
 		{"negative BDDNodeBudget", `{"BDDNodeBudget":-1}`, "BDDNodeBudget"},
 		{"negative SimVectorBudget", `{"SimVectorBudget":-8}`, "SimVectorBudget"},
 		{"negative AnnealSteps", `{"AnnealSteps":-3}`, "AnnealSteps"},
+		{"zero Timing model", `{"Timing":{}}`, "Timing.MaxSize"},
+		{"oversized Timing.MaxSize", `{"Timing":{"Intrinsic":1,"SeriesDelay":0.15,"LoadDelay":0.5,"InverterDelay":0.5,"MaxSize":1000000,"SizeStep":1.01}}`, "Timing.MaxSize"},
+		{"Timing.SizeStep at 1", `{"Timing":{"Intrinsic":1,"MaxSize":8,"SizeStep":1}}`, "Timing.SizeStep"},
+		{"too many upsizings", `{"Timing":{"Intrinsic":1,"MaxSize":8,"SizeStep":1.01}}`, "Timing.SizeStep"},
+		{"negative Timing.Intrinsic", `{"Timing":{"Intrinsic":-1,"MaxSize":8,"SizeStep":1.26}}`, "Timing.Intrinsic"},
+		{"negative Timing.LoadDelay", `{"Timing":{"Intrinsic":1,"LoadDelay":-0.5,"MaxSize":8,"SizeStep":1.26}}`, "Timing.LoadDelay"},
 	}
 	for _, c := range cases {
 		resp := postRaw(t, ts.URL, "c.blif", []byte(tinyBLIF), c.cfg, "")

@@ -9,10 +9,10 @@
 // the corpus determinism contract (internal/README.md):
 //
 //   - Content-addressed caching. A corpus row is a pure function of
-//     (file bytes, canonicalized configuration, flow selector), so
-//     results are cached under CacheKey — the SHA-256 of exactly those
-//     inputs — and identical resubmissions are answered without
-//     re-entering the flow. No invalidation exists because none is
+//     (file bytes, submitted path, canonicalized configuration, flow
+//     selector), so results are cached under CacheKey — the SHA-256 of
+//     exactly those inputs — and identical resubmissions (same bytes
+//     under the same path) are answered without re-entering the flow. No invalidation exists because none is
 //     needed. Timeout/cancellation rows, the one documented
 //     non-deterministic outcome, are never cached.
 //   - Bounded queue with backpressure. Submissions beyond QueueDepth are
@@ -259,7 +259,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	misses := 0
 	for i := range j.circuits {
 		c := &j.circuits[i]
-		c.key = keyFromCanonical(cfgJSON, timed, c.data)
+		c.key = keyFromCanonical(cfgJSON, timed, c.relPath, c.data)
 		if hit, ok := s.cache.get(c.key); ok {
 			c.cached, c.data = hit, nil
 			j.cacheHits++

@@ -323,6 +323,44 @@ func TestCorruptFileErrorNamesSubmittedPath(t *testing.T) {
 	}
 }
 
+// TestCacheKeyCoversSubmittedPath: a row depends on its submitted path —
+// the extension picks the parser, and the row's name and its errors
+// carry the path — so the same bytes under another path must not be
+// answered from the cache.
+func TestCacheKeyCoversSubmittedPath(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	submit := func(name, data string) (jobStatus, report.CorpusRecord) {
+		t.Helper()
+		st := decodeStatus(t, postRaw(t, ts.URL, name, []byte(data), testCfgJSON, ""))
+		recs := fetchRows(t, ts.URL, st.ID)
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d rows", name, len(recs))
+		}
+		return st, recs[0]
+	}
+	// PLA bytes make a PLA row; posted as BLIF, the BLIF parser rejects
+	// them.
+	const pla = ".i 2\n.o 1\n11 1\n.e\n"
+	if _, r := submit("c.pla", pla); r.Error != "" || r.Format != "pla" {
+		t.Fatalf("c.pla: row %+v, want a pla row", r)
+	}
+	if st, r := submit("c.blif", pla); st.CacheHits != 0 || r.Format != "blif" || r.Error == "" {
+		t.Errorf("c.blif: %d cache hits, row %+v; want a fresh BLIF parse error", st.CacheHits, r)
+	}
+	// A corrupt file's error row names its own submission's path only.
+	submit("alice/secret.blif", corruptBLIF)
+	if st, r := submit("bob.blif", corruptBLIF); st.CacheHits != 0 || strings.Contains(r.Error, "alice") || !strings.Contains(r.Error, "bob.blif") {
+		t.Errorf("bob.blif: %d cache hits, error %q; want a fresh error naming bob.blif only", st.CacheHits, r.Error)
+	}
+	// The same bytes under the same path still hit.
+	if st, _ := submit("bob.blif", corruptBLIF); st.CacheHits != 1 {
+		t.Errorf("bob.blif resubmitted: %d cache hits, want 1", st.CacheHits)
+	}
+	if runs := s.m.flowRuns.Load(); runs != 4 {
+		t.Errorf("%d flow runs, want 4 (one per distinct path)", runs)
+	}
+}
+
 // TestColdJobNeedsNoTempDir: cache misses reach the flow in memory, so a
 // daemon whose temp directory is missing still answers cold jobs with
 // flow rows.

@@ -94,9 +94,6 @@ func (g *Graph) NumAlive() int {
 	return n
 }
 
-// Alive reports whether vertex v is live.
-func (g *Graph) Alive(v int) bool { return g.alive[v] }
-
 // Name returns the display name of vertex v.
 func (g *Graph) Name(v int) string { return g.names[v] }
 

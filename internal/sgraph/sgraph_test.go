@@ -49,7 +49,7 @@ func TestFigure9Symmetrize(t *testing.T) {
 	// Find the two supervertices and check weights 3 and 2.
 	var weights []int
 	for v := 0; v < 5; v++ {
-		if g.Alive(v) {
+		if g.alive[v] {
 			weights = append(weights, g.Weight(v))
 		}
 	}

@@ -30,8 +30,7 @@ func blockWordsOf(cfg Config) int {
 // counters: how many per-gate block evaluations ran and how many were
 // skipped because no fanin block changed. They are deterministic for a
 // fixed (Seed, Shards, BlockWords) — the gating decision is a pure
-// function of the generated vector stream — and always zero for the
-// scalar kernel.
+// function of the generated vector stream.
 type KernelStats struct {
 	GateEvals int64
 	GateSkips int64
@@ -95,11 +94,11 @@ func newBlockedPrecomp(b *domino.Block) *blockedPrecomp {
 // runShardBlocked is the blocked kernel. It simulates `vectors` cycles
 // in blocks of bw = blockWordsOf(cfg) 64-lane words: window base+j of
 // the shard lives in word j of every node's block. Each window's inputs
-// are drawn by packInputs on the shard's own *rand.Rand — the scalar
+// are drawn by packInputs on the shard's own *rand.Rand — the test
 // oracle's generator path, so the block's words are by construction the
 // packed form of the oracle's vectors — and every transition is counted
 // by popcount into the shard's int64 totals. The counts, and so the
-// Reports, equal the scalar kernel's for any (Seed, Shards, BlockWords)
+// Reports, equal the scalar oracle's for any (Seed, Shards, BlockWords)
 // (TestBlockedMatchesScalarAndWideKernels). pc is built once per Run and
 // shared read-only across shards.
 //
@@ -153,7 +152,7 @@ func runShardBlocked(ctx context.Context, b *domino.Block, cfg Config, p *blockP
 		first := base == 0
 
 		// Stage 1: draw the live windows in order, exactly as the scalar
-		// kernel does.
+		// oracle does.
 		for j := 0; j < nw; j++ {
 			packInputs(rng, cfg.InputProbs, origWords[j*nIn:(j+1)*nIn])
 		}

@@ -58,8 +58,7 @@ func TestBlockedMatchesScalarAndWideKernels(t *testing.T) {
 				Vectors: c.vectors, Seed: int64(trial*1000 + c.shards),
 				InputProbs: probs, Shards: c.shards, Workers: c.workers,
 			}
-			cfg.Kernel = KernelScalar
-			scalar, err := Run(blk, cfg)
+			scalar, err := runScalar(blk, cfg)
 			if err != nil {
 				t.Fatalf("trial %d scalar %+v: %v", trial, c, err)
 			}
@@ -104,11 +103,39 @@ func TestBlockedMatchesScalarAndWideKernels(t *testing.T) {
 	}
 }
 
+// TestEveryKernelWireValueRunsBlocked: Config.Kernel stays only so that
+// configurations carrying it still decode. Every valid wire value, 0
+// through KernelBlocked, must run the blocked kernel: the zero value's
+// Report bit for bit, with the blocked kernel's gating counters.
+func TestEveryKernelWireValueRunsBlocked(t *testing.T) {
+	blk, probs := shardTestBlock(t)
+	base := Config{Vectors: 3000, Seed: 11, InputProbs: probs, Shards: 3, Workers: 2}
+	want, err := Run(blk, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := KernelAuto; k <= KernelBlocked; k++ {
+		var stats KernelStats
+		cfg := base
+		cfg.Kernel, cfg.Stats = k, &stats
+		got, err := Run(blk, cfg)
+		if err != nil {
+			t.Fatalf("kernel=%d: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("kernel=%d: Report differs from the zero value's:\n%+v\n%+v", k, got, want)
+		}
+		if stats.GateEvals == 0 {
+			t.Errorf("kernel=%d: no gate evaluations — not the blocked kernel", k)
+		}
+	}
+}
+
 // TestBlockedGatingStatsContract pins the KernelStats out-parameter
 // across block sizes and partial tail windows: counters are
 // deterministic for fixed (Seed, Shards, BlockWords), invariant under
 // Workers, account for every gate × block (Σ over shards of
-// ⌈⌈v_s/64⌉/bw⌉ × gates), and stay zero under the scalar kernel.
+// ⌈⌈v_s/64⌉/bw⌉ × gates), and stay zero under the scalar oracle.
 func TestBlockedGatingStatsContract(t *testing.T) {
 	blk, probs := shardTestBlock(t)
 	gates := 0
@@ -149,12 +176,12 @@ func TestBlockedGatingStatsContract(t *testing.T) {
 			}
 		}
 		var s KernelStats
-		cfg.Workers, cfg.Kernel, cfg.Stats = 2, KernelScalar, &s
-		if _, err := Run(blk, cfg); err != nil {
+		cfg.Workers, cfg.Stats = 2, &s
+		if _, err := runScalar(blk, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if s != (KernelStats{}) {
-			t.Errorf("%+v: scalar kernel reported gating stats %+v", c, s)
+			t.Errorf("%+v: scalar oracle reported gating stats %+v", c, s)
 		}
 	}
 }
@@ -180,9 +207,8 @@ func TestBlockedSkipRateOnLowActivity(t *testing.T) {
 		t.Errorf("low-activity skip rate %.3f (evals %d, skips %d), want > 0.5",
 			rate, stats.GateEvals, stats.GateSkips)
 	}
-	cfg.Kernel = KernelScalar
 	cfg.Stats = nil
-	scalar, err := Run(blk, cfg)
+	scalar, err := runScalar(blk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,18 +243,19 @@ func TestBlockedKernelAllocRegression(t *testing.T) {
 	}
 }
 
-// BenchmarkSimKernels compares the two engines on the shard test block.
+// BenchmarkSimKernels compares the scalar oracle with the blocked
+// kernel on the shard test block.
 func BenchmarkSimKernels(b *testing.B) {
 	blk, probs := shardTestBlock(b)
 	for _, k := range []struct {
-		name   string
-		kernel Kernel
-	}{{"scalar", KernelScalar}, {"blocked", KernelBlocked}} {
+		name string
+		run  func(*domino.Block, Config) (*Report, error)
+	}{{"scalar", runScalar}, {"blocked", Run}} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(blk, Config{
-					Vectors: 4096, Seed: 1, InputProbs: probs, Kernel: k.kernel,
+				if _, err := k.run(blk, Config{
+					Vectors: 4096, Seed: 1, InputProbs: probs,
 				}); err != nil {
 					b.Fatal(err)
 				}

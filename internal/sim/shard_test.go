@@ -117,16 +117,17 @@ const kernelRetiredWide Kernel = 1
 
 // TestRunDegenerateShardSizing is the regression test for Vectors <
 // Shards: the budget must clamp to one vector per shard — no zero-vector
-// shards, no NaNs in the merged report.
+// shards, no NaNs in the merged report — under the scalar oracle
+// (kernel=0) and the blocked kernel (kernel=1).
 func TestRunDegenerateShardSizing(t *testing.T) {
 	blk, probs := shardTestBlock(t)
 	for _, c := range []struct{ vectors, shards int }{
 		{1, 64}, {2, 64}, {3, 64}, {5, 1000}, {63, 64},
 	} {
-		for _, k := range []Kernel{KernelScalar, KernelBlocked} {
-			rep, err := Run(blk, Config{
+		for k, run := range []func(*domino.Block, Config) (*Report, error){runScalar, Run} {
+			rep, err := run(blk, Config{
 				Vectors: c.vectors, Seed: 2, InputProbs: probs,
-				Shards: c.shards, Workers: 8, Kernel: k,
+				Shards: c.shards, Workers: 8,
 			})
 			if err != nil {
 				t.Fatalf("%+v kernel=%d: %v", c, k, err)

@@ -14,15 +14,16 @@
 //
 // The simulator only counts: every Report figure is an exact function
 // of integer transition counts, weighted once by Run after the shards
-// merge. Two kernels produce those counts. The default blocked kernel
-// packs up to 512 cycles into a block of 8 uint64 words per net, counts
+// merge. One kernel produces those counts: the blocked kernel packs up
+// to 512 cycles into a block of 8 uint64 words per net, counts
 // transitions with popcounts, and skips gates whose inputs did not
 // change between blocks (activity gating); one pass serves every block
-// size and tail. The scalar kernel evaluates one []bool vector per cycle
-// and is kept as the reference oracle. Both draw their Bernoulli inputs
-// through packInputs (prob.BernoulliWord on a math/rand generator) in
-// the same window order, so for every (Seed, Shards) they count the same
-// transitions and produce byte-identical Reports.
+// size and tail. It draws its Bernoulli inputs through packInputs
+// (prob.BernoulliWord on a math/rand generator) one window at a time.
+// The package tests keep a scalar kernel, which evaluates one []bool
+// vector per cycle from the same draws, as its reference oracle: for
+// every (Seed, Shards) both count the same transitions and produce
+// byte-identical Reports.
 package sim
 
 import (
@@ -37,50 +38,55 @@ import (
 	"repro/internal/prob"
 )
 
-// Kernel selects the simulation engine. All kernels produce
-// byte-identical Reports; the choice affects wall-clock only.
+// Kernel is the wire form of the retired engine choice. Every value
+// runs the blocked kernel, so Reports and wall-clock alike do not
+// depend on it; it stays so that configurations carrying it still
+// decode.
 type Kernel uint8
 
 const (
-	// KernelAuto picks the fast engine (currently the blocked
-	// multi-word one, KernelBlocked).
+	// KernelAuto, the zero value, runs the blocked kernel.
 	KernelAuto Kernel = iota
-	// Value 1 is reserved: configurations carrying it run the blocked
+	// Values 1 and 2 are reserved: they selected the retired wide and
+	// scalar kernels. Configurations carrying them run the blocked
 	// kernel, with identical Reports.
 	_
-	// KernelScalar forces the one-vector-per-cycle reference engine.
-	KernelScalar
-	// KernelBlocked forces the blocked multi-word engine: BlockWords
-	// 64-lane words per net per step with activity gating — gates whose
-	// fanin words did not change since the previous block are skipped.
+	_
+	// KernelBlocked names the blocked kernel explicitly; it is the
+	// largest valid value.
 	KernelBlocked
 )
 
 // simWindow is the packing window: cycle base+k of a window lives in
-// bit k of one uint64 per net, so it equals the uint64 lane count. Both
-// kernels draw their inputs one window at a time.
+// bit k of one uint64 per net, so it equals the uint64 lane count. The
+// kernel draws its inputs one window at a time.
 const simWindow = 64
 
 // packInputs fills words[i] with one window's packed Bernoulli draws for
 // every input: bit k of words[i] is input i's value in cycle k of the
-// window. Both kernels call exactly this, in the same window order, so
-// they simulate the same vector sequence for a given seed.
+// window. The kernel and its test oracle call exactly this, in the same
+// window order, so they simulate the same vector sequence for a given
+// seed.
 func packInputs(rng *rand.Rand, probs []float64, words []uint64) {
 	for i, p := range probs {
 		words[i] = prob.BernoulliWord(rng, p)
 	}
 }
 
-// pollCancel is the kernels' shared cancellation poll: the shard
-// context (par.Map's first-error propagation) plus the run's budget
-// token (external cancellation: per-circuit timeouts, client
-// disconnects). Both are one cheap atomic check.
+// pollCancel is the kernel's cancellation poll: the shard context
+// (par.Map's first-error propagation) plus the run's budget token
+// (external cancellation: per-circuit timeouts, client disconnects).
+// Both are one cheap atomic check.
 func pollCancel(ctx context.Context, tok *budget.T) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return tok.Err()
 }
+
+// DefaultVectors is the cycle count Run simulates when Config.Vectors
+// is not positive.
+const DefaultVectors = 4096
 
 // MaxShards is the largest shard count flow.Config.Validate accepts from
 // an untrusted configuration. Run keeps every shard's counts until the
@@ -89,7 +95,7 @@ const MaxShards = 1024
 
 // Config parameterizes a simulation run.
 type Config struct {
-	// Vectors is the number of evaluate cycles (default 4096).
+	// Vectors is the number of evaluate cycles (default DefaultVectors).
 	Vectors int
 	// Seed drives the vector generator.
 	Seed int64
@@ -116,25 +122,24 @@ type Config struct {
 	// Workers bounds the goroutines simulating shards (0 = GOMAXPROCS,
 	// 1 = sequential). Workers affects wall-clock only, never the report.
 	Workers int
-	// Kernel selects the engine (see Kernel); the zero value picks the
-	// fastest one. Reports do not depend on it.
+	// Kernel is kept for wire compatibility (see Kernel): every value
+	// runs the blocked kernel.
 	Kernel Kernel
 	// BlockWords sets the blocked kernel's words-per-block (64 lanes
 	// each): 0 means the default (8, i.e. 512 lanes), other values are
-	// clamped to 1..MaxBlockWords. Like Kernel and Workers it is
-	// a pure wall-clock knob — Reports do not depend on it.
+	// clamped to 1..MaxBlockWords. Like Workers it is a pure wall-clock
+	// knob — Reports do not depend on it.
 	BlockWords int
 	// Stats, when non-nil, receives the blocked kernel's cumulative
 	// activity-gating counters, summed over shards in index order. They
-	// are deterministic for a fixed (Seed, Shards, BlockWords) and stay
-	// zero under the scalar kernel. Stats is an out-parameter
-	// only; it never influences the Report.
+	// are deterministic for a fixed (Seed, Shards, BlockWords). Stats is
+	// an out-parameter only; it never influences the Report.
 	Stats *KernelStats
 	// Budget is the cancellation/resource token the run honors: the
 	// vector count is clamped to the token's sim vector budget before
 	// sharding (a pure min, so the clamp is independent of Workers and
-	// Shards), and every kernel polls the token for cancellation at its
-	// existing context poll sites. Nil means unlimited.
+	// Shards), and the kernel polls the token for cancellation at its
+	// context poll sites. Nil means unlimited.
 	Budget *budget.T
 }
 
@@ -148,8 +153,7 @@ type Report struct {
 	InputInvTransitions  int64
 	OutputInvTransitions int64
 	// Load- and penalty-weighted per-cycle power. These are exact
-	// functions of the integer transition counts (count × weight), so
-	// they are identical for both kernels.
+	// functions of the integer transition counts (count × weight).
 	DominoPower    float64
 	InputInvPower  float64
 	OutputInvPower float64
@@ -159,7 +163,7 @@ type Report struct {
 	PerCellFreq []float64
 }
 
-// blockParams is the precomputed per-block layout shared by both kernels
+// blockParams is the precomputed per-block layout every kernel reads
 // (which positions and outputs carry boundary inverters) and the weights
 // Run applies to the merged counts, so every float in the Report is
 // derived from one set of weights.
@@ -227,104 +231,32 @@ func newShardResult(b *domino.Block) *shardResult {
 	}
 }
 
-// runShardScalar simulates `vectors` cycles one bool vector at a time
-// with a dedicated rng seeded `seed`, checking ctx between windows so a
-// sibling shard's failure aborts early. It is the reference oracle for
-// the blocked kernel: it unpacks the same per-window input words
-// (packInputs) lane by lane and increments the shard's counts directly.
-func runShardScalar(ctx context.Context, b *domino.Block, cfg Config, p *blockParams, seed int64, vectors int) (*shardResult, error) {
-	net := b.Net
-	rng := rand.New(rand.NewSource(seed))
-
-	origWords := make([]uint64, len(cfg.InputProbs))
-	origVals := make([]bool, len(cfg.InputProbs))
-	blockVals := make([]bool, net.NumInputs())
-	prevBlockVals := make([]bool, net.NumInputs())
-	havePrev := false
-
-	scratch := make([]bool, net.NumNodes())
-	sr := newShardResult(b)
-
-	for done := 0; done < vectors; done += simWindow {
-		if done%1024 == 0 {
-			if err := pollCancel(ctx, cfg.Budget); err != nil {
-				return nil, err
-			}
-		}
-		lanes := vectors - done
-		if lanes > simWindow {
-			lanes = simWindow
-		}
-		packInputs(rng, cfg.InputProbs, origWords)
-		for k := 0; k < lanes; k++ {
-			for i := range origVals {
-				origVals[i] = origWords[i]>>uint(k)&1 == 1
-			}
-			for pos, bi := range b.Phase.Inputs {
-				v := origVals[bi.InputPos]
-				if bi.Inverted {
-					v = !v
-				}
-				blockVals[pos] = v
-			}
-			values := net.Eval(blockVals, scratch)
-
-			// Domino cells: one transition pair per evaluate-high cycle.
-			for ci := range b.Cells {
-				if values[b.Cells[ci].Node] {
-					sr.cellTrans[ci]++
-				}
-			}
-			// Input-boundary inverters: static gates, toggle on change.
-			if havePrev {
-				for _, pos := range p.invPos {
-					if blockVals[pos] != prevBlockVals[pos] {
-						sr.inputInvTrans[pos]++
-					}
-				}
-			}
-			// Output-boundary inverters: driven by domino outputs, they
-			// switch whenever the driver evaluates high (and precharges).
-			for _, oi := range p.negOut {
-				if values[p.drivers[oi]] {
-					sr.outputInvTrans[oi]++
-				}
-			}
-			copy(prevBlockVals, blockVals)
-			havePrev = true
-		}
-	}
-	return sr, nil
-}
-
-// runShard dispatches to the configured kernel; zero-vector shards (which
-// the sizing logic never produces, but belt and braces) return an empty
-// result. p — and pc, for the blocked kernel — are built once per Run and
-// shared read-only by all shard goroutines.
-func runShard(ctx context.Context, b *domino.Block, cfg Config, p *blockParams, pc *blockedPrecomp, seed int64, vectors int) (*shardResult, error) {
-	if vectors <= 0 {
-		return newShardResult(b), nil
-	}
-	switch cfg.Kernel {
-	case KernelScalar:
-		return runShardScalar(ctx, b, cfg, p, seed, vectors)
-	default: // KernelAuto, KernelBlocked, and the reserved value 1
-		return runShardBlocked(ctx, b, cfg, p, pc, seed, vectors)
-	}
-}
+// shardKernel simulates one shard: `vectors` (≥ 1) cycles drawn from an
+// rng seeded `seed`, counted into raw totals, polling ctx so a sibling
+// shard's failure aborts early. p and pc are built once per run and
+// shared read-only by every shard goroutine.
+type shardKernel func(ctx context.Context, b *domino.Block, cfg Config, p *blockParams, pc *blockedPrecomp, seed int64, vectors int) (*shardResult, error)
 
 // Run simulates the mapped block for cfg.Vectors cycles and returns the
 // measured activity. With cfg.Shards > 1 the vector budget is split into
 // contiguous shards simulated concurrently on cfg.Workers goroutines;
 // see Config for the determinism contract.
 func Run(b *domino.Block, cfg Config) (*Report, error) {
+	return run(b, cfg, runShardBlocked)
+}
+
+// run is Run over a given shard kernel: it sizes the shards, runs the
+// kernel on each and merges and weights the counts. Run passes the
+// blocked kernel; the package tests pass the scalar oracle through the
+// same sharding and merge.
+func run(b *domino.Block, cfg Config, kernel shardKernel) (*Report, error) {
 	if len(cfg.InputProbs) != len(b.Phase.Original.Inputs()) {
 		return nil, fmt.Errorf("sim: %d input probs for %d original inputs",
 			len(cfg.InputProbs), len(b.Phase.Original.Inputs()))
 	}
 	vectors := cfg.Vectors
 	if vectors <= 0 {
-		vectors = 4096
+		vectors = DefaultVectors
 	}
 	vectors = cfg.Budget.CapSimVectors(vectors)
 	shards := cfg.Shards
@@ -339,13 +271,16 @@ func Run(b *domino.Block, cfg Config) (*Report, error) {
 	}
 	ranges := par.SplitRange(vectors, shards)
 	p := newBlockParams(b)
-	var pc *blockedPrecomp
-	if cfg.Kernel != KernelScalar {
-		pc = newBlockedPrecomp(b)
-	}
+	pc := newBlockedPrecomp(b)
 	results, err := par.Map(context.Background(), len(ranges), cfg.Workers,
 		func(ctx context.Context, s int) (*shardResult, error) {
-			return runShard(ctx, b, cfg, p, pc, cfg.Seed+int64(s), ranges[s][1]-ranges[s][0])
+			n := ranges[s][1] - ranges[s][0]
+			if n <= 0 {
+				// The sizing above never makes an empty shard; belt and
+				// braces.
+				return newShardResult(b), nil
+			}
+			return kernel(ctx, b, cfg, p, pc, cfg.Seed+int64(s), n)
 		})
 	if err != nil {
 		return nil, err
@@ -376,7 +311,7 @@ func Run(b *domino.Block, cfg Config) (*Report, error) {
 	}
 	// Weight the merged integer counts once, in fixed index order — the
 	// power figures are exact functions of the counts, independent of
-	// kernel, shard execution order, and worker count.
+	// shard execution order and worker count.
 	for ci, t := range cellTrans {
 		rep.DominoTransitions += t
 		rep.PerCellFreq[ci] = float64(t) / float64(vectors)

@@ -45,6 +45,20 @@ type Params struct {
 	Budget *budget.T `json:"-"`
 }
 
+// Bounds on an untrusted delay model, which flow.Config.Validate applies.
+const (
+	// MaxSizeLimit is the largest MaxSize a configuration may set: a
+	// resized cell's area stays within 2^10 times its minimum-size area,
+	// far inside the integers a float64 holds exactly, so the rounded
+	// sized area of a block is exact.
+	MaxSizeLimit = 1 << 10
+	// MaxUpsizings caps the upsizings one cell can take from size 1 to
+	// MaxSize, ⌊ln MaxSize / ln SizeStep⌋. Every Tighten or Resize step
+	// upsizes one cell, so a resize takes at most cells × MaxUpsizings
+	// steps. The default model allows 8.
+	MaxUpsizings = 64
+)
+
 // DefaultParams returns the coefficients used across the reproduction.
 func DefaultParams() Params {
 	return Params{

@@ -69,6 +69,21 @@ func checkPinnedRows(t *testing.T, rows []*flow.Row, pins []pinnedRow) {
 	}
 }
 
+// runTable computes one table's rows at SimVectors 4096: run (the
+// untimed or the timed flow) over each twin in the paper's order.
+func runTable(t *testing.T, twins []gen.NamedCircuit, run func(gen.NamedCircuit, flow.Config) (*flow.Row, error)) []*flow.Row {
+	t.Helper()
+	var rows []*flow.Row
+	for _, c := range twins {
+		row, err := run(c, flow.Config{SimVectors: 4096})
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 // TestTable1Reproduction runs the full untimed flow over all seven
 // benchmark twins, checks the paper's qualitative claims and pins each
 // row.
@@ -76,10 +91,7 @@ func TestTable1Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 1 flow in -short mode")
 	}
-	rows, err := flow.RunTable1(flow.Config{SimVectors: 4096})
-	if err != nil {
-		t.Fatalf("RunTable1: %v", err)
-	}
+	rows := runTable(t, gen.Table1Circuits(), flow.RunCircuit)
 	if len(rows) != 7 {
 		t.Fatalf("rows = %d, want 7", len(rows))
 	}
@@ -129,10 +141,7 @@ func TestTable2Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 2 flow in -short mode")
 	}
-	rows, err := flow.RunTable2(flow.Config{SimVectors: 4096})
-	if err != nil {
-		t.Fatalf("RunTable2: %v", err)
-	}
+	rows := runTable(t, gen.Table2Circuits(), flow.RunCircuitTimed)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
