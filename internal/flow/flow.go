@@ -263,8 +263,8 @@ func (c *Config) defaults() {
 // the converse is deliberately conservative (two configs that happen to
 // behave identically may still canonicalize differently — a cache miss,
 // never a wrong answer). internal/serve hashes the canonical form's
-// JSON together with the submitted file bytes to content-address cached
-// corpus rows.
+// JSON together with the submitted path and file bytes to
+// content-address cached corpus rows.
 func (c Config) Canonical() Config {
 	c.defaults()
 	// Deeper zero-value defaults applied by the engines themselves
