@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/logic"
 )
 
@@ -75,6 +76,29 @@ func BenchmarkReorder(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(m.LiveNodes()), "live_nodes")
+}
+
+// BenchmarkAutoReorderBudgeted measures TestAutoReorderPinned's build:
+// randomNetwork seed 2 (20 inputs, 300 gates) built under a 2,000-node
+// budget with auto-reorder on, so the cost is the reorder schedule's
+// sifts plus the build between them — the kernel behind bench
+// `budgeted`'s exact-sifted stage. It reports the reorders per build
+// and the live nodes the build ends with.
+func BenchmarkAutoReorderBudgeted(b *testing.B) {
+	n := randomNetwork(rand.New(rand.NewSource(2)), 20, 300)
+	var m *Manager
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m = New(n.NumInputs())
+		m.SetBudget(budget.New(2000, 0))
+		m.SetAutoReorder(true)
+		if _, err := BuildNetwork(m, n, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.Reorders()), "reorders/op")
 	b.ReportMetric(float64(m.LiveNodes()), "live_nodes")
 }
 

@@ -75,6 +75,13 @@ const (
 	// autoReorderFraction of MaxBDDNodes at which an automatic reorder
 	// fires even before live nodes double.
 	autoReorderFraction = 0.5
+	// autoReorderMinStep is the divisor of MaxBDDNodes that bounds how
+	// soon a budgeted build may sift again: once the manager has
+	// reordered, the next trigger lies at least
+	// MaxBDDNodes/autoReorderMinStep above the live count, so a sift
+	// that lands just under the fraction point does not re-arm it a few
+	// nodes later.
+	autoReorderMinStep = 4
 )
 
 // Protect registers roots as protected across reorders: nodes reachable
@@ -101,8 +108,10 @@ func (m *Manager) Reorders() int { return m.reorders }
 // SetAutoReorder enables or disables automatic reordering at safe points
 // during BuildNetwork builds. When enabled, a reorder fires once live
 // nodes double since the last reorder (with a floor of 4096) or cross
-// half of the budget's MaxBDDNodes.
-// Both triggers are pure functions of table state, so enabling
+// half of the budget's MaxBDDNodes; under a budget, a trigger after a
+// reorder lies at least a quarter of MaxBDDNodes above the live count
+// that reorder left.
+// The triggers are pure functions of table state, so enabling
 // auto-reorder keeps builds deterministic. Call it after SetBudget: the
 // first trigger point reads the budget's fraction point.
 func (m *Manager) SetAutoReorder(on bool) {
@@ -115,7 +124,9 @@ func (m *Manager) SetAutoReorder(on bool) {
 // scheduleNextReorder fixes the live-node count the next automatic
 // reorder triggers at: double the current live count (floored), pulled
 // down to the budget-fraction point when that lies ahead of the current
-// size.
+// size. Once the manager has reordered, a budgeted trigger is then
+// raised to at least the live count plus MaxBDDNodes/autoReorderMinStep;
+// the first trigger and unbudgeted schedules are not.
 func (m *Manager) scheduleNextReorder() {
 	next := 2 * m.uniqueCount
 	if next < autoReorderFloor {
@@ -125,6 +136,9 @@ func (m *Manager) scheduleNextReorder() {
 		if mx := m.budget.MaxBDDNodes(); mx > 0 {
 			if fp := int(autoReorderFraction * float64(mx)); fp > m.uniqueCount && fp < next {
 				next = fp
+			}
+			if m.reorders > 0 {
+				next = max(next, m.uniqueCount+mx/autoReorderMinStep)
 			}
 		}
 	}

@@ -436,7 +436,7 @@ func TestBuildsAfterReorder(t *testing.T) {
 }
 
 // TestAutoReorderPinned pins a budgeted build that reorders itself
-// several times: the sifted order, the live-node count, the reorder
+// more than once: the sifted order, the live-node count, the reorder
 // count, the output probabilities' bits and the bits of the sum of every
 // node's probability. Sift decisions read only live-node counts, which
 // are canonical for an order, so none of these may move with the unique
@@ -450,21 +450,21 @@ func TestAutoReorderPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOrder := []int{8, 1, 11, 14, 0, 15, 2, 5, 10, 13, 6, 12, 7, 3, 4, 16, 19, 17, 9, 18}
+	wantOrder := []int{5, 8, 1, 11, 14, 0, 2, 10, 13, 12, 6, 7, 15, 3, 4, 16, 19, 17, 9, 18}
 	if got := m.Order(); !slices.Equal(got, wantOrder) {
 		t.Errorf("order = %v, want %v", got, wantOrder)
 	}
-	if got := m.LiveNodes(); got != 1318 {
-		t.Errorf("LiveNodes = %d, want 1318", got)
+	if got := m.LiveNodes(); got != 1415 {
+		t.Errorf("LiveNodes = %d, want 1415", got)
 	}
-	if got := m.Reorders(); got != 5 {
-		t.Errorf("Reorders = %d, want 5", got)
+	if got := m.Reorders(); got != 2 {
+		t.Errorf("Reorders = %d, want 2", got)
 	}
 	probs := make([]float64, n.NumInputs())
 	for i := range probs {
 		probs[i] = 0.2 + 0.6*float64(i)/float64(len(probs))
 	}
-	for i, want := range []uint64{0x3fb15d1155b53b4a, 0x3fd851eb851eb850} {
+	for i, want := range []uint64{0x3fb15d1155b53b4b, 0x3fd851eb851eb850} {
 		if p := m.Probability(nb.OutputRefs(n)[i], probs); math.Float64bits(p) != want {
 			t.Errorf("output %d: P = %v (bits %#x), want bits %#x", i, p, math.Float64bits(p), want)
 		}
@@ -478,6 +478,46 @@ func TestAutoReorderPinned(t *testing.T) {
 	}
 	checkUniqueTable(t, m)
 	checkAgainstNetwork(t, n, nb, rand.New(rand.NewSource(4)), 32)
+}
+
+// TestAutoReorderSchedule pins the automatic-reorder trigger for a
+// given live count, reorder count and node budget B. Unbudgeted
+// managers and the first trigger follow the doubling rule (floor 4096)
+// pulled down to B/2; once a budgeted manager has reordered, the next
+// trigger lies at least B/4 above the live count, so a sift that lands
+// just under B/2 does not re-arm it a few nodes later.
+func TestAutoReorderSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		budget, live, reorders, want int
+	}{
+		{0, 0, 0, 4096},
+		{0, 1000, 3, 4096},
+		{0, 3000, 3, 6000},
+		{20000, 0, 0, 4096},
+		{2000, 0, 0, 1000},
+		{2000, 990, 0, 1000},
+		{2000, 990, 1, 1490},
+		{20000, 9990, 1, 14990},
+		{20000, 3000, 2, 8000},
+		{20000, 12000, 1, 24000},
+		{200, 150, 1, 4096},
+		{200, 90, 1, 140},
+	} {
+		m := New(4)
+		if tc.budget > 0 {
+			m.SetBudget(budget.New(tc.budget, 0))
+		}
+		m.uniqueCount, m.reorders = tc.live, tc.reorders
+		m.scheduleNextReorder()
+		if m.nextReorderAt != tc.want {
+			t.Errorf("budget %d, %d live, %d reorders: next trigger at %d, want %d",
+				tc.budget, tc.live, tc.reorders, m.nextReorderAt, tc.want)
+		}
+		if tc.budget > 0 && tc.reorders > 0 && m.nextReorderAt < tc.live+tc.budget/4 {
+			t.Errorf("budget %d, %d live after a reorder: next trigger at %d, less than B/4 above the live count",
+				tc.budget, tc.live, m.nextReorderAt)
+		}
+	}
 }
 
 // secondReorder builds randomNetwork(seed 0, 18 inputs, 250 gates),

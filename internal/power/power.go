@@ -77,12 +77,13 @@ type Options struct {
 	Budget *budget.T `json:"-"`
 	// Reorder enables in-place dynamic variable reordering (sifting) in
 	// the exact engine's BDD manager: builds reorder themselves when
-	// live nodes double or cross the budget-fraction point (see
-	// bdd.Manager.SetAutoReorder). Reordering is deterministic but
-	// semantic — probability summation order changes with the DAG shape
-	// — so the flow derives it from Config.BDDReorder (which *is* part
-	// of the content-addressed key) and overrides whatever is set here;
-	// like Budget it is excluded from JSON.
+	// live nodes double or cross half the node budget, and under a
+	// budget B a reorder re-arms at least B/4 above the live count it
+	// leaves (see bdd.Manager.SetAutoReorder). Reordering is
+	// deterministic but semantic — probability summation order changes
+	// with the DAG shape — so the flow derives it from Config.BDDReorder
+	// (which *is* part of the content-addressed key) and overrides
+	// whatever is set here; like Budget it is excluded from JSON.
 	Reorder bool `json:"-"`
 }
 
