@@ -35,20 +35,21 @@ bench:
 benchtest:
 	cd bench && $(GO) test .
 
-# Corpus smoke: emit the small public twins and one latched model (seq0,
-# the first circuit of dominoflow -seq's set) as BLIF, stream the
-# directory through the concurrent corpus engine (untimed and timed
-# flows; the latched model takes the sequential flow in both), and gate
-# on row agreement with the direct in-memory gen-twin flow
-# (-check-twins, which skips seq0: no twin has that name): sizes must
-# match exactly, measured/estimated power to float-noise tolerance.
-# Exits non-zero on any disagreement, parse failure, or error row —
-# seq0's included. The untimed rows land in corpus-smoke/rows.jsonl and
-# the timed ones in rows_timed.jsonl (both uploaded as CI artifacts, so
-# a change's rows can be diffed against its parent's).
+# Corpus smoke: emit the small public twins and three latched models
+# (seq0-seq2, dominoflow -seq's set) as BLIF, stream the directory
+# through the concurrent corpus engine (untimed and timed flows; the
+# latched models take the sequential flow in both), and gate on row
+# agreement with the direct in-memory gen-twin flow (-check-twins, which
+# skips seq0-seq2: no twin has those names): sizes must match exactly,
+# measured/estimated power to float-noise tolerance. Exits non-zero on
+# any disagreement, parse failure, or error row — the sequential rows'
+# included. The untimed rows land in corpus-smoke/rows.jsonl and the
+# timed ones in rows_timed.jsonl (both uploaded as CI artifacts, so a
+# change's rows, three sequential ones among them, can be diffed
+# against its parent's).
 corpussmoke:
 	rm -rf corpus-smoke
-	$(GO) run ./cmd/genbench -dir corpus-smoke -only apex7,frg1,x1,seq0
+	$(GO) run ./cmd/genbench -dir corpus-smoke -only apex7,frg1,x1,seq0,seq1,seq2
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -vectors 512 -workers 4 -check-twins -jsonl corpus-smoke/rows.jsonl
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -table 2 -vectors 512 -workers 2 -check-twins -jsonl corpus-smoke/rows_timed.jsonl
 

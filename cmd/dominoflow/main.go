@@ -202,10 +202,11 @@ func runCorpus(cfg flow.Config, paths []string, opts corpusOptions) {
 		seqCount := 0
 		for _, r := range rows {
 			switch {
-			case r.Row != nil:
-				comb = append(comb, r.Row)
-			case r.SeqRow != nil:
+			case r.Err != "": // listed below
+			case r.Sequential:
 				seqCount++
+			default:
+				comb = append(comb, r.Row)
 			}
 		}
 		fmt.Print(report.CSV(comb))
@@ -258,7 +259,7 @@ func checkTwins(rows []*flow.CorpusRow, cfg flow.Config, timed bool) bool {
 			ok = false
 			continue
 		}
-		if r.Row == nil {
+		if r.Sequential {
 			log.Printf("check-twins: %s: no combinational row", r.Name)
 			ok = false
 			continue
@@ -327,7 +328,7 @@ func compareRows(name string, got, want *flow.Row) bool {
 // paper's tables (the paper measures combinational blocks after
 // partitioning; here the partitioning itself is automated).
 func runSequential(cfg flow.Config, ffs, count int, verbose bool) {
-	var rows []*flow.SequentialRow
+	var rows []*flow.Row
 	for _, p := range gen.SeqSet(ffs, count) {
 		c, err := gen.Sequential(p)
 		if err != nil {

@@ -86,12 +86,7 @@ func main() {
 	fmt.Printf("partitioned block: %d nodes, %d inputs (%d pseudo from cut FFs), %d outputs\n",
 		part.Block.NumNodes(), part.Block.NumInputs(), part.PseudoInputCount(), part.Block.NumOutputs())
 	fmt.Println("steady-state next-state probabilities of cut flip-flops:")
-	for _, ffIdx := range sol.Vertices {
-		name := "ns_" + c.FFs[ffIdx].Name
-		oi := part.Block.OutputByName(name)
-		if oi < 0 {
-			continue
-		}
-		fmt.Printf("  %-12s %.4f\n", c.FFs[ffIdx].Name, nodeProbs[part.Block.Outputs()[oi].Driver])
+	for i, ffIdx := range sol.Vertices {
+		fmt.Printf("  %-12s %.4f\n", c.FFs[ffIdx].Name, nodeProbs[part.Block.Outputs()[part.NextState[i]].Driver])
 	}
 }

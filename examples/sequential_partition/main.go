@@ -60,16 +60,13 @@ func main() {
 	for _, pos := range c.RealInputs {
 		probs[pos] = 0.5
 	}
-	_, _, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: probs, Cut: enhanced.Vertices})
+	ps, _, nodeProbs, err := c.SteadyStateProbs(seq.SteadyOptions{InputProbs: probs, Cut: enhanced.Vertices})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("steady-state probabilities of the cut flip-flops:")
-	for _, ffIdx := range enhanced.Vertices {
-		name := "ns_" + c.FFs[ffIdx].Name
-		if oi := pe.Block.OutputByName(name); oi >= 0 {
-			fmt.Printf("  %-4s %.4f\n", c.FFs[ffIdx].Name, nodeProbs[pe.Block.Outputs()[oi].Driver])
-		}
+	for i, ffIdx := range enhanced.Vertices {
+		fmt.Printf("  %-4s %.4f\n", c.FFs[ffIdx].Name, nodeProbs[ps.Block.Outputs()[ps.NextState[i]].Driver])
 	}
 
 	fmt.Println("\nduplication-heavy generated circuit:")

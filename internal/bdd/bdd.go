@@ -3,16 +3,16 @@
 // paper's power estimator performs (Section 4.2.2).
 //
 // The manager uses index-based nodes (no complement edges) with a unique
-// table for canonicity and memo caches for ITE and the binary operators.
+// table for canonicity and one memo cache for its operators.
 // Signal probability evaluation is a single linear pass over the DAG,
 // which is what makes BDD-based probability estimation attractive for the
 // iterative phase-assignment loop.
 //
 // The engine is map-free on every hot path, following the BuDDy/CUDD
 // design: the unique table is an open-addressed (linear-probe) hash table
-// over packed (variable, lo, hi) triples that grows at 3/4 load, the ITE
-// and binary-operator memos are fixed-size lossy direct-mapped caches, and
-// node storage grows in chunks. Keying by variable rather than level lets
+// over packed (variable, lo, hi) triples that grows at 3/4 load, the
+// operator memo is a fixed-size lossy direct-mapped cache, and node
+// storage grows in chunks. Keying by variable rather than level lets
 // an adjacent-level swap leave every node whose triple it keeps in its
 // slot (see reorder.go). Lossy caches never change results — a missed
 // memo merely recomputes the same canonical node — so Ref identity and
@@ -45,17 +45,13 @@ const (
 	opAnd uint8 = iota
 	opOr
 	opXor
+	opNot // unary: cached with b == a
 )
 
-// iteEntry is one direct-mapped ITE cache slot. A zeroed entry is empty:
-// cached calls always have a non-terminal f (terminal cases return before
-// the cache), so f == False never collides with a live entry.
-type iteEntry struct {
-	f, g, h, r Ref
-}
-
-// binopEntry is one direct-mapped binary-operator cache slot. As with
-// iteEntry, cached operands are non-terminal, so a == False means empty.
+// binopEntry is one direct-mapped operator cache slot. A zeroed entry is
+// empty: cached calls always have non-terminal operands (terminal cases
+// return before the cache), so a == False never collides with a live
+// entry.
 type binopEntry struct {
 	a, b, r Ref
 	op      uint8
@@ -102,8 +98,7 @@ type Manager struct {
 	// is left with its own garbage.
 	free []Ref
 
-	// ite and binop are lossy direct-mapped operation caches.
-	ite   []iteEntry
+	// binop is the lossy direct-mapped operation cache.
 	binop []binopEntry
 
 	// varAtLevel[l] = variable index decided at level l;
@@ -169,7 +164,6 @@ func NewWithOrderSized(numVars int, order []int, sizeHint int) *Manager {
 	m := &Manager{
 		nodes:      make([]node, 2, nodeCap),
 		unique:     make([]Ref, tab),
-		ite:        make([]iteEntry, tab),
 		binop:      make([]binopEntry, tab),
 		varAtLevel: make([]int32, numVars),
 		levelOfVar: make([]int32, numVars),
@@ -229,8 +223,8 @@ func (m *Manager) home(level int32, lo, hi Ref) uint64 {
 
 // growUnique doubles the open-addressed table and reinserts every interned
 // node (keys are read back from the nodes slice). The lossy operation
-// caches are rescaled alongside (up to maxCacheSize); dropping their
-// contents is sound (the caches are advisory) and keeps resizing O(1)
+// cache is rescaled alongside (up to maxCacheSize); dropping its
+// contents is sound (the cache is advisory) and keeps resizing O(1)
 // amortized.
 func (m *Manager) growUnique() {
 	old := m.unique
@@ -247,8 +241,7 @@ func (m *Manager) growUnique() {
 		}
 		m.unique[idx] = r
 	}
-	if size := len(m.unique); size <= maxCacheSize && size > len(m.ite) {
-		m.ite = make([]iteEntry, size)
+	if size := len(m.unique); size <= maxCacheSize && size > len(m.binop) {
 		m.binop = make([]binopEntry, size)
 	}
 }
@@ -339,8 +332,27 @@ func (m *Manager) cofactors(r Ref, level int32) (Ref, Ref) {
 	return r, r
 }
 
-// Not returns the complement of f.
-func (m *Manager) Not(f Ref) Ref { return m.ITE(f, False, True) }
+// Not returns the complement of f. It builds the lo branch before the hi
+// branch, the order ITE(f, False, True) builds in, which the node order
+// of every pinned build depends on.
+func (m *Manager) Not(f Ref) Ref {
+	switch f {
+	case False:
+		return True
+	case True:
+		return False
+	}
+	slot := &m.binop[tripleHash(int32(opNot), f, f)&uint64(len(m.binop)-1)]
+	if slot.op == opNot && slot.a == f {
+		return slot.r
+	}
+	n := m.nodes[f]
+	r := m.mk(n.level, m.Not(n.lo), m.Not(n.hi))
+	// Re-resolve the slot: recursion may have rescaled the cache.
+	slot = &m.binop[tripleHash(int32(opNot), f, f)&uint64(len(m.binop)-1)]
+	*slot = binopEntry{a: f, b: f, r: r, op: opNot}
+	return r
+}
 
 // And returns f ∧ g.
 func (m *Manager) And(f, g Ref) Ref { return m.apply(opAnd, f, g) }
@@ -416,39 +428,6 @@ func (m *Manager) apply(op uint8, f, g Ref) Ref {
 	// Re-resolve the slot: recursion may have rescaled the cache.
 	slot = &m.binop[tripleHash(int32(op), f, g)&uint64(len(m.binop)-1)]
 	*slot = binopEntry{a: f, b: g, r: r, op: op}
-	return r
-}
-
-// ITE computes if-then-else(f, g, h) = f·g + f̄·h.
-func (m *Manager) ITE(f, g, h Ref) Ref {
-	// Terminal cases.
-	switch {
-	case f == True:
-		return g
-	case f == False:
-		return h
-	case g == h:
-		return g
-	case g == True && h == False:
-		return f
-	}
-	slot := &m.ite[tripleHash(int32(f), g, h)&uint64(len(m.ite)-1)]
-	if slot.f == f && slot.g == g && slot.h == h {
-		return slot.r
-	}
-	top := m.level(f)
-	if l := m.level(g); l < top {
-		top = l
-	}
-	if l := m.level(h); l < top {
-		top = l
-	}
-	f0, f1 := m.cofactors(f, top)
-	g0, g1 := m.cofactors(g, top)
-	h0, h1 := m.cofactors(h, top)
-	r := m.mk(top, m.ITE(f0, g0, h0), m.ITE(f1, g1, h1))
-	slot = &m.ite[tripleHash(int32(f), g, h)&uint64(len(m.ite)-1)]
-	*slot = iteEntry{f: f, g: g, h: h, r: r}
 	return r
 }
 

@@ -35,6 +35,36 @@ func (m *Manager) OrN(fs ...Ref) Ref {
 	return acc
 }
 
+// ITE computes if-then-else(f, g, h) = f·g + f̄·h, memoized per call.
+func (m *Manager) ITE(f, g, h Ref) Ref {
+	memo := make(map[[3]Ref]Ref)
+	var ite func(f, g, h Ref) Ref
+	ite = func(f, g, h Ref) Ref {
+		switch {
+		case f == True:
+			return g
+		case f == False:
+			return h
+		case g == h:
+			return g
+		case g == True && h == False:
+			return f
+		}
+		key := [3]Ref{f, g, h}
+		if r, ok := memo[key]; ok {
+			return r
+		}
+		top := min(m.level(f), m.level(g), m.level(h))
+		f0, f1 := m.cofactors(f, top)
+		g0, g1 := m.cofactors(g, top)
+		h0, h1 := m.cofactors(h, top)
+		r := m.mk(top, ite(f0, g0, h0), ite(f1, g1, h1))
+		memo[key] = r
+		return r
+	}
+	return ite(f, g, h)
+}
+
 // SatCount returns the number of satisfying assignments of f over all
 // NumVars variables.
 func (m *Manager) SatCount(f Ref) float64 {

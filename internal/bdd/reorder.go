@@ -294,11 +294,8 @@ func (m *Manager) buildReorderState() {
 		rs.pos[r] = int32(len(rs.levels[lvl]))
 		rs.levels[lvl] = append(rs.levels[lvl], Ref(r))
 	}
-	// The lossy caches may hold entries naming collected slots; they are
+	// The lossy cache may hold entries naming collected slots; it is
 	// advisory for results but must not resolve to reused slots.
-	for i := range m.ite {
-		m.ite[i] = iteEntry{}
-	}
 	for i := range m.binop {
 		m.binop[i] = binopEntry{}
 	}

@@ -12,11 +12,11 @@ import (
 	"repro/internal/par"
 )
 
-// CorpusRow is one corpus member's outcome. Exactly one of Row, SeqRow,
-// and Err is populated: combinational circuits yield a Table 1/2 Row,
-// latched BLIF models route through the partitioned sequential flow and
-// yield a SeqRow, and a parse or flow failure is isolated into Err
-// without sinking the batch.
+// CorpusRow is one corpus member's outcome. Exactly one of Row and Err
+// is set: a finished circuit yields its Row — combinational circuits
+// through the Table 1/2 flow, latched BLIF models through the
+// partitioned sequential flow, as Sequential says — and a parse or flow
+// failure is isolated into Err without sinking the batch.
 //
 // Everything except WallSec is a pure function of (entry content,
 // configuration): RunCorpus collects rows by entry index on the shared
@@ -31,7 +31,6 @@ type CorpusRow struct {
 	// came from the partitioned sequential flow.
 	Sequential bool
 	Row        *Row
-	SeqRow     *SequentialRow
 	Err        string
 	// TimedOut marks rows whose error came from the per-circuit Timeout
 	// or from caller cancellation rather than from the circuit itself.
@@ -157,7 +156,7 @@ func (cc *CorpusConfig) fillRow(runCtx, ctx context.Context, row *CorpusRow, e c
 	}
 	row.Sequential = c.Seq != nil
 	if row.Sequential {
-		row.SeqRow, row.Engine, row.BudgetTrips, err = runSequentialDegraded(runCtx, c.Seq, cfg)
+		row.Row, row.Engine, row.BudgetTrips, err = runSequentialDegraded(runCtx, c.Seq, cfg)
 	} else {
 		row.Row, row.Engine, row.BudgetTrips, err = runCircuitDegraded(runCtx, c.Named, cfg, cc.Timed)
 	}

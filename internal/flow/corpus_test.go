@@ -2,6 +2,7 @@ package flow_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -112,7 +113,7 @@ func TestRunCorpusWorkerInvariance(t *testing.T) {
 	}
 	// The latched model must have gone through the sequential flow.
 	for _, r := range reference {
-		if r.Name == "counter" && (!r.Sequential || r.SeqRow == nil || r.SeqRow.FFs != 1) {
+		if r.Name == "counter" && (!r.Sequential || r.Row == nil || r.Row.FFs != 1) {
 			t.Errorf("latched model not routed through the sequential flow: %+v", r)
 		}
 		if r.Name != "counter" && r.Row == nil {
@@ -334,6 +335,22 @@ func TestCorpusRecordProjection(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], `"sequential":true`) || !strings.Contains(lines[1], `"ffs":1`) {
 		t.Errorf("sequential record wrong: %s", lines[1])
+	}
+	// A sequential record reports no interface and no criticals, and
+	// omits met_timing, although its Row's syntheses carry criticals.
+	var seqRec report.CorpusRecord
+	if err := json.Unmarshal([]byte(lines[1]), &seqRec); err != nil {
+		t.Fatal(err)
+	}
+	if seqRec.PIs != 0 || seqRec.POs != 0 || seqRec.MACritical != 0 || seqRec.MPCritical != 0 ||
+		strings.Contains(lines[1], `"met_timing"`) {
+		t.Errorf("sequential record should read pis, pos and criticals 0 without met_timing: %s", lines[1])
+	}
+	if seq := rows[1].Row; seq == nil || seq.MA.Critical <= 0 || seq.PIs != 0 {
+		t.Errorf("sequential Row should carry criticals and no interface: %+v", seq)
+	}
+	if !strings.Contains(lines[0], `"met_timing":true`) || strings.Contains(lines[0], `"pis":0`) {
+		t.Errorf("combinational record should carry pis and met_timing: %s", lines[0])
 	}
 	if !strings.Contains(lines[2], `"error"`) {
 		t.Errorf("error record wrong: %s", lines[2])

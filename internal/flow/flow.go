@@ -314,11 +314,17 @@ type Synthesis struct {
 	MetTiming   bool
 }
 
-// Row is one benchmark's result pair, mirroring a row of Table 1/2.
+// Row is one circuit's result pair, mirroring a row of Table 1/2. Every
+// row kind shares it: a combinational row fills Desc, PIs, POs and the
+// paper's numbers and leaves FFs, Cut and PseudoInputs zero; a
+// sequential row (RunSequential) does the reverse.
 type Row struct {
 	Name, Desc string
 	PIs, POs   int
-	MA, MP     Synthesis
+	// FFs is the flip-flop count; Cut how many the enhanced MFVS cut;
+	// PseudoInputs how many pseudo primary inputs the partition has.
+	FFs, Cut, PseudoInputs int
+	MA, MP                 Synthesis
 	// AreaPenaltyPct and PowerSavingPct are the paper's "% Area Pen."
 	// and "% Pwr Sav." columns computed from the measured values.
 	AreaPenaltyPct float64

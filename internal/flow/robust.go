@@ -157,12 +157,11 @@ func degradeStages(cfg Config) []degradeStage {
 // defaulted cfg: each stage runs under a fresh budget token attached to
 // ctx, and only a BDD node-budget trip advances to the next (cheaper)
 // stage — cancellation and real failures surface immediately. It
-// returns the stage's result, the engine name of the stage that
-// produced it ("" = the configured engine, untouched), and the total
-// number of budget trips accumulated across every attempted stage.
-func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budget.T) (T, error)) (result T, engine string, trips int, err error) {
+// returns the stage's row, the engine name of the stage that produced
+// it ("" = the configured engine, untouched), and the total number of
+// budget trips accumulated across every attempted stage.
+func runDegraded(ctx context.Context, cfg Config, run func(Config, *budget.T) (*Row, error)) (row *Row, engine string, trips int, err error) {
 	cfg.defaults()
-	var zero T
 	stages := degradeStages(cfg)
 	for _, st := range stages {
 		scfg := cfg
@@ -171,17 +170,17 @@ func runDegraded[T any](ctx context.Context, cfg Config, run func(Config, *budge
 		}
 		tok := scfg.token()
 		stop := tok.AttachContext(ctx)
-		result, err = run(scfg, tok)
+		row, err = run(scfg, tok)
 		stop()
 		trips += tok.Trips()
 		if err == nil {
-			return result, st.engine, trips, nil
+			return row, st.engine, trips, nil
 		}
 		if !errors.Is(err, budget.ErrBDDNodes) {
-			return zero, st.engine, trips, err
+			return nil, st.engine, trips, err
 		}
 	}
-	return zero, stages[len(stages)-1].engine, trips, err
+	return nil, stages[len(stages)-1].engine, trips, err
 }
 
 // runCircuitDegraded executes the untimed or timed combinational flow on
@@ -194,8 +193,8 @@ func runCircuitDegraded(ctx context.Context, c gen.NamedCircuit, cfg Config, tim
 }
 
 // runSequentialDegraded is runCircuitDegraded for the sequential flow.
-func runSequentialDegraded(ctx context.Context, c *seq.Circuit, cfg Config) (*SequentialRow, string, int, error) {
-	return runDegraded(ctx, cfg, func(scfg Config, tok *budget.T) (*SequentialRow, error) {
+func runSequentialDegraded(ctx context.Context, c *seq.Circuit, cfg Config) (*Row, string, int, error) {
+	return runDegraded(ctx, cfg, func(scfg Config, tok *budget.T) (*Row, error) {
 		return runSequential(c, scfg, tok)
 	})
 }

@@ -10,26 +10,13 @@ import (
 	"repro/internal/sgraph"
 )
 
-// SequentialRow is the result of the sequential flow: the paper's full
-// Section 4.2 pipeline — enhanced-MFVS partitioning, steady-state
-// probability estimation, then MA/MP phase assignment of the resulting
-// combinational domino block.
-type SequentialRow struct {
-	Name string
-	// FFs is the flip-flop count; Cut how many the enhanced MFVS cut;
-	// PseudoInputs how many pseudo primary inputs the partition has.
-	FFs, Cut, PseudoInputs int
-	MA, MP                 Synthesis
-	AreaPenaltyPct         float64
-	PowerSavingPct         float64
-}
-
-// RunSequential executes the sequential flow on a circuit: partition with
-// the enhanced MFVS, iterate cut-flip-flop probabilities to a fixed
-// point, then run both phase assignments on the partitioned block using
-// the steady-state probabilities as block input probabilities. It runs
-// under the configured budgets and degradation chain, as RunCorpus does.
-func RunSequential(c *seq.Circuit, cfg Config) (*SequentialRow, error) {
+// RunSequential executes the sequential flow on a circuit — the paper's
+// full Section 4.2 pipeline: partition with the enhanced MFVS, iterate
+// cut-flip-flop probabilities to a fixed point, then run both phase
+// assignments on the partitioned block using the steady-state
+// probabilities as block input probabilities. It runs under the
+// configured budgets and degradation chain, as RunCorpus does.
+func RunSequential(c *seq.Circuit, cfg Config) (*Row, error) {
 	row, _, _, err := runSequentialDegraded(context.Background(), c, cfg)
 	return row, err
 }
@@ -39,7 +26,7 @@ func RunSequential(c *seq.Circuit, cfg Config) (*SequentialRow, error) {
 // takes the configured technology-independent pipeline (resynthesis
 // included), and the steady state's block-input probabilities feed the
 // MA/MP pair every row kind shares.
-func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, error) {
+func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*Row, error) {
 	cut := c.Cut(sgraph.DefaultOptions())
 	part, blockProbs, _, err := c.SteadyStateProbs(seq.SteadyOptions{
 		InputProbs: prob.Uniform(c.Comb, cfg.InputProb), Cut: cut, Est: cfg.estOptions(tok),
@@ -57,7 +44,7 @@ func runSequential(c *seq.Circuit, cfg Config, tok *budget.T) (*SequentialRow, e
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Comb.Name, err)
 	}
-	row := &SequentialRow{
+	row := &Row{
 		Name:         c.Comb.Name,
 		FFs:          len(c.FFs),
 		Cut:          len(cut),

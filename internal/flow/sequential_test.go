@@ -53,7 +53,7 @@ func TestRunSequential(t *testing.T) {
 }
 
 func TestRunSequentialDeterministic(t *testing.T) {
-	mk := func() *SequentialRow {
+	mk := func() *Row {
 		c, err := gen.Sequential(gen.SeqParams{
 			Name: "det", Inputs: 6, FFs: 8, Gates: 40, Seed: 23, TwinProb: 0.5,
 		})
@@ -109,10 +109,10 @@ func latchedEntries(t *testing.T, p gen.SeqParams, n int) []corpus.Entry {
 // sizes and power bits.
 func seqRowKey(t *testing.T, r *CorpusRow) string {
 	t.Helper()
-	if r.Err != "" || r.SeqRow == nil {
+	if r.Err != "" || !r.Sequential {
 		t.Fatalf("%s: no sequential row (error %q)", r.Name, r.Err)
 	}
-	s := r.SeqRow
+	s := r.Row
 	return fmt.Sprintf("engine %q trips %d ffs %d cut %d pseudo %d | MA %v %d %x %x | MP %v %d %x %x",
 		r.Engine, r.BudgetTrips, s.FFs, s.Cut, s.PseudoInputs,
 		s.MA.Assignment, s.MA.Size, math.Float64bits(s.MA.EstPower), math.Float64bits(s.MA.SimPower),

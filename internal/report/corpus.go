@@ -12,7 +12,7 @@ import (
 // SequentialTable renders sequential-flow rows in the layout dominoflow
 // -seq prints (shared by the generated-circuit path and the corpus
 // engine for latched models).
-func SequentialTable(title string, rows []*flow.SequentialRow) string {
+func SequentialTable(title string, rows []*flow.Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-12s %5s %5s %7s | %6s %9s | %6s %9s | %9s %9s\n",
@@ -30,16 +30,15 @@ func SequentialTable(title string, rows []*flow.SequentialRow) string {
 // table layout, latched rows in the sequential layout, and failed rows
 // listed last with their isolated errors.
 func CorpusTable(title string, rows []*flow.CorpusRow) string {
-	var comb []*flow.Row
-	var seqRows []*flow.SequentialRow
+	var comb, seqRows []*flow.Row
 	var failed []*flow.CorpusRow
 	for _, r := range rows {
 		switch {
 		case r.Err != "":
 			failed = append(failed, r)
-		case r.SeqRow != nil:
-			seqRows = append(seqRows, r.SeqRow)
-		case r.Row != nil:
+		case r.Sequential:
+			seqRows = append(seqRows, r.Row)
+		default:
 			comb = append(comb, r.Row)
 		}
 	}
@@ -127,7 +126,9 @@ type CorpusRecord struct {
 	WallSec        float64 `json:"wall_seconds"`
 }
 
-// NewCorpusRecord projects a corpus row onto its JSONL schema.
+// NewCorpusRecord projects a corpus row, and its Row when it has one,
+// onto its JSONL schema. A sequential record reports pis, pos and both
+// criticals as 0 and omits met_timing.
 func NewCorpusRecord(r *flow.CorpusRow) CorpusRecord {
 	rec := CorpusRecord{
 		Index:       r.Index,
@@ -141,21 +142,17 @@ func NewCorpusRecord(r *flow.CorpusRow) CorpusRecord {
 		BudgetTrips: r.BudgetTrips,
 		WallSec:     r.WallSec,
 	}
-	switch {
-	case r.Row != nil:
-		rec.PIs, rec.POs = r.Row.PIs, r.Row.POs
-		rec.MASize, rec.MAPower, rec.MACritical = r.Row.MA.Size, r.Row.MA.SimPower, r.Row.MA.Critical
-		rec.MPSize, rec.MPPower, rec.MPCritical = r.Row.MP.Size, r.Row.MP.SimPower, r.Row.MP.Critical
-		rec.AreaPenaltyPct = r.Row.AreaPenaltyPct
-		rec.PowerSavingPct = r.Row.PowerSavingPct
-		met := r.Row.MP.MetTiming
-		rec.MetTiming = &met
-	case r.SeqRow != nil:
-		rec.FFs, rec.Cut, rec.PseudoInputs = r.SeqRow.FFs, r.SeqRow.Cut, r.SeqRow.PseudoInputs
-		rec.MASize, rec.MAPower = r.SeqRow.MA.Size, r.SeqRow.MA.SimPower
-		rec.MPSize, rec.MPPower = r.SeqRow.MP.Size, r.SeqRow.MP.SimPower
-		rec.AreaPenaltyPct = r.SeqRow.AreaPenaltyPct
-		rec.PowerSavingPct = r.SeqRow.PowerSavingPct
+	if row := r.Row; row != nil {
+		rec.PIs, rec.POs = row.PIs, row.POs
+		rec.FFs, rec.Cut, rec.PseudoInputs = row.FFs, row.Cut, row.PseudoInputs
+		rec.MASize, rec.MAPower = row.MA.Size, row.MA.SimPower
+		rec.MPSize, rec.MPPower = row.MP.Size, row.MP.SimPower
+		rec.AreaPenaltyPct, rec.PowerSavingPct = row.AreaPenaltyPct, row.PowerSavingPct
+		if !r.Sequential {
+			rec.MACritical, rec.MPCritical = row.MA.Critical, row.MP.Critical
+			met := row.MP.MetTiming
+			rec.MetTiming = &met
+		}
 	}
 	return rec
 }

@@ -158,6 +158,11 @@ type Partition struct {
 	// original Comb inputs, FF is the cut flip-flop index (or -1 for a
 	// real primary input).
 	Inputs []PartitionInput
+	// NextState[i] is the index in Block's outputs of the output that
+	// carries cut[i]'s next-state function. It is named "ns_" plus the
+	// flip-flop's name, with underscores appended while that name is
+	// taken.
+	NextState []int
 }
 
 // PartitionInput maps one Block input to its source.
@@ -280,9 +285,10 @@ func (c *Circuit) Partition(cut []int) (*Partition, error) {
 			return nil, err
 		}
 		name := "ns_" + ff.Name
-		if out.OutputByName(name) < 0 {
-			out.MarkOutput(name, root)
+		for out.OutputByName(name) >= 0 {
+			name += "_"
 		}
+		p.NextState = append(p.NextState, out.MarkOutput(name, root))
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("seq: partition produced invalid block: %w", err)
@@ -321,16 +327,18 @@ type SteadyOptions struct {
 	InputProbs []float64
 	// Cut is the flip-flop cut (nil = compute via enhanced MFVS).
 	Cut []int
-	// Iterations bounds the fixed-point iteration on cut flip-flop
-	// probabilities (default 20).
-	Iterations int
-	// Tolerance stops iteration early when no cut probability moves more
-	// than this (default 1e-9).
-	Tolerance float64
 	// Est is every iteration's probability engine and budget token (see
 	// power.NodeProbs); zero is power.Auto (exact up to 24 inputs), no token.
 	Est power.Options
 }
+
+// The fixed-point iteration on cut flip-flop probabilities runs at most
+// steadyIterations times, and stops early once no cut probability moves
+// more than steadyTolerance.
+const (
+	steadyIterations = 20
+	steadyTolerance  = 1e-9
+)
 
 // SteadyStateProbs estimates steady-state signal probabilities of the
 // expanded block: cut flip-flops start at probability 0.5 and are
@@ -347,14 +355,6 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, [
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	iters := opts.Iterations
-	if iters <= 0 {
-		iters = 20
-	}
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = 1e-9
-	}
 	block := p.Block
 	inProbs := make([]float64, block.NumInputs())
 	ffProb := make(map[int]float64)
@@ -367,7 +367,7 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, [
 		}
 	}
 	var nodeProbs []float64
-	for it := 0; it < iters; it++ {
+	for it := 0; it < steadyIterations; it++ {
 		if err := opts.Est.Budget.Err(); err != nil {
 			return nil, nil, nil, err
 		}
@@ -376,13 +376,8 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, [
 			return nil, nil, nil, err
 		}
 		delta := 0.0
-		for _, ffIdx := range cut {
-			name := "ns_" + c.FFs[ffIdx].Name
-			oi := block.OutputByName(name)
-			if oi < 0 {
-				continue
-			}
-			newP := nodeProbs[block.Outputs()[oi].Driver]
+		for i, ffIdx := range cut {
+			newP := nodeProbs[block.Outputs()[p.NextState[i]].Driver]
 			delta = math.Max(delta, math.Abs(newP-ffProb[ffIdx]))
 			ffProb[ffIdx] = newP
 		}
@@ -391,7 +386,7 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, [
 				inProbs[pos] = ffProb[in.FF]
 			}
 		}
-		if delta < tol {
+		if delta < steadyTolerance {
 			break
 		}
 	}

@@ -274,8 +274,7 @@ func TestSteadyStateConvergence(t *testing.T) {
 }
 
 func TestSteadyStateProbsInRange(t *testing.T) {
-	// Probabilities stay in [0,1] across random sequential circuits and
-	// iteration counts.
+	// Probabilities stay in [0,1] across random sequential circuits.
 	for seed := int64(0); seed < 8; seed++ {
 		c, err := buildRandomSeq(seed)
 		if err != nil {
@@ -285,7 +284,7 @@ func TestSteadyStateProbsInRange(t *testing.T) {
 		for _, pos := range c.RealInputs {
 			probs[pos] = 0.3
 		}
-		_, _, nodeProbs, err := c.SteadyStateProbs(SteadyOptions{InputProbs: probs, Iterations: 5})
+		_, _, nodeProbs, err := c.SteadyStateProbs(SteadyOptions{InputProbs: probs})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -319,4 +318,33 @@ func buildRandomSeq(seed int64) (*Circuit, error) {
 	n.MarkOutput("d1", b)
 	n.MarkOutput("z", n.AddOr(q0, q1))
 	return New(n, []int{0, 1}, []int{0, 1}, []string{"q0", "q1"})
+}
+
+// TestNextStateNameTaken: a primary output named like a cut flip-flop's
+// next-state output does not take over that flip-flop's fixed point.
+// Here q' = a·q, so P(q) halves every iteration towards 0, while the
+// primary output ns_q = ¬a reads 0.5.
+func TestNextStateNameTaken(t *testing.T) {
+	m, err := blif.ParseString(".model c\n.inputs a\n.outputs ns_q\n.latch d q 0\n" +
+		".names a q d\n11 1\n.names a ns_q\n0 1\n.end\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := FromModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, inProbs, _, err := c.SteadyStateProbs(SteadyOptions{InputProbs: []float64{0.5, 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.NextState) != 1 || p.Block.Outputs()[p.NextState[0]].Name != "ns_q_" || p.Block.OutputByName("ns_q") < 0 {
+		t.Fatalf("block outputs %v, next-state outputs %v: want ns_q kept and q's next state as ns_q_",
+			p.Block.Outputs(), p.NextState)
+	}
+	for pos, in := range p.Inputs {
+		if in.FF >= 0 && inProbs[pos] > 1e-6 {
+			t.Errorf("steady P(q) = %v, want the fixed point 0", inProbs[pos])
+		}
+	}
 }

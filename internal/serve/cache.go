@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/flow"
+	"repro/internal/report"
 )
 
 // CacheKey content-addresses one circuit's flow result: the SHA-256 of
@@ -65,50 +66,38 @@ func keyFromCanonical(cfgJSON []byte, timed bool, path string, fileBytes []byte)
 	return key
 }
 
-// cachedResult is the deterministic portion of one corpus row — the
-// fields that are a pure function of (config, flow selector, path, file
-// bytes). Submission metadata (index, submitted path, wall-clock) is
-// reattached per job.
-type cachedResult struct {
-	sequential bool
-	row        *flow.Row
-	seqRow     *flow.SequentialRow
-	errText    string
-	format     string
-	// engine and budgetTrips record the degradation-chain stage that
-	// produced the row. Budget trips are deterministic (per-build node
-	// caps, pre-shard vector clamps), so degraded rows are cacheable —
-	// unlike timeouts.
-	engine      string
-	budgetTrips int
-}
-
 // rowCache is the content-addressed result cache: a bounded map from
-// CacheKey to the immutable flow result, evicted FIFO. Values are
-// shared, never mutated.
+// CacheKey to the finished row's JSONL record with Index and WallSec
+// zeroed — the row's deterministic portion, a few hundred bytes however
+// large its circuit, so the entry bound is also a memory bound. The key
+// covers the submitted path, so a hit's name, path and format already
+// match its submission; only the index is set per job. Entries are
+// evicted FIFO and copied out, never shared.
 type rowCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[[32]byte]*cachedResult
+	entries map[[32]byte]report.CorpusRecord
 	order   [][32]byte // insertion order, for FIFO eviction
 }
 
 func newRowCache(max int) *rowCache {
-	return &rowCache{max: max, entries: make(map[[32]byte]*cachedResult)}
+	return &rowCache{max: max, entries: make(map[[32]byte]report.CorpusRecord)}
 }
 
-func (c *rowCache) get(key [32]byte) (*cachedResult, bool) {
+func (c *rowCache) get(key [32]byte) (report.CorpusRecord, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.entries[key]
-	return r, ok
+	rec, ok := c.entries[key]
+	return rec, ok
 }
 
-// put stores a completed row's deterministic portion. Rows flagged
-// TimedOut are refused: whether a circuit beats its timeout depends on
-// machine load, so caching one would freeze a non-deterministic outcome.
-func (c *rowCache) put(key [32]byte, r *flow.CorpusRow) {
-	if r.TimedOut || c.max <= 0 {
+// put stores a finished row's record. Rows flagged TimedOut are
+// refused: whether a circuit beats its timeout depends on machine load,
+// so caching one would freeze a non-deterministic outcome. Budget trips
+// are deterministic (per-build node caps, pre-shard vector clamps), so
+// degraded rows are cached with their engine and trip count.
+func (c *rowCache) put(key [32]byte, rec report.CorpusRecord) {
+	if rec.TimedOut || c.max <= 0 {
 		return
 	}
 	c.mu.Lock()
@@ -121,15 +110,8 @@ func (c *rowCache) put(key [32]byte, r *flow.CorpusRow) {
 		c.order = c.order[1:]
 		delete(c.entries, oldest)
 	}
-	c.entries[key] = &cachedResult{
-		sequential:  r.Sequential,
-		row:         r.Row,
-		seqRow:      r.SeqRow,
-		errText:     r.Err,
-		format:      r.Format,
-		engine:      r.Engine,
-		budgetTrips: r.BudgetTrips,
-	}
+	rec.Index, rec.WallSec = 0, 0
+	c.entries[key] = rec
 	c.order = append(c.order, key)
 }
 

@@ -42,7 +42,7 @@ type jobCircuit struct {
 	format  corpus.Format
 	data    []byte
 	key     [32]byte
-	cached  *cachedResult // non-nil when resolved from the cache at submit
+	cached  *report.CorpusRecord // non-nil when resolved from the cache at submit
 }
 
 // job is one submission's lifecycle: circuits in deterministic
@@ -67,9 +67,9 @@ type job struct {
 	mu        sync.Mutex
 	state     string
 	cancelled bool
-	slots     []*flow.CorpusRow // filled out of order by cache hits + OnRow
-	lines     [][]byte          // serialized rows, always a contiguous prefix
-	next      int               // emission frontier into slots
+	slots     []*report.CorpusRecord // filled out of order by cache hits + OnRow
+	lines     [][]byte               // serialized rows, always a contiguous prefix
+	next      int                    // emission frontier into slots
 	failed    int
 	cacheHits int
 	wallSec   float64
@@ -96,7 +96,7 @@ func newJob(circuits []jobCircuit, cfg flow.Config, cfgJSON []byte, timed bool) 
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     StateQueued,
-		slots:     make([]*flow.CorpusRow, len(circuits)),
+		slots:     make([]*report.CorpusRecord, len(circuits)),
 		notify:    make(chan struct{}),
 	}
 }
@@ -143,22 +143,23 @@ func (j *job) setState(s string) {
 	j.broadcast()
 }
 
-// fill records circuit i's finished row and emits every newly contiguous
-// row as a JSONL line — the same frontier discipline flow.RunCorpus uses
-// for OnRow, extended here so cache hits (filled at submit) and flow
-// rows (filled as they complete) interleave back into index order.
-func (j *job) fill(i int, row *flow.CorpusRow) {
+// fill records circuit i's finished record and emits every newly
+// contiguous record as a JSONL line — the same frontier discipline
+// flow.RunCorpus uses for OnRow, extended here so cache hits (filled at
+// submit) and flow rows (filled as they complete) interleave back into
+// index order.
+func (j *job) fill(i int, rec *report.CorpusRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.slots[i] = row
+	j.slots[i] = rec
 	for j.next < len(j.slots) && j.slots[j.next] != nil {
 		r := j.slots[j.next]
-		line, err := json.Marshal(report.NewCorpusRecord(r))
+		line, err := json.Marshal(r)
 		if err != nil { // cannot happen for CorpusRecord; keep the frontier moving
 			line = []byte(fmt.Sprintf(`{"index":%d,"error":%q}`, r.Index, err.Error()))
 		}
 		j.lines = append(j.lines, append(line, '\n'))
-		if r.Err != "" {
+		if r.Error != "" {
 			j.failed++
 		}
 		j.next++
@@ -217,24 +218,6 @@ func (j *job) status() jobStatus {
 		WallSec:    j.wallSec,
 		RowsURL:    "/v1/jobs/" + j.id + "/rows",
 		SchemaVers: report.CorpusSchemaVersion,
-	}
-}
-
-// cachedCorpusRow reattaches submission metadata to a cached result.
-func cachedCorpusRow(index int, c jobCircuit, hit *cachedResult) *flow.CorpusRow {
-	return &flow.CorpusRow{
-		Index:       index,
-		Name:        c.name,
-		Path:        c.relPath,
-		Format:      hit.format,
-		Sequential:  hit.sequential,
-		Row:         hit.row,
-		SeqRow:      hit.seqRow,
-		Err:         hit.errText,
-		Engine:      hit.engine,
-		BudgetTrips: hit.budgetTrips,
-		// WallSec ~0: a cache hit does no flow work. Wall-clock is
-		// outside the deterministic row contract either way.
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blif"
 	"repro/internal/flow"
+	"repro/internal/gen"
 )
 
 // doneJob returns a finished job with no circuits.
@@ -134,5 +136,42 @@ func TestCachedSubmissionsDropUploadBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > n*int64(len(payload))/4 {
 		t.Errorf("%d cached submissions of %d B grew the live heap by %d B", n, len(payload), grew)
+	}
+}
+
+// TestFinishedRowsRetainOnlyRecords: once a row is served, the cache
+// entry and the retained job keep only its JSONL record, never the
+// synthesis behind it (the prepared network, both phase blocks and both
+// mapped blocks — about 220 KB for apex7). Cold submissions under
+// distinct seeds therefore grow the live heap by a job's bookkeeping
+// each.
+func TestFinishedRowsRetainOnlyRecords(t *testing.T) {
+	src, err := blif.WriteString(&blif.Model{Network: gen.Apex7().Net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := testServer(t, Options{})
+	submit := func(seed int) {
+		st := decodeStatus(t, postRaw(t, ts.URL, "apex7.blif", []byte(src), fmt.Sprintf(`{"SimVectors":128,"SimSeed":%d}`, seed), ""))
+		if st.CacheHits != 0 {
+			t.Fatalf("seed %d: %d cache hits, want a cold job", seed, st.CacheHits)
+		}
+		if recs := fetchRows(t, ts.URL, st.ID); len(recs) != 1 || recs[0].Error != "" {
+			t.Fatalf("seed %d: rows %+v, want one finished row", seed, recs)
+		}
+	}
+	submit(0) // first-use allocations (connections, pools) are not per row
+
+	const n = 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= n; i++ {
+		submit(i)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if perRow := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n; perRow > 16<<10 {
+		t.Errorf("each cold apex7 submission grew the live heap by %d B, want under 16 KiB", perRow)
 	}
 }

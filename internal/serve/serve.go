@@ -33,6 +33,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -261,7 +262,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c := &j.circuits[i]
 		c.key = keyFromCanonical(cfgJSON, timed, c.relPath, c.data)
 		if hit, ok := s.cache.get(c.key); ok {
-			c.cached, c.data = hit, nil
+			c.cached, c.data = &hit, nil
 			j.cacheHits++
 			s.m.cacheHits.Add(1)
 		} else {
@@ -313,22 +314,23 @@ func errStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// fillCachedSlots emits every cache-hit row. Misses stay nil; the
+// fillCachedSlots emits every cache-hit record under its index (a hit
+// does no flow work, so its wall_seconds reads 0). Misses stay nil; the
 // frontier advances as the flow fills them.
 func (s *Server) fillCachedSlots(j *job) {
 	for i := range j.circuits {
 		if c := &j.circuits[i]; c.cached != nil {
-			row := cachedCorpusRow(i, *c, c.cached)
-			s.countRow(row)
-			j.fill(i, row)
+			c.cached.Index = i
+			s.countRow(c.cached)
+			j.fill(i, c.cached)
 		}
 	}
 }
 
 // countRow tracks row-level metrics at emission time.
-func (s *Server) countRow(row *flow.CorpusRow) {
+func (s *Server) countRow(row *report.CorpusRecord) {
 	s.m.rowsTotal.Add(1)
-	if row.Err != "" {
+	if row.Error != "" {
 		s.m.rowsFailed.Add(1)
 	}
 	if row.TimedOut {
@@ -408,11 +410,11 @@ func (s *Server) runJob(j *job) {
 		Timeout: s.opts.CircuitTimeout,
 		OnRow: func(r *flow.CorpusRow) {
 			g := global[r.Index]
-			row := *r
-			row.Index = g
-			s.cache.put(j.circuits[g].key, &row)
-			s.countRow(&row)
-			j.fill(g, &row)
+			rec := report.NewCorpusRecord(r)
+			rec.Index = g
+			s.cache.put(j.circuits[g].key, rec)
+			s.countRow(&rec)
+			j.fill(g, &rec)
 		},
 	}
 	s.m.flowRuns.Add(1)
@@ -436,12 +438,12 @@ func (s *Server) fillCancelledSlots(j *job) {
 	}
 	for _, i := range j.unfilledSlots() {
 		c := &j.circuits[i]
-		row := &flow.CorpusRow{
+		rec := &report.CorpusRecord{
 			Index: i, Name: c.name, Path: c.relPath, Format: c.format.String(),
-			Err: cause.Error(), TimedOut: true,
+			Error: cause.Error(), TimedOut: true,
 		}
-		s.countRow(row)
-		j.fill(i, row)
+		s.countRow(rec)
+		j.fill(i, rec)
 	}
 }
 
@@ -616,14 +618,26 @@ func readSubmission(w http.ResponseWriter, r *http.Request, maxBytes int64) (nam
 	if name == "" {
 		return "", nil, nil, false, badRequest("raw submissions need a ?name= query parameter (or use multipart/form-data)")
 	}
-	var err error
-	data, err = io.ReadAll(r.Body)
-	if err != nil {
+	// One allocation for a body whose length is declared: the buffer is
+	// reserved up front (with bytes.MinRead of headroom, so reading the
+	// final EOF does not grow it), but never past uploadReserve before a
+	// byte arrives. Chunked and longer bodies grow as they are read.
+	var reserve int64
+	if r.ContentLength > 0 {
+		reserve = min(r.ContentLength, uploadReserve) + bytes.MinRead
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, reserve))
+	if _, err := buf.ReadFrom(r.Body); err != nil {
 		return "", nil, nil, false, uploadError(err)
 	}
 	cfgRaw = []byte(r.Header.Get("X-Dominod-Config"))
-	return name, data, cfgRaw, timed, nil
+	return name, buf.Bytes(), cfgRaw, timed, nil
 }
+
+// uploadReserve caps the buffer a raw submission's declared
+// Content-Length reserves before its bytes arrive, so a header alone
+// cannot make the daemon allocate MaxUploadBytes.
+const uploadReserve = 1 << 20
 
 // uploadError maps body-read failures: MaxBytesReader overflow becomes
 // 413, everything else 400.

@@ -13,6 +13,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -297,6 +299,59 @@ func TestCacheHitSecondSubmission(t *testing.T) {
 
 // corruptBLIF fails to parse ("blif: line 5: pattern missing").
 const corruptBLIF = ".model bad\n.inputs a b\n.outputs f\n.names a b f\n11\n.end\n"
+
+// fetchLines returns a finished job's raw JSONL lines.
+func fetchLines(t *testing.T, base, id string) []string {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/rows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+}
+
+// TestCacheHitStreamsMissLine: a cache hit streams the line its miss
+// streamed, byte for byte apart from index and wall_seconds, for a
+// latched circuit and for a corrupt file alike.
+func TestCacheHitStreamsMissLine(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	perJob := regexp.MustCompile(`"index":\d+|"wall_seconds":[^,}]+`)
+	strip := func(line string) string { return perJob.ReplaceAllString(line, "") }
+
+	cold := decodeStatus(t, postRaw(t, ts.URL, "batch.tar", tarOf(t, map[string]string{
+		"a.blif": tinyBLIF, "bad.blif": corruptBLIF, "counter.blif": tinySeqBLIF,
+	}), testCfgJSON, ""))
+	coldLines := fetchLines(t, ts.URL, cold.ID)
+	warm := decodeStatus(t, postRaw(t, ts.URL, "again.tar", tarOf(t, map[string]string{
+		"bad.blif": corruptBLIF, "counter.blif": tinySeqBLIF,
+	}), testCfgJSON, ""))
+	if warm.State != StateDone || warm.CacheHits != 2 {
+		t.Fatalf("resubmission: %+v, want done with 2 hits", warm)
+	}
+	if runs := s.m.flowRuns.Load(); runs != 1 {
+		t.Errorf("%d flow runs, want 1 (the resubmission is all hits)", runs)
+	}
+	warmLines := fetchLines(t, ts.URL, warm.ID)
+	if len(coldLines) != 3 || len(warmLines) != 2 {
+		t.Fatalf("got %d cold and %d cached lines, want 3 and 2", len(coldLines), len(warmLines))
+	}
+	for i, want := range coldLines[1:] {
+		if !strings.HasPrefix(warmLines[i], fmt.Sprintf(`{"index":%d,`, i)) {
+			t.Errorf("cached line %d carries the wrong index: %s", i, warmLines[i])
+		}
+		if got := warmLines[i]; strip(got) != strip(want) {
+			t.Errorf("cached line differs from the miss's:\n  miss: %s\n  hit:  %s", want, got)
+		}
+	}
+	if !strings.Contains(coldLines[2], `"sequential":true`) || !strings.Contains(coldLines[1], `"error":"corpus: bad.blif: `) {
+		t.Errorf("want a corrupt-file line and a sequential line, got:\n%s\n%s", coldLines[1], coldLines[2])
+	}
+}
 
 // TestCorruptFileErrorNamesSubmittedPath: a circuit that fails to parse
 // yields an error row naming its submitted path and no server-side file
@@ -632,6 +687,52 @@ func TestSubmitRejections(t *testing.T) {
 		resp.Body.Close()
 		t.Errorf("bad timed value: status %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestRawSubmissionBody: a raw body is read into a buffer reserved from
+// its declared Content-Length, but never more than uploadReserve before
+// a byte arrives. A request that declares MaxUploadBytes but sends a
+// tiny circuit allocates under 2 MiB, a declared length over the upload
+// cap past the reserve is still a 413, and a chunked body (no declared
+// length) is accepted.
+func TestRawSubmissionBody(t *testing.T) {
+	const maxUpload = 64 << 20
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs?name=comb.blif", strings.NewReader(tinyBLIF))
+	req.ContentLength = maxUpload
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, data, _, _, serr := readSubmission(httptest.NewRecorder(), req, maxUpload)
+	runtime.ReadMemStats(&after)
+	if serr != nil || string(data) != tinyBLIF {
+		t.Fatalf("declared %d B, sent %d: read %d B, error %v", maxUpload, len(tinyBLIF), len(data), serr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("a tiny body declaring %d B allocated %d B, want under 2 MiB", maxUpload, got)
+	}
+
+	_, ts := testServer(t, Options{MaxUploadBytes: 2 * uploadReserve})
+	resp := postRaw(t, ts.URL, "big.blif", bytes.Repeat([]byte{'#'}, 2*uploadReserve+1), "", "")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("body over the upload cap: status %d, want 413", resp.StatusCode)
+	}
+
+	// A reader of unknown length makes the client send the body chunked.
+	chunked, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs?name=comb.blif", io.MultiReader(strings.NewReader(tinyBLIF)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked.Header.Set("X-Dominod-Config", testCfgJSON)
+	resp, err = http.DefaultClient.Do(chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := decodeStatus(t, resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("chunked body: status %d, want 202", resp.StatusCode)
+	}
+	checkMatchesDirect(t, map[string]string{"comb.blif": tinyBLIF}, fetchRows(t, ts.URL, st.ID))
 }
 
 // TestArchiveExpansionCapped: archive members are read against
