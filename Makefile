@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench benchtest corpussmoke loc lint lintgate staticcheck staticcheck-install docgate testinggate fmt
+.PHONY: all build test race fuzz bench benchtest corpussmoke examples loc lint lintgate staticcheck staticcheck-install docgate testinggate fmt
 
 all: lint build test
 
@@ -52,6 +52,22 @@ corpussmoke:
 	$(GO) run ./cmd/genbench -dir corpus-smoke -only apex7,frg1,x1,seq0,seq1,seq2
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -vectors 512 -workers 4 -check-twins -jsonl corpus-smoke/rows.jsonl
 	$(GO) run ./cmd/dominoflow -dir corpus-smoke -table 2 -vectors 512 -workers 2 -check-twins -jsonl corpus-smoke/rows_timed.jsonl
+
+# Examples: build each program under examples/, run it twice, and fail
+# on an error exit or on a second run whose output differs from the
+# first (every example prints deterministic results). Build products go
+# to a temporary directory that is removed afterwards.
+examples:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for d in examples/*/; do \
+		ex=$$(basename $$d); \
+		$(GO) build -o "$$tmp/$$ex" ./$$d || exit 1; \
+		for run in 1 2; do \
+			"$$tmp/$$ex" > "$$tmp/$$ex.$$run" || { echo "examples: $$ex exited with an error"; exit 1; }; \
+		done; \
+		diff -u "$$tmp/$$ex.1" "$$tmp/$$ex.2" || { echo "examples: $$ex printed different output on its second run"; exit 1; }; \
+	done; \
+	echo "examples: every example ran twice with identical output"
 
 # Go line counts outside bench/: non-test code (ROADMAP aim 2's measure),
 # then _test.go files, so code moved into test files shows as a rise in

@@ -48,11 +48,14 @@ func main() {
 	fmt.Println()
 
 	// Cross-check the closed-form model with the Monte-Carlo simulator.
-	for name, asg := range map[string]phase.Assignment{
-		"left":  {true, false},
-		"right": {false, true},
+	for _, r := range []struct {
+		name string
+		asg  phase.Assignment
+	}{
+		{"left", phase.Assignment{true, false}},
+		{"right", phase.Assignment{false, true}},
 	} {
-		res, err := phase.Apply(n, asg)
+		res, err := phase.Apply(n, r.asg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +68,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("simulated unweighted transitions (%s): domino %.4f per cycle\n",
-			name, float64(rep.DominoTransitions)/float64(rep.Cycles))
+			r.name, float64(rep.DominoTransitions)/float64(rep.Cycles))
 	}
 }
 

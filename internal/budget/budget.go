@@ -110,6 +110,16 @@ func (t *T) Err() error {
 	return nil
 }
 
+// Poll is the cancellation poll of a hot loop running in a par.Map
+// shard: the shard context's error (par.Map's first-error propagation),
+// then the token's. Both are one cheap atomic check.
+func (t *T) Poll(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return t.Err()
+}
+
 // MaxBDDNodes returns the per-build BDD node cap, 0 if unlimited.
 func (t *T) MaxBDDNodes() int {
 	if t == nil {

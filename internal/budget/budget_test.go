@@ -12,6 +12,14 @@ func TestNilTokenIsUnlimited(t *testing.T) {
 	if err := tok.Err(); err != nil {
 		t.Fatalf("nil token Err = %v", err)
 	}
+	if err := tok.Poll(context.Background()); err != nil {
+		t.Fatalf("nil token Poll = %v", err)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := tok.Poll(done); !errors.Is(err, context.Canceled) {
+		t.Fatalf("nil token Poll under a cancelled context = %v", err)
+	}
 	if got := tok.CapSimVectors(1 << 20); got != 1<<20 {
 		t.Fatalf("nil token clamped vectors to %d", got)
 	}

@@ -130,9 +130,9 @@ type Config struct {
 	// Cache-key: semantic.
 	Resynthesize bool `json:"Resynthesize"`
 	// MaxCollapseSupport is the largest output support Resynthesize
-	// collapses (default 14). An ISOP cover can have up to 2^(support-1)
-	// cubes (parity), so large values cost time — which the row's
-	// budget token bounds.
+	// collapses (default 14, at most sop.MaxSupport). An ISOP cover can
+	// have up to 2^(support-1) cubes (parity), so large values cost time
+	// and memory that no node budget bounds.
 	// Cache-key: semantic.
 	MaxCollapseSupport int `json:"MaxCollapseSupport"`
 	// Workers bounds the worker pool of the exhaustive phase search and
@@ -364,16 +364,11 @@ func prepare(net *logic.Network, cfg Config, tok *budget.T) (*logic.Network, err
 
 // synthesizeMAAssignment runs the MA phase search on a prepared network
 // — the single assignment-selection path shared by the combinational and
-// sequential flows — scoring mapped cell count from an area table. Its
-// walk keeps phase.CheckRescoreWalk's ceiling: ExhaustiveLimit is
-// untrusted input, and a 2^40 walk would not finish. tok (nil = never
-// cancelled) is polled by the search at a bounded interval.
+// sequential flows — scoring mapped cell count from an area table.
+// ExhaustiveLimit is untrusted input, but the gray walk refuses every
+// interface over 20 outputs. tok (nil = never cancelled) is polled by
+// the search at a bounded interval.
 func synthesizeMAAssignment(net *logic.Network, cfg Config, tok *budget.T) (phase.Assignment, *phase.Result, error) {
-	if k := net.NumOutputs(); k <= cfg.ExhaustiveLimit {
-		if err := phase.CheckRescoreWalk(k); err != nil {
-			return nil, nil, fmt.Errorf("flow: MinArea: %w", err)
-		}
-	}
 	table, err := power.NewAreaTable(net, *cfg.Lib)
 	if err != nil {
 		return nil, nil, fmt.Errorf("flow: MinArea: %w", err)
@@ -403,20 +398,6 @@ func SynthesizeMA(net *logic.Network, cfg Config) (*Synthesis, error) {
 	return synthesize(asg, res, prob.Uniform(net, cfg.InputProb), cfg, tok, false, 0, nil)
 }
 
-// phaseScorer builds the candidate scorer of the configured scoring
-// mode: the cone table by default, nil (meaning: use an Evaluate
-// fallback) under ScoreNaive.
-func phaseScorer(net *logic.Network, probs []float64, cfg Config, tok *budget.T) (phase.AssignmentScorer, error) {
-	if cfg.PhaseScoring == ScoreNaive {
-		return nil, nil
-	}
-	table, err := power.NewConeTable(net, *cfg.Lib, probs, cfg.estOptions(tok))
-	if err != nil {
-		return nil, fmt.Errorf("flow: cone table: %w", err)
-	}
-	return table, nil
-}
-
 // synthesizeMPAssignment runs the configured power-driven phase search
 // on a prepared network with explicit per-input probabilities — the
 // single scorer/strategy wiring shared by the combinational and
@@ -434,14 +415,14 @@ func synthesizeMPAssignment(net *logic.Network, probs []float64, cfg Config, tok
 		AnnealSteps:    cfg.AnnealSteps,
 		Budget:         tok,
 	}
-	scorer, err := phaseScorer(net, probs, cfg, tok)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if scorer != nil {
-		popts.Scorer = scorer
-	} else {
+	if cfg.PhaseScoring == ScoreNaive {
 		popts.Evaluate = power.NewEstimator(*cfg.Lib, probs, cfg.estOptions(tok)).Evaluate
+	} else {
+		table, err := power.NewConeTable(net, *cfg.Lib, probs, cfg.estOptions(tok))
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("flow: cone table: %w", err)
+		}
+		popts.Scorer = table
 	}
 	asg, res, est, _, err := phase.MinPower(net, popts)
 	if err != nil {

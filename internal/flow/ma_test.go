@@ -93,18 +93,26 @@ func TestSynthesizeMAMatchesEvalOracle(t *testing.T) {
 	}
 }
 
-// TestMAExhaustiveCeiling: an ExhaustiveLimit past 20 outputs does not
-// open a 2^k MA walk — wide24 under ExhaustiveLimit 24 is the error row
-// it has always been.
+// TestMAExhaustiveCeiling: no configuration opens a 2^k walk over more
+// than 20 outputs — wide24 under ExhaustiveLimit 24 is the error row it
+// has always been, and so is wide24 under an exhaustive MP search,
+// although the cone table's flips are cheap.
 func TestMAExhaustiveCeiling(t *testing.T) {
-	rows, err := flow.RunCorpus(context.Background(), []corpus.Entry{memEntry(t, "wide24", gen.Wide24().Net)},
-		flow.CorpusConfig{Base: flow.Config{ExhaustiveLimit: 24, SimVectors: 64}, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "wide24: flow: MinArea: phase: exhaustive search over 24 outputs is infeasible"
-	if r := rows[0]; r.Row != nil || r.TimedOut || r.Err != want {
-		t.Fatalf("row %+v, want error row %q", r, want)
+	for _, tc := range []struct {
+		cfg  flow.Config
+		want string
+	}{
+		{flow.Config{ExhaustiveLimit: 24, SimVectors: 64}, "wide24: flow: MinArea: phase: exhaustive search over 24 outputs is infeasible"},
+		{flow.Config{SearchStrategy: phase.StrategyExhaustive, SimVectors: 64}, "wide24: flow: MinPower: phase: exhaustive search over 24 outputs is infeasible"},
+	} {
+		rows, err := flow.RunCorpus(context.Background(), []corpus.Entry{memEntry(t, "wide24", gen.Wide24().Net)},
+			flow.CorpusConfig{Base: tc.cfg, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := rows[0]; r.Row != nil || r.TimedOut || r.Err != tc.want {
+			t.Errorf("row %+v, want error row %q", r, tc.want)
+		}
 	}
 }
 

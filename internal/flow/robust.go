@@ -12,6 +12,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/seq"
 	"repro/internal/sim"
+	"repro/internal/sop"
 	"repro/internal/timing"
 )
 
@@ -33,8 +34,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flow: config field ExhaustiveLimit: %d is negative", c.ExhaustiveLimit)
 	case c.Slack < 0:
 		return fmt.Errorf("flow: config field Slack: %v is negative", c.Slack)
-	case c.MaxCollapseSupport < 0:
-		return fmt.Errorf("flow: config field MaxCollapseSupport: %d is negative", c.MaxCollapseSupport)
+	case c.MaxCollapseSupport < 0 || c.MaxCollapseSupport > sop.MaxSupport:
+		return fmt.Errorf("flow: config field MaxCollapseSupport: %d out of range [0,%d]", c.MaxCollapseSupport, sop.MaxSupport)
 	case c.Workers < 0:
 		return fmt.Errorf("flow: config field Workers: %d is negative", c.Workers)
 	case c.SimShards < 0 || c.SimShards > sim.MaxShards:

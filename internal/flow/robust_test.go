@@ -57,6 +57,7 @@ func TestConfigValidate(t *testing.T) {
 		{"ExhaustiveLimit", Config{ExhaustiveLimit: -1}},
 		{"Slack", Config{Slack: -0.5}},
 		{"MaxCollapseSupport", Config{MaxCollapseSupport: -1}},
+		{"MaxCollapseSupport", Config{MaxCollapseSupport: 21}}, // past sop.MaxSupport
 		{"Workers", Config{Workers: -1}},
 		{"SimShards", Config{SimShards: -1}},
 		{"SimShards", Config{SimShards: sim.MaxShards + 1}},

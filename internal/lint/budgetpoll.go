@@ -8,9 +8,9 @@ import (
 // BudgetPoll enforces the PR 8 cooperative-cancellation contract on the
 // engine packages (bdd, sim, phase, sop): when a function receives a
 // *budget.T parameter, every loop in it must reference the token
-// somewhere inside the loop — a direct poll (tok.Err()), a helper call
-// (pollCancel(ctx, tok)), or passing it down to the callee doing the
-// polling. A loop with no reference at all is exactly the "future hot
+// somewhere inside the loop — a direct poll (tok.Err(), or
+// tok.Poll(ctx) under a shard context), or passing it down to the
+// callee doing the polling. A loop with no reference at all is exactly the "future hot
 // loop that forgot to poll" the contract exists for; a provably bounded
 // loop can be annotated //dominolint:budget-ok with the bound as the
 // reason.

@@ -5,14 +5,12 @@ import (
 	"go/types"
 )
 
-// detRangeScope is the set of row-producing packages: everything whose
-// output feeds the bit-identical-rows contract (flow rows, report
-// tables, served JSONL, phase/power winners, corpus entry order, the
-// sequential flow's MFVS cut and partition). A map
-// iteration whose order leaks into any of those outputs breaks
-// determinism at some worker count or run, so it poisons the
-// content-addressed cache.
-var detRangeScope = []string{"flow", "report", "serve", "phase", "power", "corpus", "seq", "sgraph"}
+// detRangeScope is every row-producing package (rowScope) plus serve,
+// whose JSONL streams and job listings are served rows: a map iteration
+// whose order leaks into a row, a served response or an engine's
+// intermediate result breaks determinism at some worker count or run,
+// so it poisons the content-addressed cache.
+var detRangeScope = append([]string{"serve"}, rowScope...)
 
 // DetRange flags `range` over a map in row-producing packages. The only
 // allowed raw map range is a pure key/value collection loop (every
@@ -24,8 +22,8 @@ var detRangeScope = []string{"flow", "report", "serve", "phase", "power", "corpu
 var DetRange = &Analyzer{
 	Name:      "detrange",
 	Directive: "nondet-ok",
-	Doc: "range over a map in a row-producing package (flow, report, " +
-		"serve, phase, power, corpus, seq, sgraph) is nondeterministic; sort the keys " +
+	Doc: "range over a map in a row-producing package (every package " +
+		"walltime checks, plus serve) is nondeterministic; sort the keys " +
 		"first, collect-then-sort, or annotate //dominolint:nondet-ok",
 	Run: runDetRange,
 }

@@ -11,8 +11,9 @@
 // directive checker:
 //
 //   - detrange: flags `range` over a map in the row-producing packages
-//     (flow, report, serve, phase, power, corpus, seq, sgraph) unless
-//     the loop is a pure key-collection (`keys = append(keys, k)`) that
+//     (every package walltime checks — the engines, the flow, the
+//     parsers and generators, the report layer — plus serve) unless the
+//     loop is a pure key-collection (`keys = append(keys, k)`) that
 //     feeds a sort, or the site carries a //dominolint:nondet-ok
 //     directive.
 //   - cachekey: makes flow.Config field classification a build-time

@@ -5,7 +5,13 @@ import (
 	"testing"
 )
 
-func TestDetRangeFixture(t *testing.T)   { runFixture(t, DetRange, "detrange/flow") }
+// TestDetRangeFixture covers a flow package and an engine package: the
+// detrange scope is every package that feeds rows.
+func TestDetRangeFixture(t *testing.T) {
+	runFixture(t, DetRange, "detrange/flow")
+	runFixture(t, DetRange, "detrange/prob")
+}
+
 func TestBudgetPollFixture(t *testing.T) { runFixture(t, BudgetPoll, "budgetpoll/sim") }
 func TestWallTimeFixture(t *testing.T)   { runFixture(t, WallTime, "walltime/power") }
 func TestErrSinkFixture(t *testing.T)    { runFixture(t, ErrSink, "errsink/blif") }

@@ -11,6 +11,7 @@ package logic
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -340,15 +341,26 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("node %d: unknown kind %d", i, node.Kind)
 		}
 	}
+	// Each index check reports its least offending name, so the error
+	// does not depend on map order.
+	bad, found := "", false
+	//dominolint:nondet-ok the loop keeps the least offending name, which every order reaches
 	for name, id := range n.inputIndex {
-		if id < 0 || int(id) >= len(n.nodes) || n.nodes[id].Kind != KindInput {
-			return fmt.Errorf("input index %q points at non-input node %d", name, id)
+		if (id < 0 || int(id) >= len(n.nodes) || n.nodes[id].Kind != KindInput) && (!found || name < bad) {
+			bad, found = name, true
 		}
 	}
+	if found {
+		return fmt.Errorf("input index %q points at non-input node %d", bad, n.inputIndex[bad])
+	}
+	//dominolint:nondet-ok the loop keeps the least offending name, which every order reaches
 	for name, idx := range n.outputIndex {
-		if idx < 0 || idx >= len(n.outputs) || n.outputs[idx].Name != name {
-			return fmt.Errorf("output index %q inconsistent", name)
+		if (idx < 0 || idx >= len(n.outputs) || n.outputs[idx].Name != name) && (!found || name < bad) {
+			bad, found = name, true
 		}
+	}
+	if found {
+		return fmt.Errorf("output index %q inconsistent", bad)
 	}
 	for _, o := range n.outputs {
 		if o.Driver < 0 || int(o.Driver) >= len(n.nodes) {
@@ -370,12 +382,8 @@ func (n *Network) Clone() *Network {
 	}
 	c.inputs = append([]NodeID(nil), n.inputs...)
 	c.outputs = append([]Output(nil), n.outputs...)
-	for k, v := range n.inputIndex {
-		c.inputIndex[k] = v
-	}
-	for k, v := range n.outputIndex {
-		c.outputIndex[k] = v
-	}
+	c.inputIndex = maps.Clone(n.inputIndex)
+	c.outputIndex = maps.Clone(n.outputIndex)
 	return c
 }
 

@@ -217,6 +217,23 @@ func TestValidateCatchesArity(t *testing.T) {
 	}
 }
 
+// TestValidateNamesLeastBadIndex: with several corrupt index entries,
+// Validate names the least one on every call, whatever the map order.
+func TestValidateNamesLeastBadIndex(t *testing.T) {
+	n := New("bad")
+	for _, name := range []string{"d", "b", "c", "a"} {
+		n.AddInput(name)
+	}
+	for id := 1; id < 4; id++ { // b, c and a become constants
+		n.nodes[id].Kind = KindConst0
+	}
+	for range 30 {
+		if err := n.Validate(); err == nil || !strings.Contains(err.Error(), `"a"`) {
+			t.Fatalf("Validate = %v, want the error to name input a", err)
+		}
+	}
+}
+
 func TestRebuildDropsDangling(t *testing.T) {
 	n := buildExample(t)
 	// Add dangling logic.

@@ -7,19 +7,20 @@ import (
 	"math/rand"
 
 	"repro/internal/budget"
-	"repro/internal/logic"
 	"repro/internal/par"
 )
 
-// searchOutcome is one restart/chain result, reduced in start order.
+// searchOutcome is one restart's, chain's or subtree's result, reduced
+// in start order.
 type searchOutcome struct {
 	asg   Assignment
 	score float64
 }
 
-// reduceOutcomes folds restart results in start order, earlier starts
-// winning ties — the rule that makes every restart-parallel search match
-// its sequential run exactly.
+// reduceOutcomes folds outcomes in start order, earlier ones winning
+// ties — the rule that makes every restart-parallel search match its
+// sequential run exactly, and branch-and-bound's subtrees reproduce the
+// ascending scan's lowest-mask tie-break.
 func reduceOutcomes(outcomes []searchOutcome) searchOutcome {
 	best := outcomes[0]
 	for _, o := range outcomes[1:] {
@@ -91,19 +92,15 @@ func greedyStarts(k int, opts SearchOptions) []Assignment {
 // flip reprices only what it touches. Starts are generated up front in
 // a fixed order, descended concurrently, and reduced in start order
 // with earlier starts winning ties, so the outcome matches a sequential
-// run of the same starts exactly, at any worker count. Only the winner
-// is synthesized.
-func greedySearch(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64, error) {
-	opts.defaults()
-	k := n.NumOutputs()
+// run of the same starts exactly, at any worker count.
+func greedySearch(k int, sc AssignmentScorer, opts SearchOptions) (Assignment, float64, error) {
 	starts := greedyStarts(k, opts)
-	scorer := opts.searchScorer(n)
 	outcomes, err := par.Map(context.Background(), len(starts), opts.Workers,
 		func(ctx context.Context, s int) (searchOutcome, error) {
-			if err := pollCancel(ctx, opts.Budget); err != nil {
+			if err := opts.Budget.Poll(ctx); err != nil {
 				return searchOutcome{}, err
 			}
-			st := newState(scorer)
+			st := newState(sc)
 			asg := starts[s]
 			score, err := st.Set(asg)
 			if err != nil {
@@ -119,14 +116,10 @@ func greedySearch(n *logic.Network, opts SearchOptions) (Assignment, *Result, fl
 			return searchOutcome{asg: asg, score: score}, nil
 		})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	best := reduceOutcomes(outcomes)
-	res, err := Apply(n, best.asg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return best.asg, res, best.score, nil
+	return best.asg, best.score, nil
 }
 
 // annealSearch is seeded simulated annealing over single-bit flips:
@@ -141,24 +134,21 @@ func greedySearch(n *logic.Network, opts SearchOptions) (Assignment, *Result, fl
 // consumed in a fixed order, chains run concurrently but reduce in
 // chain order (earlier chains win ties), so the outcome is a pure
 // function of (Seed, Restarts, AnnealSteps, scorer) — never of Workers.
-func annealSearch(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64, error) {
-	opts.defaults()
-	k := n.NumOutputs()
+func annealSearch(k int, sc AssignmentScorer, opts SearchOptions) (Assignment, float64, error) {
 	if k == 0 {
-		return nil, nil, 0, fmt.Errorf("phase: network has no outputs")
+		return nil, 0, fmt.Errorf("phase: network has no outputs")
 	}
 	steps := opts.AnnealSteps
 	if steps <= 0 {
 		steps = 400 * k
 	}
 	chains := opts.Restarts + 1
-	scorer := opts.searchScorer(n)
 
 	const annealSeedStride = 0x9E3779B97F4A7C15 >> 1 // fixed odd-ish stride keeps chain seeds distinct
 	outcomes, err := par.Map(context.Background(), chains, opts.Workers,
 		func(ctx context.Context, c int) (searchOutcome, error) {
 			rng := rand.New(rand.NewSource(opts.Seed + int64(c)*annealSeedStride))
-			st := newState(scorer)
+			st := newState(sc)
 			asg := make(Assignment, k)
 			if c > 0 {
 				for i := range asg {
@@ -192,7 +182,7 @@ func annealSearch(n *logic.Network, opts SearchOptions) (Assignment, *Result, fl
 
 			for step := 0; step < steps; step++ {
 				if step&0xff == 0 {
-					if err := pollCancel(ctx, opts.Budget); err != nil {
+					if err := opts.Budget.Poll(ctx); err != nil {
 						return searchOutcome{}, err
 					}
 				}
@@ -228,12 +218,8 @@ func annealSearch(n *logic.Network, opts SearchOptions) (Assignment, *Result, fl
 			return searchOutcome{asg: bestAsg, score: score}, nil
 		})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	best := reduceOutcomes(outcomes)
-	res, err := Apply(n, best.asg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return best.asg, res, best.score, nil
+	return best.asg, best.score, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/logic"
 	"repro/internal/par"
 )
 
@@ -32,14 +31,6 @@ func (m *atomicMinFloat) min(x float64) {
 	}
 }
 
-// bbBest is one subtree's winner. Assignments (not int masks) carry the
-// tie-break so branch-and-bound has no 2^k mask-arithmetic ceiling.
-type bbBest struct {
-	asg   Assignment
-	score float64
-	ok    bool
-}
-
 // branchBoundSearch is the exact search: depth-first over phase bits in
 // descending bit order (bit k−1 first, positive before negative), pruned
 // by the scorer's admissible PrefixBound. Requires a BoundScorer
@@ -61,21 +52,16 @@ type bbBest struct {
 //     a candidate tied with the eventual winner, so scheduling cannot
 //     change the outcome: the returned (assignment, score) is
 //     bit-identical to StrategyExhaustive's at every worker count.
-func branchBoundSearch(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64, error) {
-	scorer := opts.Scorer
-	bs, ok := scorer.(BoundScorer)
+func branchBoundSearch(k int, sc AssignmentScorer, opts SearchOptions) (Assignment, float64, error) {
+	bs, ok := sc.(BoundScorer)
 	if !ok {
-		return nil, nil, 0, fmt.Errorf("phase: branch-and-bound requires a scorer with admissible prefix bounds (power.ConeTable); got %T", scorer)
+		return nil, 0, fmt.Errorf("phase: branch-and-bound requires a scorer with admissible prefix bounds (power.ConeTable); got %T", opts.Scorer)
 	}
-	k := n.NumOutputs()
-	seedAsg := AllPositive(k)
-	seedScore, err := scorer.ScoreAssignment(seedAsg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if k == 0 {
-		res, err := Apply(n, seedAsg)
-		return seedAsg, res, seedScore, err
+	seed := searchOutcome{asg: AllPositive(k)}
+	var err error
+	if seed.score, err = bs.ScoreAssignment(seed.asg); err != nil || k == 0 {
+		// With no bit to decide, the seed is the only candidate.
+		return seed.asg, seed.score, err
 	}
 
 	// Subtree shards: the first s decided bits. Oversplit like the other
@@ -86,16 +72,19 @@ func branchBoundSearch(n *logic.Network, opts SearchOptions) (Assignment, *Resul
 		s++
 	}
 	var shared atomicMinFloat
-	shared.store(seedScore)
+	shared.store(seed.score)
 
 	results, err := par.Map(context.Background(), 1<<uint(s), w,
-		func(ctx context.Context, sub int) (bbBest, error) {
-			if err := pollCancel(ctx, opts.Budget); err != nil {
-				return bbBest{}, err
+		func(ctx context.Context, sub int) (searchOutcome, error) {
+			if err := opts.Budget.Poll(ctx); err != nil {
+				return searchOutcome{}, err
 			}
 			pb := bs.NewBound()
 			asg := make(Assignment, k)
-			best := bbBest{score: seedScore} // phantom incumbent: the seed
+			// The phantom incumbent: the seed's score, without its
+			// assignment. A subtree that never beats it loses the tie to
+			// the seed in the reduction.
+			best := searchOutcome{score: seed.score}
 			// Fix the subtree prefix: subtree index bit s−1−d drives
 			// decided bit k−1−d, so subtree order is ascending mask-range
 			// order.
@@ -106,20 +95,20 @@ func branchBoundSearch(n *logic.Network, opts SearchOptions) (Assignment, *Resul
 				bound = pb.Decide(neg)
 			}
 			if bound >= best.score || bound > shared.load() {
-				return bbBest{}, nil
+				return best, nil
 			}
 			var rec func(d int) error
 			rec = func(d int) error {
 				if d == k {
 					// Full depth: the bound is the exact score.
 					if bound < best.score {
-						best = bbBest{asg: asg.Clone(), score: bound, ok: true}
+						best = searchOutcome{asg: asg.Clone(), score: bound}
 						shared.min(bound)
 					}
 					return nil
 				}
 				if d&7 == 0 {
-					if err := pollCancel(ctx, opts.Budget); err != nil {
+					if err := opts.Budget.Poll(ctx); err != nil {
 						return err
 					}
 				}
@@ -138,25 +127,16 @@ func branchBoundSearch(n *logic.Network, opts SearchOptions) (Assignment, *Resul
 				return nil
 			}
 			if err := rec(s); err != nil {
-				return bbBest{}, err
+				return searchOutcome{}, err
 			}
 			return best, nil
 		})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-
-	// Reduce in subtree order; the seed candidate (mask 0) wins all ties
-	// since no mask is lower.
-	winner := bbBest{asg: seedAsg, score: seedScore, ok: true}
-	for _, b := range results {
-		if b.ok && b.score < winner.score {
-			winner = b
-		}
-	}
-	res, err := Apply(n, winner.asg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return winner.asg, res, winner.score, nil
+	// The seed (mask 0, the lowest of all) leads the subtrees, which
+	// follow in ascending mask-range order: ties go to the seed, then to
+	// the earlier subtree.
+	best := reduceOutcomes(append([]searchOutcome{seed}, results...))
+	return best.asg, best.score, nil
 }

@@ -5,21 +5,24 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/logic"
 	"repro/internal/par"
 )
 
-// maxRescoreWalk is the widest 2^k walk a search accepts when every
-// flip pays a full synthesis.
-const maxRescoreWalk = 20
-
-// CheckRescoreWalk refuses a 2^k walk too wide (or, past 62 outputs, too
-// wide for a mask) for a full synthesis per flip.
-func CheckRescoreWalk(k int) error {
-	if err := checkMaskWidth(k); err != nil || k <= maxRescoreWalk {
-		return err
+// checkWalk refuses a 2^k walk over more than 20 outputs, whatever
+// scores it. Past 62 outputs int mask arithmetic (1 << k, gray
+// counters, tie-break masks) would overflow, and below that the walk's
+// cost doubles with every output: a native walk over 24 outputs takes
+// most of a second, one over 40 would take hours, and through the Eval
+// adapter every flip is a full synthesis. Branch-and-bound returns the
+// walk's winner bit for bit without the ceiling.
+func checkWalk(k int) error {
+	if k >= 63 {
+		return fmt.Errorf("phase: %d outputs is too large for exhaustive enumeration (int mask arithmetic holds at most 62 phase bits); use the branch-and-bound, annealing, or greedy strategies", k)
 	}
-	return fmt.Errorf("phase: exhaustive search over %d outputs is infeasible", k)
+	if k > 20 {
+		return fmt.Errorf("phase: exhaustive search over %d outputs is infeasible", k)
+	}
+	return nil
 }
 
 // grayMask returns the i-th mask of the reflected gray-code walk.
@@ -30,27 +33,19 @@ func grayMask(i int) int { return i ^ (i >> 1) }
 type grayBest struct {
 	mask  int
 	score float64
-	ok    bool
 }
 
+// better is the ascending-mask scan's order: lower score, then lower
+// mask.
 func (b grayBest) better(o grayBest) bool {
-	if !b.ok {
-		return false
-	}
-	if !o.ok {
-		return true
-	}
-	if b.score != o.score {
-		return b.score < o.score
-	}
-	return b.mask < o.mask
+	return b.score < o.score || (b.score == o.score && b.mask < o.mask)
 }
 
 // grayExhaustive enumerates all 2^k assignments along the reflected
 // gray-code walk: consecutive candidates differ in exactly one phase
 // bit, so each costs one ScoreState.Flip — O(Δ) on an incremental
-// scorer, one full Apply + eval through the rescoring adapter for a
-// plain scorer or an Eval-only objective (the MA search).
+// scorer, one full rescore through the rescoring adapter for a plain
+// scorer or an Eval-only objective.
 //
 // Determinism contract: scores are pure functions of the assignment
 // (the incremental contract), each shard walks a contiguous counter
@@ -59,21 +54,15 @@ func (b grayBest) better(o grayBest) bool {
 // ascending-mask scan. The returned (assignment, score) is therefore
 // the ascending scan's winner, bit-identical for every worker count
 // and shard geometry.
-func grayExhaustive(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64, error) {
-	k := n.NumOutputs()
-	if err := checkMaskWidth(k); err != nil {
-		return nil, nil, 0, err
+func grayExhaustive(k int, sc AssignmentScorer, opts SearchOptions) (Assignment, float64, error) {
+	if err := checkWalk(k); err != nil {
+		return nil, 0, err
 	}
-	sc := opts.searchScorer(n)
 	// A native state flips in nanoseconds, so the walk polls every 4096
 	// flips. The rescoring adapter pays a full evaluation per flip: it
-	// polls (and surfaces evaluation errors) after every one, and its
-	// 2^k walk is refused outright past maxRescoreWalk outputs.
+	// polls (and surfaces evaluation errors) after every one.
 	pollMask := 0xfff
 	if _, ok := sc.(StateScorer); !ok {
-		if err := CheckRescoreWalk(k); err != nil {
-			return nil, nil, 0, err
-		}
 		pollMask = 0
 	}
 	total := 1 << uint(k)
@@ -89,10 +78,10 @@ func grayExhaustive(n *logic.Network, opts SearchOptions) (Assignment, *Result, 
 			if err != nil {
 				return grayBest{}, err
 			}
-			best := grayBest{mask: grayMask(lo), score: score, ok: true}
+			best := grayBest{mask: grayMask(lo), score: score}
 			for c := lo + 1; c < hi; c++ {
 				if c&pollMask == 0 {
-					if err := pollCancel(ctx, opts.Budget); err != nil {
+					if err := opts.Budget.Poll(ctx); err != nil {
 						return grayBest{}, err
 					}
 					if err := st.Err(); err != nil {
@@ -100,9 +89,9 @@ func grayExhaustive(n *logic.Network, opts SearchOptions) (Assignment, *Result, 
 					}
 				}
 				// gray(c−1) and gray(c) differ in bit tz(c).
-				score = st.Flip(bits.TrailingZeros(uint(c)))
-				if mask := grayMask(c); score < best.score || (score == best.score && mask < best.mask) {
-					best = grayBest{mask: mask, score: score, ok: true}
+				b := grayBest{mask: grayMask(c), score: st.Flip(bits.TrailingZeros(uint(c)))}
+				if b.better(best) {
+					best = b
 				}
 			}
 			if err := st.Err(); err != nil {
@@ -111,21 +100,15 @@ func grayExhaustive(n *logic.Network, opts SearchOptions) (Assignment, *Result, 
 			return best, nil
 		})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	var best grayBest
-	for _, b := range bests {
+	// Every shard holds at least one candidate: SplitRange never returns
+	// more ranges than the 2^k ≥ 1 candidates.
+	best := bests[0]
+	for _, b := range bests[1:] {
 		if b.better(best) {
 			best = b
 		}
 	}
-	if !best.ok {
-		return nil, nil, 0, fmt.Errorf("phase: exhaustive search produced no candidate")
-	}
-	asg := maskAssignment(best.mask, k)
-	res, err := Apply(n, asg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return asg, res, best.score, nil
+	return maskAssignment(best.mask, k), best.score, nil
 }

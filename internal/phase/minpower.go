@@ -137,13 +137,13 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 		return nil, nil, 0, nil, fmt.Errorf("phase: initial assignment length %d, want %d", len(current), k)
 	}
 
-	// A trial toggles bits of current in place. A Scorer scores it by
-	// flipping its one state (the rescoring adapter records failures in
-	// Err); the evaluator path scores the candidate's synthesis and keeps
-	// it.
+	// A trial toggles bits of current in place. The objective resolves
+	// as Search's does: a StateScorer scores a trial by flipping its one
+	// state, any other objective rescores the trial assignment once.
+	sc := objective(n, opts.Scorer, opts.Evaluate)
 	var state ScoreState
-	if opts.Scorer != nil {
-		state = newState(opts.Scorer)
+	if ss, ok := sc.(StateScorer); ok {
+		state = ss.NewState()
 		if _, err := state.Set(current); err != nil {
 			return nil, nil, 0, nil, err
 		}
@@ -156,20 +156,15 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 			}
 		}
 	}
-	trial := func(flips []int) (float64, *Result, error) {
+	trial := func(flips []int) (float64, error) {
 		flip(flips)
 		if state != nil {
-			return state.Score(), nil, state.Err()
+			return state.Score(), state.Err()
 		}
-		r, err := Apply(n, current)
-		if err != nil {
-			return 0, nil, err
-		}
-		s, err := opts.Evaluate(r)
-		return s, r, err
+		return sc.ScoreAssignment(current)
 	}
 
-	power, res, err := trial(nil) // res: current's synthesis, once one exists
+	power, err := trial(nil)
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
@@ -199,7 +194,7 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 			trace = append(trace, step)
 			continue
 		}
-		cPower, cRes, err := trial(flips)
+		cPower, err := trial(flips)
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
@@ -210,9 +205,7 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 			continue
 		}
 		step.Committed = true
-		if power = cPower; cRes != nil {
-			res = cRes
-		}
+		power = cPower
 		// Only the flipped outputs' cone statistics changed: re-price
 		// the live pairs that touch one.
 		for _, f := range flips {
@@ -230,10 +223,9 @@ func MinPower(n *logic.Network, opts PowerOptions) (Assignment, *Result, float64
 	if state != nil && state.Err() != nil { // a failed revert after the last trial
 		return nil, nil, 0, nil, state.Err()
 	}
-	if res == nil {
-		if res, err = Apply(n, current); err != nil {
-			return nil, nil, 0, nil, err
-		}
+	res, err := Apply(n, current)
+	if err != nil {
+		return nil, nil, 0, nil, err
 	}
 	return current, res, power, trace, nil
 }

@@ -228,8 +228,8 @@ func TestMinPowerMatchesOracleOnTwins(t *testing.T) {
 	}
 }
 
-// plainScorer hides a scorer's NewState, so MinPower scores through the
-// rescoring adapter; after fail calls ScoreAssignment returns errPlain
+// plainScorer hides a scorer's NewState, so MinPower rescores each
+// trial assignment; after fail calls ScoreAssignment returns errPlain
 // (fail 0 never fails).
 type plainScorer struct {
 	sc    phase.AssignmentScorer
@@ -280,13 +280,13 @@ func TestMinPowerPlainScorer(t *testing.T) {
 		if plain.calls < 2 {
 			continue
 		}
-		// MinPower stops at the first failed trial; a two-bit trial's
-		// second flip still scores.
+		// MinPower scores each trial once and stops at the first failed
+		// one.
 		failing := &plainScorer{sc: table, fail: 1 + rng.Intn(plain.calls-1)}
 		if _, _, _, _, err := phase.MinPower(net, phase.PowerOptions{InputProbs: probs, Scorer: failing}); !errors.Is(err, errPlain) {
 			t.Errorf("trial %d: failure after %d of %d calls: err %v, want %v", trial, failing.fail, plain.calls, err, errPlain)
 		}
-		if failing.calls > failing.fail+2 {
+		if failing.calls > failing.fail+1 {
 			t.Errorf("trial %d: %d calls after a failure at call %d", trial, failing.calls, failing.fail+1)
 		}
 	}

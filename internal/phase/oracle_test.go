@@ -18,7 +18,7 @@ import (
 // the phase_test package.
 func AscendingScan(n *logic.Network, opts SearchOptions) (Assignment, float64, error) {
 	opts.defaults()
-	sc := opts.searchScorer(n)
+	sc := objective(n, opts.Scorer, opts.Eval)
 	k := n.NumOutputs()
 	var bestAsg Assignment
 	best := 0.0

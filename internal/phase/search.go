@@ -1,25 +1,9 @@
 package phase
 
 import (
-	"context"
-
 	"repro/internal/budget"
 	"repro/internal/logic"
 )
-
-// pollCancel is the searches' shared cancellation poll: the shard
-// context (par.Map's first-error propagation) plus the caller's budget
-// token (per-circuit timeouts, client disconnects), each one cheap
-// atomic check. Every strategy polls it at a bounded interval — per
-// flip batch in the gray walk (per flip on the rescoring adapter), per
-// subtree batch in branch-and-bound, per sweep or proposal batch in the
-// heuristics.
-func pollCancel(ctx context.Context, tok *budget.T) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return tok.Err()
-}
 
 // Evaluator scores a synthesized block; lower is better. MinArea uses a
 // cell-count evaluator, MinPower a power estimate.
@@ -50,7 +34,7 @@ func AreaEvaluator(r *Result) (float64, error) {
 // SetMask expands mask bit i into the phase of output i, reusing the
 // receiver — the per-mask Assignment allocation this avoids used to
 // dominate scored-search shard time. Masks hold at most 62 phase bits
-// (see checkMaskWidth).
+// (see checkWalk).
 func (a Assignment) SetMask(mask int) {
 	for i := range a {
 		a[i] = mask&(1<<uint(i)) != 0
@@ -107,8 +91,9 @@ type SearchOptions struct {
 	Workers int
 	// Budget is the cancellation/budget token every strategy polls at a
 	// bounded interval (per flip batch, subtree, or proposal batch; per
-	// candidate when Eval scores through the rescoring adapter). A cancelled token aborts the search with its error. Nil
-	// means never cancelled. It does not alter results while live.
+	// candidate when Eval scores through the rescoring adapter). A
+	// cancelled token aborts the search with its error. Nil means never
+	// cancelled. It does not alter results while live.
 	Budget *budget.T
 }
 

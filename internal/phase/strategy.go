@@ -38,8 +38,8 @@ const (
 	StrategyAuto SearchStrategy = iota
 	// StrategyExhaustive enumerates all 2^k assignments in gray-code
 	// order so each candidate costs one Flip instead of a full rescore.
-	// Exact; usable up to 62 outputs in principle (20 when every flip is
-	// a full rescore through the Eval adapter), 2^k time in practice.
+	// Exact, in 2^k time: it refuses interfaces over 20 outputs, whatever
+	// the objective (see checkWalk).
 	StrategyExhaustive
 	// StrategyBranchBound is an exact best-assignment search pruning with
 	// the scorer's admissible prefix bound. It returns the bit-identical
@@ -215,13 +215,13 @@ func (r *rescoreState) Flip(bit int) float64 {
 func (r *rescoreState) Score() float64 { return r.score }
 func (r *rescoreState) Err() error     { return r.err }
 
-// searchScorer resolves the options' objective into an AssignmentScorer:
-// the configured Scorer, or the Eval adapter.
-func (o *SearchOptions) searchScorer(n *logic.Network) AssignmentScorer {
-	if o.Scorer != nil {
-		return o.Scorer
+// objective resolves a search's objective into an AssignmentScorer: the
+// configured scorer, or the synthesize-and-evaluate adapter over eval.
+func objective(n *logic.Network, sc AssignmentScorer, eval Evaluator) AssignmentScorer {
+	if sc != nil {
+		return sc
 	}
-	return &evalScorer{n: n, eval: o.Eval}
+	return &evalScorer{n: n, eval: eval}
 }
 
 // newState mints an incremental state: the scorer's native state when
@@ -235,24 +235,16 @@ func newState(sc AssignmentScorer) ScoreState {
 	return &rescoreState{sc: sc, prevBit: -1}
 }
 
-// checkMaskWidth guards every 2^k enumeration: int mask arithmetic
-// (1 << k, gray counters, tie-break masks) holds at most 62 phase bits,
-// so wider interfaces get an explicit error instead of a silent
-// overflow/wrap.
-func checkMaskWidth(k int) error {
-	if k >= 63 {
-		return fmt.Errorf("phase: %d outputs is too large for exhaustive enumeration (int mask arithmetic holds at most 62 phase bits); use the branch-and-bound, annealing, or greedy strategies", k)
-	}
-	return nil
-}
-
 // Search runs the configured strategy and returns the chosen assignment
-// with its synthesized Result and score. With a Scorer, only the winning
-// assignment is ever synthesized; Eval-only objectives pay a full
-// Apply + eval per candidate through the rescoring adapter (fine for
-// exhaustive walks of small interfaces and greedy, expensive for
-// annealing's proposal counts). StrategyAuto reproduces MinArea's
-// historical dispatch; the other strategies run unconditionally.
+// with its synthesized Result and score. It is the one frame of every
+// strategy: it applies the defaults, checks Initial, resolves the
+// objective (Scorer, else Eval through the rescoring adapter) and
+// synthesizes only the winner; a strategy only walks the k outputs'
+// assignments and returns the one it keeps with its score. Eval-only
+// objectives pay a full Apply + eval per candidate (fine for exhaustive
+// walks of small interfaces and greedy, expensive for annealing's
+// proposal counts). StrategyAuto reproduces MinArea's historical
+// dispatch; the other strategies run unconditionally.
 //
 // Determinism: every strategy's (assignment, score) is bit-identical
 // for any Workers value. Exhaustive and branch-and-bound additionally
@@ -260,23 +252,35 @@ func checkMaskWidth(k int) error {
 // shared "lowest score, then lowest mask" total order.
 func Search(n *logic.Network, opts SearchOptions) (Assignment, *Result, float64, error) {
 	opts.defaults()
-	if opts.Initial != nil && len(opts.Initial) != n.NumOutputs() {
-		return nil, nil, 0, fmt.Errorf("phase: initial assignment length %d, want %d", len(opts.Initial), n.NumOutputs())
+	k := n.NumOutputs()
+	if opts.Initial != nil && len(opts.Initial) != k {
+		return nil, nil, 0, fmt.Errorf("phase: initial assignment length %d, want %d", len(opts.Initial), k)
 	}
+	var search func(k int, sc AssignmentScorer, opts SearchOptions) (Assignment, float64, error)
 	switch opts.Strategy {
 	case StrategyAuto:
-		if n.NumOutputs() > opts.ExhaustiveLimit {
-			return greedySearch(n, opts)
+		search = grayExhaustive
+		if k > opts.ExhaustiveLimit {
+			search = greedySearch
 		}
-		return grayExhaustive(n, opts)
 	case StrategyExhaustive:
-		return grayExhaustive(n, opts)
+		search = grayExhaustive
 	case StrategyBranchBound:
-		return branchBoundSearch(n, opts)
+		search = branchBoundSearch
 	case StrategyAnneal:
-		return annealSearch(n, opts)
+		search = annealSearch
 	case StrategyGreedy:
-		return greedySearch(n, opts)
+		search = greedySearch
+	default:
+		return nil, nil, 0, fmt.Errorf("phase: unknown search strategy %d", int(opts.Strategy))
 	}
-	return nil, nil, 0, fmt.Errorf("phase: unknown search strategy %d", int(opts.Strategy))
+	asg, score, err := search(k, objective(n, opts.Scorer, opts.Eval), opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	res, err := Apply(n, asg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return asg, res, score, nil
 }

@@ -108,7 +108,7 @@ func LimitedDepthBudget(n *logic.Network, inputProbs []float64, depth, maxFronti
 		m.SetBudget(tok)
 		refs := make(map[logic.NodeID]bdd.Ref, len(inCone)+len(frontier))
 		buildErr := bdd.CatchInterrupt(func() {
-			for u, v := range frontier {
+			for v, u := range frontierOrder {
 				refs[u] = m.Var(v)
 			}
 			var build func(logic.NodeID) bdd.Ref

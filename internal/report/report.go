@@ -3,7 +3,9 @@
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/flow"
@@ -34,18 +36,22 @@ func Table(title string, rows []*flow.Row) string {
 }
 
 // CSV renders rows as comma-separated values with a header, for
-// downstream plotting.
+// downstream plotting. Fields go through encoding/csv, so a name holding
+// a comma or a quote is quoted; plain fields are written bare.
 func CSV(rows []*flow.Row) string {
-	var b strings.Builder
-	b.WriteString("name,desc,pis,pos,ma_size,ma_power,mp_size,mp_power,area_penalty_pct,power_saving_pct,paper_area_penalty_pct,paper_power_saving_pct,ma_critical,mp_critical,mp_met_timing\n")
+	f := func(x float64, prec int) string { return strconv.FormatFloat(x, 'f', prec, 64) }
+	records := [][]string{strings.Split("name,desc,pis,pos,ma_size,ma_power,mp_size,mp_power,area_penalty_pct,power_saving_pct,paper_area_penalty_pct,paper_power_saving_pct,ma_critical,mp_critical,mp_met_timing", ",")}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%.4f,%d,%.4f,%.2f,%.2f,%.2f,%.2f,%.3f,%.3f,%v\n",
-			r.Name, r.Desc, r.PIs, r.POs,
-			r.MA.Size, r.MA.SimPower, r.MP.Size, r.MP.SimPower,
-			r.AreaPenaltyPct, r.PowerSavingPct,
-			r.PaperAreaPenaltyPct, r.PaperPowerSavingPct,
-			r.MA.Critical, r.MP.Critical, r.MP.MetTiming)
+		records = append(records, []string{
+			r.Name, r.Desc, strconv.Itoa(r.PIs), strconv.Itoa(r.POs),
+			strconv.Itoa(r.MA.Size), f(r.MA.SimPower, 4), strconv.Itoa(r.MP.Size), f(r.MP.SimPower, 4),
+			f(r.AreaPenaltyPct, 2), f(r.PowerSavingPct, 2),
+			f(r.PaperAreaPenaltyPct, 2), f(r.PaperPowerSavingPct, 2),
+			f(r.MA.Critical, 3), f(r.MP.Critical, 3), strconv.FormatBool(r.MP.MetTiming),
+		})
 	}
+	var b strings.Builder
+	csv.NewWriter(&b).WriteAll(records) // a strings.Builder never fails a write
 	return b.String()
 }
 

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/csv"
 	"strings"
 	"testing"
 
@@ -41,21 +42,31 @@ func TestTableContainsRowsAndAverage(t *testing.T) {
 }
 
 func TestCSV(t *testing.T) {
-	out := CSV(sampleRows())
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV lines = %d, want header + 2 rows", len(lines))
+	rows := sampleRows()
+	for _, name := range []string{"a,b", `q"x`} {
+		r := *rows[0]
+		r.Name = name
+		rows = append(rows, &r)
 	}
+	out := CSV(rows)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if !strings.HasPrefix(lines[0], "name,desc,") {
 		t.Errorf("bad header: %s", lines[0])
 	}
-	if !strings.HasPrefix(lines[1], "frg1,Public Domain,31,3,69,") {
+	if !strings.HasPrefix(lines[1], "frg1,Public Domain,31,3,69,84.5900,") {
 		t.Errorf("bad row: %s", lines[1])
 	}
-	header := strings.Split(lines[0], ",")
-	row := strings.Split(lines[1], ",")
-	if len(header) != len(row) {
-		t.Errorf("header has %d fields, row has %d", len(header), len(row))
+	records, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV output does not parse: %v\n%s", err, out)
+	}
+	if len(records) != 1+len(rows) {
+		t.Fatalf("CSV records = %d, want header + %d rows", len(records), len(rows))
+	}
+	for i, r := range rows {
+		if got := records[1+i][0]; got != r.Name {
+			t.Errorf("row %d name = %q, want %q", i, got, r.Name)
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ func FuzzParseConfig(f *testing.F) {
 		`{"SimVectors":256,"SimSeed":7}`,
 		`{"SimVectors":4096,"SimShards":2,"MaxPairs":24,"EstOpts":{"Method":1,"Depth":3,"MaxFrontier":8},"BDDNodeBudget":20000}`,
 		`{"Resynthesize":true,"MaxCollapseSupport":12}`,
+		`{"Resynthesize":true,"MaxCollapseSupport":21}`,
 		`{"SimShards":-1}`,
 		`{"SimVectors":-5}`,
 		`{"Workers":-2}`,

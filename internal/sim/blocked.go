@@ -142,7 +142,7 @@ func runShardBlocked(ctx context.Context, b *domino.Block, cfg Config, p *blockP
 
 	numWin := (vectors + simWindow - 1) / simWindow
 	for base := 0; base < numWin; base += bw {
-		if err := pollCancel(ctx, cfg.Budget); err != nil {
+		if err := cfg.Budget.Poll(ctx); err != nil {
 			return nil, err
 		}
 		nw := numWin - base

@@ -34,7 +34,7 @@ func runShardScalar(ctx context.Context, b *domino.Block, cfg Config, p *blockPa
 
 	for done := 0; done < vectors; done += simWindow {
 		if done%1024 == 0 {
-			if err := pollCancel(ctx, cfg.Budget); err != nil {
+			if err := cfg.Budget.Poll(ctx); err != nil {
 				return nil, err
 			}
 		}

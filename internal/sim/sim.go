@@ -73,17 +73,6 @@ func packInputs(rng *rand.Rand, probs []float64, words []uint64) {
 	}
 }
 
-// pollCancel is the kernel's cancellation poll: the shard context
-// (par.Map's first-error propagation) plus the run's budget token
-// (external cancellation: per-circuit timeouts, client disconnects).
-// Both are one cheap atomic check.
-func pollCancel(ctx context.Context, tok *budget.T) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return tok.Err()
-}
-
 // DefaultVectors is the cycle count Run simulates when Config.Vectors
 // is not positive.
 const DefaultVectors = 4096

@@ -115,6 +115,14 @@ func isConstTrue(n *logic.Network, id logic.NodeID) bool {
 	return n.Kind(id) == logic.KindConst1
 }
 
+// MaxSupport is the largest maxSupport flow.Config.Validate accepts from
+// an untrusted configuration (as MaxCollapseSupport), and the widest the
+// repository runs. A parity output's ISOP cover has 2^(support−1) cubes,
+// and parity's BDD is too small for a node budget to stop the cover's
+// construction: at support 20 one collapse takes ~18 s and ~340 MB on a
+// 2-vCPU Xeon, and every two inputs more quadruple both.
+const MaxSupport = 20
+
 // FactorNetwork is the collapse-and-refactor pass of technology-
 // independent synthesis: every output whose support is at most
 // maxSupport is rebuilt as the factored form of its ISOP cover, and

@@ -208,20 +208,15 @@ func Resize(b *domino.Block, p Params, target float64) (*Analysis, int, error) {
 	return s.a, steps, nil
 }
 
-// Tighten resizes for maximum speed: it keeps committing improving moves
-// until none exists, returning the best analysis achieved and the number
-// of steps. It is how the Table 2 flow derives a realistic, feasible
-// clock target. A cancelled p.Budget stops it early at the best
-// analysis so far; the caller reads the token's error.
+// Tighten resizes for maximum speed: Resize toward a target no block
+// meets, so it commits improving moves until none exists (or Resize's
+// step guard), returning the best analysis achieved and the number of
+// steps. It is how the Table 2 flow derives a realistic, feasible clock
+// target. A cancelled p.Budget stops it early at the best analysis so
+// far; the caller reads the token's error.
 func Tighten(b *domino.Block, p Params) (*Analysis, int) {
-	s := newSizer(b, p)
-	steps := 0
-	for {
-		if ok, err := s.improve(); !ok || err != nil {
-			return s.a, steps
-		}
-		steps++
-	}
+	a, steps, _ := Resize(b, p, math.Inf(-1))
+	return a, steps
 }
 
 // sizer resizes one block incrementally. It keeps the cell loads, the
