@@ -27,8 +27,7 @@ func main() {
 	b := load(flag.Arg(1))
 	res, err := verify.Equivalent(a, b)
 	if err != nil {
-		log.Println(err)
-		os.Exit(2)
+		fail(err)
 	}
 	if res.Equivalent {
 		fmt.Printf("EQUIVALENT (%d BDD nodes, both circuits in one manager)\n", res.Nodes)
@@ -47,18 +46,27 @@ func main() {
 	os.Exit(1)
 }
 
+// fail reports err and exits with status 2, not log.Fatal's 1, which
+// would read as "circuits differ".
+func fail(err error) {
+	log.Println(err)
+	os.Exit(2)
+}
+
+// load reads a combinational BLIF model; a missing, malformed or
+// latched file fails the command with status 2.
 func load(path string) *logic.Network {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		fail(err)
 	}
 	defer f.Close()
 	m, err := blif.Parse(f)
 	if err != nil {
-		log.Fatalf("%s: %v", path, err)
+		fail(fmt.Errorf("%s: %v", path, err))
 	}
 	if len(m.Latches) > 0 {
-		log.Fatalf("%s: cec handles combinational models only", path)
+		fail(fmt.Errorf("%s: cec handles combinational models only", path))
 	}
 	return m.Network
 }

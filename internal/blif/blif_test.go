@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/verify"
 )
 
 const smallBLIF = `
@@ -257,12 +258,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, text)
 	}
-	eq, err := logic.Equivalent(m.Network, m2.Network)
-	if err != nil {
-		t.Fatalf("equivalent: %v", err)
-	}
-	if !eq {
-		t.Fatalf("round trip changed function:\n%s", text)
+	if err := verify.Check(m.Network, m2.Network); err != nil {
+		t.Fatalf("round trip changed function (%v):\n%s", err, text)
 	}
 }
 
@@ -287,9 +284,8 @@ func TestRoundTripGateKinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, text)
 	}
-	eq, err := logic.Equivalent(n, m2.Network)
-	if err != nil || !eq {
-		t.Fatalf("round trip changed function (%v, %v):\n%s", eq, err, text)
+	if err := verify.Check(n, m2.Network); err != nil {
+		t.Fatalf("round trip changed function (%v):\n%s", err, text)
 	}
 }
 

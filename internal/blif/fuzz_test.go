@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/logic"
+	"repro/internal/verify"
 )
 
 // TestParseWhitespaceOnlyContinuation is a fuzz regression: a '\'
@@ -97,8 +97,8 @@ func roundTrip(t *testing.T, src string) {
 		t.Fatalf("round trip changed the interface:\n got %+v\nwant %+v\n%s", got, want, text)
 	}
 	if m.Network.NumInputs() <= 10 {
-		if eq, err := logic.Equivalent(m.Network, m2.Network); err != nil || !eq {
-			t.Fatalf("round trip changed the function (%v, %v):\n%s", eq, err, text)
+		if err := verify.Check(m.Network, m2.Network); err != nil {
+			t.Fatalf("round trip changed the function (%v):\n%s", err, text)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/phase"
+	"repro/internal/verify"
 )
 
 func mustApply(t testing.TB, n *logic.Network, asg phase.Assignment) *phase.Result {
@@ -90,9 +91,8 @@ func TestLegalizeWidths(t *testing.T) {
 		}
 	}
 	// Function must be preserved through legalization.
-	eq, err := logic.Equivalent(r.Block, b.Net)
-	if err != nil || !eq {
-		t.Errorf("legalize changed function: %v %v", eq, err)
+	if err := verify.Check(r.Block, b.Net); err != nil {
+		t.Errorf("legalize changed function: %v", err)
 	}
 	// 10-input AND with 4-series: 10 -> 3 cells + root = ceil(10/4)=3 then
 	// 3<=4 one root: 4 cells total for the AND tree.
@@ -215,9 +215,8 @@ func TestMapPreservesFunctionProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Map: %v", trial, err)
 		}
-		eq, err := logic.Equivalent(r.Block, b.Net)
-		if err != nil || !eq {
-			t.Fatalf("trial %d: mapping changed function: %v %v", trial, eq, err)
+		if err := verify.Check(r.Block, b.Net); err != nil {
+			t.Fatalf("trial %d: mapping changed function: %v", trial, err)
 		}
 		for _, c := range b.Cells {
 			limit := lib.MaxSeries

@@ -7,6 +7,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/phase"
 	"repro/internal/prob"
+	"repro/internal/verify"
 )
 
 // smallCircuit is a miniature benchmark for fast flow tests.
@@ -26,9 +27,8 @@ func TestPrepare(t *testing.T) {
 	if p.CountKind(logic.KindXor) != 0 {
 		t.Error("Prepare left XOR gates")
 	}
-	eq, err := logic.Equivalent(n, p)
-	if err != nil || !eq {
-		t.Errorf("Prepare changed function: %v %v", eq, err)
+	if err := verify.Check(n, p); err != nil {
+		t.Errorf("Prepare changed function: %v", err)
 	}
 }
 
@@ -54,9 +54,8 @@ func TestRunCircuitUntimed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq, err := logic.Equivalent(net, res.Reconstructed())
-		if err != nil || !eq {
-			t.Errorf("synthesis %s not equivalent: %v %v", s.Assignment, eq, err)
+		if err := verify.Check(net, res.Reconstructed()); err != nil {
+			t.Errorf("synthesis %s not equivalent: %v", s.Assignment, err)
 		}
 	}
 }

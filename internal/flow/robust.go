@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/budget"
+	"repro/internal/domino"
 	"repro/internal/gen"
 	"repro/internal/phase"
 	"repro/internal/power"
@@ -17,11 +18,11 @@ import (
 )
 
 // Validate rejects configurations that no flow can execute, or whose
-// delay model would let resizing run without bound, naming the
-// offending field in the error so API boundaries (internal/serve) can
-// turn it into a structured 400 instead of a mid-job failure. It checks
-// ranges only — it does not apply defaults, so the zero value
-// validates.
+// annealing schedule or delay model would let a search or resizing run
+// without bound, naming the offending field in the error so API
+// boundaries (internal/serve) can turn it into a structured 400 instead
+// of a mid-job failure. It checks ranges only — it does not apply
+// defaults, so the zero value validates.
 func (c Config) Validate() error {
 	switch {
 	case c.InputProb < 0 || c.InputProb > 1:
@@ -48,6 +49,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flow: config field PhaseScoring: unknown scoring mode %d", int(c.PhaseScoring))
 	case c.SearchStrategy < 0 || c.SearchStrategy > phase.StrategyGreedy:
 		return fmt.Errorf("flow: config field SearchStrategy: unknown strategy %d", int(c.SearchStrategy))
+	case c.SearchStrategy == phase.StrategyBranchBound && c.PhaseScoring == ScoreNaive:
+		return errors.New("flow: config field SearchStrategy: branch-and-bound needs the cone table's prefix bounds, which naive PhaseScoring does not build")
 	case c.SearchRestarts < 0 || c.SearchRestarts > phase.MaxRestarts:
 		return fmt.Errorf("flow: config field SearchRestarts: %d out of range [0,%d]", c.SearchRestarts, phase.MaxRestarts)
 	case c.AnnealSteps < 0:
@@ -67,10 +70,48 @@ func (c Config) Validate() error {
 	case c.EstOpts.MCVectors < 0:
 		return fmt.Errorf("flow: config field EstOpts.MCVectors: %d is negative", c.EstOpts.MCVectors)
 	}
+	// Annealing runs one chain per restart plus chain 0, AnnealSteps
+	// proposals each; dividing the cap keeps the check free of overflow.
+	chains := c.SearchRestarts + 1
+	if c.SearchRestarts == 0 {
+		chains = phase.DefaultRestarts + 1
+	}
+	if c.AnnealSteps > phase.MaxAnnealProposals/chains {
+		return fmt.Errorf("flow: config field AnnealSteps: %d proposals on each of %d chains exceed %d in all",
+			c.AnnealSteps, chains, phase.MaxAnnealProposals)
+	}
+	if c.Lib != nil {
+		if err := validateLib(c.Lib); err != nil {
+			return err
+		}
+	}
 	if c.Timing != nil {
 		return validateTiming(c.Timing)
 	}
 	return nil
+}
+
+// nonNegative names field when its value v is negative or not finite.
+func nonNegative(field string, v float64) error {
+	if !(v >= 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("flow: config field %s: %v is negative or not finite", field, v)
+	}
+	return nil
+}
+
+// validateLib checks a configured cell library: width limits of at
+// least 2, which domino.Map requires, and a finite non-negative penalty,
+// areas and capacitances, so no row measures negative area or power.
+func validateLib(l *domino.Library) error {
+	switch {
+	case l.MaxSeries < 2:
+		return fmt.Errorf("flow: config field Lib.MaxSeries: %d is below 2", l.MaxSeries)
+	case l.MaxParallel < 2:
+		return fmt.Errorf("flow: config field Lib.MaxParallel: %d is below 2", l.MaxParallel)
+	}
+	return errors.Join(nonNegative("Lib.AndPenalty", l.AndPenalty), nonNegative("Lib.BaseCellArea", l.BaseCellArea),
+		nonNegative("Lib.PerInputArea", l.PerInputArea), nonNegative("Lib.InverterArea", l.InverterArea),
+		nonNegative("Lib.InputCap", l.InputCap), nonNegative("Lib.WireCap", l.WireCap), nonNegative("Lib.OutputCap", l.OutputCap))
 }
 
 // validateTiming checks a configured delay model: finite non-negative
@@ -78,13 +119,9 @@ func (c Config) Validate() error {
 // 1, and at most timing.MaxUpsizings upsizings per cell, which bounds
 // every Tighten and Resize at cells × MaxUpsizings steps.
 func validateTiming(p *timing.Params) error {
-	for _, d := range []struct {
-		field string
-		v     float64
-	}{{"Intrinsic", p.Intrinsic}, {"SeriesDelay", p.SeriesDelay}, {"LoadDelay", p.LoadDelay}, {"InverterDelay", p.InverterDelay}} {
-		if !(d.v >= 0) || math.IsInf(d.v, 1) {
-			return fmt.Errorf("flow: config field Timing.%s: %v is negative or not finite", d.field, d.v)
-		}
+	if err := errors.Join(nonNegative("Timing.Intrinsic", p.Intrinsic), nonNegative("Timing.SeriesDelay", p.SeriesDelay),
+		nonNegative("Timing.LoadDelay", p.LoadDelay), nonNegative("Timing.InverterDelay", p.InverterDelay)); err != nil {
+		return err
 	}
 	switch {
 	case !(p.MaxSize >= 1 && p.MaxSize <= timing.MaxSizeLimit):

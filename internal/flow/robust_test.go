@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/budget"
+	"repro/internal/domino"
 	"repro/internal/gen"
 	"repro/internal/phase"
 	"repro/internal/power"
@@ -17,9 +18,9 @@ import (
 	"repro/internal/timing"
 )
 
-// TestConfigValidate: the zero config, the defaults and delay models
-// within the bounds validate; every out-of-range field is rejected with
-// an error naming that field.
+// TestConfigValidate: the zero config, the defaults, and delay models,
+// annealing schedules and libraries within the bounds validate; every
+// out-of-range field is rejected with an error naming that field.
 func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config must validate, got %v", err)
@@ -34,16 +35,29 @@ func TestConfigValidate(t *testing.T) {
 		edit(&p)
 		return &p
 	}
-	for _, p := range []*timing.Params{
+	lib := func(edit func(*domino.Library)) *domino.Library {
+		l := domino.DefaultLibrary()
+		edit(&l)
+		return &l
+	}
+	for i, cfg := range []Config{
 		// The sizer oracle test's model: 42 upsizings per cell.
-		model(func(p *timing.Params) { p.SizeStep, p.MaxSize = 1.05, 8 }),
+		{Timing: model(func(p *timing.Params) { p.SizeStep, p.MaxSize = 1.05, 8 })},
 		// 63 upsizings; all-zero delays; the largest MaxSize.
-		model(func(p *timing.Params) { p.SizeStep = 1.0333 }),
-		model(func(p *timing.Params) { p.Intrinsic, p.SeriesDelay, p.LoadDelay, p.InverterDelay = 0, 0, 0, 0 }),
-		model(func(p *timing.Params) { p.SizeStep, p.MaxSize = 2, timing.MaxSizeLimit }),
+		{Timing: model(func(p *timing.Params) { p.SizeStep = 1.0333 })},
+		{Timing: model(func(p *timing.Params) { p.Intrinsic, p.SeriesDelay, p.LoadDelay, p.InverterDelay = 0, 0, 0, 0 })},
+		{Timing: model(func(p *timing.Params) { p.SizeStep, p.MaxSize = 2, timing.MaxSizeLimit })},
+		// The annealing cap at the default 3 restarts (4 chains of 1<<22)
+		// and at the most restarts.
+		{SearchStrategy: phase.StrategyAnneal, AnnealSteps: phase.MaxAnnealProposals / 4},
+		{SearchRestarts: phase.MaxRestarts, AnnealSteps: phase.MaxAnnealProposals / (phase.MaxRestarts + 1)},
+		{SearchStrategy: phase.StrategyBranchBound},
+		{PhaseScoring: ScoreNaive, SearchStrategy: phase.StrategyExhaustive},
+		{Lib: lib(func(l *domino.Library) { l.MaxSeries, l.MaxParallel = 2, 2 })},
+		{Lib: lib(func(l *domino.Library) { l.AndPenalty, l.WireCap, l.InputCap = 0.5, 0.25, 0 })},
 	} {
-		if err := (Config{Timing: p}).Validate(); err != nil {
-			t.Errorf("delay model %+v must validate, got %v", *p, err)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("valid config %d: %v", i, err)
 		}
 	}
 	cases := []struct {
@@ -68,6 +82,21 @@ func TestConfigValidate(t *testing.T) {
 		{"SearchRestarts", Config{SearchRestarts: -1}},
 		{"SearchRestarts", Config{SearchStrategy: phase.StrategyGreedy, SearchRestarts: phase.MaxRestarts + 1}},
 		{"AnnealSteps", Config{AnnealSteps: -1}},
+		{"AnnealSteps", Config{SearchStrategy: phase.StrategyAnneal, AnnealSteps: phase.MaxAnnealProposals/4 + 1}},
+		{"AnnealSteps", Config{SearchStrategy: phase.StrategyAnneal, AnnealSteps: 1 << 62, SearchRestarts: phase.MaxRestarts}},
+		// Branch-and-bound prunes with the cone table's prefix bounds.
+		{"SearchStrategy", Config{PhaseScoring: ScoreNaive, SearchStrategy: phase.StrategyBranchBound}},
+		// A partial library ({"Lib":{"MaxSeries":4}} on the wire).
+		{"Lib.MaxParallel", Config{Lib: &domino.Library{MaxSeries: 4}}},
+		{"Lib.MaxSeries", Config{Lib: &domino.Library{}}},
+		{"Lib.MaxSeries", Config{Lib: lib(func(l *domino.Library) { l.MaxSeries = 1 })}},
+		{"Lib.InputCap", Config{Lib: lib(func(l *domino.Library) { l.InputCap = -1 })}},
+		{"Lib.AndPenalty", Config{Lib: lib(func(l *domino.Library) { l.AndPenalty = math.NaN() })}},
+		{"Lib.BaseCellArea", Config{Lib: lib(func(l *domino.Library) { l.BaseCellArea = -2 })}},
+		{"Lib.PerInputArea", Config{Lib: lib(func(l *domino.Library) { l.PerInputArea = math.Inf(1) })}},
+		{"Lib.InverterArea", Config{Lib: lib(func(l *domino.Library) { l.InverterArea = -1 })}},
+		{"Lib.WireCap", Config{Lib: lib(func(l *domino.Library) { l.WireCap = -0.5 })}},
+		{"Lib.OutputCap", Config{Lib: lib(func(l *domino.Library) { l.OutputCap = math.Inf(-1) })}},
 		{"BDDNodeBudget", Config{BDDNodeBudget: -1}},
 		{"SimVectorBudget", Config{SimVectorBudget: -1}},
 		{"BDDReorder", Config{BDDReorder: 99}},

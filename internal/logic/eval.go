@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Eval evaluates the network for a single input assignment given as a
 // slice parallel to Inputs(). It returns one value per node; output values
@@ -123,143 +120,4 @@ func (n *Network) EvalOutputs(inputValues []bool) []bool {
 		outs[i] = values[o.Driver]
 	}
 	return outs
-}
-
-// TruthTables enumerates all 2^k input assignments (k = NumInputs, which
-// must be <= 20) and returns, per output, the truth table as a bit-packed
-// slice: bit m of word m/64 is the output value under input minterm m,
-// where input i contributes bit i of m.
-func (n *Network) TruthTables() [][]uint64 {
-	k := len(n.inputs)
-	if k > 20 {
-		panic(fmt.Sprintf("logic: TruthTables on %d inputs (max 20)", k))
-	}
-	rows := 1 << uint(k)
-	words := (rows + 63) / 64
-	tables := make([][]uint64, len(n.outputs))
-	for i := range tables {
-		tables[i] = make([]uint64, words)
-	}
-	inVals := make([]bool, k)
-	scratch := make([]bool, len(n.nodes))
-	for m := 0; m < rows; m++ {
-		for i := 0; i < k; i++ {
-			inVals[i] = m&(1<<uint(i)) != 0
-		}
-		values := n.Eval(inVals, scratch)
-		for oi, o := range n.outputs {
-			if values[o.Driver] {
-				tables[oi][m/64] |= 1 << (uint(m) % 64)
-			}
-		}
-	}
-	return tables
-}
-
-// EquivalentSampled compares two networks on `samples` random input
-// vectors (matched by input/output names). It is the equivalence check
-// for networks too wide for the exhaustive Equivalent; a true result is
-// probabilistic evidence, a false result is a definite counterexample.
-func EquivalentSampled(a, b *Network, samples int, seed int64) (bool, error) {
-	if len(a.inputs) != len(b.inputs) {
-		return false, fmt.Errorf("input count mismatch: %d vs %d", len(a.inputs), len(b.inputs))
-	}
-	if len(a.outputs) != len(b.outputs) {
-		return false, fmt.Errorf("output count mismatch: %d vs %d", len(a.outputs), len(b.outputs))
-	}
-	perm := make([]int, len(a.inputs))
-	for i, id := range a.inputs {
-		name := a.nodes[id].Name
-		bid := b.InputByName(name)
-		if bid == InvalidNode {
-			return false, fmt.Errorf("input %q missing in second network", name)
-		}
-		for j, bj := range b.inputs {
-			if bj == bid {
-				perm[i] = j
-			}
-		}
-	}
-	if samples <= 0 {
-		samples = 1024
-	}
-	rng := rand.New(rand.NewSource(seed))
-	aIn := make([]bool, len(a.inputs))
-	bIn := make([]bool, len(b.inputs))
-	aScratch := make([]bool, len(a.nodes))
-	bScratch := make([]bool, len(b.nodes))
-	for s := 0; s < samples; s++ {
-		for i := range aIn {
-			v := rng.Intn(2) == 1
-			aIn[i] = v
-			bIn[perm[i]] = v
-		}
-		av := a.Eval(aIn, aScratch)
-		bv := b.Eval(bIn, bScratch)
-		for _, ao := range a.outputs {
-			oi := b.OutputByName(ao.Name)
-			if oi < 0 {
-				return false, fmt.Errorf("output %q missing in second network", ao.Name)
-			}
-			if av[ao.Driver] != bv[b.outputs[oi].Driver] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// Equivalent reports whether two networks with identical input and output
-// interfaces compute the same functions, by exhaustive truth-table
-// comparison. Both must have <= 20 inputs. Inputs are matched by name, and
-// outputs are matched by name, so node ordering differences do not matter.
-func Equivalent(a, b *Network) (bool, error) {
-	if len(a.inputs) != len(b.inputs) {
-		return false, fmt.Errorf("input count mismatch: %d vs %d", len(a.inputs), len(b.inputs))
-	}
-	if len(a.outputs) != len(b.outputs) {
-		return false, fmt.Errorf("output count mismatch: %d vs %d", len(a.outputs), len(b.outputs))
-	}
-	// Map b's input order onto a's by name.
-	perm := make([]int, len(a.inputs))
-	for i, id := range a.inputs {
-		name := a.nodes[id].Name
-		bid := b.InputByName(name)
-		if bid == InvalidNode {
-			return false, fmt.Errorf("input %q missing in second network", name)
-		}
-		for j, bj := range b.inputs {
-			if bj == bid {
-				perm[i] = j
-			}
-		}
-	}
-	k := len(a.inputs)
-	if k > 20 {
-		return false, fmt.Errorf("too many inputs for exhaustive check: %d", k)
-	}
-	rows := 1 << uint(k)
-	aIn := make([]bool, k)
-	bIn := make([]bool, k)
-	aScratch := make([]bool, len(a.nodes))
-	bScratch := make([]bool, len(b.nodes))
-	for m := 0; m < rows; m++ {
-		for i := 0; i < k; i++ {
-			v := m&(1<<uint(i)) != 0
-			aIn[i] = v
-			bIn[perm[i]] = v
-		}
-		av := a.Eval(aIn, aScratch)
-		bv := b.Eval(bIn, bScratch)
-		for _, ao := range a.outputs {
-			oi := b.OutputByName(ao.Name)
-			if oi < 0 {
-				return false, fmt.Errorf("output %q missing in second network", ao.Name)
-			}
-			if av[ao.Driver] != bv[b.outputs[oi].Driver] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }

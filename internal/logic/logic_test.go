@@ -1,9 +1,11 @@
 package logic
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,41 @@ func buildExample(t testing.TB) *Network {
 		t.Fatalf("Validate: %v", err)
 	}
 	return n
+}
+
+// sameFunction compares a and b on every input minterm, matching inputs
+// and outputs by name, and describes the first difference. The networks
+// these tests compare have at most 7 inputs. (verify.Check is the
+// repository's equivalence check, but verify imports logic.)
+func sameFunction(a, b *Network) error {
+	if a.NumInputs() != b.NumInputs() || a.NumOutputs() != b.NumOutputs() {
+		return fmt.Errorf("interfaces differ: %d vs %d inputs, %d vs %d outputs",
+			a.NumInputs(), b.NumInputs(), a.NumOutputs(), b.NumOutputs())
+	}
+	perm := make([]int, a.NumInputs()) // b's position of a's input i
+	for i, id := range a.Inputs() {
+		if perm[i] = slices.Index(b.Inputs(), b.InputByName(a.Node(id).Name)); perm[i] < 0 {
+			return fmt.Errorf("input %q missing in the second network", a.Node(id).Name)
+		}
+	}
+	aIn, bIn := make([]bool, a.NumInputs()), make([]bool, b.NumInputs())
+	for m := 0; m < 1<<a.NumInputs(); m++ {
+		for i := range aIn {
+			aIn[i] = m>>i&1 == 1
+			bIn[perm[i]] = aIn[i]
+		}
+		av, bv := a.EvalOutputs(aIn), b.EvalOutputs(bIn)
+		for i, o := range a.Outputs() {
+			j := b.OutputByName(o.Name)
+			if j < 0 {
+				return fmt.Errorf("output %q missing in the second network", o.Name)
+			}
+			if av[i] != bv[j] {
+				return fmt.Errorf("output %q differs at minterm %d", o.Name, m)
+			}
+		}
+	}
+	return nil
 }
 
 func TestNetworkBasics(t *testing.T) {
@@ -200,9 +237,8 @@ func TestCloneIndependence(t *testing.T) {
 	if n.NumInputs() != 4 || n.NumOutputs() != 2 {
 		t.Error("mutating clone affected original")
 	}
-	eq, err := Equivalent(n, buildExample(t))
-	if err != nil || !eq {
-		t.Errorf("Equivalent(n, rebuilt) = %v, %v, want true", eq, err)
+	if err := sameFunction(n, buildExample(t)); err != nil {
+		t.Errorf("the clone's original differs from a rebuilt copy: %v", err)
 	}
 }
 
@@ -243,9 +279,8 @@ func TestRebuildDropsDangling(t *testing.T) {
 	if r.NumNodes() != 9 {
 		t.Errorf("Rebuild kept %d nodes, want 9", r.NumNodes())
 	}
-	eq, err := Equivalent(n, r)
-	if err != nil || !eq {
-		t.Errorf("Rebuild changed function: %v, %v", eq, err)
+	if err := sameFunction(n, r); err != nil {
+		t.Errorf("Rebuild changed function: %v", err)
 	}
 }
 
@@ -270,12 +305,8 @@ func TestOptimizeConstantFolding(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	eq, err := Equivalent(n, o)
-	if err != nil {
-		t.Fatalf("Equivalent: %v", err)
-	}
-	if !eq {
-		t.Fatal("Optimize changed function")
+	if err := sameFunction(n, o); err != nil {
+		t.Fatalf("Optimize changed function: %v", err)
 	}
 	// Everything should fold away: only input a, const0, const1 and one
 	// inverter (for nothing, actually even that should be gone).
@@ -345,12 +376,8 @@ func TestOptimizePreservesFunctionProperty(t *testing.T) {
 		if err := o.Validate(); err != nil {
 			t.Fatalf("trial %d: Validate: %v\n%s", trial, err, o)
 		}
-		eq, err := Equivalent(n, o)
-		if err != nil {
-			t.Fatalf("trial %d: Equivalent: %v", trial, err)
-		}
-		if !eq {
-			t.Fatalf("trial %d: Optimize changed function\nbefore:\n%s\nafter:\n%s", trial, n, o)
+		if err := sameFunction(n, o); err != nil {
+			t.Fatalf("trial %d: Optimize changed function (%v)\nbefore:\n%s\nafter:\n%s", trial, err, n, o)
 		}
 		if o.NumNodes() > n.NumNodes() {
 			t.Fatalf("trial %d: Optimize grew network %d -> %d", trial, n.NumNodes(), o.NumNodes())
@@ -369,29 +396,9 @@ func TestDecomposeXorProperty(t *testing.T) {
 		if d.CountKind(KindXor) != 0 {
 			t.Fatalf("trial %d: DecomposeXor left XOR gates", trial)
 		}
-		eq, err := Equivalent(n, d)
-		if err != nil || !eq {
-			t.Fatalf("trial %d: DecomposeXor changed function (%v, %v)", trial, eq, err)
+		if err := sameFunction(n, d); err != nil {
+			t.Fatalf("trial %d: DecomposeXor changed function: %v", trial, err)
 		}
-	}
-}
-
-func TestTruthTables(t *testing.T) {
-	n := New("tt")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	n.MarkOutput("and", n.AddAnd(a, b))
-	n.MarkOutput("or", n.AddOr(a, b))
-	n.MarkOutput("xor", n.AddXor(a, b))
-	tt := n.TruthTables()
-	if tt[0][0] != 0b1000 {
-		t.Errorf("AND table = %b, want 1000", tt[0][0])
-	}
-	if tt[1][0] != 0b1110 {
-		t.Errorf("OR table = %b, want 1110", tt[1][0])
-	}
-	if tt[2][0] != 0b0110 {
-		t.Errorf("XOR table = %b, want 0110", tt[2][0])
 	}
 }
 
@@ -445,60 +452,6 @@ func TestConstructorPanics(t *testing.T) {
 	expectPanic("bad output driver", func() { n.MarkOutput("g", NodeID(99)) })
 	expectPanic("eval arity", func() { n.Eval(nil, nil) })
 	expectPanic("cone length mismatch", func() { ConeOverlap(make([]uint64, 1), make([]uint64, 2)) })
-}
-
-func TestTruthTablesTooWide(t *testing.T) {
-	n := New("wide")
-	for i := 0; i < 21; i++ {
-		n.AddInput(inputName(i))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("TruthTables accepted 21 inputs")
-		}
-	}()
-	n.TruthTables()
-}
-
-func TestEquivalentInterfaceMismatches(t *testing.T) {
-	a := New("a")
-	a.MarkOutput("f", a.AddInput("x"))
-	b := New("b")
-	xb := b.AddInput("x")
-	b.AddInput("y")
-	b.MarkOutput("f", xb)
-	if _, err := Equivalent(a, b); err == nil {
-		t.Error("accepted input count mismatch")
-	}
-	c := New("c")
-	xc := c.AddInput("x")
-	c.MarkOutput("g", xc)
-	if _, err := Equivalent(a, c); err == nil {
-		t.Error("accepted output name mismatch")
-	}
-	d := New("d")
-	d.MarkOutput("f", d.AddInput("z"))
-	if _, err := Equivalent(a, d); err == nil {
-		t.Error("accepted input name mismatch")
-	}
-}
-
-func TestEquivalentSampledFindsDifference(t *testing.T) {
-	a := New("a")
-	x := a.AddInput("x")
-	y := a.AddInput("y")
-	a.MarkOutput("f", a.AddAnd(x, y))
-	b := New("b")
-	x2 := b.AddInput("x")
-	y2 := b.AddInput("y")
-	b.MarkOutput("f", b.AddOr(x2, y2))
-	eq, err := EquivalentSampled(a, b, 256, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq {
-		t.Error("sampled check missed AND vs OR")
-	}
 }
 
 func TestSetNameAndKindString(t *testing.T) {

@@ -65,6 +65,11 @@ func descendState(st ScoreState, asg Assignment, score float64, tok *budget.T) (
 // with Restarts.
 const MaxRestarts = 1024
 
+// MaxAnnealProposals is the most annealing proposals over all chains,
+// (Restarts+1) × AnnealSteps, that flow.Config.Validate accepts from an
+// untrusted configuration: a longer schedule stops only on a timeout.
+const MaxAnnealProposals = 1 << 24
+
 // greedyStarts generates the canonical restart set: the base start (the
 // all-positive assignment, or Initial when set) plus Restarts random
 // draws from the seeded rng, in a fixed order regardless of worker

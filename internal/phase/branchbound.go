@@ -55,7 +55,7 @@ func (m *atomicMinFloat) min(x float64) {
 func branchBoundSearch(k int, sc AssignmentScorer, opts SearchOptions) (Assignment, float64, error) {
 	bs, ok := sc.(BoundScorer)
 	if !ok {
-		return nil, 0, fmt.Errorf("phase: branch-and-bound requires a scorer with admissible prefix bounds (power.ConeTable); got %T", opts.Scorer)
+		return nil, 0, fmt.Errorf("phase: branch-and-bound requires a scorer with admissible prefix bounds (power.ConeTable); got %T", sc)
 	}
 	seed := searchOutcome{asg: AllPositive(k)}
 	var err error

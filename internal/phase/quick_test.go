@@ -8,6 +8,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/prob"
+	"repro/internal/verify"
 )
 
 // TestQuickApplyEquivalence drives phase.Apply with testing/quick over
@@ -29,8 +30,7 @@ func TestQuickApplyEquivalence(t *testing.T) {
 		if r.Block.HasInverters() {
 			return false
 		}
-		eq, err := logic.Equivalent(n, r.Reconstructed())
-		return err == nil && eq
+		return verify.Check(n, r.Reconstructed()) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/prob"
+	"repro/internal/verify"
 )
 
 // switchingEvaluator builds the Figure 5 total-switching objective with
@@ -115,9 +116,8 @@ func TestMinAreaGreedyPath(t *testing.T) {
 	if score > base {
 		t.Errorf("greedy result %v worse than all-positive %v", score, base)
 	}
-	eq, err := logic.Equivalent(n, res.Reconstructed())
-	if err != nil || !eq {
-		t.Errorf("greedy MinArea broke function (asg %s): %v %v", asg, eq, err)
+	if err := verify.Check(n, res.Reconstructed()); err != nil {
+		t.Errorf("greedy MinArea broke function (asg %s): %v", asg, err)
 	}
 }
 
@@ -149,9 +149,8 @@ func TestMinPowerImprovesOrMatchesInitial(t *testing.T) {
 		if power > initPower+1e-12 {
 			t.Errorf("trial %d: MinPower %v worse than initial %v", trial, power, initPower)
 		}
-		eq, err := logic.Equivalent(n, res.Reconstructed())
-		if err != nil || !eq {
-			t.Errorf("trial %d: MinPower broke function (asg %s): %v %v", trial, asg, eq, err)
+		if err := verify.Check(n, res.Reconstructed()); err != nil {
+			t.Errorf("trial %d: MinPower broke function (asg %s): %v", trial, asg, err)
 		}
 		// Every committed step must have strictly decreased power.
 		last := initPower

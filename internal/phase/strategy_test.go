@@ -211,9 +211,12 @@ func TestStrategiesWithoutScorer(t *testing.T) {
 			t.Errorf("%v fallback score %v implausibly worse than optimum %v", strat, score, refScore)
 		}
 	}
-	// Branch-and-bound genuinely needs prefix bounds.
+	// Branch-and-bound genuinely needs prefix bounds, and its error names
+	// the objective it got (the evaluator adapter), not the unset Scorer.
 	if _, _, _, err := phase.Search(net, phase.SearchOptions{Strategy: phase.StrategyBranchBound}); err == nil {
 		t.Error("branch-and-bound accepted a boundless objective")
+	} else if strings.Contains(err.Error(), "<nil>") {
+		t.Errorf("branch-and-bound error %q does not name the objective", err)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/logic"
+	"repro/internal/verify"
 )
 
 // TestParseRejectsExtraLabels is a fuzz regression: more .ilb (or .ob)
@@ -118,8 +118,8 @@ func FuzzParse(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eq, err := logic.Equivalent(n, n2); err != nil || !eq {
-				t.Fatalf("round trip changed the function (%v, %v):\n%s", eq, err, text)
+			if err := verify.Check(n, n2); err != nil {
+				t.Fatalf("round trip changed the function (%v):\n%s", err, text)
 			}
 		}
 	})

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/logic"
+	"repro/internal/verify"
 )
 
 const sample = `
@@ -105,9 +105,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := logic.Equivalent(n1, n2)
-	if err != nil || !eq {
-		t.Fatalf("round trip changed function (%v %v):\n%s", eq, err, text)
+	if err := verify.Check(n1, n2); err != nil {
+		t.Fatalf("round trip changed function (%v):\n%s", err, text)
 	}
 }
 

@@ -42,6 +42,11 @@ func FuzzParseConfig(f *testing.F) {
 		`{"BDDNodeBudget":-1}`,
 		`{"SimVectorBudget":-8}`,
 		`{"AnnealSteps":-3}`,
+		`{"AnnealSteps":4611686018427387904,"SearchRestarts":1024}`,
+		`{"SearchStrategy":3,"AnnealSteps":4194304}`,
+		`{"PhaseScoring":1,"SearchStrategy":2}`,
+		`{"Lib":{"MaxSeries":4}}`,
+		`{"Lib":{"MaxSeries":4,"MaxParallel":8,"BaseCellArea":2,"PerInputArea":1,"InverterArea":1,"InputCap":-1,"OutputCap":1}}`,
 		`{"SimShards":1025}`,
 		`{"SearchStrategy":4,"SearchRestarts":1025}`,
 		`{"Timing":{"Intrinsic":1,"SeriesDelay":0.15,"LoadDelay":0.5,"InverterDelay":0.5,"MaxSize":8,"SizeStep":1.26}}`,

@@ -92,6 +92,10 @@ func TestConfigValidationRejections(t *testing.T) {
 		{"negative BDDNodeBudget", `{"BDDNodeBudget":-1}`, "BDDNodeBudget"},
 		{"negative SimVectorBudget", `{"SimVectorBudget":-8}`, "SimVectorBudget"},
 		{"negative AnnealSteps", `{"AnnealSteps":-3}`, "AnnealSteps"},
+		{"unbounded annealing", `{"AnnealSteps":4611686018427387904,"SearchRestarts":1024}`, "AnnealSteps"},
+		{"branch-and-bound without bounds", `{"PhaseScoring":1,"SearchStrategy":2}`, "SearchStrategy"},
+		{"partial Lib", `{"Lib":{"MaxSeries":4}}`, "Lib.MaxParallel"},
+		{"negative Lib.InputCap", `{"Lib":{"MaxSeries":4,"MaxParallel":8,"BaseCellArea":2,"PerInputArea":1,"InverterArea":1,"InputCap":-1,"OutputCap":1}}`, "Lib.InputCap"},
 		{"zero Timing model", `{"Timing":{}}`, "Timing.MaxSize"},
 		{"oversized Timing.MaxSize", `{"Timing":{"Intrinsic":1,"SeriesDelay":0.15,"LoadDelay":0.5,"InverterDelay":0.5,"MaxSize":1000000,"SizeStep":1.01}}`, "Timing.MaxSize"},
 		{"Timing.SizeStep at 1", `{"Timing":{"Intrinsic":1,"MaxSize":8,"SizeStep":1}}`, "Timing.SizeStep"},

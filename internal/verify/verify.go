@@ -1,9 +1,9 @@
 // Package verify implements BDD-based combinational equivalence checking
-// (CEC). The reproduction's correctness story leans on it: phase
-// assignment, domino mapping and the technology-independent rewrites all
-// claim functional preservation, and for networks too wide for exhaustive
-// truth tables (the benchmark twins have up to 235 inputs) canonical
-// BDDs over a shared variable order decide equivalence exactly.
+// (CEC), the repository's one equivalence check. Phase assignment,
+// domino mapping, the technology-independent rewrites and the BLIF/PLA
+// round trips all claim functional preservation, and their tests prove
+// it with Check: canonical BDDs over a shared variable order decide
+// equivalence exactly at any width (the twins have up to 235 inputs).
 package verify
 
 import (
@@ -113,8 +113,8 @@ func counterexample(m *bdd.Manager, fa, fb bdd.Ref, numVars int) []bool {
 	return assignment
 }
 
-// Check is a convenience wrapper returning a plain error on mismatch or
-// interface problems, for use in tests and flows.
+// Check is Equivalent as a plain error on a mismatch or an interface
+// problem, the form every function-preservation test uses.
 func Check(a, b *logic.Network) error {
 	res, err := Equivalent(a, b)
 	if err != nil {

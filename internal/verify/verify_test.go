@@ -3,6 +3,7 @@ package verify
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/flow"
@@ -104,20 +105,76 @@ func TestDetectsSubtleDifference(t *testing.T) {
 		n.MarkOutput("f", ids[len(ids)-1])
 		return n
 	}
-	res, err := Equivalent(build(false), build(true))
+	a, b := build(false), build(true)
+	res, err := Equivalent(a, b)
 	if err != nil {
 		t.Fatalf("Equivalent: %v", err)
 	}
 	if res.Equivalent {
 		// The flipped gate may be functionally redundant for the output;
-		// verify by sampling before declaring a bug.
-		eq, sErr := logic.EquivalentSampled(build(false), build(true), 1<<14, 1)
-		if sErr != nil || !eq {
+		// check every minterm before declaring a bug.
+		if differs(t, a, b) {
 			t.Error("CEC missed a real difference")
 		}
 	} else if res.FailingOutput != "f" {
 		t.Errorf("failing output = %q", res.FailingOutput)
 	}
+}
+
+// lanePatterns[i] holds bit i of the lane index in each of a word's 64
+// lanes: the low six input bits of the minterms base..base+63 when base
+// is a multiple of 64.
+var lanePatterns = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// differs is these tests' oracle, which shares no code with BDDs: it
+// evaluates a and b on every input minterm, 64 lanes at a time through
+// EvalWide, matching inputs and outputs by name, and reports whether
+// any output differs.
+func differs(t *testing.T, a, b *logic.Network) bool {
+	t.Helper()
+	k := a.NumInputs()
+	if k != b.NumInputs() || k > 30 {
+		t.Fatalf("oracle: %d and %d inputs", k, b.NumInputs())
+	}
+	perm := make([]int, k) // b's position of a's input i
+	for i, id := range a.Inputs() {
+		if perm[i] = slices.Index(b.Inputs(), b.InputByName(a.Node(id).Name)); perm[i] < 0 {
+			t.Fatalf("oracle: input %q missing in the second network", a.Node(id).Name)
+		}
+	}
+	lanes := ^uint64(0)
+	if k < 6 {
+		lanes = 1<<(1<<k) - 1
+	}
+	aIn, bIn := make([]uint64, k), make([]uint64, k)
+	var aw, bw []uint64
+	for base := 0; base < 1<<k; base += 64 {
+		for i := range aIn {
+			switch {
+			case i < len(lanePatterns):
+				aIn[i] = lanePatterns[i]
+			case base>>i&1 == 1:
+				aIn[i] = ^uint64(0)
+			default:
+				aIn[i] = 0
+			}
+			bIn[perm[i]] = aIn[i]
+		}
+		aw, bw = a.EvalWide(aIn, aw), b.EvalWide(bIn, bw)
+		for _, o := range a.Outputs() {
+			j := b.OutputByName(o.Name)
+			if j < 0 {
+				t.Fatalf("oracle: output %q missing in the second network", o.Name)
+			}
+			if (aw[o.Driver]^bw[b.Outputs()[j].Driver])&lanes != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // redeclared copies n with its inputs declared in the order perm (the
@@ -196,7 +253,7 @@ func TestEquivalentReorderedInputs(t *testing.T) {
 			continue
 		}
 		b := redeclared(a, perm, logic.NodeID(id))
-		if eq, err := logic.Equivalent(a, b); err != nil || eq {
+		if !differs(t, a, b) {
 			continue // the flipped gate is masked at every output
 		}
 		differing++
@@ -225,15 +282,33 @@ func TestEquivalentReorderedInputs(t *testing.T) {
 	}
 }
 
+// TestInterfaceMismatch: each interface error names what differs.
 func TestInterfaceMismatch(t *testing.T) {
-	a := logic.New("a")
-	a.MarkOutput("f", a.AddInput("x"))
-	b := logic.New("b")
-	xb := b.AddInput("x")
-	b.AddInput("y")
-	b.MarkOutput("f", xb)
-	if _, err := Equivalent(a, b); err == nil {
-		t.Error("accepted input count mismatch")
+	// net has the named inputs and drives every named output from the
+	// first input.
+	net := func(inputs []string, outputs ...string) *logic.Network {
+		n := logic.New("n")
+		for _, name := range inputs {
+			n.AddInput(name)
+		}
+		for _, name := range outputs {
+			n.MarkOutput(name, n.Inputs()[0])
+		}
+		return n
+	}
+	a := net([]string{"x"}, "f")
+	for _, c := range []struct {
+		b    *logic.Network
+		want string
+	}{
+		{net([]string{"x", "y"}, "f"), "input count mismatch"},
+		{net([]string{"x"}, "f", "g"), "output count mismatch"},
+		{net([]string{"z"}, "f"), `input "z" missing in first network`},
+		{net([]string{"x"}, "g"), `output "f" missing in second network`},
+	} {
+		if _, err := Equivalent(a, c.b); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Equivalent = %v, want an error containing %q", err, c.want)
+		}
 	}
 }
 

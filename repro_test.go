@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/gen"
-	"repro/internal/logic"
 	"repro/internal/phase"
+	"repro/internal/verify"
 )
 
 // pinnedRow is one twin's MA/MP pair as the flow computes it at
@@ -177,9 +177,8 @@ func TestFlowParadigm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eq, err := logic.EquivalentSampled(net, res.Reconstructed(), 4096, 1)
-		if err != nil || !eq {
-			t.Errorf("assignment %s broke functionality: %v %v", s.Assignment, eq, err)
+		if err := verify.Check(net, res.Reconstructed()); err != nil {
+			t.Errorf("assignment %s broke functionality: %v", s.Assignment, err)
 		}
 	}
 	// Estimates and measurements must agree to simulator accuracy for the
