@@ -15,15 +15,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Native fuzzing of the decoders that read untrusted uploads — the
-# BLIF/PLA parsers, dominod's config JSON and its archive expansion —
-# 30 s per target (go test fuzzes one target at a time). A failing input
-# is saved under the package's testdata/fuzz and replays in `go test`.
+# Native fuzzing, 30 s per target (go test fuzzes one target at a
+# time): the decoders that read untrusted uploads — the BLIF/PLA
+# parsers, dominod's config JSON and its archive expansion — and the
+# BDD engine's in-place sifting, checked against its unsifted build. A
+# failing input is saved under the package's testdata/fuzz and replays
+# in `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/blif
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/pla
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzExpandSubmission$$' -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSiftPreservesFunctions$$' -fuzztime 30s ./internal/bdd
 
 # Short smoke pass over every benchmark: one iteration each, no tests.
 bench:

@@ -9,14 +9,15 @@
 // iterative phase-assignment loop.
 //
 // The engine is map-free on every hot path, following the BuDDy/CUDD
-// design: the unique table is an open-addressed (linear-probe) hash table
-// over packed (variable, lo, hi) triples that grows at 3/4 load, the
-// operator memo is a fixed-size lossy direct-mapped cache, and node
-// storage grows in chunks. Keying by variable rather than level lets
-// an adjacent-level swap leave every node whose triple it keeps in its
-// slot (see reorder.go). Lossy caches never change results — a missed
-// memo merely recomputes the same canonical node — so Ref identity and
-// node counts are exactly those of an unbounded-memo build.
+// design: a node stores its variable, the unique table is an array of
+// bucket heads chained through a link kept inside each node and grows
+// at load 1, the operator memo is a fixed-size lossy direct-mapped
+// cache, and node storage grows in chunks. A node's table key
+// (variable, lo, hi) does not depend on the order, so an adjacent-level
+// swap touches only the nodes it rewrites (see reorder.go). Lossy caches
+// never change results — a missed memo merely recomputes the same
+// canonical node — so Ref identity and node counts are exactly those of
+// an unbounded-memo build.
 package bdd
 
 import (
@@ -37,8 +38,9 @@ const (
 )
 
 type node struct {
-	level  int32 // position of the decision variable in the current order
+	v      int32 // decision variable; NumVars for the terminals
 	lo, hi Ref
+	next   Ref // next node in its unique-table chain (False ends it)
 }
 
 const (
@@ -85,10 +87,10 @@ const (
 type Manager struct {
 	nodes []node
 
-	// unique is the open-addressed table interning (variable, lo, hi)
-	// triples; slots hold a Ref into nodes (False = empty). Keys live in
-	// the nodes slice itself (the variable as varAtLevel[level]), so the
-	// table is a bare []Ref.
+	// unique is the chained table interning (variable, lo, hi) triples:
+	// bucket b holds the first node of its chain (False = empty) and each
+	// node links to the next, so keys and links live in the nodes slice
+	// itself and the table is a bare []Ref.
 	unique      []Ref
 	uniqueCount int
 	// free holds the node slots a reorder collected, sorted ascending
@@ -102,7 +104,8 @@ type Manager struct {
 	binop []binopEntry
 
 	// varAtLevel[l] = variable index decided at level l;
-	// levelOfVar[v] = level of variable v.
+	// levelOfVar[v] = level of variable v, and levelOfVar[NumVars] =
+	// NumVars, the terminals' level below every variable.
 	varAtLevel []int32
 	levelOfVar []int32
 
@@ -157,7 +160,7 @@ func NewWithOrderSized(numVars int, order []int, sizeHint int) *Manager {
 		sizeHint = 2
 	}
 	tab := minUniqueSize
-	for 3*tab/4 < sizeHint && tab < maxCacheSize {
+	for tab < sizeHint && tab < maxCacheSize {
 		tab *= 2
 	}
 	nodeCap := sizeHint + 2
@@ -166,7 +169,7 @@ func NewWithOrderSized(numVars int, order []int, sizeHint int) *Manager {
 		unique:     make([]Ref, tab),
 		binop:      make([]binopEntry, tab),
 		varAtLevel: make([]int32, numVars),
-		levelOfVar: make([]int32, numVars),
+		levelOfVar: make([]int32, numVars+1),
 	}
 	seen := make([]bool, numVars)
 	for l, v := range order {
@@ -177,9 +180,10 @@ func NewWithOrderSized(numVars int, order []int, sizeHint int) *Manager {
 		m.varAtLevel[l] = int32(v)
 		m.levelOfVar[v] = int32(l)
 	}
-	// Terminal sentinels: level beyond all variables.
-	m.nodes[False] = node{level: int32(numVars), lo: False, hi: False}
-	m.nodes[True] = node{level: int32(numVars), lo: True, hi: True}
+	// Terminal sentinels: a variable decided below all others.
+	m.levelOfVar[numVars] = int32(numVars)
+	m.nodes[False] = node{v: int32(numVars), lo: False, hi: False}
+	m.nodes[True] = node{v: int32(numVars), lo: True, hi: True}
 	return m
 }
 
@@ -214,46 +218,71 @@ func tripleHash(key int32, lo, hi Ref) uint64 {
 	return h
 }
 
-// home is the unique-table slot a (level, lo, hi) triple hashes to: the
-// key is the variable decided at that level, so a node keeps its home
-// while a swap moves its variable to another level.
-func (m *Manager) home(level int32, lo, hi Ref) uint64 {
-	return tripleHash(m.varAtLevel[level], lo, hi) & uint64(len(m.unique)-1)
+// home is the unique-table bucket a (variable, lo, hi) triple hashes
+// to. It does not depend on the order, so a node keeps its bucket while
+// a swap moves its variable to another level.
+func (m *Manager) home(v int32, lo, hi Ref) uint64 {
+	return tripleHash(v, lo, hi) & uint64(len(m.unique)-1)
 }
 
-// growUnique doubles the open-addressed table and reinserts every interned
-// node (keys are read back from the nodes slice). The lossy operation
-// cache is rescaled alongside (up to maxCacheSize); dropping its
-// contents is sound (the cache is advisory) and keeps resizing O(1)
-// amortized.
+// growUnique doubles the bucket array and re-chains every interned node.
+// The lossy operation cache is rescaled alongside (up to maxCacheSize);
+// dropping its contents is sound (the cache is advisory) and keeps
+// resizing O(1) amortized.
 func (m *Manager) growUnique() {
 	old := m.unique
 	m.unique = make([]Ref, 2*len(old))
-	mask := uint64(len(m.unique) - 1)
 	for _, r := range old {
-		if r == False {
-			continue
+		for r != False {
+			n := &m.nodes[r]
+			next := n.next
+			b := m.home(n.v, n.lo, n.hi)
+			n.next, m.unique[b] = m.unique[b], r
+			r = next
 		}
-		n := &m.nodes[r]
-		idx := m.home(n.level, n.lo, n.hi)
-		for m.unique[idx] != False {
-			idx = (idx + 1) & mask
-		}
-		m.unique[idx] = r
 	}
 	if size := len(m.unique); size <= maxCacheSize && size > len(m.binop) {
 		m.binop = make([]binopEntry, size)
 	}
 }
 
-// newNode stores (level, lo, hi) in a collected slot when one is free,
-// else appends it to node storage, which grows chunk-wise. It does not
+// uniqueInsert pushes an already-built node onto the chain of bucket b,
+// its home (no lookup — the caller guarantees the triple is absent),
+// doubling the bucket array first when the table is at load 1.
+func (m *Manager) uniqueInsert(r Ref, b uint64) {
+	n := &m.nodes[r]
+	if m.uniqueCount == len(m.unique) {
+		m.growUnique()
+		b = m.home(n.v, n.lo, n.hi)
+	}
+	n.next, m.unique[b] = m.unique[b], r
+	m.uniqueCount++
+}
+
+// uniqueDelete unlinks an interned node from its chain. The node's key
+// must still match the one it was inserted under: delete before
+// rewriting its variable or children.
+func (m *Manager) uniqueDelete(r Ref) {
+	n := &m.nodes[r]
+	link := &m.unique[m.home(n.v, n.lo, n.hi)]
+	for *link != r {
+		if *link == False {
+			panic(fmt.Sprintf("bdd: node %d is not interned", r))
+		}
+		link = &m.nodes[*link].next
+	}
+	*link = n.next
+	m.uniqueCount--
+}
+
+// newNode stores (v, lo, hi) in a collected slot when one is free, else
+// appends it to node storage, which grows chunk-wise. It does not
 // intern the node.
-func (m *Manager) newNode(level int32, lo, hi Ref) Ref {
+func (m *Manager) newNode(v int32, lo, hi Ref) Ref {
 	if k := len(m.free); k > 0 {
 		r := m.free[k-1]
 		m.free = m.free[:k-1]
-		m.nodes[r] = node{level: level, lo: lo, hi: hi}
+		m.nodes[r] = node{v: v, lo: lo, hi: hi}
 		return r
 	}
 	if len(m.nodes) == cap(m.nodes) {
@@ -265,44 +294,36 @@ func (m *Manager) newNode(level int32, lo, hi Ref) Ref {
 		copy(ns, m.nodes)
 		m.nodes = ns
 	}
-	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	m.nodes = append(m.nodes, node{v: v, lo: lo, hi: hi})
 	return Ref(len(m.nodes) - 1)
 }
 
-func (m *Manager) mk(level int32, lo, hi Ref) Ref {
+// intern returns the node (v, lo, hi), interning a fresh one on a miss
+// (fresh reports which). A triple with lo == hi is reduced to lo.
+func (m *Manager) intern(v int32, lo, hi Ref) (r Ref, fresh bool) {
 	if lo == hi {
-		return lo
+		return lo, false
 	}
-	mask := uint64(len(m.unique) - 1)
-	idx := m.home(level, lo, hi)
-	for {
-		r := m.unique[idx]
-		if r == False {
-			break
-		}
-		n := &m.nodes[r]
-		if n.level == level && n.lo == lo && n.hi == hi {
-			return r
-		}
-		idx = (idx + 1) & mask
-	}
-	// Miss: intern a fresh node, growing the table at 3/4 load. Any
-	// reorder state becomes stale the moment a node it has no books for
-	// appears.
-	m.rs = nil
-	r := m.newNode(level, lo, hi)
-	if 4*(m.uniqueCount+1) > 3*len(m.unique) {
-		m.growUnique()
-		mask = uint64(len(m.unique) - 1)
-		idx = m.home(level, lo, hi)
-		for m.unique[idx] != False {
-			idx = (idx + 1) & mask
+	b := m.home(v, lo, hi)
+	for r := m.unique[b]; r != False; r = m.nodes[r].next {
+		if n := &m.nodes[r]; n.v == v && n.lo == lo && n.hi == hi {
+			return r, false
 		}
 	}
-	m.unique[idx] = r
-	m.uniqueCount++
-	if m.budget != nil {
-		m.pollBudget(m.uniqueCount)
+	r = m.newNode(v, lo, hi)
+	m.uniqueInsert(r, b)
+	return r, true
+}
+
+// mk is the build path's intern. Any reorder state becomes stale the
+// moment a node it has no books for appears.
+func (m *Manager) mk(v int32, lo, hi Ref) Ref {
+	r, fresh := m.intern(v, lo, hi)
+	if fresh {
+		m.rs = nil
+		if m.budget != nil {
+			m.pollBudget(m.uniqueCount)
+		}
 	}
 	return r
 }
@@ -312,21 +333,23 @@ func (m *Manager) Var(v int) Ref {
 	if v < 0 || v >= m.NumVars() {
 		panic(fmt.Sprintf("bdd: variable %d out of range", v))
 	}
-	return m.mk(m.levelOfVar[v], False, True)
+	return m.mk(int32(v), False, True)
 }
 
 // NVar returns the BDD for the complemented variable v.
 func (m *Manager) NVar(v int) Ref {
-	return m.mk(m.levelOfVar[v], True, False)
+	return m.mk(int32(v), True, False)
 }
 
-func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
+// level returns the level r's variable is decided at (NumVars for the
+// terminals).
+func (m *Manager) level(r Ref) int32 { return m.levelOfVar[m.nodes[r].v] }
 
-// cofactors returns the (lo, hi) cofactors of r with respect to the
-// variable at the given level.
-func (m *Manager) cofactors(r Ref, level int32) (Ref, Ref) {
+// cofactors returns the (lo, hi) cofactors of r with respect to
+// variable v.
+func (m *Manager) cofactors(r Ref, v int32) (Ref, Ref) {
 	n := &m.nodes[r]
-	if n.level == level {
+	if n.v == v {
 		return n.lo, n.hi
 	}
 	return r, r
@@ -347,7 +370,7 @@ func (m *Manager) Not(f Ref) Ref {
 		return slot.r
 	}
 	n := m.nodes[f]
-	r := m.mk(n.level, m.Not(n.lo), m.Not(n.hi))
+	r := m.mk(n.v, m.Not(n.lo), m.Not(n.hi))
 	// Re-resolve the slot: recursion may have rescaled the cache.
 	slot = &m.binop[tripleHash(int32(opNot), f, f)&uint64(len(m.binop)-1)]
 	*slot = binopEntry{a: f, b: f, r: r, op: opNot}
@@ -417,14 +440,10 @@ func (m *Manager) apply(op uint8, f, g Ref) Ref {
 	if slot.op == op && slot.a == f && slot.b == g {
 		return slot.r
 	}
-	lf, lg := m.level(f), m.level(g)
-	top := lf
-	if lg < top {
-		top = lg
-	}
-	f0, f1 := m.cofactors(f, top)
-	g0, g1 := m.cofactors(g, top)
-	r := m.mk(top, m.apply(op, f0, g0), m.apply(op, f1, g1))
+	v := m.varAtLevel[min(m.level(f), m.level(g))]
+	f0, f1 := m.cofactors(f, v)
+	g0, g1 := m.cofactors(g, v)
+	r := m.mk(v, m.apply(op, f0, g0), m.apply(op, f1, g1))
 	// Re-resolve the slot: recursion may have rescaled the cache.
 	slot = &m.binop[tripleHash(int32(op), f, g)&uint64(len(m.binop)-1)]
 	*slot = binopEntry{a: f, b: g, r: r, op: op}
@@ -438,22 +457,22 @@ func (m *Manager) Restrict(f Ref, v int, val bool) Ref {
 	seen := make([]bool, len(m.nodes))
 	var rec func(Ref) Ref
 	rec = func(r Ref) Ref {
-		n := &m.nodes[r]
-		if n.level > lv {
+		if m.level(r) > lv {
 			return r
 		}
 		if seen[r] {
 			return memo[r]
 		}
+		n := m.nodes[r]
 		var res Ref
-		if n.level == lv {
+		if n.v == int32(v) {
 			if val {
 				res = n.hi
 			} else {
 				res = n.lo
 			}
 		} else {
-			res = m.mk(n.level, rec(n.lo), rec(n.hi))
+			res = m.mk(n.v, rec(n.lo), rec(n.hi))
 		}
 		// memo/seen are sized for the pre-call node count; mk may have
 		// created nodes since, but only pre-existing refs are memoized
@@ -473,7 +492,7 @@ func (m *Manager) Eval(f Ref, assignment []bool) bool {
 	r := f
 	for r != True && r != False {
 		n := &m.nodes[r]
-		if assignment[m.varAtLevel[n.level]] {
+		if assignment[n.v] {
 			r = n.hi
 		} else {
 			r = n.lo
@@ -493,7 +512,7 @@ func (m *Manager) Support(f Ref) []int {
 		}
 		seen[r] = true
 		n := &m.nodes[r]
-		vars[m.varAtLevel[n.level]] = true
+		vars[n.v] = true
 		rec(n.lo)
 		rec(n.hi)
 	}
@@ -574,7 +593,7 @@ func (m *Manager) probability(f Ref, probs []float64, memo []float64, seen []boo
 		return memo[f]
 	}
 	n := &m.nodes[f]
-	p := probs[m.varAtLevel[n.level]]
+	p := probs[n.v]
 	res := (1-p)*m.probability(n.lo, probs, memo, seen) + p*m.probability(n.hi, probs, memo, seen)
 	memo[f] = res
 	seen[f] = true
@@ -590,5 +609,5 @@ func (m *Manager) String(f Ref) string {
 		return "1"
 	}
 	n := &m.nodes[f]
-	return fmt.Sprintf("node(%d: var x%d, lo=%s, hi=%s)", f, m.varAtLevel[n.level], m.String(n.lo), m.String(n.hi))
+	return fmt.Sprintf("node(%d: var x%d, lo=%s, hi=%s)", f, n.v, m.String(n.lo), m.String(n.hi))
 }

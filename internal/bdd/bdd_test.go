@@ -54,11 +54,11 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 		if r, ok := memo[key]; ok {
 			return r
 		}
-		top := min(m.level(f), m.level(g), m.level(h))
-		f0, f1 := m.cofactors(f, top)
-		g0, g1 := m.cofactors(g, top)
-		h0, h1 := m.cofactors(h, top)
-		r := m.mk(top, ite(f0, g0, h0), ite(f1, g1, h1))
+		v := m.varAtLevel[min(m.level(f), m.level(g), m.level(h))]
+		f0, f1 := m.cofactors(f, v)
+		g0, g1 := m.cofactors(g, v)
+		h0, h1 := m.cofactors(h, v)
+		r := m.mk(v, ite(f0, g0, h0), ite(f1, g1, h1))
 		memo[key] = r
 		return r
 	}

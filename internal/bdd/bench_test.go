@@ -12,7 +12,7 @@ import (
 // bddBenchNet is a mid-size synthetic network built locally (the gen
 // package transitively imports bdd, so the shared generators are off
 // limits here). The BDD build cost is dominated by unique-table and
-// memo-cache traffic, which is exactly what the open-addressed engine
+// memo-cache traffic, which is exactly what the map-free engine
 // targets.
 func bddBenchNet() *logic.Network {
 	rng := rand.New(rand.NewSource(77))
@@ -68,6 +68,34 @@ func BenchmarkReorder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m = New(n.NumInputs())
+		if _, err := BuildNetwork(m, n, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := m.Reorder(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.LiveNodes()), "live_nodes")
+}
+
+// BenchmarkReorderDisjoint measures one in-place sifting pass over 25
+// disjoint 4-input blocks (100 variables, 10 gates each; addBlocks),
+// built under a random order into a fresh manager before each pass
+// (untimed). Variables of different blocks never interact, so most of
+// the pass's swaps only exchange two levels — the case
+// BenchmarkReorder's almost fully interacting net cannot show.
+func BenchmarkReorderDisjoint(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	n := logic.New("disjoint")
+	addBlocks(n, rng, 25, 4, 10)
+	order := rng.Perm(n.NumInputs())
+	var m *Manager
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m = NewWithOrder(n.NumInputs(), order)
 		if _, err := BuildNetwork(m, n, nil); err != nil {
 			b.Fatal(err)
 		}

@@ -1,67 +1,86 @@
 package bdd
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 )
 
 // In-place dynamic variable reordering — Rudell's sifting (ICCAD'93, the
-// CUDD/BuDDy lineage) — on the open-addressed unique table.
+// CUDD/BuDDy lineage) — on the chained unique table.
 //
 // The reordering contract:
 //
 //   - Swaps and Reorder preserve the *slots* (Refs) of every node
 //     reachable from a protected root. A swap of adjacent levels l/l+1
-//     touches only the nodes at those two levels: nodes at level l not
-//     depending on the level-l+1 variable keep their triple and move to
-//     l+1; level-l+1 nodes move to l; level-l nodes that do depend on the
-//     other variable (the dependents) are rewritten in place as deciders
-//     of it (F = y ? (x?f11:f01) : (x?f10:f00)). External Refs into the
-//     protected forest therefore stay valid across any number of swaps.
-//   - The unique table is keyed by (variable, lo, hi), so the nodes that
-//     only move keep their key and their table slot: a swap relabels
-//     their level field and rehashes just the dependents it rewrites.
+//     (variables x above y) rewrites only the dependents: the x-nodes
+//     with a y child, rewritten in place as deciders of y
+//     (F = y ? (x?f11:f01) : (x?f10:f00)). Every other node stores its
+//     variable, not its level, so it keeps its triple, its table chain
+//     and its Ref while its variable changes level. External Refs into
+//     the protected forest therefore stay valid across any number of
+//     swaps.
+//   - A swap of two variables that no protected root depends on both of
+//     has no dependent (a node of one with a child of the other would
+//     make some root depend on both), so it only exchanges their levels.
+//     An interaction matrix built with the reorder state answers that
+//     test in constant time (CUDD's cuddTestInteract); a swap changes no
+//     function, so one matrix serves the whole reorder.
 //   - Every Ref *not* reachable from a protected root is invalidated:
 //     reorder-state setup garbage-collects unreachable interned nodes,
 //     and their slots go to the manager's free list, which swap-created
 //     nodes and, after the reorder, mk refill.
-//   - Every decision — garbage-collection order, sift order, tie-breaks,
-//     slot assignment, growth aborts, the auto-reorder trigger — is a
-//     pure function of the table state, so a build+reorder sequence is
-//     bit-identical across processes and worker counts, and dominod may
-//     cache its results.
+//   - Every decision — sift order, tie-breaks, growth aborts, budget
+//     trips, the auto-reorder trigger — reads only live-node counts,
+//     which are canonical for an order, so a build+reorder sequence
+//     gives the same orders, counts and probabilities across processes,
+//     worker counts and table sizes, and dominod may cache its results.
+//     Slot assignment and table layout are deterministic too, but
+//     nothing may read them.
 //
 // The budget token is polled per swap (cancellation) and per created
 // node (node cap + cancellation), so both land inside a reorder as the
 // usual CUDD-style interrupt panic; the build boundary (or Reorder's own
 // CatchInterrupt) converts it to an error and the manager is left
-// unusable-but-not-corrupt, to be dropped. Inside a swap the cap
-// is checked against the live count plus the dependents the swap holds
-// out of the table, so where a reorder trips is a function of the
-// forest and the order alone, like its sift decisions.
+// unusable-but-not-corrupt, to be dropped. A dependent stays interned
+// until its own rewrite, so inside a swap the cap sees the live count at
+// the swap's start plus the nodes it has created, and where a reorder
+// trips is a function of the forest and the order alone, like its sift
+// decisions.
 
 // reorderState is the ephemeral bookkeeping a reorder needs: reference
-// counts, a per-level node index (swap cost proportional to the two
-// levels' populations), and scratch space the swaps reuse. It is built
-// on demand from the protected roots and dropped when a reorder ends or
-// any ordinary mk interns a node the state doesn't know about.
+// counts, a per-variable node index (swap cost proportional to the
+// upper variable's population), the interaction matrix, and scratch
+// space the swaps reuse. It is built on demand from the protected roots
+// and dropped when a reorder ends or any ordinary mk interns a node the
+// state doesn't know about.
 type reorderState struct {
 	// refcnt[r] = number of live parents of r plus one pin per protected
 	// occurrence. Terminals accumulate counts but are never collected.
 	refcnt []int32
-	// pos[r] = index of r in levels[nodes[r].level].
+	// pos[r] = index of r in vars[nodes[r].v].
 	pos []int32
-	// levels[l] lists the live nodes at level l in deterministic order.
-	levels [][]Ref
+	// vars[v] lists the live nodes deciding variable v.
+	vars [][]Ref
+	// interact is the NumVars × NumVars bit matrix, words uint64s per
+	// row: bit y of row x is set when some protected root depends on
+	// both x and y.
+	interact []uint64
+	words    int
 	// dead is the deferred death worklist shared across swaps.
 	dead []Ref
 	// deps is the swaps' shared dependent scratch list.
 	deps []depNode
 }
 
-// depNode is a dependent of a swap: a level-l node with a level-l+1
-// child, and the four grandchildren (x = the level-l variable, y = the
-// level-l+1 one) it is rewritten from: f_xy for x, y in {0, 1}.
+// interacts reports whether some protected root depends on both x and y.
+func (rs *reorderState) interacts(x, y int32) bool {
+	return rs.interact[int(x)*rs.words+int(y)/64]>>(y%64)&1 != 0
+}
+
+// depNode is a dependent of a swap: an x-node with a y child (x the
+// upper variable, y the lower one), and the four grandchildren it is
+// rewritten from: f_xy for x, y in {0, 1}.
 type depNode struct {
 	r                  Ref
 	f00, f01, f10, f11 Ref
@@ -181,7 +200,7 @@ func (m *Manager) reorderNow() {
 	type cand struct{ v, pop int }
 	cands := make([]cand, 0, m.NumVars())
 	for v := 0; v < m.NumVars(); v++ {
-		if pop := len(m.rs.levels[m.levelOfVar[v]]); pop > 0 {
+		if pop := len(m.rs.vars[v]); pop > 0 {
 			cands = append(cands, cand{v, pop})
 		}
 	}
@@ -240,16 +259,18 @@ func (m *Manager) siftVar(v int) {
 	}
 }
 
-// buildReorderState marks the protected forest, builds the per-level
+// buildReorderState marks the protected forest, builds the per-variable
 // index and reference counts, garbage-collects unreachable interned
-// nodes (their slots join the free list), and drops the operation
-// caches (their entries may name collected slots).
+// nodes (their slots join the free list), builds the interaction matrix,
+// and drops the operation caches (their entries may name collected
+// slots).
 func (m *Manager) buildReorderState() {
 	numVars := m.NumVars()
 	rs := &reorderState{
 		refcnt: make([]int32, len(m.nodes)),
 		pos:    make([]int32, len(m.nodes)),
-		levels: make([][]Ref, numVars),
+		vars:   make([][]Ref, numVars),
+		words:  (numVars + 63) / 64,
 	}
 	seen := make([]bool, len(m.nodes))
 	seen[False], seen[True] = true, true
@@ -272,17 +293,21 @@ func (m *Manager) buildReorderState() {
 		}
 	}
 	// Garbage collection: interned nodes unreachable from any protected
-	// root leave the table; their slots join the ones still free from
-	// earlier collections, sorted ascending so slot reuse is independent
-	// of hash-table layout.
+	// root are unlinked from their chains; their slots join the ones
+	// still free from earlier collections, sorted ascending so slot reuse
+	// is independent of hash-table layout.
 	free := m.free
-	for _, r := range m.unique {
-		if r != False && !seen[r] {
+	for b := range m.unique {
+		link := &m.unique[b]
+		for r := *link; r != False; r = *link {
+			if seen[r] {
+				link = &m.nodes[r].next
+				continue
+			}
+			*link = m.nodes[r].next
+			m.uniqueCount--
 			free = append(free, r)
 		}
-	}
-	for _, r := range free[len(m.free):] {
-		m.uniqueDelete(r)
 	}
 	slices.Sort(free)
 	m.free = free
@@ -290,10 +315,11 @@ func (m *Manager) buildReorderState() {
 		if !seen[r] {
 			continue
 		}
-		lvl := m.nodes[r].level
-		rs.pos[r] = int32(len(rs.levels[lvl]))
-		rs.levels[lvl] = append(rs.levels[lvl], Ref(r))
+		v := m.nodes[r].v
+		rs.pos[r] = int32(len(rs.vars[v]))
+		rs.vars[v] = append(rs.vars[v], Ref(r))
 	}
+	m.buildInteract(rs)
 	// The lossy cache may hold entries naming collected slots; it is
 	// advisory for results but must not resolve to reused slots.
 	for i := range m.binop {
@@ -302,14 +328,47 @@ func (m *Manager) buildReorderState() {
 	m.rs = rs
 }
 
-// swapLevels is the in-place adjacent swap. Phase order matters for
-// canonicity: classification snapshots the four grandchildren while
-// child levels are still old; dependents leave the unique table while
-// their triples (under the old variable maps) still match their entries;
-// level-l+1 nodes relabel to l and movers to l+1 *before* dependents
-// intern their new children, so swap-created deciders share with
-// movers; deaths cascade last. Movers and old level-l+1 nodes keep their
-// (variable, lo, hi) key, so they never leave their table slots.
+// buildInteract fills rs.interact: every protected root's support is
+// ORed into the row of each variable in it. Supports are bitsets
+// computed for each live node, children before parents (bottom level
+// first).
+func (m *Manager) buildInteract(rs *reorderState) {
+	w := rs.words
+	supp := make([]uint64, len(m.nodes)*w) // terminals' rows stay empty
+	for l := m.NumVars() - 1; l >= 0; l-- {
+		v := m.varAtLevel[l]
+		for _, r := range rs.vars[v] {
+			n := &m.nodes[r]
+			s, lo, hi := supp[int(r)*w:][:w], supp[int(n.lo)*w:][:w], supp[int(n.hi)*w:][:w]
+			for i := range s {
+				s[i] = lo[i] | hi[i]
+			}
+			s[v/64] |= 1 << (v % 64)
+		}
+	}
+	rs.interact = make([]uint64, m.NumVars()*w)
+	for _, roots := range m.protected {
+		for _, r := range roots {
+			s := supp[int(r)*w:][:w]
+			for i, word := range s {
+				for ; word != 0; word &= word - 1 {
+					row := rs.interact[(64*i+bits.TrailingZeros64(word))*w:][:w]
+					for j := range row {
+						row[j] |= s[j]
+					}
+				}
+			}
+		}
+	}
+}
+
+// swapLevels is the in-place adjacent swap of x, the variable at level
+// l, and y, the one at l+1. Non-interacting variables only exchange
+// levels. Otherwise x's nodes are classified: those without a y child
+// (movers) stay as they are, and each dependent snapshots its
+// grandchildren, interns its two new x-children (sharing with movers
+// and with the nodes the swap has made), leaves its chain, is rewritten
+// as a y-node and re-enters the table. Deaths cascade last.
 func (m *Manager) swapLevels(l int) {
 	if m.budget != nil {
 		if err := m.budget.Err(); err != nil {
@@ -317,68 +376,48 @@ func (m *Manager) swapLevels(l int) {
 		}
 	}
 	rs := m.rs
-	lx, ly := int32(l), int32(l+1)
-	levL, levY := rs.levels[l], rs.levels[l+1]
-	// Classify level-l nodes: movers keep their children and are
-	// compacted in place into levL's front; dependents snapshot the
-	// grandchildren quadruple before any level changes.
-	movers, deps := levL[:0], rs.deps[:0]
-	for _, r := range levL {
+	x, y := m.varAtLevel[l], m.varAtLevel[l+1]
+	m.swapVarMaps(l)
+	if !rs.interacts(x, y) {
+		return
+	}
+	// Classify x-nodes: movers are compacted in place into the list's
+	// front; dependents leave it for y's.
+	movers, deps := rs.vars[x][:0], rs.deps[:0]
+	for _, r := range rs.vars[x] {
 		n := &m.nodes[r]
 		d := depNode{r: r, f00: n.lo, f01: n.lo, f10: n.hi, f11: n.hi}
 		isDep := false
-		if c := &m.nodes[n.lo]; c.level == ly {
+		if c := &m.nodes[n.lo]; c.v == y {
 			d.f00, d.f01 = c.lo, c.hi
 			isDep = true
 		}
-		if c := &m.nodes[n.hi]; c.level == ly {
+		if c := &m.nodes[n.hi]; c.v == y {
 			d.f10, d.f11 = c.lo, c.hi
 			isDep = true
 		}
 		if isDep {
 			deps = append(deps, d)
 		} else {
+			rs.pos[r] = int32(len(movers))
 			movers = append(movers, r)
 		}
 	}
-	rs.deps = deps
-	for _, d := range deps {
-		m.uniqueDelete(d.r)
-	}
-	m.swapVarMaps(l)
-	// Relabel: old level-l+1 nodes decide their variable at level l now,
-	// movers theirs at l+1. Slots, children and keys are untouched, so
-	// external Refs keep their meaning and the table needs no update.
-	for _, r := range levY {
-		m.nodes[r].level = lx
-	}
-	for _, r := range movers {
-		m.nodes[r].level = ly
-	}
-	// Level l lists the dependents, then the old level-l+1 nodes.
-	newL := slices.Grow(levY, len(deps))[:len(deps)+len(levY)]
-	copy(newL[len(deps):], newL[:len(levY)])
-	for i, d := range deps {
-		newL[i] = d.r
-	}
-	rs.levels[l], rs.levels[l+1] = newL, movers
-	for i, r := range newL {
-		rs.pos[r] = int32(i)
-	}
-	for i, r := range movers {
-		rs.pos[r] = int32(i)
-	}
-	// Rewrite dependents in place as deciders of the other variable:
+	rs.vars[x], rs.deps = movers, deps
+	// Rewrite dependents in place as deciders of y:
 	// F = y ? (x?f11:f01) : (x?f10:f00). Distinct canonical functions
-	// produce distinct triples, so the in-place reinsertions never
-	// collide; mkSwap interns the two new cofactors with full sharing.
-	for i, d := range deps {
-		g0 := m.mkSwap(ly, d.f00, d.f10, len(deps)-i)
-		g1 := m.mkSwap(ly, d.f01, d.f11, len(deps)-i)
+	// produce distinct triples, so the reinsertions never collide; mkSwap
+	// interns the two new x-cofactors with full sharing.
+	for _, d := range deps {
+		g0 := m.mkSwap(x, d.f00, d.f10)
+		g1 := m.mkSwap(x, d.f01, d.f11)
+		m.uniqueDelete(d.r)
 		n := &m.nodes[d.r]
 		of0, of1 := n.lo, n.hi
-		n.level, n.lo, n.hi = lx, g0, g1
-		m.uniqueInsert(d.r)
+		n.v, n.lo, n.hi = y, g0, g1
+		m.uniqueInsert(d.r, m.home(y, g0, g1))
+		rs.pos[d.r] = int32(len(rs.vars[y]))
+		rs.vars[y] = append(rs.vars[y], d.r)
 		rs.refcnt[g0]++
 		rs.refcnt[g1]++
 		m.deferDecRef(of0)
@@ -387,44 +426,29 @@ func (m *Manager) swapLevels(l int) {
 	m.collectDead()
 }
 
-// mkSwap interns (level, lo, hi) during a swap: unique-table sharing
-// with movers and previously created nodes, slot reuse from the free
-// list, level index and refcount maintenance, and a budget poll. It
-// bypasses the operation caches entirely. unkeyed is the number of
-// dependents the swap holds out of the unique table; the node cap counts
-// them as live, so it sees the swap's starting size plus the nodes it
-// has created, whatever the order of its dependents.
-func (m *Manager) mkSwap(level int32, lo, hi Ref, unkeyed int) Ref {
-	if lo == hi {
-		return lo
-	}
-	mask := uint64(len(m.unique) - 1)
-	idx := m.home(level, lo, hi)
-	for {
-		r := m.unique[idx]
-		if r == False {
-			break
-		}
-		n := &m.nodes[r]
-		if n.level == level && n.lo == lo && n.hi == hi {
-			return r
-		}
-		idx = (idx + 1) & mask
+// mkSwap interns (v, lo, hi) during a swap: unique-table sharing with
+// movers and previously created nodes, slot reuse from the free list,
+// variable index and refcount maintenance, and a budget poll. It
+// bypasses the operation caches entirely. The swap's dependents are
+// still interned, so the node cap sees the swap's starting size plus
+// the nodes it has created, whatever the order of its dependents.
+func (m *Manager) mkSwap(v int32, lo, hi Ref) Ref {
+	r, fresh := m.intern(v, lo, hi)
+	if !fresh {
+		return r
 	}
 	rs := m.rs
-	r := m.newNode(level, lo, hi)
 	if int(r) == len(rs.refcnt) {
 		rs.refcnt = append(rs.refcnt, 0)
 		rs.pos = append(rs.pos, 0)
 	}
-	m.uniqueInsert(r)
 	rs.refcnt[r] = 0
 	rs.refcnt[lo]++
 	rs.refcnt[hi]++
-	rs.pos[r] = int32(len(rs.levels[level]))
-	rs.levels[level] = append(rs.levels[level], r)
+	rs.pos[r] = int32(len(rs.vars[v]))
+	rs.vars[v] = append(rs.vars[v], r)
 	if m.budget != nil {
-		m.pollBudget(m.uniqueCount + unkeyed)
+		m.pollBudget(m.uniqueCount)
 	}
 	return r
 }
@@ -440,8 +464,8 @@ func (m *Manager) deferDecRef(r Ref) {
 }
 
 // collectDead drains the death worklist: each dead node leaves the
-// unique table and its level list, releases its children (cascading),
-// and frees its slot for reuse.
+// unique table and its variable's list, releases its children
+// (cascading), and frees its slot for reuse.
 func (m *Manager) collectDead() {
 	rs := m.rs
 	for len(rs.dead) > 0 {
@@ -452,12 +476,12 @@ func (m *Manager) collectDead() {
 		}
 		n := &m.nodes[r]
 		m.uniqueDelete(r)
-		list := rs.levels[n.level]
+		list := rs.vars[n.v]
 		p := rs.pos[r]
 		last := list[len(list)-1]
 		list[p] = last
 		rs.pos[last] = p
-		rs.levels[n.level] = list[:len(list)-1]
+		rs.vars[n.v] = list[:len(list)-1]
 		m.deferDecRef(n.lo)
 		m.deferDecRef(n.hi)
 		m.free = append(m.free, r)
@@ -469,57 +493,4 @@ func (m *Manager) swapVarMaps(l int) {
 	x, y := m.varAtLevel[l], m.varAtLevel[l+1]
 	m.varAtLevel[l], m.varAtLevel[l+1] = y, x
 	m.levelOfVar[x], m.levelOfVar[y] = int32(l+1), int32(l)
-}
-
-// uniqueInsert places an already-built node into the unique table (no
-// lookup — the caller guarantees the triple is absent), growing at 3/4
-// load like mk.
-func (m *Manager) uniqueInsert(r Ref) {
-	if 4*(m.uniqueCount+1) > 3*len(m.unique) {
-		m.growUnique()
-	}
-	n := &m.nodes[r]
-	mask := uint64(len(m.unique) - 1)
-	idx := m.home(n.level, n.lo, n.hi)
-	for m.unique[idx] != False {
-		idx = (idx + 1) & mask
-	}
-	m.unique[idx] = r
-	m.uniqueCount++
-}
-
-// uniqueDelete removes a node from the open-addressed table with
-// backward-shift rehoming, preserving every other entry's probe chain.
-// The node's key must still match its entry: delete before rewriting
-// its children or swapping its variable's level.
-func (m *Manager) uniqueDelete(r Ref) {
-	n := &m.nodes[r]
-	mask := uint64(len(m.unique) - 1)
-	idx := m.home(n.level, n.lo, n.hi)
-	for m.unique[idx] != r {
-		if m.unique[idx] == False {
-			return // not interned (already deleted)
-		}
-		idx = (idx + 1) & mask
-	}
-	m.unique[idx] = False
-	m.uniqueCount--
-	// Backward shift: walk the cluster, pulling entries whose home slot
-	// lies at or cyclically before the hole back into it.
-	hole := idx
-	j := idx
-	for {
-		j = (j + 1) & mask
-		s := m.unique[j]
-		if s == False {
-			return
-		}
-		sn := &m.nodes[s]
-		home := m.home(sn.level, sn.lo, sn.hi)
-		if ((j - home) & mask) >= ((j - hole) & mask) {
-			m.unique[hole] = s
-			m.unique[j] = False
-			hole = j
-		}
-	}
 }

@@ -48,45 +48,49 @@ func (m *Manager) SwapLevels(l int) error {
 	})
 }
 
+// nodeTriple is a node's (variable, lo, hi) key, without its chain link.
+type nodeTriple struct {
+	v      int32
+	lo, hi Ref
+}
+
 // checkUniqueTable verifies the unique table against the nodes it
-// interns: every occupied slot holds a reduced, ordered node that is
-// reachable from its (variable, lo, hi) home with no empty slot on the
-// probe path; uniqueCount is the number of occupied slots; no node or
-// triple is interned twice; no free slot is interned, nor listed twice;
-// and every node reachable from a protected root is interned.
+// interns: every chained node hashes to its own bucket and appears in
+// the table once (which also rules out a cycle); uniqueCount is the
+// chained total; no (variable, lo, hi) triple is interned twice; every
+// interned node is reduced and ordered, its levels read through
+// levelOfVar; no free slot is interned, nor listed twice; and every node
+// reachable from a protected root is interned.
 func checkUniqueTable(t *testing.T, m *Manager) {
 	t.Helper()
-	mask := uint64(len(m.unique) - 1)
 	interned := make(map[Ref]bool, m.uniqueCount)
-	triples := make(map[node]Ref, m.uniqueCount)
-	for i, r := range m.unique {
-		if r == False {
-			continue
-		}
-		if r == True || int(r) >= len(m.nodes) {
-			t.Fatalf("slot %d holds Ref %d (%d node slots)", i, r, len(m.nodes))
-		}
-		if interned[r] {
-			t.Fatalf("node %d is interned twice", r)
-		}
-		interned[r] = true
-		n := m.nodes[r]
-		if n.lo == n.hi || n.level < 0 || int(n.level) >= m.NumVars() ||
-			m.nodes[n.lo].level <= n.level || m.nodes[n.hi].level <= n.level {
-			t.Fatalf("node %d = %+v is not reduced and ordered", r, n)
-		}
-		if other, dup := triples[n]; dup {
-			t.Fatalf("nodes %d and %d share the triple %+v", other, r, n)
-		}
-		triples[n] = r
-		for j := tripleHash(m.varAtLevel[n.level], n.lo, n.hi) & mask; j != uint64(i); j = (j + 1) & mask {
-			if m.unique[j] == False {
-				t.Fatalf("node %d in slot %d: its probe path crosses empty slot %d", r, i, j)
+	triples := make(map[nodeTriple]Ref, m.uniqueCount)
+	for b, head := range m.unique {
+		for r := head; r != False; r = m.nodes[r].next {
+			if r == True || int(r) >= len(m.nodes) {
+				t.Fatalf("bucket %d chains Ref %d (%d node slots)", b, r, len(m.nodes))
 			}
+			if interned[r] {
+				t.Fatalf("node %d is chained twice", r)
+			}
+			interned[r] = true
+			n := m.nodes[r]
+			if home := m.home(n.v, n.lo, n.hi); home != uint64(b) {
+				t.Fatalf("node %d = %+v is chained in bucket %d, hashes to %d", r, n, b, home)
+			}
+			if n.lo == n.hi || n.v < 0 || int(n.v) >= m.NumVars() ||
+				m.level(n.lo) <= m.level(r) || m.level(n.hi) <= m.level(r) {
+				t.Fatalf("node %d = %+v is not reduced and ordered", r, n)
+			}
+			key := nodeTriple{n.v, n.lo, n.hi}
+			if other, dup := triples[key]; dup {
+				t.Fatalf("nodes %d and %d share the triple %+v", other, r, key)
+			}
+			triples[key] = r
 		}
 	}
 	if len(interned) != m.uniqueCount {
-		t.Fatalf("uniqueCount = %d, occupied slots = %d", m.uniqueCount, len(interned))
+		t.Fatalf("uniqueCount = %d, chained nodes = %d", m.uniqueCount, len(interned))
 	}
 	freed := make(map[Ref]bool, len(m.free))
 	for _, r := range m.free {
@@ -442,8 +446,26 @@ func TestBuildsAfterReorder(t *testing.T) {
 // are canonical for an order, so none of these may move with the unique
 // table's layout or the numbering of Refs.
 func TestAutoReorderPinned(t *testing.T) {
+	checkAutoReorderPinned(t, defaultSizeHint)
+}
+
+// TestReorderIndependentOfTableSize runs TestAutoReorderPinned's build
+// under size hints that give different bucket counts, and so different
+// chain orders and table growth points: every run must end with the
+// pinned order, live nodes, reorder count and probability bits.
+func TestReorderIndependentOfTableSize(t *testing.T) {
+	for _, hint := range []int{2, 1536, 65536} {
+		t.Run(fmt.Sprint(hint), func(t *testing.T) { checkAutoReorderPinned(t, hint) })
+	}
+}
+
+// checkAutoReorderPinned builds randomNetwork seed 2 (20 inputs, 300
+// gates) into a manager sized for sizeHint nodes under a 2,000-node
+// budget with auto-reorder on, and checks the pinned outcome.
+func checkAutoReorderPinned(t *testing.T, sizeHint int) {
+	t.Helper()
 	n := randomNetwork(rand.New(rand.NewSource(2)), 20, 300)
-	m := New(n.NumInputs())
+	m := NewSized(n.NumInputs(), sizeHint)
 	m.SetBudget(budget.New(2000, 0))
 	m.SetAutoReorder(true)
 	nb, err := BuildNetwork(m, n, nil)
@@ -523,8 +545,9 @@ func TestAutoReorderSchedule(t *testing.T) {
 // secondReorder builds randomNetwork(seed 0, 18 inputs, 250 gates),
 // sifts it once, interns and protects 40 further functions of its nodes
 // (refilling slots the first reorder collected), then sifts again under
-// a node cap. A non-nil shuffle permutes every level list before the
-// second reorder, and with it the order of each swap's dependents.
+// a node cap. A non-nil shuffle permutes every variable's node list
+// before the second reorder, and with it the order of each swap's
+// dependents.
 func secondReorder(limit int, shuffle *rand.Rand) (*Manager, error) {
 	n := randomNetwork(rand.New(rand.NewSource(0)), 18, 250)
 	m := New(n.NumInputs())
@@ -547,7 +570,7 @@ func secondReorder(limit int, shuffle *rand.Rand) (*Manager, error) {
 	m.SetBudget(budget.New(limit, 0))
 	if shuffle != nil {
 		m.buildReorderState()
-		for _, list := range m.rs.levels {
+		for _, list := range m.rs.vars {
 			shuffle.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
 			for i, r := range list {
 				m.rs.pos[r] = int32(i)
@@ -559,13 +582,11 @@ func secondReorder(limit int, shuffle *rand.Rand) (*Manager, error) {
 
 // TestSecondReorderTrip pins the smallest node cap a manager's second
 // reorder completes under, and shows that it depends only on the forest
-// and the order: inside a swap the cap is checked against the live nodes
-// plus the dependents the swap holds out of the table, so shuffling the
-// level lists moves no trip. The completed reorder's order and live
-// count are those the level-keyed unique table reached. Its count left
-// out the dependents not yet reinserted, so its threshold moved with
-// their order: it read 3083, and that count gives 3090, 3087 and 3083
-// for the three list orders below.
+// and the order: a swap's dependents stay interned until their own
+// rewrite, so inside a swap the cap sees the live nodes at its start
+// plus the nodes it has created, and shuffling the variables' node
+// lists moves no trip. It also pins the completed reorder's order and
+// live count.
 func TestSecondReorderTrip(t *testing.T) {
 	const threshold = 3091
 	wantOrder := []int{7, 1, 4, 9, 3, 15, 5, 10, 14, 0, 11, 2, 6, 8, 12, 16, 13, 17}
@@ -642,4 +663,99 @@ func TestSiftOracleUnchangedByIndexFix(t *testing.T) {
 	if got := CountUnderOrder(bad, []Ref{g}, order); got != count {
 		t.Fatalf("Sift order recount = %d, want %d", got, count)
 	}
+}
+
+// addBlocks adds blocks independent blocks to n: each has width inputs
+// of its own, gates random two-input gates over its inputs and earlier
+// gates, and one output, its last gate. No gate reads another block, so
+// variables of different blocks never share a root's support.
+func addBlocks(n *logic.Network, rng *rand.Rand, blocks, width, gates int) {
+	for b := 0; b < blocks; b++ {
+		ids := make([]logic.NodeID, 0, width+gates)
+		for i := 0; i < width; i++ {
+			ids = append(ids, n.AddInput(fmt.Sprintf("blk%d_%d", b, i)))
+		}
+		for g := 0; g < gates; g++ {
+			x, y := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+			switch rng.Intn(3) {
+			case 0:
+				ids = append(ids, n.AddAnd(x, y))
+			case 1:
+				ids = append(ids, n.AddOr(x, y))
+			default:
+				ids = append(ids, n.AddXor(x, y))
+			}
+		}
+		n.MarkOutput(fmt.Sprintf("blk%d", b), ids[len(ids)-1])
+	}
+}
+
+// TestNonInteractingSwapIsFree: on a network of six disjoint 3-input
+// blocks, adjacent variables from different blocks do not interact, and
+// their swap only exchanges their levels — LiveNodes, Size and every
+// protected node's (variable, lo, hi) stay as they were — while a swap
+// inside a block
+// still rewrites to the canonical count of the new order. A full
+// Reorder then keeps the table's invariants and agrees with the
+// rebuild oracle's count for the order it picked.
+func TestNonInteractingSwapIsFree(t *testing.T) {
+	const blocks, width = 6, 3
+	rng := rand.New(rand.NewSource(23))
+	n := logic.New("blocks")
+	addBlocks(n, rng, blocks, width, 5)
+	nb, err := BuildNetwork(NewWithOrder(n.NumInputs(), rng.Perm(n.NumInputs())), n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := nb.Manager
+	triples := func() []nodeTriple {
+		out := make([]nodeTriple, len(nb.NodeRefs))
+		for i, r := range nb.NodeRefs {
+			nd := m.nodes[r]
+			out[i] = nodeTriple{nd.v, nd.lo, nd.hi}
+		}
+		return out
+	}
+	free, rewriting := 0, 0
+	for s := 0; s < 200; s++ {
+		l := rng.Intn(m.NumVars() - 1)
+		x, y := m.Order()[l], m.Order()[l+1]
+		live, size, before := m.LiveNodes(), m.Size(), triples()
+		if err := m.SwapLevels(l); err != nil {
+			t.Fatalf("swap %d: %v", s, err)
+		}
+		if x/width != y/width {
+			free++
+			if m.rs.interacts(int32(x), int32(y)) {
+				t.Fatalf("swap %d: x%d and x%d of blocks %d and %d marked interacting", s, x, y, x/width, y/width)
+			}
+			if m.LiveNodes() != live || m.Size() != size || !slices.Equal(triples(), before) {
+				t.Fatalf("swap %d of x%d and x%d (blocks %d, %d): live %d -> %d, size %d -> %d, protected triples changed: %v",
+					s, x, y, x/width, y/width, live, m.LiveNodes(), size, m.Size(), !slices.Equal(triples(), before))
+			}
+			continue
+		}
+		rewriting++
+		if got, want := m.LiveNodes(), CountUnderOrder(m, nb.NodeRefs, m.Order()); got != want {
+			t.Fatalf("swap %d inside block %d: LiveNodes = %d, canonical rebuild = %d", s, x/width, got, want)
+		}
+	}
+	if free == 0 || rewriting == 0 {
+		t.Fatalf("%d free and %d in-block swaps: the walk must make both", free, rewriting)
+	}
+	checkUniqueTable(t, m)
+	checkAgainstNetwork(t, n, nb, rng, 32)
+	before := m.LiveNodes()
+	if err := m.Reorder(); err != nil {
+		t.Fatal(err)
+	}
+	after := m.LiveNodes()
+	if after > before {
+		t.Fatalf("reorder grew the forest %d -> %d", before, after)
+	}
+	if got := CountUnderOrder(m, nb.NodeRefs, m.Order()); got != after {
+		t.Fatalf("oracle rebuild under sifted order = %d, in-place = %d", got, after)
+	}
+	checkUniqueTable(t, m)
+	checkAgainstNetwork(t, n, nb, rng, 32)
 }

@@ -99,7 +99,7 @@ func Transfer(src *Manager, f Ref, dst *Manager, varMap []int) Ref {
 			return memo[r]
 		}
 		n := &src.nodes[r]
-		v := varMap[src.varAtLevel[n.level]]
+		v := varMap[n.v]
 		lo := rec(n.lo)
 		hi := rec(n.hi)
 		res := dst.ITE(dst.Var(v), hi, lo)

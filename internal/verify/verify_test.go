@@ -80,8 +80,13 @@ func TestDetectsDifference(t *testing.T) {
 	}
 }
 
+// TestDetectsSubtleDifference: two 24-input, 150-gate networks that
+// differ in one gate, gate 51, three levels deep, whose AND/OR flip
+// reaches output f (of the seed-9 stream's gates, only flips of 7, 20,
+// 30, 51 and 149 do). CEC must report f with a counterexample that
+// tells the networks apart; the exhaustive oracle confirms they differ.
 func TestDetectsSubtleDifference(t *testing.T) {
-	// Two big networks differing in exactly one deep gate.
+	const flipped = 51
 	build := func(flip bool) *logic.Network {
 		n := logic.New("big")
 		var ids []logic.NodeID
@@ -92,11 +97,11 @@ func TestDetectsSubtleDifference(t *testing.T) {
 		for g := 0; g < 150; g++ {
 			a := ids[rng.Intn(len(ids))]
 			b := ids[rng.Intn(len(ids))]
-			if g == 97 && flip {
-				ids = append(ids, n.AddOr(a, b))
-			} else if g == 97 {
-				ids = append(ids, n.AddAnd(a, b))
-			} else if rng.Intn(2) == 0 {
+			and := rng.Intn(2) == 0
+			if g == flipped && flip {
+				and = !and
+			}
+			if and {
 				ids = append(ids, n.AddAnd(a, b))
 			} else {
 				ids = append(ids, n.AddOr(a, b))
@@ -106,18 +111,21 @@ func TestDetectsSubtleDifference(t *testing.T) {
 		return n
 	}
 	a, b := build(false), build(true)
+	if !differs(t, a, b) {
+		t.Fatalf("setup: flipping gate %d does not change f", flipped)
+	}
 	res, err := Equivalent(a, b)
 	if err != nil {
 		t.Fatalf("Equivalent: %v", err)
 	}
 	if res.Equivalent {
-		// The flipped gate may be functionally redundant for the output;
-		// check every minterm before declaring a bug.
-		if differs(t, a, b) {
-			t.Error("CEC missed a real difference")
-		}
-	} else if res.FailingOutput != "f" {
+		t.Fatal("CEC missed a one-gate difference")
+	}
+	if res.FailingOutput != "f" {
 		t.Errorf("failing output = %q", res.FailingOutput)
+	}
+	if va, vb := a.EvalOutputs(res.Counterexample), b.EvalOutputs(res.Counterexample); va[0] == vb[0] {
+		t.Errorf("counterexample %v does not distinguish the networks", res.Counterexample)
 	}
 }
 
