@@ -18,9 +18,10 @@ race:
 # Native fuzzing, 30 s per target (go test fuzzes one target at a
 # time): the decoders that read untrusted uploads — the BLIF/PLA
 # parsers, dominod's config JSON and its archive expansion — and the
-# BDD engine's in-place sifting, checked against its unsifted build. A
-# failing input is saved under the package's testdata/fuzz and replays
-# in `go test`.
+# BDD engine's in-place sifting, checked against its unsifted build and,
+# under a cap taken from a transport peak of the swap-transport oracle,
+# against that oracle's trip. A failing input is saved under the
+# package's testdata/fuzz and replays in `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/blif
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/pla

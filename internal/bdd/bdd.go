@@ -14,10 +14,14 @@
 // at load 1, the operator memo is a fixed-size lossy direct-mapped
 // cache, and node storage grows in chunks. A node's table key
 // (variable, lo, hi) does not depend on the order, so an adjacent-level
-// swap touches only the nodes it rewrites (see reorder.go). Lossy caches
-// never change results — a missed memo merely recomputes the same
-// canonical node — so Ref identity and node counts are exactly those of
-// an unbounded-memo build.
+// swap touches only the nodes it rewrites (see reorder.go). A reorder
+// detaches the unique table — a swap interns through a small index of
+// its own, and the chains are rebuilt once when the reorder ends — and
+// carries each sifted variable back over measured orders by undoing
+// logged swaps, checking the node cap where the reverse swap would
+// have. Lossy caches never change results — a missed memo merely
+// recomputes the same canonical node — so Ref identity and node counts
+// are exactly those of an unbounded-memo build.
 package bdd
 
 import (
@@ -40,7 +44,9 @@ const (
 type node struct {
 	v      int32 // decision variable; NumVars for the terminals
 	lo, hi Ref
-	next   Ref // next node in its unique-table chain (False ends it)
+	// next is the next node in its unique-table chain (False ends it);
+	// while a reorder runs, the node's index in its variable's node list.
+	next Ref
 }
 
 const (
@@ -94,10 +100,11 @@ type Manager struct {
 	unique      []Ref
 	uniqueCount int
 	// free holds the node slots a reorder collected, sorted ascending
-	// when collected and popped from the end by mk and mkSwap. It
-	// outlives the reorder, so post-reorder builds refill the holes
-	// instead of growing node storage; the next collection merges what
-	// is left with its own garbage.
+	// when collected and popped from the end by mk and mkSwap (an undone
+	// swap pushes back what it popped). It outlives the reorder, so
+	// post-reorder builds refill the holes instead of growing node
+	// storage; the next collection merges what is left with its own
+	// garbage.
 	free []Ref
 
 	// binop is the lossy direct-mapped operation cache.
@@ -114,11 +121,11 @@ type Manager struct {
 	// cancelPollInterval inserts (see interrupt.go).
 	budget *budget.T
 
-	// Reordering state (see reorder.go): rs is the ephemeral swap
-	// bookkeeping (dropped whenever an ordinary mk interns a node it
-	// doesn't know about), protected holds the registered root slices,
-	// and nextReorderAt is the live-node count the next automatic
-	// reorder triggers at.
+	// Reordering state (see reorder.go): rs is the bookkeeping of the
+	// running reorder (nil outside one; the unique table is detached
+	// while it is set), protected holds the registered root slices, and
+	// nextReorderAt is the live-node count the next automatic reorder
+	// triggers at.
 	rs            *reorderState
 	protected     [][]Ref
 	autoReorder   bool
@@ -226,12 +233,9 @@ func (m *Manager) home(v int32, lo, hi Ref) uint64 {
 }
 
 // growUnique doubles the bucket array and re-chains every interned node.
-// The lossy operation cache is rescaled alongside (up to maxCacheSize);
-// dropping its contents is sound (the cache is advisory) and keeps
-// resizing O(1) amortized.
 func (m *Manager) growUnique() {
 	old := m.unique
-	m.unique = make([]Ref, 2*len(old))
+	m.resetUnique(2 * len(old))
 	for _, r := range old {
 		for r != False {
 			n := &m.nodes[r]
@@ -241,7 +245,15 @@ func (m *Manager) growUnique() {
 			r = next
 		}
 	}
-	if size := len(m.unique); size <= maxCacheSize && size > len(m.binop) {
+}
+
+// resetUnique replaces the bucket array with size empty buckets. The
+// lossy operation cache is rescaled alongside (up to maxCacheSize);
+// dropping its contents is sound (the cache is advisory) and keeps
+// resizing O(1) amortized.
+func (m *Manager) resetUnique(size int) {
+	m.unique = make([]Ref, size)
+	if size <= maxCacheSize && size > len(m.binop) {
 		m.binop = make([]binopEntry, size)
 	}
 }
@@ -257,22 +269,6 @@ func (m *Manager) uniqueInsert(r Ref, b uint64) {
 	}
 	n.next, m.unique[b] = m.unique[b], r
 	m.uniqueCount++
-}
-
-// uniqueDelete unlinks an interned node from its chain. The node's key
-// must still match the one it was inserted under: delete before
-// rewriting its variable or children.
-func (m *Manager) uniqueDelete(r Ref) {
-	n := &m.nodes[r]
-	link := &m.unique[m.home(n.v, n.lo, n.hi)]
-	for *link != r {
-		if *link == False {
-			panic(fmt.Sprintf("bdd: node %d is not interned", r))
-		}
-		link = &m.nodes[*link].next
-	}
-	*link = n.next
-	m.uniqueCount--
 }
 
 // newNode stores (v, lo, hi) in a collected slot when one is free, else
@@ -298,32 +294,23 @@ func (m *Manager) newNode(v int32, lo, hi Ref) Ref {
 	return Ref(len(m.nodes) - 1)
 }
 
-// intern returns the node (v, lo, hi), interning a fresh one on a miss
-// (fresh reports which). A triple with lo == hi is reduced to lo.
-func (m *Manager) intern(v int32, lo, hi Ref) (r Ref, fresh bool) {
+// mk is the build path's intern: it returns the node (v, lo, hi),
+// interning a fresh one on a miss and polling the budget for it. A
+// triple with lo == hi is reduced to lo.
+func (m *Manager) mk(v int32, lo, hi Ref) Ref {
 	if lo == hi {
-		return lo, false
+		return lo
 	}
 	b := m.home(v, lo, hi)
 	for r := m.unique[b]; r != False; r = m.nodes[r].next {
 		if n := &m.nodes[r]; n.v == v && n.lo == lo && n.hi == hi {
-			return r, false
+			return r
 		}
 	}
-	r = m.newNode(v, lo, hi)
+	r := m.newNode(v, lo, hi)
 	m.uniqueInsert(r, b)
-	return r, true
-}
-
-// mk is the build path's intern. Any reorder state becomes stale the
-// moment a node it has no books for appears.
-func (m *Manager) mk(v int32, lo, hi Ref) Ref {
-	r, fresh := m.intern(v, lo, hi)
-	if fresh {
-		m.rs = nil
-		if m.budget != nil {
-			m.pollBudget(m.uniqueCount)
-		}
+	if m.budget != nil {
+		m.pollBudget(m.uniqueCount)
 	}
 	return r
 }
@@ -353,6 +340,15 @@ func (m *Manager) cofactors(r Ref, v int32) (Ref, Ref) {
 		return n.lo, n.hi
 	}
 	return r, r
+}
+
+// Top returns the variable f's root decides — in a reduced ordered BDD
+// the top variable of f's support — and f's cofactors with respect to
+// it, the root's children. A terminal decides no variable: Top returns
+// NumVars and f, f.
+func (m *Manager) Top(f Ref) (v int, lo, hi Ref) {
+	n := &m.nodes[f]
+	return int(n.v), n.lo, n.hi
 }
 
 // Not returns the complement of f. It builds the lo branch before the hi

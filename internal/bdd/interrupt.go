@@ -13,10 +13,12 @@ import (
 // error path through every recursive operator, so the engine follows
 // the CUDD convention instead: a trip raises a typed panic that unwinds
 // the whole build, and the BuildNetwork boundary (or CatchInterrupt)
-// converts it back into an ordinary error. The manager's state stays
+// converts it back into an ordinary error. A build's state stays
 // consistent across the unwind — mk polls only after an insert
-// completes — but a tripped manager is dropped: a retry (the flow's
-// degradation chain runs one per stage) builds into a fresh manager.
+// completes — but a reorder's does not (its unique table stays
+// detached), and a tripped manager is dropped either way: a retry (the
+// flow's degradation chain runs one per stage) builds into a fresh
+// manager.
 
 // buildInterrupt is the typed panic carrying a budget/cancellation trip
 // out of a build.

@@ -7,7 +7,7 @@ import (
 )
 
 // In-place dynamic variable reordering — Rudell's sifting (ICCAD'93, the
-// CUDD/BuDDy lineage) — on the chained unique table.
+// CUDD/BuDDy lineage).
 //
 // The reordering contract:
 //
@@ -16,20 +16,46 @@ import (
 //     (variables x above y) rewrites only the dependents: the x-nodes
 //     with a y child, rewritten in place as deciders of y
 //     (F = y ? (x?f11:f01) : (x?f10:f00)). Every other node stores its
-//     variable, not its level, so it keeps its triple, its table chain
-//     and its Ref while its variable changes level. External Refs into
-//     the protected forest therefore stay valid across any number of
-//     swaps.
+//     variable, not its level, so it keeps its triple and its Ref while
+//     its variable changes level. External Refs into the protected
+//     forest therefore stay valid across any number of swaps.
 //   - A swap of two variables that no protected root depends on both of
 //     has no dependent (a node of one with a child of the other would
 //     make some root depend on both), so it only exchanges their levels.
 //     An interaction matrix built with the reorder state answers that
 //     test in constant time (CUDD's cuddTestInteract); a swap changes no
 //     function, so one matrix serves the whole reorder.
+//   - The unique table is detached while a reorder runs: no lookup
+//     inside one needs its chains, so a node's chain link holds its
+//     index in its variable's node list instead. A swap's new x-nodes
+//     have both children below y, so they can only equal an x-node
+//     without a y child (a mover) or a node the swap made itself; a
+//     small per-swap index over x's nodes interns them. Rewritten
+//     dependents never collide (distinct functions have distinct
+//     triples), and deaths only leave their variable's list. When the
+//     reorder ends, the chains are rebuilt once from the per-variable
+//     lists.
+//   - Each sift logs its interacting swaps — every dependent with its
+//     old children, every slot the swap filled, every node it killed —
+//     and carries its variable back over orders it has already measured
+//     by undoing them, last first, instead of swapping again: the up
+//     pass re-crossing the down pass, and the final move to a best
+//     position at or above the start. The reverse swap's dependents are
+//     exactly the rewritten ones, and by canonicity it recreates exactly
+//     the nodes the swap killed before it collects the ones the swap
+//     made, so an undo ends in the reverse swap's forest. The cap is
+//     checked only as nodes are created, so the reverse swap trips
+//     exactly when the swap killed nodes and the live count plus those
+//     nodes — the peak of the swap it reverses — exceeds the cap; an
+//     undo checks just that. A transport can therefore trip only under
+//     a cap set below the live count, past a swap that created nothing
+//     and so never checked it.
 //   - Every Ref *not* reachable from a protected root is invalidated:
 //     reorder-state setup garbage-collects unreachable interned nodes,
 //     and their slots go to the manager's free list, which swap-created
-//     nodes and, after the reorder, mk refill.
+//     nodes and, after the reorder, mk refill. The list is last in,
+//     first out, so once later swaps are undone the slots an undone swap
+//     freed are back on its top.
 //   - Every decision — sift order, tie-breaks, growth aborts, budget
 //     trips, the auto-reorder trigger — reads only live-node counts,
 //     which are canonical for an order, so a build+reorder sequence
@@ -38,29 +64,28 @@ import (
 //     Slot assignment and table layout are deterministic too, but
 //     nothing may read them.
 //
-// The budget token is polled per swap (cancellation) and per created
-// node (node cap + cancellation), so both land inside a reorder as the
+// The budget token is polled per swap and per undo (cancellation), per
+// node a swap creates (node cap + cancellation) and per undo of a swap
+// that killed nodes (node cap), so both land inside a reorder as the
 // usual CUDD-style interrupt panic; the build boundary (or Reorder's own
-// CatchInterrupt) converts it to an error and the manager is left
-// unusable-but-not-corrupt, to be dropped. A dependent stays interned
-// until its own rewrite, so inside a swap the cap sees the live count at
-// the swap's start plus the nodes it has created, and where a reorder
-// trips is a function of the forest and the order alone, like its sift
-// decisions.
+// CatchInterrupt) converts it to an error. A reorder that trips leaves
+// the unique table detached, so the manager is unusable and must be
+// dropped. A dependent stays counted until its own rewrite, so inside a
+// swap the cap sees the live count at the swap's start plus the nodes it
+// has created, and where a reorder trips is a function of the forest and
+// the order alone, like its sift decisions.
 
 // reorderState is the ephemeral bookkeeping a reorder needs: reference
 // counts, a per-variable node index (swap cost proportional to the
-// upper variable's population), the interaction matrix, and scratch
-// space the swaps reuse. It is built on demand from the protected roots
-// and dropped when a reorder ends or any ordinary mk interns a node the
-// state doesn't know about.
+// upper variable's population), the interaction matrix, the current
+// sift's undo log, and scratch space the swaps reuse. It is built from
+// the protected roots when a reorder starts and dropped when it ends.
 type reorderState struct {
 	// refcnt[r] = number of live parents of r plus one pin per protected
 	// occurrence. Terminals accumulate counts but are never collected.
 	refcnt []int32
-	// pos[r] = index of r in vars[nodes[r].v].
-	pos []int32
-	// vars[v] lists the live nodes deciding variable v.
+	// vars[v] lists the live nodes deciding variable v; a listed node's
+	// next field holds its index in the list.
 	vars [][]Ref
 	// interact is the NumVars × NumVars bit matrix, words uint64s per
 	// row: bit y of row x is set when some protected root depends on
@@ -71,7 +96,33 @@ type reorderState struct {
 	dead []Ref
 	// deps is the swaps' shared dependent scratch list.
 	deps []depNode
+	// index is a swap's open-addressed (lo, hi) → node table over the
+	// upper variable's nodes (False = empty slot), probed from the top
+	// shift bits of a multiplicative hash.
+	index []Ref
+	shift uint
+	// log holds the current sift's interacting swaps, oldest first. Each
+	// record's entries in oldDeps, created and killed run from its
+	// offsets to the next record's (or to the end).
+	log     []swapRecord
+	oldDeps []nodeUndo
+	created []Ref
+	killed  []nodeUndo
 }
+
+// swapRecord locates one interacting swap's undo entries in the logs.
+// size is the node storage length when the swap began: a created slot
+// at or past it was appended to storage, any other was popped from the
+// free list.
+type swapRecord struct {
+	size, deps, created, killed int
+}
+
+// nodeUndo is a node's children as a swap found them: a dependent's
+// old children (its old variable was the upper one), or a killed node's.
+// A killed node always decided the lower variable: nodes below both
+// levels keep their functions, and so their parents.
+type nodeUndo struct{ r, lo, hi Ref }
 
 // interacts reports whether some protected root depends on both x and y.
 func (rs *reorderState) interacts(x, y int32) bool {
@@ -112,7 +163,6 @@ const (
 // manager.
 func (m *Manager) Protect(roots []Ref) {
 	m.protected = append(m.protected, roots)
-	m.rs = nil
 }
 
 // LiveNodes returns the number of interned non-terminal nodes. Before
@@ -183,7 +233,7 @@ func (m *Manager) maybeReorder() {
 // a 1.2× growth abort per direction. Refs reachable from protected
 // roots remain valid; all others are invalidated. A budget trip or
 // cancellation mid-reorder returns an error and leaves the manager
-// unusable: drop it.
+// unusable (its unique table detached): drop it.
 func (m *Manager) Reorder() error { return CatchInterrupt(m.reorderNow) }
 
 // reorderNow is the panicking core of Reorder, also invoked by the
@@ -195,53 +245,58 @@ func (m *Manager) reorderNow() {
 	if m.rs == nil {
 		m.buildReorderState()
 	}
-	defer func() { m.rs = nil }()
-	// Sift order: start-population descending, variable index ascending.
-	type cand struct{ v, pop int }
-	cands := make([]cand, 0, m.NumVars())
-	for v := 0; v < m.NumVars(); v++ {
-		if pop := len(m.rs.vars[v]); pop > 0 {
-			cands = append(cands, cand{v, pop})
-		}
+	for _, v := range m.siftOrder() {
+		m.siftVar(v)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].pop != cands[j].pop {
-			return cands[i].pop > cands[j].pop
-		}
-		return cands[i].v < cands[j].v
-	})
-	for _, c := range cands {
-		m.siftVar(c.v)
-	}
+	m.endReorder()
 	m.reorders++
+}
+
+// siftOrder returns the variables a reorder sifts, in sifting order:
+// start population descending, variable index ascending, variables
+// without nodes left out.
+func (m *Manager) siftOrder() []int {
+	vs := make([]int, 0, len(m.rs.vars))
+	for v, list := range m.rs.vars {
+		if len(list) > 0 {
+			vs = append(vs, v)
+		}
+	}
+	sort.SliceStable(vs, func(i, j int) bool { return len(m.rs.vars[vs[i]]) > len(m.rs.vars[vs[j]]) })
+	return vs
 }
 
 // siftVar moves variable v through every level — down to the bottom,
 // then up to the top — tracking the live node count after each swap,
 // then parks it at the best position found. A direction aborts once the
-// count exceeds 1.2× the size at sift start.
+// count exceeds 1.2× the size at sift start. Moves over orders the sift
+// has already measured undo logged swaps: the up pass first re-crosses
+// the down pass, and the final move re-crosses the up pass, or all of it
+// and then swaps on when the best position lies below the start.
 func (m *Manager) siftVar(v int) {
 	start := m.uniqueCount
 	limit := start + start/5
 	n := m.NumVars()
-	pos := int(m.levelOfVar[v])
-	bestSize, bestPos := start, pos
-	size := start
+	from := int(m.levelOfVar[v])
+	pos, bestSize, bestPos := from, start, from
 	for pos < n-1 {
 		m.swapLevels(pos)
 		pos++
-		size = m.uniqueCount
+		size := m.uniqueCount
 		if size < bestSize {
 			bestSize, bestPos = size, pos
 		}
 		if size > limit {
 			break
 		}
+	}
+	for ; pos > from; pos-- {
+		m.undoSwap(pos - 1)
 	}
 	for pos > 0 {
 		m.swapLevels(pos - 1)
 		pos--
-		size = m.uniqueCount
+		size := m.uniqueCount
 		if size < bestSize {
 			bestSize, bestPos = size, pos
 		}
@@ -249,26 +304,26 @@ func (m *Manager) siftVar(v int) {
 			break
 		}
 	}
-	for pos < bestPos {
+	for ; pos < bestPos && pos < from; pos++ {
+		m.undoSwap(pos)
+	}
+	for ; pos < bestPos; pos++ {
 		m.swapLevels(pos)
-		pos++
 	}
-	for pos > bestPos {
-		m.swapLevels(pos - 1)
-		pos--
-	}
+	rs := m.rs
+	rs.log, rs.oldDeps, rs.created, rs.killed = rs.log[:0], rs.oldDeps[:0], rs.created[:0], rs.killed[:0]
 }
 
 // buildReorderState marks the protected forest, builds the per-variable
-// index and reference counts, garbage-collects unreachable interned
-// nodes (their slots join the free list), builds the interaction matrix,
-// and drops the operation caches (their entries may name collected
-// slots).
+// lists and reference counts, garbage-collects unreachable interned
+// nodes (their slots join the free list), detaches the unique table
+// (each live node's link now holds its list index), builds the
+// interaction matrix, and drops the operation caches (their entries may
+// name collected slots).
 func (m *Manager) buildReorderState() {
 	numVars := m.NumVars()
 	rs := &reorderState{
 		refcnt: make([]int32, len(m.nodes)),
-		pos:    make([]int32, len(m.nodes)),
 		vars:   make([][]Ref, numVars),
 		words:  (numVars + 63) / 64,
 	}
@@ -293,20 +348,16 @@ func (m *Manager) buildReorderState() {
 		}
 	}
 	// Garbage collection: interned nodes unreachable from any protected
-	// root are unlinked from their chains; their slots join the ones
-	// still free from earlier collections, sorted ascending so slot reuse
-	// is independent of hash-table layout.
+	// root leave the count; their slots join the ones still free from
+	// earlier collections, sorted ascending so slot reuse is independent
+	// of hash-table layout.
 	free := m.free
-	for b := range m.unique {
-		link := &m.unique[b]
-		for r := *link; r != False; r = *link {
-			if seen[r] {
-				link = &m.nodes[r].next
-				continue
+	for _, head := range m.unique {
+		for r := head; r != False; r = m.nodes[r].next {
+			if !seen[r] {
+				m.uniqueCount--
+				free = append(free, r)
 			}
-			*link = m.nodes[r].next
-			m.uniqueCount--
-			free = append(free, r)
 		}
 	}
 	slices.Sort(free)
@@ -316,16 +367,37 @@ func (m *Manager) buildReorderState() {
 			continue
 		}
 		v := m.nodes[r].v
-		rs.pos[r] = int32(len(rs.vars[v]))
+		m.nodes[r].next = Ref(len(rs.vars[v]))
 		rs.vars[v] = append(rs.vars[v], Ref(r))
 	}
 	m.buildInteract(rs)
 	// The lossy cache may hold entries naming collected slots; it is
 	// advisory for results but must not resolve to reused slots.
-	for i := range m.binop {
-		m.binop[i] = binopEntry{}
-	}
+	clear(m.binop)
 	m.rs = rs
+}
+
+// endReorder re-attaches the unique table — every live node is chained
+// again from its variable's list, the bucket array doubling until the
+// load is at most 1 — and drops the reorder state.
+func (m *Manager) endReorder() {
+	size := len(m.unique)
+	for size < m.uniqueCount {
+		size *= 2
+	}
+	if size > len(m.unique) {
+		m.resetUnique(size)
+	} else {
+		clear(m.unique)
+	}
+	for v, list := range m.rs.vars {
+		for _, r := range list {
+			n := &m.nodes[r]
+			b := m.home(int32(v), n.lo, n.hi)
+			n.next, m.unique[b] = m.unique[b], r
+		}
+	}
+	m.rs = nil
 }
 
 // buildInteract fills rs.interact: every protected root's support is
@@ -362,25 +434,42 @@ func (m *Manager) buildInteract(rs *reorderState) {
 	}
 }
 
-// swapLevels is the in-place adjacent swap of x, the variable at level
-// l, and y, the one at l+1. Non-interacting variables only exchange
-// levels. Otherwise x's nodes are classified: those without a y child
-// (movers) stay as they are, and each dependent snapshots its
-// grandchildren, interns its two new x-children (sharing with movers
-// and with the nodes the swap has made), leaves its chain, is rewritten
-// as a y-node and re-enters the table. Deaths cascade last.
-func (m *Manager) swapLevels(l int) {
+// pollCancel is the per-swap cancellation poll.
+func (m *Manager) pollCancel() {
 	if m.budget != nil {
 		if err := m.budget.Err(); err != nil {
 			panic(buildInterrupt{err})
 		}
 	}
+}
+
+// swapLevels is the in-place adjacent swap of x, the variable at level
+// l, and y, the one at l+1. Non-interacting variables only exchange
+// levels. Otherwise the swap is logged, and x's nodes are classified:
+// those without a y child (movers) stay as they are and enter the swap's
+// index, and each dependent snapshots its grandchildren, interns its two
+// new x-children through the index (sharing with movers and with the
+// nodes the swap has made) and is rewritten as a y-node. Deaths cascade
+// last.
+func (m *Manager) swapLevels(l int) {
+	m.pollCancel()
 	rs := m.rs
 	x, y := m.varAtLevel[l], m.varAtLevel[l+1]
 	m.swapVarMaps(l)
 	if !rs.interacts(x, y) {
 		return
 	}
+	rs.log = append(rs.log, swapRecord{len(m.nodes), len(rs.oldDeps), len(rs.created), len(rs.killed)})
+	size := 4
+	for size < 4*len(rs.vars[x]) {
+		size *= 2
+	}
+	if cap(rs.index) < size {
+		rs.index = make([]Ref, size)
+	}
+	rs.index = rs.index[:size]
+	clear(rs.index)
+	rs.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	// Classify x-nodes: movers are compacted in place into the list's
 	// front; dependents leave it for y's.
 	movers, deps := rs.vars[x][:0], rs.deps[:0]
@@ -398,25 +487,26 @@ func (m *Manager) swapLevels(l int) {
 		}
 		if isDep {
 			deps = append(deps, d)
-		} else {
-			rs.pos[r] = int32(len(movers))
-			movers = append(movers, r)
+			continue
 		}
+		n.next = Ref(len(movers))
+		movers = append(movers, r)
+		i := rs.indexSlot(n.lo, n.hi)
+		for rs.index[i] != False {
+			i = (i + 1) & (len(rs.index) - 1)
+		}
+		rs.index[i] = r
 	}
 	rs.vars[x], rs.deps = movers, deps
 	// Rewrite dependents in place as deciders of y:
-	// F = y ? (x?f11:f01) : (x?f10:f00). Distinct canonical functions
-	// produce distinct triples, so the reinsertions never collide; mkSwap
-	// interns the two new x-cofactors with full sharing.
+	// F = y ? (x?f11:f01) : (x?f10:f00).
 	for _, d := range deps {
 		g0 := m.mkSwap(x, d.f00, d.f10)
 		g1 := m.mkSwap(x, d.f01, d.f11)
-		m.uniqueDelete(d.r)
 		n := &m.nodes[d.r]
 		of0, of1 := n.lo, n.hi
-		n.v, n.lo, n.hi = y, g0, g1
-		m.uniqueInsert(d.r, m.home(y, g0, g1))
-		rs.pos[d.r] = int32(len(rs.vars[y]))
+		rs.oldDeps = append(rs.oldDeps, nodeUndo{d.r, of0, of1})
+		n.v, n.lo, n.hi, n.next = y, g0, g1, Ref(len(rs.vars[y]))
 		rs.vars[y] = append(rs.vars[y], d.r)
 		rs.refcnt[g0]++
 		rs.refcnt[g1]++
@@ -426,26 +516,40 @@ func (m *Manager) swapLevels(l int) {
 	m.collectDead()
 }
 
-// mkSwap interns (v, lo, hi) during a swap: unique-table sharing with
-// movers and previously created nodes, slot reuse from the free list,
-// variable index and refcount maintenance, and a budget poll. It
-// bypasses the operation caches entirely. The swap's dependents are
-// still interned, so the node cap sees the swap's starting size plus
-// the nodes it has created, whatever the order of its dependents.
+// indexSlot is the swap index slot a (lo, hi) pair's probe starts at.
+func (rs *reorderState) indexSlot(lo, hi Ref) int {
+	return int((uint64(uint32(lo))<<32 | uint64(uint32(hi))) * 0x9E3779B97F4A7C15 >> rs.shift)
+}
+
+// mkSwap interns (v, lo, hi), v the upper variable of the running swap,
+// through the swap's index: sharing with movers and previously created
+// nodes, slot reuse from the free list, variable list and refcount
+// maintenance, a log entry and a budget poll. The swap's dependents are
+// still counted, so the node cap sees the swap's starting size plus the
+// nodes it has created, whatever the order of its dependents.
 func (m *Manager) mkSwap(v int32, lo, hi Ref) Ref {
-	r, fresh := m.intern(v, lo, hi)
-	if !fresh {
-		return r
+	if lo == hi {
+		return lo
 	}
 	rs := m.rs
+	i := rs.indexSlot(lo, hi)
+	for r := rs.index[i]; r != False; r = rs.index[i] {
+		if n := &m.nodes[r]; n.lo == lo && n.hi == hi {
+			return r
+		}
+		i = (i + 1) & (len(rs.index) - 1)
+	}
+	r := m.newNode(v, lo, hi)
+	rs.index[i] = r
+	m.uniqueCount++
+	rs.created = append(rs.created, r)
 	if int(r) == len(rs.refcnt) {
 		rs.refcnt = append(rs.refcnt, 0)
-		rs.pos = append(rs.pos, 0)
 	}
 	rs.refcnt[r] = 0
 	rs.refcnt[lo]++
 	rs.refcnt[hi]++
-	rs.pos[r] = int32(len(rs.vars[v]))
+	m.nodes[r].next = Ref(len(rs.vars[v]))
 	rs.vars[v] = append(rs.vars[v], r)
 	if m.budget != nil {
 		m.pollBudget(m.uniqueCount)
@@ -463,9 +567,9 @@ func (m *Manager) deferDecRef(r Ref) {
 	}
 }
 
-// collectDead drains the death worklist: each dead node leaves the
-// unique table and its variable's list, releases its children
-// (cascading), and frees its slot for reuse.
+// collectDead drains the death worklist: each dead node is logged,
+// leaves its variable's list, releases its children (cascading), and
+// frees its slot for reuse.
 func (m *Manager) collectDead() {
 	rs := m.rs
 	for len(rs.dead) > 0 {
@@ -475,17 +579,84 @@ func (m *Manager) collectDead() {
 			continue
 		}
 		n := &m.nodes[r]
-		m.uniqueDelete(r)
-		list := rs.vars[n.v]
-		p := rs.pos[r]
-		last := list[len(list)-1]
-		list[p] = last
-		rs.pos[last] = p
-		rs.vars[n.v] = list[:len(list)-1]
+		rs.killed = append(rs.killed, nodeUndo{r, n.lo, n.hi})
+		m.unlist(r)
+		m.uniqueCount--
 		m.deferDecRef(n.lo)
 		m.deferDecRef(n.hi)
 		m.free = append(m.free, r)
 	}
+}
+
+// unlist removes r from its variable's list, moving the list's last
+// node into its place.
+func (m *Manager) unlist(r Ref) {
+	n := &m.nodes[r]
+	list := m.rs.vars[n.v]
+	last := list[len(list)-1]
+	list[n.next] = last
+	m.nodes[last].next = n.next
+	m.rs.vars[n.v] = list[:len(list)-1]
+}
+
+// undoSwap reverses the last unreversed swap of levels l and l+1, which
+// left y at l and x at l+1. Non-interacting variables only exchange
+// levels back. Otherwise the swap's record is popped and the node cap
+// checked where the reverse swap would check it; then the killed nodes
+// return to their slots (the top of the free list) last death first,
+// the dependents get their old variable and children back, and the
+// created nodes are freed last first — popped slots back onto the free
+// list, appended ones cut from storage — reversing every refcount
+// change.
+func (m *Manager) undoSwap(l int) {
+	m.pollCancel()
+	rs := m.rs
+	y, x := m.varAtLevel[l], m.varAtLevel[l+1]
+	if !rs.interacts(x, y) {
+		m.swapVarMaps(l)
+		return
+	}
+	rec := rs.log[len(rs.log)-1]
+	killed, created := rs.killed[rec.killed:], rs.created[rec.created:]
+	if len(killed) > 0 && m.budget != nil {
+		if mx := m.budget.MaxBDDNodes(); mx > 0 && m.uniqueCount+len(killed) > mx {
+			panic(buildInterrupt{m.budget.TripBDD()})
+		}
+	}
+	m.swapVarMaps(l)
+	m.free = m.free[:len(m.free)-len(killed)]
+	for i := len(killed) - 1; i >= 0; i-- {
+		k := killed[i]
+		m.nodes[k.r] = node{v: y, lo: k.lo, hi: k.hi, next: Ref(len(rs.vars[y]))}
+		rs.vars[y] = append(rs.vars[y], k.r)
+		rs.refcnt[k.r] = 0
+		rs.refcnt[k.lo]++
+		rs.refcnt[k.hi]++
+	}
+	for _, d := range rs.oldDeps[rec.deps:] {
+		n := &m.nodes[d.r]
+		rs.refcnt[n.lo]--
+		rs.refcnt[n.hi]--
+		m.unlist(d.r)
+		n.v, n.lo, n.hi, n.next = x, d.lo, d.hi, Ref(len(rs.vars[x]))
+		rs.vars[x] = append(rs.vars[x], d.r)
+		rs.refcnt[d.lo]++
+		rs.refcnt[d.hi]++
+	}
+	for i := len(created) - 1; i >= 0; i-- {
+		r := created[i]
+		n := &m.nodes[r]
+		rs.refcnt[n.lo]--
+		rs.refcnt[n.hi]--
+		m.unlist(r)
+		if int(r) < rec.size {
+			m.free = append(m.free, r)
+		}
+	}
+	m.nodes = m.nodes[:rec.size]
+	m.uniqueCount += len(killed) - len(created)
+	rs.log = rs.log[:len(rs.log)-1]
+	rs.oldDeps, rs.created, rs.killed = rs.oldDeps[:rec.deps], rs.created[:rec.created], rs.killed[:rec.killed]
 }
 
 // swapVarMaps exchanges the variable↔level maps for levels l and l+1.

@@ -35,16 +35,17 @@ func andOrPairs(k int) *logic.Network {
 
 // SwapLevels exchanges adjacent levels l and l+1 in place, rewriting
 // only the nodes at those two levels: the primitive Reorder is built
-// from, under the same protected-root contract.
+// from, under the same protected-root contract. Each call is a reorder
+// of one swap: it builds the reorder state, swaps, and re-attaches the
+// unique table's chains, so checkUniqueTable and mk may follow it.
 func (m *Manager) SwapLevels(l int) error {
 	if l < 0 || l+1 >= m.NumVars() {
 		return fmt.Errorf("bdd: swap level %d out of range [0,%d)", l, m.NumVars()-1)
 	}
 	return CatchInterrupt(func() {
-		if m.rs == nil {
-			m.buildReorderState()
-		}
+		m.buildReorderState()
 		m.swapLevels(l)
+		m.endReorder()
 	})
 }
 
@@ -573,7 +574,7 @@ func secondReorder(limit int, shuffle *rand.Rand) (*Manager, error) {
 		for _, list := range m.rs.vars {
 			shuffle.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
 			for i, r := range list {
-				m.rs.pos[r] = int32(i)
+				m.nodes[r].next = Ref(i) // a listed node's position
 			}
 		}
 	}
@@ -582,7 +583,7 @@ func secondReorder(limit int, shuffle *rand.Rand) (*Manager, error) {
 
 // TestSecondReorderTrip pins the smallest node cap a manager's second
 // reorder completes under, and shows that it depends only on the forest
-// and the order: a swap's dependents stay interned until their own
+// and the order: a swap's dependents stay counted until their own
 // rewrite, so inside a swap the cap sees the live nodes at its start
 // plus the nodes it has created, and shuffling the variables' node
 // lists moves no trip. It also pins the completed reorder's order and
@@ -708,6 +709,10 @@ func TestNonInteractingSwapIsFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := nb.Manager
+	// Swaps change no function, so one interaction matrix serves the walk.
+	m.buildReorderState()
+	inter := m.rs
+	m.endReorder()
 	triples := func() []nodeTriple {
 		out := make([]nodeTriple, len(nb.NodeRefs))
 		for i, r := range nb.NodeRefs {
@@ -726,7 +731,7 @@ func TestNonInteractingSwapIsFree(t *testing.T) {
 		}
 		if x/width != y/width {
 			free++
-			if m.rs.interacts(int32(x), int32(y)) {
+			if inter.interacts(int32(x), int32(y)) {
 				t.Fatalf("swap %d: x%d and x%d of blocks %d and %d marked interacting", s, x, y, x/width, y/width)
 			}
 			if m.LiveNodes() != live || m.Size() != size || !slices.Equal(triples(), before) {

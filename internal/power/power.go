@@ -106,31 +106,47 @@ type Report struct {
 	ExactProbs bool
 }
 
-// NodeProbs runs the configured probability engine over a plain network
-// whose input i has probability inputProbs[i]: the dispatch Estimate runs
-// on a mapped block, so the sequential steady state runs the row's
-// engine under the row's budget token.
-func NodeProbs(net *logic.Network, inputProbs []float64, opts Options) ([]float64, error) {
-	if len(inputProbs) != net.NumInputs() {
-		return nil, fmt.Errorf("power: %d input probs for %d inputs", len(inputProbs), net.NumInputs())
-	}
+// NodeProbs returns an evaluator of the configured probability engine
+// over a plain network: eval(inputProbs) gives every node's probability
+// when input i has probability inputProbs[i], under the options' budget
+// token. The exact engine builds the network's BDDs on the first call
+// and re-evaluates them on later ones — their variable order, and with
+// it every reorder decision and node-cap trip, depends on the network
+// alone — so the sequential steady state's fixed-point iteration builds
+// its block once. The other engines recompute on every call.
+func NodeProbs(net *logic.Network, opts Options) func(inputProbs []float64) ([]float64, error) {
 	lits := make([]bdd.InputLit, net.NumInputs())
 	for i := range lits {
 		lits[i] = bdd.InputLit{Var: i}
 	}
-	nodeProbs, _, err := netNodeProbs(net, lits, inputProbs, opts)
-	return nodeProbs, err
+	var built *bdd.NetworkBDDs
+	return func(inputProbs []float64) ([]float64, error) {
+		if len(inputProbs) != net.NumInputs() {
+			return nil, fmt.Errorf("power: %d input probs for %d inputs", len(inputProbs), net.NumInputs())
+		}
+		if built == nil && exactEngine(opts.Method, len(inputProbs)) {
+			var err error
+			if built, err = exactBuild(net, lits, len(inputProbs), opts); err != nil {
+				return nil, err
+			}
+		}
+		if built != nil {
+			return built.Manager.ProbabilityMany(built.NodeRefs, inputProbs), nil
+		}
+		nodeProbs, _, err := netNodeProbs(net, lits, inputProbs, opts)
+		return nodeProbs, err
+	}
 }
 
-// blockNodeProbs is NodeProbs on a mapped block, whose input rails are
-// literals of the *original* primary inputs (a complemented rail is the
-// complemented literal), so a signal and its inverted rail stay exactly
-// correlated. It reports whether the exact engine ran. Every value is a
-// pure function of a node's fanin cone (BDDs are canonical per
-// function, Approximate and LimitedDepth propagate fanin-local state),
-// so a node shared by several output cones carries the same probability
-// in every block that contains it — the invariant the cone table's
-// precompute-once/score-many decomposition rests on.
+// blockNodeProbs is the engine dispatch on a mapped block, whose input
+// rails are literals of the *original* primary inputs (a complemented
+// rail is the complemented literal), so a signal and its inverted rail
+// stay exactly correlated. It reports whether the exact engine ran.
+// Every value is a pure function of a node's fanin cone (BDDs are
+// canonical per function, Approximate and LimitedDepth propagate
+// fanin-local state), so a node shared by several output cones carries
+// the same probability in every block that contains it — the invariant
+// the cone table's precompute-once/score-many decomposition rests on.
 func blockNodeProbs(b *domino.Block, inputProbs []float64, opts Options) ([]float64, bool, error) {
 	lits := make([]bdd.InputLit, len(b.Phase.Inputs))
 	for pos, bi := range b.Phase.Inputs {
@@ -151,24 +167,12 @@ func netNodeProbs(net *logic.Network, lits []bdd.InputLit, varProbs []float64, o
 		nodeProbs, err := prob.MonteCarloLits(net, numVars, lits, varProbs, opts.MCVectors, opts.MCSeed, opts.Budget)
 		return nodeProbs, false, err
 	}
-	if opts.Method == Exact || (opts.Method == Auto && numVars <= AutoExactInputLimit) {
-		ord := opts.Order
-		if ord == nil {
-			ord = mapOrderToVars(order.ReverseTopological(net), lits, numVars)
-		}
-		// Options.Order arrives unchecked from config JSON: a malformed
-		// order becomes the returned error, never a panic.
-		var m *bdd.Manager
-		if err := bdd.CatchInterrupt(func() { m = bdd.NewWithOrder(numVars, ord) }); err != nil {
-			return nil, false, err
-		}
-		m.SetBudget(opts.Budget)
-		m.SetAutoReorder(opts.Reorder)
-		nodeProbs, err := prob.ExactLits(m, net, lits, varProbs)
+	if exactEngine(opts.Method, numVars) {
+		nb, err := exactBuild(net, lits, numVars, opts)
 		if err != nil {
 			return nil, false, err
 		}
-		return nodeProbs, true, nil
+		return nb.Manager.ProbabilityMany(nb.NodeRefs, varProbs), true, nil
 	}
 	litProbs := make([]float64, len(lits))
 	for pos, l := range lits {
@@ -186,6 +190,32 @@ func netNodeProbs(net *logic.Network, lits []bdd.InputLit, varProbs []float64, o
 		return nodeProbs, false, err
 	}
 	return prob.Approximate(net, litProbs), false, nil
+}
+
+// exactEngine reports whether method computes exact probabilities over
+// numVars variables.
+func exactEngine(method Method, numVars int) bool {
+	return method == Exact || (method == Auto && numVars <= AutoExactInputLimit)
+}
+
+// exactBuild builds net's BDDs for the exact engine into a manager of
+// its own, input p of net the literal lits[p] over numVars variables:
+// under Options.Order, or the paper's reverse-topological order mapped
+// onto the variables, with the options' budget and reorder setting.
+func exactBuild(net *logic.Network, lits []bdd.InputLit, numVars int, opts Options) (*bdd.NetworkBDDs, error) {
+	ord := opts.Order
+	if ord == nil {
+		ord = mapOrderToVars(order.ReverseTopological(net), lits, numVars)
+	}
+	// Options.Order arrives unchecked from config JSON: a malformed
+	// order becomes the returned error, never a panic.
+	var m *bdd.Manager
+	if err := bdd.CatchInterrupt(func() { m = bdd.NewWithOrder(numVars, ord) }); err != nil {
+		return nil, err
+	}
+	m.SetBudget(opts.Budget)
+	m.SetAutoReorder(opts.Reorder)
+	return bdd.BuildNetwork(m, net, lits)
 }
 
 // Estimate computes the power report of a mapped block given the original

@@ -327,8 +327,10 @@ type SteadyOptions struct {
 	InputProbs []float64
 	// Cut is the flip-flop cut (nil = compute via enhanced MFVS).
 	Cut []int
-	// Est is every iteration's probability engine and budget token (see
-	// power.NodeProbs); zero is power.Auto (exact up to 24 inputs), no token.
+	// Est is the iteration's probability engine and budget token (see
+	// power.NodeProbs: the exact engine builds the block's BDDs once and
+	// re-evaluates them every iteration); zero is power.Auto (exact up to
+	// 24 inputs), no token.
 	Est power.Options
 }
 
@@ -366,12 +368,13 @@ func (c *Circuit) SteadyStateProbs(opts SteadyOptions) (*Partition, []float64, [
 			inProbs[pos] = opts.InputProbs[in.OrigInput]
 		}
 	}
+	eval := power.NodeProbs(block, opts.Est)
 	var nodeProbs []float64
 	for it := 0; it < steadyIterations; it++ {
 		if err := opts.Est.Budget.Err(); err != nil {
 			return nil, nil, nil, err
 		}
-		nodeProbs, err = power.NodeProbs(block, inProbs, opts.Est)
+		nodeProbs, err = eval(inProbs)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -20,95 +20,126 @@ import (
 // the domino mapper packs the factored AND/OR trees into width-limited
 // cells.
 //
-// inputs maps cover variables to existing network nodes.
-func FactorInto(c *Cover, n *logic.Network, inputs []logic.NodeID) (logic.NodeID, error) {
+// inputs maps cover variables to existing network nodes. tok (nil =
+// never cancelled) is polled once per recursive call, as FromBDD polls
+// it: a wide cover factors for seconds (a 20-input parity output's 2^19
+// cubes take ~3 s), so a cancellation comes back as the error.
+func FactorInto(c *Cover, n *logic.Network, inputs []logic.NodeID, tok *budget.T) (logic.NodeID, error) {
 	if len(inputs) != c.NumVars {
 		return logic.InvalidNode, fmt.Errorf("sop: %d input nodes for %d vars", len(inputs), c.NumVars)
 	}
-	invCache := make(map[int]logic.NodeID)
-	lit := func(v int, l Literal) logic.NodeID {
-		if l == Pos {
-			return inputs[v]
-		}
-		if id, ok := invCache[v]; ok {
-			return id
-		}
-		id := n.AddNot(inputs[v])
-		invCache[v] = id
-		return id
-	}
+	f := &factoring{n: n, inputs: inputs, inverted: make(map[int]logic.NodeID)}
 	var rec func(cubes []Cube) logic.NodeID
 	rec = func(cubes []Cube) logic.NodeID {
-		if len(cubes) == 0 {
+		if err := tok.Err(); err != nil {
+			bdd.Interrupt(err)
+		}
+		switch len(cubes) {
+		case 0:
 			return n.AddConst(false)
+		case 1:
+			return f.product(cubes[0])
 		}
-		// Single cube: an AND of its literals.
-		if len(cubes) == 1 {
-			var lits []logic.NodeID
-			cube := cubes[0]
-			for v := 0; v < c.NumVars; v++ {
-				if l := cube.Literal(v); l != DontCare {
-					lits = append(lits, lit(v, l))
-				}
-			}
-			switch len(lits) {
-			case 0:
-				return n.AddConst(true)
-			case 1:
-				return lits[0]
-			default:
-				return n.AddAnd(lits...)
-			}
-		}
-		// Most frequent literal.
-		bestVar, bestLit, bestCount := -1, DontCare, 1
-		for v := 0; v < c.NumVars; v++ {
-			pos, neg := 0, 0
-			for _, cube := range cubes {
-				switch cube.Literal(v) {
-				case Pos:
-					pos++
-				case Neg:
-					neg++
-				}
-			}
-			if pos > bestCount {
-				bestVar, bestLit, bestCount = v, Pos, pos
-			}
-			if neg > bestCount {
-				bestVar, bestLit, bestCount = v, Neg, neg
-			}
-		}
-		if bestVar < 0 {
+		v, l, quotient, remainder := divide(cubes, c.NumVars)
+		if v < 0 {
 			// No shared literal: plain OR of cube ANDs.
-			var terms []logic.NodeID
-			for _, cube := range cubes {
-				terms = append(terms, rec([]Cube{cube}))
+			terms := make([]logic.NodeID, len(cubes))
+			for i, cube := range cubes { //dominolint:budget-ok one product per cube of this call, which polled
+				terms[i] = f.product(cube)
 			}
 			return n.AddOr(terms...)
 		}
-		var quotient, remainder []Cube
-		for _, cube := range cubes {
-			if cube.Literal(bestVar) == bestLit {
-				quotient = append(quotient, cube.WithLiteral(bestVar, DontCare))
-			} else {
-				remainder = append(remainder, cube)
-			}
-		}
 		q := rec(quotient)
-		l := lit(bestVar, bestLit)
-		var term logic.NodeID
-		if isConstTrue(n, q) {
-			term = l
-		} else {
-			term = n.AddAnd(l, q)
+		term := f.literal(v, l)
+		if !isConstTrue(n, q) {
+			term = n.AddAnd(term, q)
 		}
 		if len(remainder) == 0 {
 			return term
 		}
 		return n.AddOr(term, rec(remainder))
 	}
-	return rec(c.Cubes), nil
+	var root logic.NodeID
+	if err := bdd.CatchInterrupt(func() { root = rec(c.Cubes) }); err != nil {
+		return logic.InvalidNode, err
+	}
+	return root, nil
+}
+
+// factoring is the network a cover is factored into, with its input
+// nodes by cover variable and each variable's inverter, added on first
+// use.
+type factoring struct {
+	n        *logic.Network
+	inputs   []logic.NodeID
+	inverted map[int]logic.NodeID
+}
+
+// literal returns the node of variable v in polarity l.
+func (f *factoring) literal(v int, l Literal) logic.NodeID {
+	if l == Pos {
+		return f.inputs[v]
+	}
+	if id, ok := f.inverted[v]; ok {
+		return id
+	}
+	id := f.n.AddNot(f.inputs[v])
+	f.inverted[v] = id
+	return id
+}
+
+// product returns the AND of a cube's literals.
+func (f *factoring) product(cube Cube) logic.NodeID {
+	var lits []logic.NodeID
+	for v := range f.inputs {
+		if l := cube.Literal(v); l != DontCare {
+			lits = append(lits, f.literal(v, l))
+		}
+	}
+	switch len(lits) {
+	case 0:
+		return f.n.AddConst(true)
+	case 1:
+		return lits[0]
+	default:
+		return f.n.AddAnd(lits...)
+	}
+}
+
+// divide splits cubes by their most frequent literal L of variable v
+// (the first in variable order on a tie, positive before negative):
+// cubes = L·quotient + remainder. v is -1 when no literal appears in two
+// cubes.
+func divide(cubes []Cube, numVars int) (v int, l Literal, quotient, remainder []Cube) {
+	v, l, best := -1, DontCare, 1
+	for u := 0; u < numVars; u++ {
+		pos, neg := 0, 0
+		for _, cube := range cubes {
+			switch cube.Literal(u) {
+			case Pos:
+				pos++
+			case Neg:
+				neg++
+			}
+		}
+		if pos > best {
+			v, l, best = u, Pos, pos
+		}
+		if neg > best {
+			v, l, best = u, Neg, neg
+		}
+	}
+	if v < 0 {
+		return v, l, nil, nil
+	}
+	for _, cube := range cubes {
+		if cube.Literal(v) == l {
+			quotient = append(quotient, cube.WithLiteral(v, DontCare))
+		} else {
+			remainder = append(remainder, cube)
+		}
+	}
+	return v, l, quotient, remainder
 }
 
 func isConstTrue(n *logic.Network, id logic.NodeID) bool {
@@ -119,8 +150,9 @@ func isConstTrue(n *logic.Network, id logic.NodeID) bool {
 // an untrusted configuration (as MaxCollapseSupport), and the widest the
 // repository runs. A parity output's ISOP cover has 2^(support−1) cubes,
 // and parity's BDD is too small for a node budget to stop the cover's
-// construction: at support 20 one collapse takes ~18 s and ~340 MB on a
-// 2-vCPU Xeon, and every two inputs more quadruple both.
+// construction: at support 20 one collapse takes ~5 s and ~380 MB on a
+// 2-vCPU Xeon (the ISOP ~0.3 s of it, factoring ~3 s and the final
+// Optimize ~1.6 s), and every two inputs more quadruple both.
 const MaxSupport = 20
 
 // FactorNetwork is the collapse-and-refactor pass of technology-
@@ -149,7 +181,7 @@ func FactorNetwork(n *logic.Network, maxSupport int, tok *budget.T) (*logic.Netw
 		if err != nil {
 			return nil, err
 		}
-		driver, err := FactorInto(cover, out, inIDs)
+		driver, err := FactorInto(cover, out, inIDs, tok)
 		if err != nil {
 			return nil, err
 		}

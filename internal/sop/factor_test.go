@@ -19,7 +19,7 @@ func TestFactorIntoSimple(t *testing.T) {
 	c.Add(cubeFromString(t, "1-1"))
 	n := logic.New("fct")
 	ins := []logic.NodeID{n.AddInput("a"), n.AddInput("b"), n.AddInput("c")}
-	root, err := FactorInto(c, n, ins)
+	root, err := FactorInto(c, n, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestFactorIntoEdgeCases(t *testing.T) {
 	n := logic.New("edge")
 	ins := []logic.NodeID{n.AddInput("a")}
 	empty := NewCover(1)
-	r, err := FactorInto(empty, n, ins)
+	r, err := FactorInto(empty, n, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFactorIntoEdgeCases(t *testing.T) {
 	}
 	taut := NewCover(1)
 	taut.Add(NewCube(1))
-	r2, err := FactorInto(taut, n, ins)
+	r2, err := FactorInto(taut, n, ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFactorPreservesFunctionProperty(t *testing.T) {
 		for v := range ins {
 			ins[v] = n.AddInput(inName(v))
 		}
-		root, err := FactorInto(c, n, ins)
+		root, err := FactorInto(c, n, ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,6 +196,33 @@ func TestFromBDDPollsToken(t *testing.T) {
 	c, err := FromBDD(m, f, tok)
 	if !errors.Is(err, budget.ErrCancelled) || c != nil {
 		t.Fatalf("cancelled token: cover %v, err %v; want nil, ErrCancelled", c, err)
+	}
+}
+
+// TestFactorIntoPollsToken: factoring polls the token once per
+// recursive call, so a cancelled token ends it with ErrCancelled.
+func TestFactorIntoPollsToken(t *testing.T) {
+	m := bdd.New(10)
+	f := bdd.False
+	for v := 0; v < 10; v++ {
+		f = m.Xor(f, m.Var(v))
+	}
+	c, err := FromBDD(m, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := logic.New("parity")
+	ins := make([]logic.NodeID, 10)
+	for i := range ins {
+		ins[i] = n.AddInput(inName(i))
+	}
+	if _, err := FactorInto(c, n, ins, nil); err != nil {
+		t.Fatal(err)
+	}
+	tok := budget.New(0, 0)
+	tok.Cancel(nil)
+	if r, err := FactorInto(c, n, ins, tok); !errors.Is(err, budget.ErrCancelled) || r != logic.InvalidNode {
+		t.Fatalf("cancelled token: root %v, err %v; want InvalidNode, ErrCancelled", r, err)
 	}
 }
 

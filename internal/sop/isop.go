@@ -40,12 +40,7 @@ func isop(m *bdd.Manager, L, U bdd.Ref, prefix Cube, cover *Cover, tok *budget.T
 		cover.Add(prefix.Clone())
 		return bdd.True
 	}
-	// Top variable of L and U in the manager's order.
-	v := topSharedVar(m, L, U)
-	L0 := m.Restrict(L, v, false)
-	L1 := m.Restrict(L, v, true)
-	U0 := m.Restrict(U, v, false)
-	U1 := m.Restrict(U, v, true)
+	v, L0, L1, U0, U1 := topCofactors(m, L, U)
 
 	// Cubes that must contain the negative literal of v: the part of L0
 	// not coverable under U1.
@@ -61,22 +56,21 @@ func isop(m *bdd.Manager, L, U bdd.Ref, prefix Cube, cover *Cover, tok *budget.T
 	return m.Or(m.Or(m.And(nx, g0), m.And(x, g1)), gd)
 }
 
-// topSharedVar returns the variable with the smallest level among the
-// supports of L and U. Both are non-terminal in at least one argument by
-// the callers' checks.
-func topSharedVar(m *bdd.Manager, L, U bdd.Ref) int {
-	best := -1
-	bestLevel := m.NumVars()
-	for _, f := range []bdd.Ref{L, U} {
-		for _, v := range m.Support(f) {
-			if l := m.LevelOf(v); l < bestLevel {
-				bestLevel = l
-				best = v
-			}
-		}
+// topCofactors returns the top variable v of L and U in the manager's
+// order and their cofactors with respect to it. In a reduced ordered
+// BDD a root decides the top variable of its support, so v is the
+// variable of the root at the smaller level, and a root deciding v
+// cofactors into its children while the other root does not depend on
+// v. Both roots are non-terminal: the callers' checks return on
+// L == False and U == True, and L ≤ U.
+func topCofactors(m *bdd.Manager, L, U bdd.Ref) (v int, L0, L1, U0, U1 bdd.Ref) {
+	v, L0, L1 = m.Top(L)
+	vu, U0, U1 := m.Top(U)
+	switch lu, ll := m.LevelOf(vu), m.LevelOf(v); {
+	case lu < ll:
+		v, L0, L1 = vu, L, L
+	case lu > ll:
+		U0, U1 = U, U
 	}
-	if best < 0 {
-		panic("sop: topSharedVar on terminals")
-	}
-	return best
+	return v, L0, L1, U0, U1
 }

@@ -180,7 +180,9 @@ func randomRef(rng *rand.Rand, m *bdd.Manager) bdd.Ref {
 	return refs[len(refs)-1]
 }
 
-func BenchmarkISOP(b *testing.B) {
+// isopBenchFunc returns a 14-variable manager and the OR of 30 random
+// cubes over it.
+func isopBenchFunc() (*bdd.Manager, bdd.Ref) {
 	m := bdd.New(14)
 	rng := rand.New(rand.NewSource(19))
 	f := bdd.False
@@ -196,10 +198,82 @@ func BenchmarkISOP(b *testing.B) {
 		}
 		f = m.Or(f, cube)
 	}
+	return m, f
+}
+
+func BenchmarkISOP(b *testing.B) {
+	m, f := isopBenchFunc()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := FromBDD(m, f, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// topSharedVar returns the variable with the smallest level among the
+// supports of L and U: the oracle topCofactors' choice is checked
+// against.
+func topSharedVar(m *bdd.Manager, L, U bdd.Ref) int {
+	best := -1
+	bestLevel := m.NumVars()
+	for _, f := range []bdd.Ref{L, U} {
+		for _, v := range m.Support(f) {
+			if l := m.LevelOf(v); l < bestLevel {
+				bestLevel = l
+				best = v
+			}
+		}
+	}
+	return best
+}
+
+// TestTopCofactorsMatchesSupport: over random pairs of non-terminal
+// functions under random orders, topCofactors picks the variable
+// topSharedVar finds by walking both supports, and its cofactors are the
+// ones Restrict computes.
+func TestTopCofactorsMatchesSupport(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pairs := 0
+	for trial := 0; trial < 200; trial++ {
+		vars := 3 + rng.Intn(6)
+		m := bdd.NewWithOrder(vars, rng.Perm(vars))
+		L, U := randomRef(rng, m), randomRef(rng, m)
+		if L <= bdd.True || U <= bdd.True {
+			continue
+		}
+		pairs++
+		v, L0, L1, U0, U1 := topCofactors(m, L, U)
+		if want := topSharedVar(m, L, U); v != want {
+			t.Fatalf("trial %d: top variable %d, supports give %d", trial, v, want)
+		}
+		for _, c := range []struct {
+			f, got bdd.Ref
+			val    bool
+		}{{L, L0, false}, {L, L1, true}, {U, U0, false}, {U, U1, true}} {
+			if want := m.Restrict(c.f, v, c.val); c.got != want {
+				t.Fatalf("trial %d: cofactor of %d at x%d=%v is %d, Restrict gives %d", trial, c.f, v, c.val, c.got, want)
+			}
+		}
+	}
+	if pairs < 100 {
+		t.Fatalf("only %d non-terminal pairs", pairs)
+	}
+}
+
+// TestFromBDDAllocs bounds FromBDD's allocations on BenchmarkISOP's
+// function: the recursion allocates its cubes and cover, not memo
+// tables the size of the manager per step.
+func TestFromBDDAllocs(t *testing.T) {
+	m, f := isopBenchFunc()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := FromBDD(m, f, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("FromBDD: %.0f allocations", allocs)
+	if allocs > 1000 {
+		t.Errorf("FromBDD made %.0f allocations, want at most 1000", allocs)
 	}
 }
